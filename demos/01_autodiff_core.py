@@ -55,4 +55,4 @@ for it in range(200):
 logits = nm.Tensor([[2.0, 0.0, -1.0]])
 probs = nm.softmax_rows(logits)
 print("softmax:", np.round(probs.value, 5))
-print("log of softmax (fused, stable):", np.round(nm.log_elementwise(probs).value, 5))
+print("log-softmax (stable):", np.round(nm.log_softmax_rows(logits).value, 5))

@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numerics as nm
 from .clustering import sinkhorn_pseudo_labels, soft_assign
 from .errors import (
     ContractError, IngestionError, NcgcError, NumericError, ParameterError,
     RankError, ShapeError, SplitError,
 )
-from .graph import load_dataset, load_split, normalized_adjacency, write_split
-from .model import forward, init_params, load_checkpoint, save_checkpoint
+from .graph import load_dataset, load_split, normalized_adjacency, read_text, write_split
+from .model import feature_operator, forward, init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
 from .trainer import (
@@ -123,9 +124,7 @@ def read_config_file(path) -> dict:
     """Flat ``key = value`` lines; blank lines and # comments ignored."""
     out = {}
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"{path}: config file missing")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -170,6 +169,9 @@ def resolve_options(args: argparse.Namespace, keys) -> dict:
 
 
 def hyperparams_from(resolved: dict) -> HyperParams:
+    # every run is deterministic; the key stays so existing configs still load
+    if resolved.get("determinism") is False:
+        raise _UsageError("--determinism off is not supported: runs are always deterministic")
     it = resolved.get("input-transform", "auto")
     return HyperParams(
         seed=resolved["seed"],
@@ -189,7 +191,6 @@ def hyperparams_from(resolved: dict) -> HyperParams:
         lambda_pl=resolved["lambda-pl"],
         kl_scope=resolved["kl-scope"],
         self_loops=resolved["self-loops"],
-        determinism=resolved["determinism"],
         appnp_alpha=resolved["appnp-alpha"],
         appnp_hops=resolved["appnp-hops"],
         input_transform=None if it in ("auto", "") else it,
@@ -316,11 +317,13 @@ def cmd_train(args) -> int:
 def _dump_cluster_signals(g, resolved, params, cluster_state, out: Path) -> None:
     hp = hyperparams_from(resolved)
     a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
-    h, y = forward(g, a_tilde, params, hp.model_config(), RngState(0), training=False)
+    h, logits = forward(feature_operator(g.features), a_tilde, params, hp.model_config(),
+                        RngState(0), training=False)
     if cluster_state is not None:
         q = soft_assign(h, cluster_state).value
         np.savetxt(out / "q.tsv", q, delimiter="\t")
-    psi = sinkhorn_pseudo_labels(y.value, hp.epsilon, hp.sinkhorn_t).psi
+    y = nm.softmax_rows(logits.value).value
+    psi = sinkhorn_pseudo_labels(y, hp.epsilon, hp.sinkhorn_t).psi
     np.savetxt(out / "psi.tsv", psi, delimiter="\t")
 
 

@@ -146,17 +146,18 @@ def sinkhorn_pseudo_labels(
     return PseudoLabels(psi=psi, sinkhorn_iterations_used=iterations)
 
 
-def pseudo_label_loss(psi: PseudoLabels, psi_prime_live) -> "nm.Tensor":
-    """Cross-entropy of live predictions against fixed pseudo-label targets.
+def pseudo_label_loss(psi: PseudoLabels, live_logits) -> "nm.Tensor":
+    """Cross-entropy of the softmax of live logits against fixed pseudo-label targets.
 
-    Mean-reduced over the unlabeled rows; gradients flow only into the
-    prediction branch.
+    ``live_logits`` are the prototype-head logits of the unlabeled rows; the
+    log-probabilities come from their row-wise log-softmax. Mean-reduced over
+    those rows; gradients flow only into the prediction branch.
     """
     targets = psi.psi
-    if targets.shape != psi_prime_live.value.shape:
+    if targets.shape != live_logits.value.shape:
         raise ShapeError(
-            f"targets {targets.shape} vs predictions {psi_prime_live.value.shape}")
-    log_pred = nm.log_elementwise(psi_prime_live)
+            f"targets {targets.shape} vs predictions {live_logits.value.shape}")
+    log_pred = nm.log_softmax_rows(live_logits)
     return nm.scale(nm.sum_all(nm.mul(log_pred, targets)), -1.0 / targets.shape[0])
 
 

@@ -115,16 +115,38 @@ def _symmetrize(n: int, pairs: set[tuple[int, int]]) -> CsrMatrix:
     return CsrMatrix.from_coo(n, n, rows, cols, vals, sum_duplicates=False)
 
 
+def _read_bytes(f: Path) -> bytes:
+    """Contents of an input file; a missing or unreadable file is an IngestionError."""
+    try:
+        return f.read_bytes()
+    except FileNotFoundError as e:
+        raise IngestionError(f"{f}: file missing") from e
+    except OSError as e:
+        raise IngestionError(f"{f}: cannot read ({e.strerror or e})") from e
+
+
+def read_text(f: Path) -> str:
+    """UTF-8 text of an input file with universal newlines; bytes that are not
+    UTF-8 are an IngestionError naming the file and the byte offset."""
+    try:
+        text = _read_bytes(f).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{f}: invalid UTF-8 at byte offset {e.start}") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_meta(path: Path) -> dict:
     f = path / "meta.json"
-    if not f.exists():
-        raise IngestionError(f"{f}: file missing")
     try:
-        meta = json.loads(f.read_text(encoding="utf-8"))
+        meta = json.loads(read_text(f))
     except json.JSONDecodeError as e:
         raise IngestionError(f"{f}: invalid JSON ({e})") from e
+    if not isinstance(meta, dict):
+        raise IngestionError(f"{f}: expected a JSON object")
     for key in ("n", "m", "d", "k"):
-        if key not in meta or not isinstance(meta[key], int) or meta[key] < 0:
+        value = meta.get(key)
+        # bool is a subclass of int, but true/false are not counts
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise IngestionError(f"{f}: missing or invalid integer field {key!r}")
     if not isinstance(meta.get("name"), str):
         raise IngestionError(f"{f}: missing string field 'name'")
@@ -133,9 +155,7 @@ def _read_meta(path: Path) -> dict:
 
 def _read_features(path: Path, n: int, d: int) -> np.ndarray:
     f = path / "features.bin"
-    if not f.exists():
-        raise IngestionError(f"{f}: file missing")
-    raw = f.read_bytes()
+    raw = _read_bytes(f)
     expected = n * d * 4
     if len(raw) != expected:
         raise IngestionError(
@@ -147,27 +167,23 @@ def _read_features(path: Path, n: int, d: int) -> np.ndarray:
 
 def _read_edges(path: Path, n: int) -> tuple[set[tuple[int, int]], bool]:
     f = path / "edges.tsv"
-    if not f.exists():
-        raise IngestionError(f"{f}: file missing")
     pairs: set[tuple[int, int]] = set()
     has_loops = False
-    with f.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise IngestionError(f"{f}:{lineno}: expected two tab-separated ids")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError as e:
-                raise IngestionError(f"{f}:{lineno}: non-integer node id") from e
-            if not (0 <= i < n and 0 <= j < n):
-                raise IngestionError(f"{f}:{lineno}: node id out of range [0, {n})")
-            if i == j:
-                has_loops = True
-            pairs.add((min(i, j), max(i, j)))
+    for lineno, line in enumerate(read_text(f).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise IngestionError(f"{f}:{lineno}: expected two tab-separated ids")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as e:
+            raise IngestionError(f"{f}:{lineno}: non-integer node id") from e
+        if not (0 <= i < n and 0 <= j < n):
+            raise IngestionError(f"{f}:{lineno}: node id out of range [0, {n})")
+        if i == j:
+            has_loops = True
+        pairs.add((min(i, j), max(i, j)))
     return pairs, has_loops
 
 
@@ -176,25 +192,23 @@ def _read_labels(path: Path, n: int, k: int) -> np.ndarray | None:
     if not f.exists():
         return None
     labels = np.full(n, -1, dtype=np.int64)
-    with f.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise IngestionError(f"{f}:{lineno}: expected 'node<TAB>class'")
-            try:
-                i, c = int(parts[0]), int(parts[1])
-            except ValueError as e:
-                raise IngestionError(f"{f}:{lineno}: non-integer field") from e
-            if not 0 <= i < n:
-                raise IngestionError(f"{f}:{lineno}: node id {i} out of range")
-            if not 0 <= c < k:
-                raise IngestionError(f"{f}:{lineno}: class id {c} out of range [0, {k})")
-            if labels[i] != -1:
-                raise IngestionError(f"{f}:{lineno}: node {i} labeled twice")
-            labels[i] = c
+    for lineno, line in enumerate(read_text(f).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise IngestionError(f"{f}:{lineno}: expected 'node<TAB>class'")
+        try:
+            i, c = int(parts[0]), int(parts[1])
+        except ValueError as e:
+            raise IngestionError(f"{f}:{lineno}: non-integer field") from e
+        if not 0 <= i < n:
+            raise IngestionError(f"{f}:{lineno}: node id {i} out of range")
+        if not 0 <= c < k:
+            raise IngestionError(f"{f}:{lineno}: class id {c} out of range [0, {k})")
+        if labels[i] != -1:
+            raise IngestionError(f"{f}:{lineno}: node {i} labeled twice")
+        labels[i] = c
     return labels
 
 
@@ -233,18 +247,17 @@ def load_dataset(path, row_normalize: bool = True) -> Graph:
 
 def _read_idx(f: Path, n: int) -> np.ndarray:
     out = []
-    with f.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                i = int(line)
-            except ValueError as e:
-                raise IngestionError(f"{f}:{lineno}: non-integer node id") from e
-            if not 0 <= i < n:
-                raise IngestionError(f"{f}:{lineno}: node id {i} out of range")
-            out.append(i)
+    for lineno, line in enumerate(read_text(f).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            i = int(line)
+        except ValueError as e:
+            raise IngestionError(f"{f}:{lineno}: non-integer node id") from e
+        if not 0 <= i < n:
+            raise IngestionError(f"{f}:{lineno}: node id {i} out of range")
+        out.append(i)
     return np.asarray(out, dtype=np.int64)
 
 

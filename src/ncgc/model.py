@@ -7,8 +7,9 @@ truncated personalized-propagation polynomial). The correction is realized
 as two skinny products, so the n x n outer product is never materialized and
 ``beta = 0`` reduces the layer to the plain backbone exactly.
 
-A shared bias-free prototype head maps the final embedding to row-stochastic
-class/cluster predictions.
+A shared bias-free prototype head maps the final embedding to class/cluster
+logits, the model's one prediction output: losses take their row-wise
+log-softmax, and detached probabilities are their row-wise softmax.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, IngestionError, ParameterError, ShapeError
-from .graph import Graph
 from .rng import RngState
 from .sparse import CsrMatrix
 
@@ -168,28 +168,16 @@ def sogn_layer(
     return nm.relu(out) if activation else out
 
 
-_FEATURE_OP_CACHE: dict[int, tuple[np.ndarray, object]] = {}
-
-
-def _feature_operator(features: np.ndarray):
-    """Return the ndarray itself or a cached CSR view for very sparse inputs."""
-    key = id(features)
-    hit = _FEATURE_OP_CACHE.get(key)
-    if hit is not None and hit[0] is features:
-        return hit[1]
+def feature_operator(features: np.ndarray):
+    """The features as ``forward`` takes them: CSR when large and sparse, else as given."""
     density = np.count_nonzero(features) / max(features.size, 1)
-    op = features
     if features.size > 100_000 and density < 0.25:
-        op = CsrMatrix.from_dense(features)
-    if len(_FEATURE_OP_CACHE) > 8:
-        _FEATURE_OP_CACHE.clear()
-    _FEATURE_OP_CACHE[key] = (features, op)
-    return op
+        return CsrMatrix.from_dense(features)
+    return features
 
 
-def input_transform(g: Graph, params: ModelParams, config: SognConfig):
-    """Map raw attributes to the width of the hidden layers (with activation)."""
-    x = _feature_operator(g.features)
+def input_transform(x, params: ModelParams, config: SognConfig):
+    """Map ``feature_operator`` output to the width of the hidden layers (with activation)."""
     h = None
     for w, b in params.input_weights:
         if h is None:
@@ -202,7 +190,7 @@ def input_transform(g: Graph, params: ModelParams, config: SognConfig):
 
 
 def forward(
-    g: Graph,
+    x,
     a_tilde: CsrMatrix,
     params: ModelParams,
     config: SognConfig,
@@ -211,11 +199,12 @@ def forward(
 ):
     """Full pass: input transform, layer stack, prototype head.
 
-    Returns the final embedding H (no activation on the last layer, so the
-    clustering geometry keeps the full space) and the row-stochastic
-    predictions Y'. Evaluation mode disables dropout.
+    ``x`` is the output of ``feature_operator``. Returns the final embedding H
+    (no activation on the last layer, so the clustering geometry keeps the
+    full space) and the prototype-head logits H W_p; the predictions Y' are
+    their row-wise softmax. Evaluation mode disables dropout.
     """
-    h = input_transform(g, params, config)
+    h = input_transform(x, params, config)
     n_layers = len(params.layer_weights)
     for i, w in enumerate(params.layer_weights):
         h = sogn_layer(
@@ -224,8 +213,7 @@ def forward(
             dropout=config.dropout, activation=i < n_layers - 1,
             appnp_alpha=config.appnp_alpha, appnp_hops=config.appnp_hops,
         )
-    logits = nm.matmul(h, params.w_proto)
-    return h, nm.softmax_rows(logits)
+    return h, nm.matmul(h, params.w_proto)
 
 
 def soc_penalty(h: np.ndarray) -> float:
@@ -262,19 +250,20 @@ def save_checkpoint(path, named_values: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a ``save_checkpoint`` file; malformed bytes or non-finite weights are rejected."""
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise IngestionError(f"{path}: cannot read ({e.strerror or e})") from e
     if data[:4] != _MAGIC:
         raise IngestionError(f"{path}: bad magic bytes, not a checkpoint")
-    pos = 4
-    (version,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    if version != _VERSION:
-        raise IngestionError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
     out: dict[str, np.ndarray] = {}
     try:
+        version, count = struct.unpack_from("<II", data, 4)
+        if version != _VERSION:
+            raise IngestionError(f"{path}: unsupported checkpoint version {version}")
+        pos = 12
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", data, pos)
             pos += 4
@@ -285,8 +274,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             nbytes = rows * cols * 8
             if pos + nbytes > len(data):
                 raise IngestionError(f"{path}: truncated at byte offset {len(data)}")
-            out[name] = np.frombuffer(data[pos:pos + nbytes], dtype="<f8").reshape(rows, cols).copy()
+            value = np.frombuffer(data[pos:pos + nbytes], dtype="<f8").reshape(rows, cols).copy()
+            if not np.all(np.isfinite(value)):
+                raise IngestionError(f"{path}: non-finite values in parameter {name!r}")
+            out[name] = value
             pos += nbytes
     except struct.error as e:
         raise IngestionError(f"{path}: truncated checkpoint ({e})") from e
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: parameter name at byte offset {pos} is not UTF-8") from e
     return out

@@ -1,12 +1,13 @@
 """Dense matrix arithmetic with reverse-mode differentiation.
 
 Values are 2-D float64 numpy arrays (scalars are 1x1). A ``Tensor`` wraps one
-value; primitive operations compute eagerly and, when a ``Tape`` is active,
-record a node with the saved values its backward rule needs. ``backward``
-replays the tape once in reverse and accumulates gradients into every
-``Parameter`` reached from the loss. Without an active tape the same
-functions run as plain numpy, which is how evaluation-mode passes avoid the
-recording cost.
+value and nothing else, so what a primitive computes depends only on its
+operands' values, never on how they were produced. Primitive operations
+compute eagerly and, when a ``Tape`` is active, record a node with the saved
+values its backward rule needs. ``backward`` replays the tape once in reverse
+and accumulates gradients into every ``Parameter`` reached from the loss.
+Without an active tape the same functions run as plain numpy, which is how
+evaluation-mode passes avoid the recording cost.
 
 Targets that must not receive gradients (sharpened distributions,
 pseudo-labels) are passed around as raw numpy arrays; only ``Tensor``
@@ -47,7 +48,7 @@ def _require_finite(v: Array, what: str) -> None:
 class Tensor:
     """A 2-D float64 value, possibly tracked on the active tape."""
 
-    __slots__ = ("value", "_softmax_logits", "_gather_rows")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         v = np.asarray(value, dtype=np.float64)
@@ -56,8 +57,6 @@ class Tensor:
         if v.ndim != 2:
             raise ShapeError(f"Tensor must be 2-D, got shape {v.shape}")
         self.value = np.ascontiguousarray(v)
-        self._softmax_logits = None
-        self._gather_rows = None
 
     @property
     def shape(self):
@@ -271,8 +270,6 @@ def softmax_rows(x) -> Tensor:
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
     out = Tensor(p)
-    if isinstance(x, Tensor):
-        out._softmax_logits = x
 
     def vjp(g):
         return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
@@ -295,18 +292,11 @@ def log_softmax_rows(x) -> Tensor:
 
 
 def log_elementwise(x) -> Tensor:
-    """Elementwise natural log.
+    """Elementwise natural log; entries must be strictly positive.
 
-    When ``x`` is (a row-gather of) a ``softmax_rows`` output, the result is
-    computed as a fused log-softmax of the original logits, which never sees
-    an underflowed zero probability. Otherwise entries must be strictly
-    positive.
+    Log-probabilities of a categorical head come from ``log_softmax_rows`` of
+    its logits, which never sees an underflowed zero probability.
     """
-    if isinstance(x, Tensor) and x._softmax_logits is not None:
-        full = log_softmax_rows(x._softmax_logits)
-        if x._gather_rows is not None:
-            return take_rows(full, x._gather_rows)
-        return full
     v = _as_value(x)
     if v.size and v.min() <= 0.0:
         raise NumericError("log_elementwise requires strictly positive entries")
@@ -403,9 +393,6 @@ def take_rows(x, idx) -> Tensor:
     v = _as_value(x)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(v[idx])
-    if isinstance(x, Tensor) and x._softmax_logits is not None:
-        out._softmax_logits = x._softmax_logits
-        out._gather_rows = idx if x._gather_rows is None else x._gather_rows[idx]
 
     def vjp(g):
         gx = np.zeros_like(v)

@@ -28,7 +28,7 @@ from .clustering import (
 )
 from .errors import ContractError, NumericError, ParameterError
 from .graph import Graph, Split, make_split, normalized_adjacency
-from .model import ModelParams, SognConfig, forward, init_params, soc_penalty
+from .model import ModelParams, SognConfig, feature_operator, forward, init_params, soc_penalty
 from .rng import RngState
 from .sparse import CsrMatrix
 
@@ -54,7 +54,6 @@ class HyperParams:
     lambda_pl: float = 1.0
     kl_scope: str = "all"  # all | unlabeled
     self_loops: bool = True
-    determinism: bool = True
     appnp_alpha: float = 0.1
     appnp_hops: int = 10
     input_transform: str | None = None
@@ -116,19 +115,19 @@ class TrainReport:
         }
 
 
-def class_loss(y_prime, labels, train_idx) -> "nm.Tensor":
-    """Mean cross-entropy of predictions against ground-truth labels."""
+def class_loss(logits, labels, train_idx) -> "nm.Tensor":
+    """Mean cross-entropy of softmax(logits) against ground-truth labels, via log-softmax."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ContractError("empty training index set")
     labels = np.asarray(labels)
     picked = labels[train_idx]
-    k = y_prime.value.shape[1]
+    k = logits.value.shape[1]
     if picked.min() < 0 or picked.max() >= k:
         raise ContractError("label out of range [0, K) in the training set")
     one_hot = np.zeros((len(train_idx), k))
     one_hot[np.arange(len(train_idx)), picked] = 1.0
-    log_pred = nm.take_rows(nm.log_elementwise(y_prime), train_idx)
+    log_pred = nm.take_rows(nm.log_softmax_rows(logits), train_idx)
     return nm.scale(nm.sum_all(nm.mul(log_pred, one_hot)), -1.0 / len(train_idx))
 
 
@@ -151,8 +150,9 @@ def total_loss(l_class, l_kl, l_pl, hp: HyperParams, in_warmup: bool) -> "nm.Ten
 def evaluate(params: ModelParams, g: Graph, a_tilde: CsrMatrix, idx,
              config: SognConfig) -> float:
     """Accuracy of argmax predictions on the given nodes (ties pick lowest class)."""
-    _, y = forward(g, a_tilde, params, config, RngState(0), training=False)
-    return _accuracy(y.value, g.labels, idx)
+    x = feature_operator(g.features)
+    _, logits = forward(x, a_tilde, params, config, RngState(0), training=False)
+    return _accuracy(nm.softmax_rows(logits.value).value, g.labels, idx)
 
 
 def _accuracy(y_values: np.ndarray, labels, idx) -> float:
@@ -203,13 +203,14 @@ def train(
     best_values: dict[str, np.ndarray] | None = None
     best_centroids: np.ndarray | None = None
     since_improve = 0
+    x = feature_operator(g.features)
 
     for epoch in range(hp.epochs):
         in_warmup = epoch < hp.warmup_epochs
         clustering_on = clustering_wanted and not in_warmup
 
         if clustering_on and hp.lambda_kl > 0 and cluster_state is None:
-            h_now, _ = forward(g, a_tilde, params, cfg, RngState(0), training=False)
+            h_now, _ = forward(x, a_tilde, params, cfg, RngState(0), training=False)
             cluster_state = init_centroids(h_now.value, g.class_count, centroid_rng)
             adam.m[cluster_state.centroids.name] = np.zeros_like(cluster_state.centroids.value)
             adam.v[cluster_state.centroids.name] = np.zeros_like(cluster_state.centroids.value)
@@ -224,8 +225,8 @@ def train(
         q_vals = psi_vals = None
         tape = nm.Tape()
         with tape:
-            h, y = forward(g, a_tilde, params, cfg, drop_rng, training=True)
-            l_class = class_loss(y, g.labels, split.train_idx)
+            h, logits = forward(x, a_tilde, params, cfg, drop_rng, training=True)
+            l_class = class_loss(logits, g.labels, split.train_idx)
             if clustering_on:
                 if hp.lambda_kl > 0:
                     q = soft_assign(h, cluster_state)
@@ -233,14 +234,13 @@ def train(
                     p_target = target_distribution(q_vals)
                     l_kl = kl_loss(p_target, q, kl_scope_idx)
                 if hp.lambda_pl > 0:
-                    psi_live = nm.take_rows(y, u_idx)
-                    psi_detached = psi_live.value.copy()
+                    psi_detached = nm.softmax_rows(logits.value).value[u_idx]
                     if pseudo_label_mode == "sinkhorn":
                         psi = sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
                     else:
                         psi = PseudoLabels(psi=psi_detached, sinkhorn_iterations_used=0)
                     psi_vals = psi.psi
-                    l_pl = pseudo_label_loss(psi, psi_live)
+                    l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
             total = total_loss(l_class, l_kl, l_pl, hp, in_warmup)
 
         if not np.isfinite(total.value).all():
@@ -251,9 +251,10 @@ def train(
         nm.backward(tape, total)
         nm.adam_step(trainable, adam, hp.lr, hp.weight_decay)
 
-        h_ev, y_ev = forward(g, a_tilde, params, cfg, RngState(0), training=False)
-        val_acc = _accuracy(y_ev.value, g.labels, split.val_idx)
-        test_acc = _accuracy(y_ev.value, g.labels, split.test_idx)
+        h_ev, logits_ev = forward(x, a_tilde, params, cfg, RngState(0), training=False)
+        y_ev = nm.softmax_rows(logits_ev.value).value
+        val_acc = _accuracy(y_ev, g.labels, split.val_idx)
+        test_acc = _accuracy(y_ev, g.labels, split.test_idx)
         report.epochs.append(EpochRecord(
             epoch=epoch,
             l_class=l_class.item(),

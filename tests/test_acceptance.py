@@ -22,7 +22,7 @@ from ncgc.clustering import (
 )
 from ncgc.cli import main as cli_main
 from ncgc.graph import load_dataset, normalized_adjacency, normalized_laplacian, write_dataset
-from ncgc.model import forward, init_params
+from ncgc.model import feature_operator, forward, init_params
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.spectral import dense_eigh_oracle, ratiocut_trace, subspace_iteration
@@ -236,16 +236,18 @@ def test_criterion_8_gradient_suite():
         train_idx = np.array([0, 3])
         u_idx = np.setdiff1d(np.arange(g.n), train_idx)
 
-        h0, y0 = forward(g, at, params, cfg, RngState(0), training=False)
+        x = feature_operator(g.features)
+        h0, logits0 = forward(x, at, params, cfg, RngState(0), training=False)
+        y0 = nm.softmax_rows(logits0)
         cstate = init_centroids(h0.value, g.class_count, rng.derive("centroids"))
         p_target = target_distribution(soft_assign(h0, cstate).value)
         psi = sinkhorn_pseudo_labels(y0.value[u_idx], hp.epsilon, hp.sinkhorn_t)
 
         def loss_of(params_, cstate_):
-            h, y = forward(g, at, params_, cfg, RngState(0), training=False)
-            lc = class_loss(y, g.labels, train_idx)
+            h, logits = forward(x, at, params_, cfg, RngState(0), training=False)
+            lc = class_loss(logits, g.labels, train_idx)
             lk = kl_loss(p_target, soft_assign(h, cstate_), np.arange(g.n))
-            lp = pseudo_label_loss(psi, nm.take_rows(y, u_idx))
+            lp = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
             return total_loss(lc, lk, lp, hp, in_warmup=False)
 
         trainable = params.all_parameters() + [cstate.centroids]

@@ -63,6 +63,78 @@ def test_validate_truncated_features_exit_2(capsys, sbm_dir):
     assert "byte offset" in err
 
 
+def _bool_class_count(d):
+    meta = json.loads((d / "meta.json").read_text())
+    meta["k"] = True  # bool is a subclass of int in Python, but not a count
+    (d / "meta.json").write_text(json.dumps(meta))
+
+
+def _idx_not_utf8(d):
+    for f in ("train.idx", "val.idx", "test.idx"):
+        (d / f).write_bytes(b"\xfe0\n")
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    pytest.param("meta.json", lambda d: (d / "meta.json").write_bytes(b'{"name": "\xff"}'),
+                 id="meta-not-utf8"),
+    pytest.param("meta.json", _bool_class_count, id="meta-bool-count"),
+    pytest.param("meta.json", lambda d: (d / "meta.json").write_text('["n", "m", "d", "k"]'),
+                 id="meta-not-object"),
+    pytest.param("edges.tsv", lambda d: (d / "edges.tsv").write_bytes(b"0\t1\n\xff\t2\n"),
+                 id="edges-not-utf8"),
+    pytest.param("edges.tsv", lambda d: ((d / "edges.tsv").unlink(), (d / "edges.tsv").mkdir()),
+                 id="edges-is-directory"),
+    pytest.param("labels.tsv", lambda d: (d / "labels.tsv").write_bytes(b"0\t\xc3\n"),
+                 id="labels-not-utf8"),
+    pytest.param("train.idx", _idx_not_utf8, id="idx-not-utf8"),
+])
+def test_validate_malformed_dataset_bytes_exit_2(capsys, sbm_dir, name, corrupt):
+    corrupt(sbm_dir)
+    assert main(["validate", "--dataset", str(sbm_dir)]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_non_utf8_config_exit_2(capsys, sbm_dir, tmp_path):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_bytes(b"beta = 0.1 # \xff\n")
+    assert main(["train", "--config", str(cfg), "--dataset", str(sbm_dir),
+                 "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+    assert "bad.conf" in capsys.readouterr().err
+
+
+def _nan_weight(path):
+    from ncgc.model import load_checkpoint, save_checkpoint
+    named = load_checkpoint(path)
+    named["proto.w"][0, 0] = np.nan
+    save_checkpoint(path, named)
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:10]), "truncated",
+                 id="short-header"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes().replace(b"input.w0", b"input.w\xff")),
+                 "not UTF-8", id="name-not-utf8"),
+    pytest.param(_nan_weight, "non-finite", id="nan-weight"),
+])
+def test_evaluate_malformed_checkpoint_exit_2(capsys, sbm_dir, tmp_path, corrupt, reason):
+    out = tmp_path / "ck"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out),
+                 "--seed", "1"] + FAST_FLAGS) == 0
+    corrupt(out / "checkpoint.bin")
+    capsys.readouterr()
+    assert main(["evaluate", "--dataset", str(sbm_dir),
+                 "--checkpoint", str(out / "checkpoint.bin"),
+                 "--config", str(out / "config.resolved")]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin" in err and reason in err
+
+
+def test_determinism_off_exit_4(capsys, sbm_dir, tmp_path):
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(tmp_path / "o"),
+                 "--seed", "1", "--determinism", "off"] + FAST_FLAGS) == 4
+    assert "--determinism off" in capsys.readouterr().err
+
+
 def test_numeric_blowup_exit_3(capsys, sbm_dir, tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", "--dataset", str(sbm_dir), "--out", str(tmp_path / "o"),

@@ -255,14 +255,21 @@ def test_pseudo_label_loss_perfect_match_is_zero():
     psi = PseudoLabels(psi=one_hot, sinkhorn_iterations_used=1)
     # live predictions nearly one-hot via softmax of strong logits
     logits = nm.Tensor(one_hot * 50.0)
-    live = nm.softmax_rows(logits)
-    assert pseudo_label_loss(psi, live).item() < 1e-12
+    assert pseudo_label_loss(psi, logits).item() < 1e-12
 
 
 def test_pseudo_label_loss_one_hot_vs_uniform():
     psi = PseudoLabels(psi=np.array([[0.0, 1.0, 0.0, 0.0]]), sinkhorn_iterations_used=1)
-    live = nm.softmax_rows(nm.Tensor(np.zeros((1, 4))))
-    assert pseudo_label_loss(psi, live).item() == pytest.approx(np.log(4.0), abs=1e-12)
+    logits = nm.Tensor(np.zeros((1, 4)))
+    assert pseudo_label_loss(psi, logits).item() == pytest.approx(np.log(4.0), abs=1e-12)
+
+
+def test_pseudo_label_loss_finite_when_probability_underflows():
+    # exp(-800) underflows to zero; the log-softmax of the logits does not
+    psi = PseudoLabels(psi=np.array([[0.0, 1.0]]), sinkhorn_iterations_used=1)
+    loss = pseudo_label_loss(psi, nm.Tensor([[0.0, -800.0]]))
+    assert np.isfinite(loss.value).all()
+    assert abs(loss.item() - 800.0) < 1e-9
 
 
 def test_pseudo_label_loss_matches_loop_oracle():
@@ -272,7 +279,7 @@ def test_pseudo_label_loss_matches_loop_oracle():
     logits = rng.normal((5, 3))
     live = nm.softmax_rows(nm.Tensor(logits))
     psi = PseudoLabels(psi=targets, sinkhorn_iterations_used=1)
-    got = pseudo_label_loss(psi, live).item()
+    got = pseudo_label_loss(psi, nm.Tensor(logits)).item()
     expected = loop_cross_entropy(targets, live.value)
     assert abs(got - expected) < 1e-12
 
@@ -284,19 +291,17 @@ def test_pseudo_label_loss_gradient_reaches_logits_only():
     w = nm.Parameter(logits0.copy(), name="logits")
     tape = nm.Tape()
     with tape:
-        live = nm.softmax_rows(w)
         nodes_before_targets = len(tape)
         # recomputing targets must add nothing to the tape
         _ = sinkhorn_pseudo_labels(softmax(logits0), 0.1, 20)
         _ = target_distribution(softmax(logits0))
         assert len(tape) == nodes_before_targets
-        loss = pseudo_label_loss(PseudoLabels(targets, 20), live)
+        loss = pseudo_label_loss(PseudoLabels(targets, 20), w)
     nm.backward(tape, loss)
     assert np.abs(w.grad).max() > 0
 
     def value(arrays):
-        live = nm.softmax_rows(nm.Tensor(arrays[0]))
-        return pseudo_label_loss(PseudoLabels(targets, 20), live).item()
+        return pseudo_label_loss(PseudoLabels(targets, 20), nm.Tensor(arrays[0])).item()
 
     fd = finite_difference_grads(value, [logits0.copy()])
     assert rel_error(w.grad, fd[0]) < 1e-4

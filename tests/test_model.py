@@ -5,8 +5,8 @@ import ncgc.numerics as nm
 from ncgc.errors import IngestionError, ParameterError, ShapeError
 from ncgc.graph import Graph, normalized_adjacency
 from ncgc.model import (
-    SognConfig, backbone_propagate, forward, init_params, load_checkpoint,
-    save_checkpoint, soc_penalty, sogn_layer,
+    SognConfig, backbone_propagate, feature_operator, forward, init_params,
+    load_checkpoint, save_checkpoint, soc_penalty, sogn_layer,
 )
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
@@ -17,6 +17,12 @@ from oracles import loop_soc_penalty, rel_error
 def small_graph(seed=0, n_per=3, k=2, d=4):
     g = make_sbm([n_per] * k, 0.8, 0.2, feature_dim=d, rng=RngState(seed))
     return g, normalized_adjacency(g)
+
+
+def forward_probs(g, at, params, cfg, rng, training):
+    """Embedding H and predictions Y', the row-wise softmax of the logits."""
+    h, logits = forward(feature_operator(g.features), at, params, cfg, rng, training=training)
+    return h, nm.softmax_rows(logits)
 
 
 def dense_layer_oracle(h, w, at_dense, beta, activation=True):
@@ -159,7 +165,7 @@ def test_forward_rows_sum_to_one_and_shapes():
                          dropout=0.3, appnp_hops=3)
         g, at = small_graph(seed=13)
         params = init_params(cfg, g.feature_dim, g.class_count, RngState(14))
-        h, y = forward(g, at, params, cfg, RngState(15), training=True)
+        h, y = forward_probs(g, at, params, cfg, RngState(15), training=True)
         assert h.value.shape == (g.n, 6)
         assert y.value.shape == (g.n, g.class_count)
         assert np.abs(y.value.sum(axis=1) - 1.0).max() < 1e-12
@@ -169,8 +175,8 @@ def test_forward_eval_mode_deterministic():
     cfg = SognConfig(layers=2, hidden_dim=5, dropout=0.8)
     g, at = small_graph(seed=16)
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(17))
-    h1, y1 = forward(g, at, params, cfg, RngState(1), training=False)
-    h2, y2 = forward(g, at, params, cfg, RngState(2), training=False)
+    h1, y1 = forward_probs(g, at, params, cfg, RngState(1), training=False)
+    h2, y2 = forward_probs(g, at, params, cfg, RngState(2), training=False)
     assert np.array_equal(h1.value, h2.value)
     assert np.array_equal(y1.value, y2.value)
 
@@ -184,7 +190,7 @@ def test_forward_one_layer_composition_oracle():
     cfg = SognConfig(layers=1, hidden_dim=5, beta=0.0, dropout=0.0)
     params = init_params(cfg, 5, g.class_count, RngState(19))
     params.input_weights[0][0].value = np.eye(5)
-    h, y = forward(g, at, params, cfg, RngState(20), training=False)
+    h, y = forward_probs(g, at, params, cfg, RngState(20), training=False)
     # final layer carries no activation, so H = A X W and Y' = softmax(H Wp)
     h_expected = at.to_dense() @ feats @ params.layer_weights[0].value
     logits = h_expected @ params.w_proto.value
@@ -198,7 +204,7 @@ def test_forward_beta_zero_equivalence_any_config():
         g, at = small_graph(seed=21 + seed)
         cfg = SognConfig(layers=2, hidden_dim=4, beta=0.0, dropout=0.0)
         params = init_params(cfg, g.feature_dim, g.class_count, RngState(seed))
-        h, _ = forward(g, at, params, cfg, RngState(0), training=False)
+        h, _ = forward_probs(g, at, params, cfg, RngState(0), training=False)
         # plain-backbone composition without any correction-term code path
         x = g.features
         w0, b0 = params.input_weights[0]
@@ -218,12 +224,12 @@ def test_forward_gradients_match_finite_differences():
     ch = rng.normal((g.n, 4))
 
     def loss_value():
-        h, y = forward(g, at, params, cfg, RngState(0), training=False)
+        h, y = forward_probs(g, at, params, cfg, RngState(0), training=False)
         return float((y.value * cy).sum() + (h.value * ch).sum())
 
     tape = nm.Tape()
     with tape:
-        h, y = forward(g, at, params, cfg, RngState(0), training=False)
+        h, y = forward_probs(g, at, params, cfg, RngState(0), training=False)
         loss = nm.add(nm.sum_all(nm.mul(y, cy)), nm.sum_all(nm.mul(h, ch)))
     params.zero_grads()
     nm.backward(tape, loss)
@@ -244,18 +250,18 @@ def test_forward_gradients_match_finite_differences():
 
 def test_sparse_feature_path_matches_dense_composition():
     # wide sparse attributes trigger the CSR input path used by real datasets
-    from ncgc.model import _feature_operator
     rng = RngState(70)
     n, d = 300, 400
     feats = rng.normal((n, d)) * (rng.uniform((n, d)) < 0.02)
     g0 = make_sbm([n // 2, n // 2], 0.05, 0.01, feature_dim=1, rng=RngState(71))
     g = Graph(n=n, m=g0.m, adjacency=g0.adjacency, features=feats,
               features_raw=feats, labels=g0.labels, class_count=2)
-    assert isinstance(_feature_operator(g.features), CsrMatrix)
+    x = feature_operator(g.features)
+    assert isinstance(x, CsrMatrix)
     at = normalized_adjacency(g)
     cfg = SognConfig(layers=1, hidden_dim=8, beta=0.0, dropout=0.0)
     params = init_params(cfg, d, 2, RngState(72))
-    h, _ = forward(g, at, params, cfg, RngState(0), training=False)
+    h, _ = forward(x, at, params, cfg, RngState(0), training=False)
     w0, b0 = params.input_weights[0]
     h_ref = np.maximum(feats @ w0.value + b0.value, 0.0)
     h_ref = at.to_dense() @ h_ref @ params.layer_weights[0].value

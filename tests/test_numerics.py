@@ -80,11 +80,6 @@ def test_log_elementwise_generic_and_fused():
     assert np.allclose(nm.log_elementwise(nm.Tensor(x)).value, np.log(x), atol=1e-15)
     with pytest.raises(NumericError):
         nm.log_elementwise(nm.Tensor([[1.0, 0.0]]))
-    # fused path survives logits extreme enough to underflow the probability
-    logits = nm.Tensor([[0.0, -800.0]])
-    lp = nm.log_elementwise(nm.softmax_rows(logits))
-    assert np.isfinite(lp.value).all()
-    assert abs(lp.value[0, 1] + 800.0) < 1e-9
 
 
 def test_dropout_identity_eval_and_p0():

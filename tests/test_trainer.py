@@ -4,7 +4,7 @@ import pytest
 import ncgc.numerics as nm
 from ncgc.errors import ContractError, NumericError, ParameterError
 from ncgc.graph import make_split, normalized_adjacency
-from ncgc.model import forward, init_params
+from ncgc.model import feature_operator, forward, init_params
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 from ncgc.trainer import (
@@ -33,14 +33,14 @@ FAST = dict(hidden_dim=16, layers=2, dropout=0.2, lr=0.01, weight_decay=5e-4,
 
 def test_class_loss_perfect_predictions():
     one_hot = np.eye(3)[[0, 1, 2, 1]]
-    y = nm.softmax_rows(nm.Tensor(one_hot * 60.0))
-    loss = class_loss(y, np.array([0, 1, 2, 1]), np.arange(4))
+    logits = nm.Tensor(one_hot * 60.0)
+    loss = class_loss(logits, np.array([0, 1, 2, 1]), np.arange(4))
     assert loss.item() < 1e-12
 
 
 def test_class_loss_uniform_is_log_k():
-    y = nm.softmax_rows(nm.Tensor(np.zeros((5, 7))))
-    loss = class_loss(y, np.array([3, 0, 6, 2, 5]), np.arange(5))
+    logits = nm.Tensor(np.zeros((5, 7)))
+    loss = class_loss(logits, np.array([3, 0, 6, 2, 5]), np.arange(5))
     assert loss.item() == pytest.approx(np.log(7.0), abs=1e-12)
 
 
@@ -50,16 +50,23 @@ def test_class_loss_matches_loop_oracle():
     labels = rng.integers(0, 4, size=8)
     idx = np.array([0, 2, 3, 7])
     y = nm.softmax_rows(nm.Tensor(logits))
-    got = class_loss(y, labels, idx).item()
+    got = class_loss(nm.Tensor(logits), labels, idx).item()
     assert abs(got - loop_label_cross_entropy(y.value, labels, idx)) < 1e-12
 
 
+def test_class_loss_finite_when_probability_underflows():
+    # exp(-800) underflows to zero; the log-softmax of the logits does not
+    loss = class_loss(nm.Tensor([[0.0, -800.0]]), np.array([1]), np.arange(1))
+    assert np.isfinite(loss.value).all()
+    assert abs(loss.item() - 800.0) < 1e-9
+
+
 def test_class_loss_rejects_bad_labels():
-    y = nm.softmax_rows(nm.Tensor(np.zeros((3, 2))))
+    logits = nm.Tensor(np.zeros((3, 2)))
     with pytest.raises(ContractError):
-        class_loss(y, np.array([0, 1, 5]), np.arange(3))
+        class_loss(logits, np.array([0, 1, 5]), np.arange(3))
     with pytest.raises(ContractError):
-        class_loss(y, np.array([0, 1, 1]), np.array([], dtype=np.int64))
+        class_loss(logits, np.array([0, 1, 1]), np.array([], dtype=np.int64))
 
 
 def test_total_loss_reductions_and_arithmetic():
@@ -78,7 +85,9 @@ def test_evaluate_and_complement_identity():
                                 "epochs": 30, "patience": 30, "warmup_epochs": 0})
     params, _, _ = train(g, at, split, hp)
     acc = evaluate(params, g, at, split.test_idx, hp.model_config())
-    _, y = forward(g, at, params, hp.model_config(), RngState(0), training=False)
+    _, logits = forward(feature_operator(g.features), at, params, hp.model_config(),
+                        RngState(0), training=False)
+    y = nm.softmax_rows(logits)
     preds = y.value[split.test_idx].argmax(axis=1)
     err = float((preds != g.labels[split.test_idx]).mean())
     assert acc + err == pytest.approx(1.0)
@@ -88,8 +97,9 @@ def test_evaluate_hand_built_three_of_four():
     g, at, _ = sbm_setup(seed=2)
     cfg = HyperParams().model_config()
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(3))
-    _, y = forward(g, at, params, cfg, RngState(0), training=False)
-    preds = y.value.argmax(axis=1)
+    _, logits = forward(feature_operator(g.features), at, params, cfg, RngState(0),
+                        training=False)
+    preds = nm.softmax_rows(logits).value.argmax(axis=1)
     idx = np.arange(4)
     labels = g.labels.copy()
     labels[idx] = preds[idx]
@@ -146,17 +156,18 @@ def test_reduction_matches_plain_gcn_oracle():
     params = init_params(cfg, g.feature_dim, g.class_count, rng.derive("init"))
     drop_rng = rng.derive("dropout")
     adam = nm.AdamState(params.all_parameters())
+    x = feature_operator(g.features)
     losses = []
     for _ in range(15):
         params.zero_grads()
         tape = nm.Tape()
         with tape:
-            _, y = forward(g, at, params, cfg, drop_rng, training=True)
-            loss = class_loss(y, g.labels, split.train_idx)
+            _, logits = forward(x, at, params, cfg, drop_rng, training=True)
+            loss = class_loss(logits, g.labels, split.train_idx)
         losses.append(loss.item())
         nm.backward(tape, loss)
         nm.adam_step(params.all_parameters(), adam, hp.lr, hp.weight_decay)
-        forward(g, at, params, cfg, RngState(0), training=False)
+        forward(x, at, params, cfg, RngState(0), training=False)
     got = [r.l_class for r in report.epochs]
     assert np.allclose(got, losses, atol=1e-10)
 
@@ -211,7 +222,9 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
     cfg = hp.model_config()
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(9).derive("init"))
     u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
-    h0, y0 = forward(g, at, params, cfg, RngState(0), training=False)
+    x = feature_operator(g.features)
+    h0, logits0 = forward(x, at, params, cfg, RngState(0), training=False)
+    y0 = nm.softmax_rows(logits0)
     cstate = init_centroids(h0.value, g.class_count, RngState(9).derive("centroids"))
 
     def grads_with(targets_builder):
@@ -221,12 +234,12 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
         cstate.centroids.zero_grad()
         tape = nm.Tape()
         with tape:
-            h, y = forward(g, at, params, cfg, RngState(0), training=False)
+            h, logits = forward(x, at, params, cfg, RngState(0), training=False)
             q = soft_assign(h, cstate)
             loss = total_loss(
-                class_loss(y, g.labels, split.train_idx),
+                class_loss(logits, g.labels, split.train_idx),
                 kl_loss(p_target, q, np.arange(g.n)),
-                pseudo_label_loss(psi, nm.take_rows(y, u_idx)),
+                pseudo_label_loss(psi, nm.take_rows(logits, u_idx)),
                 hp, in_warmup=False)
         nm.backward(tape, loss)
         return [p.grad.copy() for p in params.all_parameters()]
@@ -255,7 +268,8 @@ def test_soc_effect_reduces_column_correlation():
         hp = HyperParams(seed=seed, **{**FAST, "beta": beta, "epochs": 60,
                                        "patience": 60, "hidden_dim": 8})
         params, _, _ = train(g, at, split, hp)
-        h, _ = forward(g, at, params, hp.model_config(), RngState(0), training=False)
+        h, _ = forward(feature_operator(g.features), at, params, hp.model_config(),
+                       RngState(0), training=False)
         hv = h.value
         norms = np.linalg.norm(hv, axis=0, keepdims=True)
         hn = hv / np.where(norms < 1e-12, 1.0, norms)
