@@ -2,6 +2,12 @@
 
 Subcommands: ``validate``, ``train``, ``evaluate``, ``ablate``, ``sweep``,
 ``spectral``. Every randomized command requires an explicit ``--seed``.
+The hyperparameter flags, their types and defaults are the fields of
+``trainer.HyperParams``: ``hidden_dim``, ``sinkhorn_t`` and ``warmup_epochs``
+are spelled ``--hidden``, ``--sinkhorn-iters`` and ``--warmup``, every other
+field is its name with dashes. ``sweep --axis`` takes any numeric
+hyperparameter, by flag or by field name.
+
 Options can come from a flat ``key = value`` config file (``#`` comments);
 explicit flags win over file values, and the fully resolved configuration is
 echoed into the output directory as ``config.resolved`` so any run can be
@@ -17,7 +23,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,9 +39,7 @@ from .graph import load_dataset, load_split, normalized_adjacency, read_text, wr
 from .model import feature_operator, forward, init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
-from .trainer import (
-    VARIANTS, HyperParams, apply_variant, evaluate as eval_accuracy, run_seeds,
-)
+from .trainer import VARIANTS, HyperParams, accuracy, apply_variant, run_seeds
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,64 +64,42 @@ def _onoff(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
 
 
-# name -> (type tag, default); order defines config.resolved layout
-OPTION_SPEC = {
-    "dataset": ("str", None),
-    "out": ("str", None),
-    "seed": ("int", None),
-    "runs": ("int", 1),
-    "determinism": ("bool", True),
-    "row-normalize": ("bool", True),
-    "split-policy": ("str", "planetoid_style"),
-    "train-per-class": ("int", 20),
-    "val-per-class": ("int", 30),
-    "val-total": ("int", 500),
-    "test-total": ("int", 1000),
-    "backbone": ("str", "gcn"),
-    "layers": ("int", 2),
-    "hidden": ("int", 64),
-    "beta": ("float", 0.005),
-    "epsilon": ("float", 0.04),
-    "sinkhorn-iters": ("int", 3),
-    "lr": ("float", 0.001),
-    "weight-decay": ("float", 5e-4),
-    "dropout": ("float", 0.5),
-    "epochs": ("int", 1000),
-    "patience": ("int", 100),
-    "warmup": ("int", 20),
-    "lambda-kl": ("float", 1.0),
-    "lambda-pl": ("float", 1.0),
-    "kl-scope": ("str", "all"),
-    "self-loops": ("bool", True),
-    "appnp-alpha": ("float", 0.1),
-    "appnp-hops": ("int", 10),
-    "input-transform": ("str", "auto"),
-    "axis": ("str", "epsilon"),
-    "values": ("str", ""),
-    "k": ("int", 0),
-    "checkpoint": ("str", ""),
-    "split-dir": ("str", ""),
-    "dump-cluster-signals": ("bool", False),
-}
+# HyperParams fields whose flag is not the field name with dashes
+_FLAG_RENAMES = {"hidden_dim": "hidden", "sinkhorn_t": "sinkhorn-iters",
+                 "warmup_epochs": "warmup"}
+# flag -> HyperParams field, in field order; the seed is a run option
+_HP_FIELDS = {_FLAG_RENAMES.get(f.name, f.name.replace("_", "-")): f
+              for f in fields(HyperParams) if f.name != "seed"}
+_HP_TYPES = get_type_hints(HyperParams)
+_HP_KEYS = (*_HP_FIELDS, "determinism")
 
-_HP_KEYS = (
-    "backbone", "layers", "hidden", "beta", "epsilon", "sinkhorn-iters", "lr",
-    "weight-decay", "dropout", "epochs", "patience", "warmup", "lambda-kl",
-    "lambda-pl", "kl-scope", "self-loops", "appnp-alpha", "appnp-hops",
-    "input-transform", "determinism",
-)
+# name -> (parser of a flag or config-file value, default)
+OPTION_SPEC = {
+    "dataset": (str, None),
+    "out": (str, None),
+    "seed": (int, None),
+    "runs": (int, 1),
+    "determinism": (_onoff, True),
+    "row-normalize": (_onoff, True),
+    "split-policy": (str, "planetoid_style"),
+    "train-per-class": (int, 20),
+    "val-per-class": (int, 30),
+    "val-total": (int, 500),
+    "test-total": (int, 1000),
+    **{flag: (_onoff if _HP_TYPES[f.name] is bool else _HP_TYPES[f.name], f.default)
+       for flag, f in _HP_FIELDS.items()},
+    "axis": (str, "epsilon"),
+    "values": (str, ""),
+    "k": (int, 0),
+    "checkpoint": (str, ""),
+    "split-dir": (str, ""),
+    "dump-cluster-signals": (_onoff, False),
+}
 
 
 def _parse_typed(key: str, raw: str):
-    kind = OPTION_SPEC[key][0]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _onoff(raw)
-        return raw
+        return OPTION_SPEC[key][0](raw)
     except (ValueError, argparse.ArgumentTypeError) as e:
         raise _UsageError(f"bad value for {key!r}: {raw!r} ({e})") from e
 
@@ -155,16 +139,13 @@ def write_resolved_config(resolved: dict, path: Path) -> None:
 def resolve_options(args: argparse.Namespace, keys) -> dict:
     """Defaults, then config-file values, then explicit flags."""
     resolved = {k: OPTION_SPEC[k][1] for k in keys}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        file_values = read_config_file(cfg_path)
-        for k, v in file_values.items():
+    if args.config:
+        for k, v in read_config_file(args.config).items():
             if k in resolved:
                 resolved[k] = v
     for k in keys:
-        flag_value = getattr(args, k.replace("-", "_"), None)
-        if flag_value is not None:
-            resolved[k] = flag_value
+        if getattr(args, k) is not None:
+            resolved[k] = getattr(args, k)
     return resolved
 
 
@@ -172,29 +153,8 @@ def hyperparams_from(resolved: dict) -> HyperParams:
     # every run is deterministic; the key stays so existing configs still load
     if resolved.get("determinism") is False:
         raise _UsageError("--determinism off is not supported: runs are always deterministic")
-    it = resolved.get("input-transform", "auto")
-    return HyperParams(
-        seed=resolved["seed"],
-        backbone=resolved["backbone"],
-        layers=resolved["layers"],
-        hidden_dim=resolved["hidden"],
-        beta=resolved["beta"],
-        epsilon=resolved["epsilon"],
-        sinkhorn_t=resolved["sinkhorn-iters"],
-        lr=resolved["lr"],
-        weight_decay=resolved["weight-decay"],
-        dropout=resolved["dropout"],
-        epochs=resolved["epochs"],
-        patience=resolved["patience"],
-        warmup_epochs=resolved["warmup"],
-        lambda_kl=resolved["lambda-kl"],
-        lambda_pl=resolved["lambda-pl"],
-        kl_scope=resolved["kl-scope"],
-        self_loops=resolved["self-loops"],
-        appnp_alpha=resolved["appnp-alpha"],
-        appnp_hops=resolved["appnp-hops"],
-        input_transform=None if it in ("auto", "") else it,
-    )
+    return HyperParams(seed=resolved["seed"],
+                       **{f.name: resolved[flag] for flag, f in _HP_FIELDS.items()})
 
 
 def _require(resolved: dict, keys, cmd: str) -> None:
@@ -234,17 +194,19 @@ def _write_epochs_csv(path: Path, reports) -> None:
                                  repr(r.test_acc), repr(r.soc)])
 
 
-def _prepare_out(resolved: dict, keys) -> Path:
+def _prepare_out(resolved: dict) -> Path:
     out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config({k: resolved[k] for k in keys}, out / "config.resolved")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IngestionError(f"{out}: cannot create output directory ({e.strerror})") from e
+    write_resolved_config(resolved, out / "config.resolved")
     return out
 
 
-def _echo_config(resolved: dict, keys) -> None:
+def _echo_config(resolved: dict) -> None:
     """For commands without an output directory: echo resolution to stderr."""
-    for k in keys:
-        v = resolved.get(k)
+    for k, v in resolved.items():
         if v is not None and v != "":
             print(f"config: {k} = {_format_value(v)}", file=sys.stderr)
 
@@ -253,11 +215,8 @@ def _echo_config(resolved: dict, keys) -> None:
 # commands
 
 
-def cmd_validate(args) -> int:
-    keys = ("dataset", "row-normalize")
-    resolved = resolve_options(args, keys)
-    _require(resolved, ("dataset",), "validate")
-    _echo_config(resolved, keys)
+def cmd_validate(resolved: dict) -> int:
+    _echo_config(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
     print(f"n={g.n} m={g.m} d={g.feature_dim} k={g.class_count} name={g.name}")
     if g.labels is not None:
@@ -273,11 +232,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_KEYS = ("dataset", "out", "seed", "runs", "row-normalize", "split-policy",
-               "train-per-class", "val-per-class", "val-total", "test-total",
-               "dump-cluster-signals") + _HP_KEYS
-
-
 def _run_training(resolved: dict, pseudo_label_mode: str = "sinkhorn"):
     g, fixed_split = _load_graph_and_split(resolved)
     hp = hyperparams_from(resolved)
@@ -287,10 +241,8 @@ def _run_training(resolved: dict, pseudo_label_mode: str = "sinkhorn"):
     )
 
 
-def cmd_train(args) -> int:
-    resolved = resolve_options(args, _TRAIN_KEYS)
-    _require(resolved, ("dataset", "out", "seed"), "train")
-    out = _prepare_out(resolved, _TRAIN_KEYS)
+def cmd_train(resolved: dict) -> int:
+    out = _prepare_out(resolved)
     g, stats = _run_training(resolved)
     _json_dump({
         "acc_mean": stats.mean,
@@ -314,24 +266,26 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _dump_cluster_signals(g, resolved, params, cluster_state, out: Path) -> None:
-    hp = hyperparams_from(resolved)
+def _eval_forward(g, params, hp: HyperParams):
+    """One eval-mode forward over the whole graph: embeddings and class probabilities."""
     a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
     h, logits = forward(feature_operator(g.features), a_tilde, params, hp.model_config(),
                         RngState(0), training=False)
+    return h, nm.softmax_rows(logits.value).value
+
+
+def _dump_cluster_signals(g, resolved, params, cluster_state, out: Path) -> None:
+    hp = hyperparams_from(resolved)
+    h, y = _eval_forward(g, params, hp)
     if cluster_state is not None:
         q = soft_assign(h, cluster_state).value
         np.savetxt(out / "q.tsv", q, delimiter="\t")
-    y = nm.softmax_rows(logits.value).value
     psi = sinkhorn_pseudo_labels(y, hp.epsilon, hp.sinkhorn_t).psi
     np.savetxt(out / "psi.tsv", psi, delimiter="\t")
 
 
-def cmd_evaluate(args) -> int:
-    keys = ("dataset", "checkpoint", "split-dir", "row-normalize") + _HP_KEYS + ("seed",)
-    resolved = resolve_options(args, keys)
-    _require(resolved, ("dataset", "checkpoint"), "evaluate")
-    _echo_config(resolved, keys)
+def cmd_evaluate(resolved: dict) -> int:
+    _echo_config(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
     split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
     split = load_split(split_dir, g.n)
@@ -345,8 +299,8 @@ def cmd_evaluate(args) -> int:
     named = load_checkpoint(resolved["checkpoint"])
     named.pop("centroids", None)
     params.load_values(named)
-    a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
-    accs = {name: eval_accuracy(params, g, a_tilde, idx, hp.model_config())
+    _, y = _eval_forward(g, params, hp)
+    accs = {name: accuracy(y, g.labels, idx)
             for name, idx in (("train", split.train_idx), ("val", split.val_idx),
                               ("test", split.test_idx))}
     print(f"dataset={g.name} train_acc={accs['train']:.4f} "
@@ -354,10 +308,8 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    resolved = resolve_options(args, _TRAIN_KEYS)
-    _require(resolved, ("dataset", "out", "seed"), "ablate")
-    out = _prepare_out(resolved, _TRAIN_KEYS)
+def cmd_ablate(resolved: dict) -> int:
+    out = _prepare_out(resolved)
     g, fixed_split = _load_graph_and_split(resolved)
     base_hp = hyperparams_from(resolved)
     table = {}
@@ -379,26 +331,21 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_AXES = {"beta": float, "epsilon": float, "sinkhorn_t": int}
-
-
-def cmd_sweep(args) -> int:
-    keys = _TRAIN_KEYS + ("axis", "values")
-    resolved = resolve_options(args, keys)
-    _require(resolved, ("dataset", "out", "seed", "values"), "sweep")
-    axis = resolved["axis"].replace("-", "_")
-    if axis == "sinkhorn_iters":
-        axis = "sinkhorn_t"
-    if axis not in _SWEEP_AXES:
-        raise _UsageError(f"sweep axis must be one of {sorted(_SWEEP_AXES)}")
-    cast = _SWEEP_AXES[axis]
+def cmd_sweep(resolved: dict) -> int:
+    numeric = {f.name: OPTION_SPEC[flag][0] for flag, f in _HP_FIELDS.items()
+               if OPTION_SPEC[flag][0] in (int, float)}
+    flag = resolved["axis"].replace("_", "-")
+    axis = _HP_FIELDS[flag].name if flag in _HP_FIELDS else resolved["axis"].replace("-", "_")
+    if axis not in numeric:
+        raise _UsageError(f"sweep axis must be a numeric hyperparameter, one of {sorted(numeric)}")
+    cast = numeric[axis]
     try:
         values = [cast(v) for v in resolved["values"].split(",") if v.strip()]
     except ValueError as e:
         raise _UsageError(f"bad --values list: {e}") from e
     if not values:
         raise _UsageError("empty --values list")
-    out = _prepare_out(resolved, keys)
+    out = _prepare_out(resolved)
     g, fixed_split = _load_graph_and_split(resolved)
     base_hp = hyperparams_from(resolved)
     rows = []
@@ -420,11 +367,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_spectral(args) -> int:
-    keys = ("dataset", "out", "seed", "k", "row-normalize", "self-loops")
-    resolved = resolve_options(args, keys)
-    _require(resolved, ("dataset", "out", "seed"), "spectral")
-    out = _prepare_out(resolved, keys)
+def cmd_spectral(resolved: dict) -> int:
+    out = _prepare_out(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
     k = resolved["k"] or g.class_count
     a_tilde = normalized_adjacency(g, add_self_loops=resolved["self-loops"])
@@ -445,41 +389,43 @@ def cmd_spectral(args) -> int:
 # wiring
 
 
-def _add_option(parser, key):
-    kind = OPTION_SPEC[key][0]
-    typ = {"int": int, "float": float, "bool": _onoff, "str": str}[kind]
-    parser.add_argument(f"--{key}", type=typ, default=None, dest=key.replace("-", "_"))
+_TRAIN_OPTIONS = ("dataset", "out", "seed", "runs", "row-normalize", "split-policy",
+                  "train-per-class", "val-per-class", "val-total", "test-total",
+                  "dump-cluster-signals") + _HP_KEYS
+
+# name -> (function, options in config.resolved order, required options)
+COMMANDS = {
+    "validate": (cmd_validate, ("dataset", "row-normalize"), ("dataset",)),
+    "train": (cmd_train, _TRAIN_OPTIONS, ("dataset", "out", "seed")),
+    "evaluate": (cmd_evaluate,
+                 ("dataset", "checkpoint", "split-dir", "row-normalize") + _HP_KEYS + ("seed",),
+                 ("dataset", "checkpoint")),
+    "ablate": (cmd_ablate, _TRAIN_OPTIONS, ("dataset", "out", "seed")),
+    "sweep": (cmd_sweep, _TRAIN_OPTIONS + ("axis", "values"),
+              ("dataset", "out", "seed", "values")),
+    "spectral": (cmd_spectral, ("dataset", "out", "seed", "k", "row-normalize", "self-loops"),
+                 ("dataset", "out", "seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ncgc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "validate": (cmd_validate, ("dataset", "row-normalize")),
-        "train": (cmd_train, _TRAIN_KEYS),
-        "evaluate": (cmd_evaluate,
-                     ("dataset", "checkpoint", "split-dir", "row-normalize", "seed")
-                     + _HP_KEYS),
-        "ablate": (cmd_ablate, _TRAIN_KEYS),
-        "sweep": (cmd_sweep, _TRAIN_KEYS + ("axis", "values")),
-        "spectral": (cmd_spectral, ("dataset", "out", "seed", "k", "row-normalize",
-                                    "self-loops")),
-    }
-    for name, (fn, keys) in specs.items():
+    for name, (_, keys, _) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        for key in dict.fromkeys(keys):
-            _add_option(p, key)
-        p.set_defaults(func=fn)
+        p.add_argument("--config")
+        for key in keys:
+            p.add_argument(f"--{key}", type=OPTION_SPEC[key][0], dest=key)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        fn, keys, required = COMMANDS[args.command]
+        resolved = resolve_options(args, keys)
+        _require(resolved, required, args.command)
+        return fn(resolved)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -490,7 +436,6 @@ def main(argv=None) -> int:
             NcgcError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

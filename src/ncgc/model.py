@@ -37,7 +37,7 @@ class SognConfig:
     dropout: float = 0.5
     appnp_alpha: float = 0.1
     appnp_hops: int = 10
-    input_transform: str | None = None  # linear | mlp | None -> by depth
+    input_transform: str = "auto"  # linear | mlp | auto -> by depth
 
     def __post_init__(self):
         if self.backbone not in BACKBONES:
@@ -52,11 +52,11 @@ class SognConfig:
             raise ParameterError("dropout must lie in [0, 1)")
         if not 0.0 < self.appnp_alpha <= 1.0:
             raise ParameterError("appnp_alpha must lie in (0, 1]")
-        if self.input_transform not in (None, "linear", "mlp"):
+        if self.input_transform not in ("auto", "linear", "mlp"):
             raise ParameterError(f"unknown input transform {self.input_transform!r}")
 
     def resolved_input_transform(self) -> str:
-        if self.input_transform is not None:
+        if self.input_transform != "auto":
             return self.input_transform
         return "linear" if self.layers <= 3 else "mlp"
 

@@ -56,7 +56,7 @@ class HyperParams:
     self_loops: bool = True
     appnp_alpha: float = 0.1
     appnp_hops: int = 10
-    input_transform: str | None = None
+    input_transform: str = "auto"  # auto | linear | mlp
 
     def __post_init__(self):
         if self.patience > self.epochs:
@@ -152,10 +152,11 @@ def evaluate(params: ModelParams, g: Graph, a_tilde: CsrMatrix, idx,
     """Accuracy of argmax predictions on the given nodes (ties pick lowest class)."""
     x = feature_operator(g.features)
     _, logits = forward(x, a_tilde, params, config, RngState(0), training=False)
-    return _accuracy(nm.softmax_rows(logits.value).value, g.labels, idx)
+    return accuracy(nm.softmax_rows(logits.value).value, g.labels, idx)
 
 
-def _accuracy(y_values: np.ndarray, labels, idx) -> float:
+def accuracy(y_values: np.ndarray, labels, idx) -> float:
+    """Share of ``idx`` whose argmax over ``y_values`` rows equals the label."""
     idx = np.asarray(idx, dtype=np.int64)
     preds = y_values[idx].argmax(axis=1)
     return float((preds == np.asarray(labels)[idx]).mean())
@@ -253,8 +254,8 @@ def train(
 
         h_ev, logits_ev = forward(x, a_tilde, params, cfg, RngState(0), training=False)
         y_ev = nm.softmax_rows(logits_ev.value).value
-        val_acc = _accuracy(y_ev, g.labels, split.val_idx)
-        test_acc = _accuracy(y_ev, g.labels, split.test_idx)
+        val_acc = accuracy(y_ev, g.labels, split.val_idx)
+        test_acc = accuracy(y_ev, g.labels, split.test_idx)
         report.epochs.append(EpochRecord(
             epoch=epoch,
             l_class=l_class.item(),

@@ -324,3 +324,97 @@ def test_dump_cluster_signals(capsys, sbm_dir, tmp_path):
     assert q.shape[1] == 2 and psi.shape[1] == 2
     assert np.abs(q.sum(axis=1) - 1).max() < 1e-8
     assert np.abs(psi.sum(axis=1) - 1).max() < 1e-8
+
+
+_HP_FLAGS = {
+    "--backbone", "--layers", "--hidden", "--beta", "--epsilon", "--sinkhorn-iters", "--lr",
+    "--weight-decay", "--dropout", "--epochs", "--patience", "--warmup", "--lambda-kl",
+    "--lambda-pl", "--kl-scope", "--self-loops", "--appnp-alpha", "--appnp-hops",
+    "--input-transform", "--determinism",
+}
+_TRAIN_FLAGS = _HP_FLAGS | {
+    "--config", "--dataset", "--out", "--seed", "--runs", "--row-normalize", "--split-policy",
+    "--train-per-class", "--val-per-class", "--val-total", "--test-total",
+    "--dump-cluster-signals",
+}
+
+
+def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
+    import argparse
+    from ncgc.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in p._actions for s in a.option_strings if s != "-h"} - {"--help"}
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "validate": {"--config", "--dataset", "--row-normalize"},
+        "train": _TRAIN_FLAGS,
+        "evaluate": _HP_FLAGS | {"--config", "--dataset", "--checkpoint", "--split-dir",
+                                 "--row-normalize", "--seed"},
+        "ablate": _TRAIN_FLAGS,
+        "sweep": _TRAIN_FLAGS | {"--axis", "--values"},
+        "spectral": {"--config", "--dataset", "--out", "--seed", "--k", "--row-normalize",
+                     "--self-loops"},
+    }
+    out = tmp_path / "o"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    keys = [line.split(" = ")[0]
+            for line in (out / "config.resolved").read_text().splitlines()]
+    assert keys == [
+        "dataset", "out", "seed", "runs", "row-normalize", "split-policy", "train-per-class",
+        "val-per-class", "val-total", "test-total", "dump-cluster-signals", "backbone",
+        "layers", "hidden", "beta", "epsilon", "sinkhorn-iters", "lr", "weight-decay",
+        "dropout", "epochs", "patience", "warmup", "lambda-kl", "lambda-pl", "kl-scope",
+        "self-loops", "appnp-alpha", "appnp-hops", "input-transform", "determinism",
+    ]
+
+
+@pytest.mark.parametrize("axis, values, header", [
+    ("lr", "0.01,0.02", "lr"),
+    ("hidden", "8,16", "hidden_dim"),
+    ("sinkhorn-iters", "2", "sinkhorn_t"),
+])
+def test_sweep_any_numeric_axis(capsys, sbm_dir, tmp_path, axis, values, header):
+    out = tmp_path / "s"
+    assert main(["sweep", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--axis", axis, "--values", values, "--epochs", "12", "--patience", "12"]
+                + FAST_FLAGS[:6] + FAST_FLAGS[12:]) == 0
+    capsys.readouterr()
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == f"{header},acc_mean,acc_std"
+    assert [r.split(",")[0] for r in rows[1:]] == values.split(",")
+
+
+@pytest.mark.parametrize("axis", ["backbone", "seed"])
+def test_sweep_rejects_non_hyperparameter_axis_exit_4(capsys, sbm_dir, tmp_path, axis):
+    out = tmp_path / "s"
+    assert main(["sweep", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--axis", axis, "--values", "1"]) == 4
+    assert "sweep axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "spectral"])
+def test_out_naming_a_file_exit_2(capsys, sbm_dir, tmp_path, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1"]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_evaluate_runs_one_forward(capsys, sbm_dir, tmp_path, monkeypatch):
+    import ncgc.cli as cli
+    out = tmp_path / "ev"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--epochs", "3", "--patience", "3", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    calls = []
+    real_forward = cli.forward
+    monkeypatch.setattr(cli, "forward", lambda *a, **kw: calls.append(1) or real_forward(*a, **kw))
+    capsys.readouterr()
+    assert main(["evaluate", "--dataset", str(sbm_dir),
+                 "--checkpoint", str(out / "checkpoint.bin"),
+                 "--config", str(out / "config.resolved")]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("dataset=sbm train_acc=")
