@@ -41,10 +41,6 @@ for eps in (0.01, 0.04, 0.1, 1.0):
     ent = float(-(p * np.log(p + 1e-300)).sum(axis=1).mean())
     print(f"  {eps:7.2f}   {ent:.4f}")
 
-# the log-domain solver matches the direct one where the latter is safe
-a = sinkhorn_pseudo_labels(preds, 0.05, 30, domain="log").psi
-b = sinkhorn_pseudo_labels(preds, 0.05, 30, domain="direct").psi
-print(f"\nlog vs direct domain: max diff {np.abs(a - b).max():.2e}")
-# ... and survives a regime where exp(psi/eps) would overflow
+# the log-domain solver survives a regime where exp(psi/eps) would overflow
 tiny = sinkhorn_pseudo_labels(softmax(rng.normal((n, k)) * 30), 0.003, 5).psi
 print("tiny-epsilon run finite:", np.isfinite(tiny).all())

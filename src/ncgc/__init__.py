@@ -14,7 +14,7 @@ from .graph import (
     Graph, Split, load_dataset, load_split, make_split, normalized_adjacency,
     normalized_laplacian, write_dataset, write_split,
 )
-from .model import ModelParams, SognConfig, forward, init_params, soc_penalty
+from .model import ModelParams, forward, init_params, soc_penalty
 from .rng import RngState
 from .sparse import CsrMatrix
 from .trainer import HyperParams, TrainReport, ablate, evaluate, run_seeds, train

@@ -6,7 +6,9 @@ The hyperparameter flags, their types and defaults are the fields of
 ``trainer.HyperParams``: ``hidden_dim``, ``sinkhorn_t`` and ``warmup_epochs``
 are spelled ``--hidden``, ``--sinkhorn-iters`` and ``--warmup``, every other
 field is its name with dashes. ``sweep --axis`` takes any numeric
-hyperparameter, by flag or by field name.
+hyperparameter, by flag or by field name. The resolved values build one
+``HyperParams``, the whole run's configuration; a value it rejects is a bad
+flag, reported before any dataset is read or any output is written.
 
 Options can come from a flat ``key = value`` config file (``#`` comments);
 explicit flags win over file values, and the fully resolved configuration is
@@ -14,7 +16,7 @@ echoed into the output directory as ``config.resolved`` so any run can be
 reproduced bit-for-bit from its own artifacts.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
-4 bad flags.
+4 bad flags (including out-of-range hyperparameter values).
 """
 
 from __future__ import annotations
@@ -149,12 +151,16 @@ def resolve_options(args: argparse.Namespace, keys) -> dict:
     return resolved
 
 
-def hyperparams_from(resolved: dict) -> HyperParams:
+def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
+    """The run's ``HyperParams`` from resolved options, with field ``overrides``."""
     # every run is deterministic; the key stays so existing configs still load
     if resolved.get("determinism") is False:
         raise _UsageError("--determinism off is not supported: runs are always deterministic")
-    return HyperParams(seed=resolved["seed"],
-                       **{f.name: resolved[flag] for flag, f in _HP_FIELDS.items()})
+    values = {f.name: resolved[flag] for flag, f in _HP_FIELDS.items()}
+    try:
+        return HyperParams(seed=resolved["seed"], **{**values, **overrides})
+    except ParameterError as e:
+        raise _UsageError(str(e)) from e
 
 
 def _require(resolved: dict, keys, cmd: str) -> None:
@@ -232,18 +238,12 @@ def cmd_validate(resolved: dict) -> int:
     return EXIT_OK
 
 
-def _run_training(resolved: dict, pseudo_label_mode: str = "sinkhorn"):
-    g, fixed_split = _load_graph_and_split(resolved)
-    hp = hyperparams_from(resolved)
-    return g, run_seeds(
-        g, hp, resolved["split-policy"], resolved["runs"], split=fixed_split,
-        split_counts=_split_counts(resolved), pseudo_label_mode=pseudo_label_mode,
-    )
-
-
 def cmd_train(resolved: dict) -> int:
+    hp = hyperparams_from(resolved)
     out = _prepare_out(resolved)
-    g, stats = _run_training(resolved)
+    g, fixed_split = _load_graph_and_split(resolved)
+    stats = run_seeds(g, hp, resolved["split-policy"], resolved["runs"], split=fixed_split,
+                      split_counts=_split_counts(resolved))
     _json_dump({
         "acc_mean": stats.mean,
         "acc_std": stats.std,
@@ -258,7 +258,7 @@ def cmd_train(resolved: dict) -> int:
     save_checkpoint(out / "checkpoint.bin", named)
     write_split(split0, out)
     if resolved["dump-cluster-signals"]:
-        _dump_cluster_signals(g, resolved, params, cluster_state, out)
+        _dump_cluster_signals(g, hp, params, cluster_state, out)
     wall = sum(r.wall_time for r in stats.reports)
     print(f"dataset={g.name} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
           f"runs={resolved['runs']}")
@@ -269,13 +269,12 @@ def cmd_train(resolved: dict) -> int:
 def _eval_forward(g, params, hp: HyperParams):
     """One eval-mode forward over the whole graph: embeddings and class probabilities."""
     a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
-    h, logits = forward(feature_operator(g.features), a_tilde, params, hp.model_config(),
-                        RngState(0), training=False)
+    h, logits = forward(feature_operator(g.features), a_tilde, params, hp, RngState(0),
+                        training=False)
     return h, nm.softmax_rows(logits.value).value
 
 
-def _dump_cluster_signals(g, resolved, params, cluster_state, out: Path) -> None:
-    hp = hyperparams_from(resolved)
+def _dump_cluster_signals(g, hp: HyperParams, params, cluster_state, out: Path) -> None:
     h, y = _eval_forward(g, params, hp)
     if cluster_state is not None:
         q = soft_assign(h, cluster_state).value
@@ -286,16 +285,15 @@ def _dump_cluster_signals(g, resolved, params, cluster_state, out: Path) -> None
 
 def cmd_evaluate(resolved: dict) -> int:
     _echo_config(resolved)
+    if resolved["seed"] is None:
+        resolved["seed"] = 0
+    hp = hyperparams_from(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
     split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
     split = load_split(split_dir, g.n)
     if split is None:
         raise IngestionError(f"{split_dir}: no split files found for evaluation")
-    if resolved["seed"] is None:
-        resolved["seed"] = 0
-    hp = hyperparams_from(resolved)
-    params = init_params(hp.model_config(), g.feature_dim, g.class_count,
-                         RngState(hp.seed).derive("init"))
+    params = init_params(hp, g.feature_dim, g.class_count, RngState(hp.seed).derive("init"))
     named = load_checkpoint(resolved["checkpoint"])
     named.pop("centroids", None)
     params.load_values(named)
@@ -309,9 +307,9 @@ def cmd_evaluate(resolved: dict) -> int:
 
 
 def cmd_ablate(resolved: dict) -> int:
+    base_hp = hyperparams_from(resolved)
     out = _prepare_out(resolved)
     g, fixed_split = _load_graph_and_split(resolved)
-    base_hp = hyperparams_from(resolved)
     table = {}
     for variant in VARIANTS:
         hp_v, mode = apply_variant(base_hp, variant)
@@ -345,12 +343,11 @@ def cmd_sweep(resolved: dict) -> int:
         raise _UsageError(f"bad --values list: {e}") from e
     if not values:
         raise _UsageError("empty --values list")
+    hps = [hyperparams_from(resolved, **{axis: v}) for v in values]
     out = _prepare_out(resolved)
     g, fixed_split = _load_graph_and_split(resolved)
-    base_hp = hyperparams_from(resolved)
     rows = []
-    for v in values:
-        hp = HyperParams(**{**vars(base_hp), axis: v})
+    for v, hp in zip(values, hps):
         stats = run_seeds(g, hp, resolved["split-policy"], resolved["runs"],
                           split=fixed_split, split_counts=_split_counts(resolved))
         rows.append((v, stats.mean, stats.std))
@@ -389,19 +386,19 @@ def cmd_spectral(resolved: dict) -> int:
 # wiring
 
 
-_TRAIN_OPTIONS = ("dataset", "out", "seed", "runs", "row-normalize", "split-policy",
-                  "train-per-class", "val-per-class", "val-total", "test-total",
-                  "dump-cluster-signals") + _HP_KEYS
+_RUN_OPTIONS = ("dataset", "out", "seed", "runs", "row-normalize", "split-policy",
+                "train-per-class", "val-per-class", "val-total", "test-total")
 
 # name -> (function, options in config.resolved order, required options)
 COMMANDS = {
     "validate": (cmd_validate, ("dataset", "row-normalize"), ("dataset",)),
-    "train": (cmd_train, _TRAIN_OPTIONS, ("dataset", "out", "seed")),
+    "train": (cmd_train, _RUN_OPTIONS + ("dump-cluster-signals",) + _HP_KEYS,
+              ("dataset", "out", "seed")),
     "evaluate": (cmd_evaluate,
                  ("dataset", "checkpoint", "split-dir", "row-normalize") + _HP_KEYS + ("seed",),
                  ("dataset", "checkpoint")),
-    "ablate": (cmd_ablate, _TRAIN_OPTIONS, ("dataset", "out", "seed")),
-    "sweep": (cmd_sweep, _TRAIN_OPTIONS + ("axis", "values"),
+    "ablate": (cmd_ablate, _RUN_OPTIONS + _HP_KEYS, ("dataset", "out", "seed")),
+    "sweep": (cmd_sweep, _RUN_OPTIONS + _HP_KEYS + ("axis", "values"),
               ("dataset", "out", "seed", "values")),
     "spectral": (cmd_spectral, ("dataset", "out", "seed", "k", "row-normalize", "self-loops"),
                  ("dataset", "out", "seed")),

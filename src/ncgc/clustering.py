@@ -4,9 +4,8 @@ Soft assignments follow a Student's-t kernel around learnable centroids; the
 sharpened target distribution and the balanced pseudo-labels are computed as
 plain numpy arrays, never as tape tensors, so no gradient can reach the
 target branch by construction. The Sinkhorn normalization runs in the log
-domain by default (small epsilon with confident predictions overflows the
-direct exponential); the direct-domain variant is kept for cross-checking at
-moderate epsilon.
+domain, since small epsilon with confident predictions overflows the direct
+exponential.
 """
 
 from __future__ import annotations
@@ -102,7 +101,6 @@ def sinkhorn_transport_plan(
     psi_prime: np.ndarray,
     epsilon: float,
     iterations: int,
-    domain: str = "log",
 ) -> np.ndarray:
     """Approximate projection of exp(psi_prime/eps) onto the transport polytope.
 
@@ -112,14 +110,6 @@ def sinkhorn_transport_plan(
     """
     psi = _check_sinkhorn_args(psi_prime, epsilon, iterations)
     n, k = psi.shape
-    if domain == "direct":
-        plan = np.exp(psi / epsilon)
-        for _ in range(iterations):
-            plan *= (1.0 / n) / plan.sum(axis=1, keepdims=True)
-            plan *= (1.0 / k) / plan.sum(axis=0, keepdims=True)
-        return plan
-    if domain != "log":
-        raise ParameterError(f"unknown sinkhorn domain {domain!r}")
     log_k = psi / epsilon
     u = np.zeros(n)
     v = np.zeros(k)
@@ -134,14 +124,13 @@ def sinkhorn_pseudo_labels(
     psi_prime: np.ndarray,
     epsilon: float,
     iterations: int,
-    domain: str = "log",
 ) -> PseudoLabels:
     """Balanced pseudo-labels: Sinkhorn plan rescaled so every row is a distribution.
 
     The final row rescale makes each row an exact probability vector (at
     convergence this coincides with multiplying the plan by n).
     """
-    plan = sinkhorn_transport_plan(psi_prime, epsilon, iterations, domain=domain)
+    plan = sinkhorn_transport_plan(psi_prime, epsilon, iterations)
     psi = plan / plan.sum(axis=1, keepdims=True)
     return PseudoLabels(psi=psi, sinkhorn_iterations_used=iterations)
 

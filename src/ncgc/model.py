@@ -10,13 +10,17 @@ as two skinny products, so the n x n outer product is never materialized and
 A shared bias-free prototype head maps the final embedding to class/cluster
 logits, the model's one prediction output: losses take their row-wise
 log-softmax, and detached probabilities are their row-wise softmax.
+
+The model's settings (backbone, depth, width, beta, dropout, the APPNP
+knobs, the input transform) are read from a ``trainer.HyperParams``, which
+validates them; every function here that takes a ``config`` takes one.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,40 +29,10 @@ from .errors import ContractError, IngestionError, ParameterError, ShapeError
 from .rng import RngState
 from .sparse import CsrMatrix
 
+if TYPE_CHECKING:
+    from .trainer import HyperParams
+
 BACKBONES = ("gcn", "appnp")
-
-
-@dataclass(frozen=True)
-class SognConfig:
-    backbone: str = "gcn"
-    layers: int = 2
-    hidden_dim: int = 64
-    beta: float = 0.005
-    dropout: float = 0.5
-    appnp_alpha: float = 0.1
-    appnp_hops: int = 10
-    input_transform: str = "auto"  # linear | mlp | auto -> by depth
-
-    def __post_init__(self):
-        if self.backbone not in BACKBONES:
-            raise ParameterError(f"unknown backbone {self.backbone!r}")
-        if self.layers < 1:
-            raise ParameterError("need at least one layer")
-        if self.hidden_dim < 2:
-            raise ParameterError("hidden_dim must be at least 2")
-        if self.beta < 0:
-            raise ParameterError("beta must be non-negative")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ParameterError("dropout must lie in [0, 1)")
-        if not 0.0 < self.appnp_alpha <= 1.0:
-            raise ParameterError("appnp_alpha must lie in (0, 1]")
-        if self.input_transform not in ("auto", "linear", "mlp"):
-            raise ParameterError(f"unknown input transform {self.input_transform!r}")
-
-    def resolved_input_transform(self) -> str:
-        if self.input_transform != "auto":
-            return self.input_transform
-        return "linear" if self.layers <= 3 else "mlp"
 
 
 class ModelParams:
@@ -100,7 +74,8 @@ def glorot(shape, rng: RngState) -> np.ndarray:
     return rng.uniform(shape, -limit, limit)
 
 
-def init_params(config: SognConfig, input_dim: int, class_count: int, rng: RngState) -> ModelParams:
+def init_params(config: HyperParams, input_dim: int, class_count: int,
+                rng: RngState) -> ModelParams:
     """Glorot-uniform weights and zero biases, deterministic given the seed."""
     d = config.hidden_dim
     input_weights = []
@@ -144,27 +119,23 @@ def sogn_layer(
     h,
     w: nm.Parameter,
     a_tilde: CsrMatrix,
-    beta: float,
-    backbone: str,
+    config: HyperParams,
     rng: RngState,
     training: bool,
-    dropout: float = 0.0,
     activation: bool = True,
-    appnp_alpha: float = 0.1,
-    appnp_hops: int = 10,
 ):
-    """One soft-orthogonal message-passing layer.
+    """One soft-orthogonal message-passing layer with the settings of ``config``.
 
     The correction term is computed as Zn (Zn^T Z), two products of skinny
     matrices; cost per layer stays O(n d^2 + nnz d).
     """
-    x = nm.dropout(h, dropout, rng, training)
+    x = nm.dropout(h, config.dropout, rng, training)
     z = nm.matmul(x, w)
-    out = backbone_propagate(a_tilde, z, backbone, appnp_alpha, appnp_hops)
-    if beta != 0.0:
+    out = backbone_propagate(a_tilde, z, config.backbone, config.appnp_alpha, config.appnp_hops)
+    if config.beta != 0.0:
         zn = nm.column_l2_normalize(z)
         corr = nm.matmul(zn, nm.matmul(nm.transpose(zn), z))
-        out = nm.sub(out, nm.scale(corr, beta))
+        out = nm.sub(out, nm.scale(corr, config.beta))
     return nm.relu(out) if activation else out
 
 
@@ -176,7 +147,7 @@ def feature_operator(features: np.ndarray):
     return features
 
 
-def input_transform(x, params: ModelParams, config: SognConfig):
+def input_transform(x, params: ModelParams):
     """Map ``feature_operator`` output to the width of the hidden layers (with activation)."""
     h = None
     for w, b in params.input_weights:
@@ -193,7 +164,7 @@ def forward(
     x,
     a_tilde: CsrMatrix,
     params: ModelParams,
-    config: SognConfig,
+    config: HyperParams,
     rng: RngState,
     training: bool,
 ):
@@ -204,15 +175,10 @@ def forward(
     full space) and the prototype-head logits H W_p; the predictions Y' are
     their row-wise softmax. Evaluation mode disables dropout.
     """
-    h = input_transform(x, params, config)
+    h = input_transform(x, params)
     n_layers = len(params.layer_weights)
     for i, w in enumerate(params.layer_weights):
-        h = sogn_layer(
-            h, w, a_tilde,
-            beta=config.beta, backbone=config.backbone, rng=rng, training=training,
-            dropout=config.dropout, activation=i < n_layers - 1,
-            appnp_alpha=config.appnp_alpha, appnp_hops=config.appnp_hops,
-        )
+        h = sogn_layer(h, w, a_tilde, config, rng, training, activation=i < n_layers - 1)
     return h, nm.matmul(h, params.w_proto)
 
 

@@ -8,6 +8,10 @@ loss, and takes one Adam step. Model selection is the checkpoint at the best
 validation accuracy; training stops early after ``patience`` epochs without
 improvement.
 
+``HyperParams`` is the one configuration of a run, model settings included:
+its constructor rejects every out-of-range value, and the same object is
+passed whole from the CLI down to each model layer.
+
 Independent random streams are derived per consumer (init, dropout,
 centroids), so switching a clustering component on or off never perturbs the
 draws seen by the rest of the run; with both loss weights at zero and beta
@@ -28,7 +32,7 @@ from .clustering import (
 )
 from .errors import ContractError, NumericError, ParameterError
 from .graph import Graph, Split, make_split, normalized_adjacency
-from .model import ModelParams, SognConfig, feature_operator, forward, init_params, soc_penalty
+from .model import BACKBONES, ModelParams, feature_operator, forward, init_params, soc_penalty
 from .rng import RngState
 from .sparse import CsrMatrix
 
@@ -71,13 +75,31 @@ class HyperParams:
             raise ParameterError("epsilon must be positive")
         if self.sinkhorn_t < 1:
             raise ParameterError("need at least one sinkhorn iteration")
+        if self.lr <= 0:
+            raise ParameterError("lr must be positive")
+        if self.weight_decay < 0:
+            raise ParameterError("weight_decay must be non-negative")
+        if self.backbone not in BACKBONES:
+            raise ParameterError(f"unknown backbone {self.backbone!r}")
+        if self.layers < 1:
+            raise ParameterError("need at least one layer")
+        if self.hidden_dim < 2:
+            raise ParameterError("hidden_dim must be at least 2")
+        if self.beta < 0:
+            raise ParameterError("beta must be non-negative")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ParameterError("dropout must lie in [0, 1)")
+        if not 0.0 < self.appnp_alpha <= 1.0:
+            raise ParameterError("appnp_alpha must lie in (0, 1]")
+        if self.appnp_hops < 1:
+            raise ParameterError("appnp_hops must be at least 1")
+        if self.input_transform not in ("auto", "linear", "mlp"):
+            raise ParameterError(f"unknown input transform {self.input_transform!r}")
 
-    def model_config(self) -> SognConfig:
-        return SognConfig(
-            backbone=self.backbone, layers=self.layers, hidden_dim=self.hidden_dim,
-            beta=self.beta, dropout=self.dropout, appnp_alpha=self.appnp_alpha,
-            appnp_hops=self.appnp_hops, input_transform=self.input_transform,
-        )
+    def resolved_input_transform(self) -> str:
+        if self.input_transform != "auto":
+            return self.input_transform
+        return "linear" if self.layers <= 3 else "mlp"
 
 
 @dataclass(frozen=True)
@@ -148,10 +170,10 @@ def total_loss(l_class, l_kl, l_pl, hp: HyperParams, in_warmup: bool) -> "nm.Ten
 
 
 def evaluate(params: ModelParams, g: Graph, a_tilde: CsrMatrix, idx,
-             config: SognConfig) -> float:
+             hp: HyperParams) -> float:
     """Accuracy of argmax predictions on the given nodes (ties pick lowest class)."""
     x = feature_operator(g.features)
-    _, logits = forward(x, a_tilde, params, config, RngState(0), training=False)
+    _, logits = forward(x, a_tilde, params, hp, RngState(0), training=False)
     return accuracy(nm.softmax_rows(logits.value).value, g.labels, idx)
 
 
@@ -188,9 +210,8 @@ def train(
         raise ParameterError(f"unknown pseudo_label_mode {pseudo_label_mode!r}")
     split.check_against(g.n)
     t0 = time.perf_counter()
-    cfg = hp.model_config()
     rng = RngState(hp.seed)
-    params = init_params(cfg, g.feature_dim, g.class_count, rng.derive("init"))
+    params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
     drop_rng = rng.derive("dropout")
     centroid_rng = rng.derive("centroids")
 
@@ -211,7 +232,7 @@ def train(
         clustering_on = clustering_wanted and not in_warmup
 
         if clustering_on and hp.lambda_kl > 0 and cluster_state is None:
-            h_now, _ = forward(x, a_tilde, params, cfg, RngState(0), training=False)
+            h_now, _ = forward(x, a_tilde, params, hp, RngState(0), training=False)
             cluster_state = init_centroids(h_now.value, g.class_count, centroid_rng)
             adam.m[cluster_state.centroids.name] = np.zeros_like(cluster_state.centroids.value)
             adam.v[cluster_state.centroids.name] = np.zeros_like(cluster_state.centroids.value)
@@ -226,7 +247,7 @@ def train(
         q_vals = psi_vals = None
         tape = nm.Tape()
         with tape:
-            h, logits = forward(x, a_tilde, params, cfg, drop_rng, training=True)
+            h, logits = forward(x, a_tilde, params, hp, drop_rng, training=True)
             l_class = class_loss(logits, g.labels, split.train_idx)
             if clustering_on:
                 if hp.lambda_kl > 0:
@@ -252,7 +273,7 @@ def train(
         nm.backward(tape, total)
         nm.adam_step(trainable, adam, hp.lr, hp.weight_decay)
 
-        h_ev, logits_ev = forward(x, a_tilde, params, cfg, RngState(0), training=False)
+        h_ev, logits_ev = forward(x, a_tilde, params, hp, RngState(0), training=False)
         y_ev = nm.softmax_rows(logits_ev.value).value
         val_acc = accuracy(y_ev, g.labels, split.val_idx)
         test_acc = accuracy(y_ev, g.labels, split.test_idx)

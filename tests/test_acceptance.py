@@ -30,7 +30,7 @@ from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams, class_loss, run_seeds, total_loss
 from gradcheck import OPS, check_gradients
 from oracles import (
-    edge_sum_smoothness, random_symmetric_with_gap, rel_error, subspace_angle,
+    edge_sum_smoothness, random_symmetric_with_gap, rel_error, sinkhorn_loop, subspace_angle,
 )
 
 # hyperparameter rows for the citation graphs (per-dataset tuned values)
@@ -205,8 +205,8 @@ def test_criterion_7_sinkhorn_properties():
         large = sinkhorn_pseudo_labels(preds, 1e6, 10).psi
         assert np.abs(large - 1.0 / k).max() < 1e-6
 
-        log_dom = sinkhorn_pseudo_labels(preds, 0.05, 30, domain="log").psi
-        direct = sinkhorn_pseudo_labels(preds, 0.05, 30, domain="direct").psi
+        log_dom = sinkhorn_pseudo_labels(preds, 0.05, 30).psi
+        direct = sinkhorn_loop(preds, 0.05, 30)
         assert np.abs(log_dom - direct).max() < 1e-8
     print("ACCEPTANCE 7 (sinkhorn properties): PASS marginals/shift/symmetry/"
           "large-eps/domain-agreement, 100 trials each")
@@ -231,20 +231,19 @@ def test_criterion_8_gradient_suite():
         at = normalized_adjacency(g)
         hp = HyperParams(seed=trial, hidden_dim=4, layers=2, beta=0.01,
                          dropout=0.0, epsilon=0.1, sinkhorn_t=5)
-        cfg = hp.model_config()
-        params = init_params(cfg, g.feature_dim, g.class_count, rng.derive("init"))
+        params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
         train_idx = np.array([0, 3])
         u_idx = np.setdiff1d(np.arange(g.n), train_idx)
 
         x = feature_operator(g.features)
-        h0, logits0 = forward(x, at, params, cfg, RngState(0), training=False)
+        h0, logits0 = forward(x, at, params, hp, RngState(0), training=False)
         y0 = nm.softmax_rows(logits0)
         cstate = init_centroids(h0.value, g.class_count, rng.derive("centroids"))
         p_target = target_distribution(soft_assign(h0, cstate).value)
         psi = sinkhorn_pseudo_labels(y0.value[u_idx], hp.epsilon, hp.sinkhorn_t)
 
         def loss_of(params_, cstate_):
-            h, logits = forward(x, at, params_, cfg, RngState(0), training=False)
+            h, logits = forward(x, at, params_, hp, RngState(0), training=False)
             lc = class_loss(logits, g.labels, train_idx)
             lk = kl_loss(p_target, soft_assign(h, cstate_), np.arange(g.n))
             lp = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))

@@ -351,8 +351,8 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
         "train": _TRAIN_FLAGS,
         "evaluate": _HP_FLAGS | {"--config", "--dataset", "--checkpoint", "--split-dir",
                                  "--row-normalize", "--seed"},
-        "ablate": _TRAIN_FLAGS,
-        "sweep": _TRAIN_FLAGS | {"--axis", "--values"},
+        "ablate": _TRAIN_FLAGS - {"--dump-cluster-signals"},
+        "sweep": _TRAIN_FLAGS - {"--dump-cluster-signals"} | {"--axis", "--values"},
         "spectral": {"--config", "--dataset", "--out", "--seed", "--k", "--row-normalize",
                      "--self-loops"},
     }
@@ -368,6 +368,41 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
         "dropout", "epochs", "patience", "warmup", "lambda-kl", "lambda-pl", "kl-scope",
         "self-loops", "appnp-alpha", "appnp-hops", "input-transform", "determinism",
     ]
+
+
+def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
+    out = tmp_path / "ab"
+    assert main(["ablate", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--dump-cluster-signals", "on"]) == 4
+    assert "--dump-cluster-signals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    pytest.param("train", ["--backbone", "foo"], "backbone", id="train-backbone"),
+    pytest.param("train", ["--dropout", "1.5"], "dropout", id="train-dropout"),
+    pytest.param("train", ["--epochs", "5", "--patience", "10"], "patience",
+                 id="train-patience-over-epochs"),
+    pytest.param("train", ["--appnp-hops", "-1"], "appnp_hops", id="train-appnp-hops"),
+    pytest.param("train", ["--lr", "-1"], "lr", id="train-lr"),
+    pytest.param("sweep", ["--axis", "dropout", "--values", "0.5,1.5"], "dropout",
+                 id="sweep-second-value"),
+    pytest.param("evaluate", ["--backbone", "foo"], "backbone", id="evaluate-backbone"),
+])
+def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
+                                                      command, extra, field):
+    out = tmp_path / "o"
+    if command == "evaluate":
+        args = ["evaluate", "--dataset", str(sbm_dir),
+                "--checkpoint", str(tmp_path / "checkpoint.bin")]
+    else:
+        args = [command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
+    assert main(args + extra) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and field in errors[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axis, values, header", [

@@ -181,8 +181,6 @@ def test_sinkhorn_matches_straight_loop_oracle():
     expected = sinkhorn_loop(preds, 0.04, 50)
     psi = sinkhorn_pseudo_labels(preds, 0.04, 50).psi
     assert np.abs(psi - expected).max() < 1e-8
-    direct = sinkhorn_pseudo_labels(preds, 0.04, 50, domain="direct").psi
-    assert np.abs(direct - expected).max() < 1e-8
 
 
 def test_sinkhorn_row_shift_invariance():
@@ -206,8 +204,8 @@ def test_sinkhorn_log_and_direct_domains_agree():
     rng = RngState(43)
     for _ in range(10):
         preds = softmax(rng.normal((12, 4)))
-        a = sinkhorn_pseudo_labels(preds, 0.05, 30, domain="log").psi
-        b = sinkhorn_pseudo_labels(preds, 0.05, 30, domain="direct").psi
+        a = sinkhorn_pseudo_labels(preds, 0.05, 30).psi
+        b = sinkhorn_loop(preds, 0.05, 30)
         assert np.abs(a - b).max() < 1e-8
 
 

@@ -5,12 +5,13 @@ import ncgc.numerics as nm
 from ncgc.errors import IngestionError, ParameterError, ShapeError
 from ncgc.graph import Graph, normalized_adjacency
 from ncgc.model import (
-    SognConfig, backbone_propagate, feature_operator, forward, init_params,
+    backbone_propagate, feature_operator, forward, init_params,
     load_checkpoint, save_checkpoint, soc_penalty, sogn_layer,
 )
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
+from ncgc.trainer import HyperParams
 from oracles import loop_soc_penalty, rel_error
 
 
@@ -38,7 +39,7 @@ def dense_layer_oracle(h, w, at_dense, beta, activation=True):
 
 
 def test_init_params_deterministic_and_glorot_bounded():
-    cfg = SognConfig(layers=2, hidden_dim=8)
+    cfg = HyperParams(layers=2, hidden_dim=8)
     a = init_params(cfg, input_dim=5, class_count=3, rng=RngState(42))
     b = init_params(cfg, input_dim=5, class_count=3, rng=RngState(42))
     for pa, pb in zip(a.all_parameters(), b.all_parameters()):
@@ -51,29 +52,29 @@ def test_init_params_deterministic_and_glorot_bounded():
 
 
 def test_proto_head_shape():
-    cfg = SognConfig(layers=3, hidden_dim=512)
+    cfg = HyperParams(layers=3, hidden_dim=512)
     params = init_params(cfg, input_dim=1433, class_count=7, rng=RngState(0))
     assert params.w_proto.value.shape == (512, 7)
 
 
 def test_input_transform_variants():
-    assert SognConfig(layers=2).resolved_input_transform() == "linear"
-    assert SognConfig(layers=3).resolved_input_transform() == "linear"
-    assert SognConfig(layers=4).resolved_input_transform() == "mlp"
-    cfg = SognConfig(layers=4, hidden_dim=6)
+    assert HyperParams(layers=2).resolved_input_transform() == "linear"
+    assert HyperParams(layers=3).resolved_input_transform() == "linear"
+    assert HyperParams(layers=4).resolved_input_transform() == "mlp"
+    cfg = HyperParams(layers=4, hidden_dim=6)
     params = init_params(cfg, input_dim=5, class_count=2, rng=RngState(1))
     assert len(params.input_weights) == 2
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        SognConfig(backbone="gat")
+        HyperParams(backbone="gat")
     with pytest.raises(ParameterError):
-        SognConfig(layers=0)
+        HyperParams(layers=0)
     with pytest.raises(ParameterError):
-        SognConfig(dropout=1.0)
+        HyperParams(dropout=1.0)
     with pytest.raises(ParameterError):
-        SognConfig(appnp_alpha=0.0)
+        HyperParams(appnp_alpha=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_layer_beta_zero_reduces_to_plain_gcn():
     rng = RngState(6)
     h = nm.Tensor(rng.normal((g.n, 4)))
     w = nm.Parameter(rng.normal((4, 4)), name="w")
-    out = sogn_layer(h, w, at, beta=0.0, backbone="gcn", rng=rng, training=False)
+    out = sogn_layer(h, w, at, HyperParams(beta=0.0), rng, training=False)
     expected = np.maximum(at.to_dense() @ h.value @ w.value, 0.0)
     assert np.allclose(out.value, expected, atol=1e-14)
 
@@ -129,8 +130,8 @@ def test_layer_orthonormal_z_correction_is_beta_z():
     q = np.linalg.qr(RngState(8).normal((g.n, 3)))[0]
     w = nm.Parameter(np.eye(3), name="w")  # Z = H W = Q, already orthonormal columns
     beta = 0.37
-    out = sogn_layer(nm.Tensor(q), w, at, beta=beta, backbone="gcn",
-                     rng=RngState(9), training=False, activation=False)
+    out = sogn_layer(nm.Tensor(q), w, at, HyperParams(beta=beta),
+                     RngState(9), training=False, activation=False)
     expected = at.to_dense() @ q - beta * q
     assert np.allclose(out.value, expected, atol=1e-12)
 
@@ -140,8 +141,8 @@ def test_layer_matches_dense_oracle():
     rng = RngState(11)
     h = rng.normal((g.n, 4))
     w = nm.Parameter(rng.normal((4, 4)), name="w")
-    out = sogn_layer(nm.Tensor(h), w, at, beta=0.005, backbone="gcn",
-                     rng=rng, training=False)
+    out = sogn_layer(nm.Tensor(h), w, at, HyperParams(beta=0.005),
+                     rng, training=False)
     expected = dense_layer_oracle(h, w.value, at.to_dense(), 0.005)
     assert np.allclose(out.value, expected, atol=1e-12)
 
@@ -161,7 +162,7 @@ def test_correction_term_associativity():
 
 def test_forward_rows_sum_to_one_and_shapes():
     for layers, backbone in [(1, "gcn"), (2, "gcn"), (4, "appnp")]:
-        cfg = SognConfig(layers=layers, hidden_dim=6, backbone=backbone,
+        cfg = HyperParams(layers=layers, hidden_dim=6, backbone=backbone,
                          dropout=0.3, appnp_hops=3)
         g, at = small_graph(seed=13)
         params = init_params(cfg, g.feature_dim, g.class_count, RngState(14))
@@ -172,7 +173,7 @@ def test_forward_rows_sum_to_one_and_shapes():
 
 
 def test_forward_eval_mode_deterministic():
-    cfg = SognConfig(layers=2, hidden_dim=5, dropout=0.8)
+    cfg = HyperParams(layers=2, hidden_dim=5, dropout=0.8)
     g, at = small_graph(seed=16)
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(17))
     h1, y1 = forward_probs(g, at, params, cfg, RngState(1), training=False)
@@ -187,7 +188,7 @@ def test_forward_one_layer_composition_oracle():
     feats = np.abs(g0.features)
     g = Graph(n=g0.n, m=g0.m, adjacency=g0.adjacency, features=feats,
               features_raw=feats, labels=g0.labels, class_count=g0.class_count)
-    cfg = SognConfig(layers=1, hidden_dim=5, beta=0.0, dropout=0.0)
+    cfg = HyperParams(layers=1, hidden_dim=5, beta=0.0, dropout=0.0)
     params = init_params(cfg, 5, g.class_count, RngState(19))
     params.input_weights[0][0].value = np.eye(5)
     h, y = forward_probs(g, at, params, cfg, RngState(20), training=False)
@@ -202,7 +203,7 @@ def test_forward_one_layer_composition_oracle():
 def test_forward_beta_zero_equivalence_any_config():
     for seed in range(3):
         g, at = small_graph(seed=21 + seed)
-        cfg = SognConfig(layers=2, hidden_dim=4, beta=0.0, dropout=0.0)
+        cfg = HyperParams(layers=2, hidden_dim=4, beta=0.0, dropout=0.0)
         params = init_params(cfg, g.feature_dim, g.class_count, RngState(seed))
         h, _ = forward_probs(g, at, params, cfg, RngState(0), training=False)
         # plain-backbone composition without any correction-term code path
@@ -217,7 +218,7 @@ def test_forward_beta_zero_equivalence_any_config():
 
 def test_forward_gradients_match_finite_differences():
     g, at = small_graph(seed=24, n_per=4, k=2, d=3)
-    cfg = SognConfig(layers=2, hidden_dim=4, beta=0.01, dropout=0.0)
+    cfg = HyperParams(layers=2, hidden_dim=4, beta=0.01, dropout=0.0)
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(25))
     rng = RngState(26)
     cy = rng.normal((g.n, g.class_count))
@@ -259,7 +260,7 @@ def test_sparse_feature_path_matches_dense_composition():
     x = feature_operator(g.features)
     assert isinstance(x, CsrMatrix)
     at = normalized_adjacency(g)
-    cfg = SognConfig(layers=1, hidden_dim=8, beta=0.0, dropout=0.0)
+    cfg = HyperParams(layers=1, hidden_dim=8, beta=0.0, dropout=0.0)
     params = init_params(cfg, d, 2, RngState(72))
     h, _ = forward(x, at, params, cfg, RngState(0), training=False)
     w0, b0 = params.input_weights[0]
@@ -289,7 +290,7 @@ def test_soc_penalty_matches_loop_oracle():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    cfg = SognConfig(layers=2, hidden_dim=6)
+    cfg = HyperParams(layers=2, hidden_dim=6)
     params = init_params(cfg, input_dim=4, class_count=3, rng=RngState(29))
     path = tmp_path / "ck.bin"
     save_checkpoint(path, params.named_values())
@@ -314,7 +315,7 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
 
 
 def test_load_values_shape_check(tmp_path):
-    cfg = SognConfig(layers=1, hidden_dim=4)
+    cfg = HyperParams(layers=1, hidden_dim=4)
     params = init_params(cfg, input_dim=3, class_count=2, rng=RngState(30))
     bad = params.named_values()
     bad["proto.w"] = np.ones((4, 5))

@@ -84,8 +84,8 @@ def test_evaluate_and_complement_identity():
     hp = HyperParams(seed=0, **{**FAST, "lambda_kl": 0.0, "lambda_pl": 0.0, "beta": 0.0,
                                 "epochs": 30, "patience": 30, "warmup_epochs": 0})
     params, _, _ = train(g, at, split, hp)
-    acc = evaluate(params, g, at, split.test_idx, hp.model_config())
-    _, logits = forward(feature_operator(g.features), at, params, hp.model_config(),
+    acc = evaluate(params, g, at, split.test_idx, hp)
+    _, logits = forward(feature_operator(g.features), at, params, hp,
                         RngState(0), training=False)
     y = nm.softmax_rows(logits)
     preds = y.value[split.test_idx].argmax(axis=1)
@@ -95,7 +95,7 @@ def test_evaluate_and_complement_identity():
 
 def test_evaluate_hand_built_three_of_four():
     g, at, _ = sbm_setup(seed=2)
-    cfg = HyperParams().model_config()
+    cfg = HyperParams()
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(3))
     _, logits = forward(feature_operator(g.features), at, params, cfg, RngState(0),
                         training=False)
@@ -151,9 +151,8 @@ def test_reduction_matches_plain_gcn_oracle():
                                  "epochs": 15, "patience": 15, "warmup_epochs": 0})
     _, _, report = train(g, at, split, hp)
 
-    cfg = hp.model_config()
     rng = RngState(hp.seed)
-    params = init_params(cfg, g.feature_dim, g.class_count, rng.derive("init"))
+    params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
     drop_rng = rng.derive("dropout")
     adam = nm.AdamState(params.all_parameters())
     x = feature_operator(g.features)
@@ -162,12 +161,12 @@ def test_reduction_matches_plain_gcn_oracle():
         params.zero_grads()
         tape = nm.Tape()
         with tape:
-            _, logits = forward(x, at, params, cfg, drop_rng, training=True)
+            _, logits = forward(x, at, params, hp, drop_rng, training=True)
             loss = class_loss(logits, g.labels, split.train_idx)
         losses.append(loss.item())
         nm.backward(tape, loss)
         nm.adam_step(params.all_parameters(), adam, hp.lr, hp.weight_decay)
-        forward(x, at, params, cfg, RngState(0), training=False)
+        forward(x, at, params, hp, RngState(0), training=False)
     got = [r.l_class for r in report.epochs]
     assert np.allclose(got, losses, atol=1e-10)
 
@@ -187,7 +186,7 @@ def test_best_checkpoint_is_returned():
     g, at, split = sbm_setup(seed=9)
     hp = HyperParams(seed=2, **{**FAST, "epochs": 60, "patience": 60})
     params, _, report = train(g, at, split, hp)
-    acc = evaluate(params, g, at, split.val_idx, hp.model_config())
+    acc = evaluate(params, g, at, split.val_idx, hp)
     assert acc == pytest.approx(report.best_val)
 
 
@@ -219,11 +218,10 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
 
     g, at, split = sbm_setup(seed=18)
     hp = HyperParams(seed=9, **FAST)
-    cfg = hp.model_config()
-    params = init_params(cfg, g.feature_dim, g.class_count, RngState(9).derive("init"))
+    params = init_params(hp, g.feature_dim, g.class_count, RngState(9).derive("init"))
     u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
     x = feature_operator(g.features)
-    h0, logits0 = forward(x, at, params, cfg, RngState(0), training=False)
+    h0, logits0 = forward(x, at, params, hp, RngState(0), training=False)
     y0 = nm.softmax_rows(logits0)
     cstate = init_centroids(h0.value, g.class_count, RngState(9).derive("centroids"))
 
@@ -234,7 +232,7 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
         cstate.centroids.zero_grad()
         tape = nm.Tape()
         with tape:
-            h, logits = forward(x, at, params, cfg, RngState(0), training=False)
+            h, logits = forward(x, at, params, hp, RngState(0), training=False)
             q = soft_assign(h, cstate)
             loss = total_loss(
                 class_loss(logits, g.labels, split.train_idx),
@@ -268,7 +266,7 @@ def test_soc_effect_reduces_column_correlation():
         hp = HyperParams(seed=seed, **{**FAST, "beta": beta, "epochs": 60,
                                        "patience": 60, "hidden_dim": 8})
         params, _, _ = train(g, at, split, hp)
-        h, _ = forward(feature_operator(g.features), at, params, hp.model_config(),
+        h, _ = forward(feature_operator(g.features), at, params, hp,
                        RngState(0), training=False)
         hv = h.value
         norms = np.linalg.norm(hv, axis=0, keepdims=True)
