@@ -16,7 +16,8 @@ echoed into the output directory as ``config.resolved`` so any run can be
 reproduced bit-for-bit from its own artifacts.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
-4 bad flags (including out-of-range hyperparameter values).
+4 bad flags (including out-of-range hyperparameter values, an unknown split
+policy and a run count below one).
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .errors import (
     ContractError, IngestionError, NcgcError, NumericError, ParameterError,
     RankError, ShapeError, SplitError,
 )
-from .graph import load_dataset, load_split, normalized_adjacency, read_text, write_split
+from .graph import (
+    SPLIT_POLICIES, load_dataset, load_split, normalized_adjacency, read_text, write_split,
+)
 from .model import feature_operator, forward, init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
@@ -163,6 +166,15 @@ def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
         raise _UsageError(str(e)) from e
 
 
+def _check_run_options(resolved: dict) -> None:
+    """Reject an unknown split policy or a run count below one as bad flags."""
+    if resolved["split-policy"] not in SPLIT_POLICIES:
+        raise _UsageError(f"unknown --split-policy {resolved['split-policy']!r}, "
+                          f"expected one of {', '.join(SPLIT_POLICIES)}")
+    if resolved["runs"] < 1:
+        raise _UsageError(f"--runs must be at least 1, got {resolved['runs']}")
+
+
 def _require(resolved: dict, keys, cmd: str) -> None:
     missing = [k for k in keys if resolved.get(k) in (None, "")]
     if missing:
@@ -240,6 +252,7 @@ def cmd_validate(resolved: dict) -> int:
 
 def cmd_train(resolved: dict) -> int:
     hp = hyperparams_from(resolved)
+    _check_run_options(resolved)
     out = _prepare_out(resolved)
     g, fixed_split = _load_graph_and_split(resolved)
     stats = run_seeds(g, hp, resolved["split-policy"], resolved["runs"], split=fixed_split,
@@ -251,14 +264,14 @@ def cmd_train(resolved: dict) -> int:
         "per_run": [r.to_json_dict() for r in stats.reports],
     }, out / "report.json")
     _write_epochs_csv(out / "epochs.csv", stats.reports)
-    params, cluster_state, split0 = stats.artifacts[0]
+    params, centroids, split0 = stats.artifacts[0]
     named = params.named_values()
-    if cluster_state is not None:
-        named["centroids"] = cluster_state.centroids.value.copy()
+    if centroids is not None:
+        named["centroids"] = centroids.value.copy()
     save_checkpoint(out / "checkpoint.bin", named)
     write_split(split0, out)
     if resolved["dump-cluster-signals"]:
-        _dump_cluster_signals(g, hp, params, cluster_state, out)
+        _dump_cluster_signals(g, hp, params, centroids, out)
     wall = sum(r.wall_time for r in stats.reports)
     print(f"dataset={g.name} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
           f"runs={resolved['runs']}")
@@ -274,12 +287,12 @@ def _eval_forward(g, params, hp: HyperParams):
     return h, nm.softmax_rows(logits.value).value
 
 
-def _dump_cluster_signals(g, hp: HyperParams, params, cluster_state, out: Path) -> None:
+def _dump_cluster_signals(g, hp: HyperParams, params, centroids, out: Path) -> None:
     h, y = _eval_forward(g, params, hp)
-    if cluster_state is not None:
-        q = soft_assign(h, cluster_state).value
+    if centroids is not None:
+        q = soft_assign(h, centroids).value
         np.savetxt(out / "q.tsv", q, delimiter="\t")
-    psi = sinkhorn_pseudo_labels(y, hp.epsilon, hp.sinkhorn_t).psi
+    psi = sinkhorn_pseudo_labels(y, hp.epsilon, hp.sinkhorn_t)
     np.savetxt(out / "psi.tsv", psi, delimiter="\t")
 
 
@@ -308,6 +321,7 @@ def cmd_evaluate(resolved: dict) -> int:
 
 def cmd_ablate(resolved: dict) -> int:
     base_hp = hyperparams_from(resolved)
+    _check_run_options(resolved)
     out = _prepare_out(resolved)
     g, fixed_split = _load_graph_and_split(resolved)
     table = {}
@@ -344,6 +358,7 @@ def cmd_sweep(resolved: dict) -> int:
     if not values:
         raise _UsageError("empty --values list")
     hps = [hyperparams_from(resolved, **{axis: v}) for v in values]
+    _check_run_options(resolved)
     out = _prepare_out(resolved)
     g, fixed_split = _load_graph_and_split(resolved)
     rows = []

@@ -1,16 +1,15 @@
-"""Self-supervised clustering signals.
+"""Self-supervised clustering signals, as plain values.
 
-Soft assignments follow a Student's-t kernel around learnable centroids; the
-sharpened target distribution and the balanced pseudo-labels are computed as
-plain numpy arrays, never as tape tensors, so no gradient can reach the
-target branch by construction. The Sinkhorn normalization runs in the log
-domain, since small epsilon with confident predictions overflows the direct
-exponential.
+The centroids are one ``(K, d)`` ``Parameter`` named ``"centroids"``; soft
+assignments follow a Student's-t kernel around them. The sharpened target
+distribution and the balanced ``(n, K)`` pseudo-labels are plain numpy
+arrays, never tape tensors, so no gradient can reach the target branch by
+construction, and ``pseudo_label_loss`` rejects a ``Tensor`` target. The
+Sinkhorn normalization runs in the log domain, since small epsilon with
+confident predictions overflows the direct exponential.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,40 +19,16 @@ from .errors import ContractError, ParameterError, ShapeError
 from .rng import RngState
 from .spectral import kmeans_pp_init, lloyd
 
-
-@dataclass
-class ClusterState:
-    """K learnable cluster centroids (rows) in embedding space."""
-
-    centroids: nm.Parameter
-    initialized: bool = False
-
-    @property
-    def k(self) -> int:
-        return self.centroids.value.shape[0]
+LLOYD_ITERS = 20
 
 
-@dataclass(frozen=True)
-class PseudoLabels:
-    """Balanced soft targets for unlabeled nodes; detached by construction."""
-
-    psi: np.ndarray
-    sinkhorn_iterations_used: int
-
-    def __post_init__(self):
-        if (self.psi < 0).any():
-            raise ContractError("pseudo-labels must be non-negative")
-
-
-def soft_assign(h, state: ClusterState):
+def soft_assign(h, centroids):
     """Row-stochastic Student's-t similarities between embeddings and centroids.
 
     Q_ik = (1 + ||h_i - c_k||^2)^-1, normalized per row; differentiable in
     both the embeddings and the centroids.
     """
-    if not state.initialized:
-        raise ContractError("centroids are not initialized")
-    d = nm.pairwise_sqdist(h, state.centroids)
+    d = nm.pairwise_sqdist(h, centroids)
     return nm.row_normalize(nm.reciprocal(nm.add_scalar(d, 1.0)))
 
 
@@ -124,25 +99,29 @@ def sinkhorn_pseudo_labels(
     psi_prime: np.ndarray,
     epsilon: float,
     iterations: int,
-) -> PseudoLabels:
+) -> np.ndarray:
     """Balanced pseudo-labels: Sinkhorn plan rescaled so every row is a distribution.
 
     The final row rescale makes each row an exact probability vector (at
     convergence this coincides with multiplying the plan by n).
     """
     plan = sinkhorn_transport_plan(psi_prime, epsilon, iterations)
-    psi = plan / plan.sum(axis=1, keepdims=True)
-    return PseudoLabels(psi=psi, sinkhorn_iterations_used=iterations)
+    return plan / plan.sum(axis=1, keepdims=True)
 
 
-def pseudo_label_loss(psi: PseudoLabels, live_logits) -> "nm.Tensor":
+def pseudo_label_loss(targets: np.ndarray, live_logits) -> "nm.Tensor":
     """Cross-entropy of the softmax of live logits against fixed pseudo-label targets.
 
-    ``live_logits`` are the prototype-head logits of the unlabeled rows; the
-    log-probabilities come from their row-wise log-softmax. Mean-reduced over
-    those rows; gradients flow only into the prediction branch.
+    ``targets`` is a non-negative plain array (detached: a ``Tensor`` is
+    rejected); ``live_logits`` are the prototype-head logits of the unlabeled
+    rows, and the log-probabilities come from their row-wise log-softmax.
+    Mean-reduced over those rows; gradients flow only into the prediction
+    branch.
     """
-    targets = psi.psi
+    if isinstance(targets, nm.Tensor):
+        raise ContractError("pseudo-label targets must be detached (a plain array)")
+    if (targets < 0).any():
+        raise ContractError("pseudo-labels must be non-negative")
     if targets.shape != live_logits.value.shape:
         raise ShapeError(
             f"targets {targets.shape} vs predictions {live_logits.value.shape}")
@@ -150,9 +129,10 @@ def pseudo_label_loss(psi: PseudoLabels, live_logits) -> "nm.Tensor":
     return nm.scale(nm.sum_all(nm.mul(log_pred, targets)), -1.0 / targets.shape[0])
 
 
-def init_centroids(h: np.ndarray, k: int, rng: RngState, lloyd_iters: int = 20) -> ClusterState:
-    """Seed centroids by k-means++ plus a few Lloyd refinements on the embeddings.
+def init_centroids(h: np.ndarray, k: int, rng: RngState) -> nm.Parameter:
+    """The ``(k, d)`` parameter named ``"centroids"``, seeded on the embeddings.
 
+    Seeding is k-means++ followed by ``LLOYD_ITERS`` Lloyd refinements.
     Fewer than k distinct rows are padded with duplicates perturbed by 1e-3
     Gaussian noise so seeding always has k distinct candidates.
     """
@@ -166,5 +146,5 @@ def init_centroids(h: np.ndarray, k: int, rng: RngState, lloyd_iters: int = 20) 
         seeds = np.vstack([distinct, np.array(pads)])
     else:
         seeds = kmeans_pp_init(h, k, rng)
-    centroids, _, _ = lloyd(h, seeds[:k] if len(seeds) > k else seeds, max_iter=lloyd_iters)
-    return ClusterState(centroids=nm.Parameter(centroids, name="centroids"), initialized=True)
+    centroids, _, _ = lloyd(h, seeds[:k] if len(seeds) > k else seeds, max_iter=LLOYD_ITERS)
+    return nm.Parameter(centroids, name="centroids")

@@ -32,6 +32,8 @@ from .errors import IngestionError, ShapeError, SplitError
 from .rng import RngState
 from .sparse import CsrMatrix
 
+SPLIT_POLICIES = ("planetoid_style", "per_class")
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -50,7 +52,6 @@ class Graph:
     labels: np.ndarray | None
     class_count: int
     name: str = "graph"
-    has_self_loops: bool = False
 
     def __post_init__(self):
         if self.adjacency.rows != self.n or self.adjacency.cols != self.n:
@@ -112,7 +113,7 @@ def _symmetrize(n: int, pairs: set[tuple[int, int]]) -> CsrMatrix:
     vals = np.ones(len(rows))
     if not rows:
         return CsrMatrix.zeros(n, n)
-    return CsrMatrix.from_coo(n, n, rows, cols, vals, sum_duplicates=False)
+    return CsrMatrix.from_coo(n, n, rows, cols, vals)
 
 
 def _read_bytes(f: Path) -> bytes:
@@ -165,10 +166,9 @@ def _read_features(path: Path, n: int, d: int) -> np.ndarray:
     return feats
 
 
-def _read_edges(path: Path, n: int) -> tuple[set[tuple[int, int]], bool]:
+def _read_edges(path: Path, n: int) -> set[tuple[int, int]]:
     f = path / "edges.tsv"
     pairs: set[tuple[int, int]] = set()
-    has_loops = False
     for lineno, line in enumerate(read_text(f).split("\n"), start=1):
         if not line:
             continue
@@ -181,10 +181,8 @@ def _read_edges(path: Path, n: int) -> tuple[set[tuple[int, int]], bool]:
             raise IngestionError(f"{f}:{lineno}: non-integer node id") from e
         if not (0 <= i < n and 0 <= j < n):
             raise IngestionError(f"{f}:{lineno}: node id out of range [0, {n})")
-        if i == j:
-            has_loops = True
         pairs.add((min(i, j), max(i, j)))
-    return pairs, has_loops
+    return pairs
 
 
 def _read_labels(path: Path, n: int, k: int) -> np.ndarray | None:
@@ -229,7 +227,7 @@ def load_dataset(path, row_normalize: bool = True) -> Graph:
     meta = _read_meta(path)
     n, d, k = meta["n"], meta["d"], meta["k"]
     feats_raw = _read_features(path, n, d)
-    pairs, has_loops = _read_edges(path, n)
+    pairs = _read_edges(path, n)
     if len(pairs) != meta["m"]:
         raise IngestionError(
             f"{path / 'meta.json'}: m={meta['m']} but edges.tsv holds "
@@ -241,7 +239,6 @@ def load_dataset(path, row_normalize: bool = True) -> Graph:
         n=n, m=len(pairs), adjacency=adjacency,
         features=feats, features_raw=feats_raw,
         labels=labels, class_count=k, name=meta["name"],
-        has_self_loops=has_loops,
     )
 
 
@@ -330,16 +327,6 @@ def normalized_laplacian(g: Graph) -> CsrMatrix:
     return CsrMatrix.identity(g.n).add(neg)
 
 
-def transition_matrix(g: Graph, add_self_loops: bool = False) -> CsrMatrix:
-    """Row-stochastic D^-1 A (rows of isolated nodes stay zero)."""
-    a = g.adjacency
-    if add_self_loops:
-        a = a.add(CsrMatrix.identity(g.n))
-    deg = a.matmul_dense(np.ones((g.n, 1)))[:, 0]
-    dinv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    return a.scale_rows(dinv)
-
-
 def _class_pools(g: Graph, rng: RngState) -> dict[int, np.ndarray]:
     if g.labels is None:
         raise SplitError("cannot split an unlabeled graph")
@@ -367,7 +354,7 @@ def make_split(
     ``per_class`` takes ``per_class_train`` and ``per_class_val`` nodes per
     class, everything else labeled becomes test.
     """
-    if policy not in ("planetoid_style", "per_class"):
+    if policy not in SPLIT_POLICIES:
         raise SplitError(f"unknown split policy {policy!r}")
     pools = _class_pools(g, rng)
     need_val = per_class_val if policy == "per_class" else 0

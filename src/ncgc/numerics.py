@@ -413,7 +413,13 @@ def sum_all(x) -> Tensor:
 
 
 class AdamState:
-    """First/second moment buffers and step counter for a parameter set."""
+    """First/second moment buffers and the step counter for a parameter set.
+
+    The constructor rejects duplicate parameter names. A parameter that joins
+    later (the centroids, seeded after warmup) gets zero moments the first
+    time ``adam_step`` sees it, and its update is bias-corrected with the
+    shared step count.
+    """
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         params = list(params)
@@ -444,8 +450,10 @@ def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0) ->
             raise NumericError(f"non-finite gradient for parameter {p.name!r} at step {t}")
         if weight_decay:
             p.value *= 1.0 - lr * weight_decay
-        m = state.m[p.name]
-        v = state.v[p.name]
+        if p.name not in state.m:
+            state.m[p.name] = np.zeros_like(p.value)
+            state.v[p.name] = np.zeros_like(p.value)
+        m, v = state.m[p.name], state.v[p.name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

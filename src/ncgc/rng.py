@@ -42,6 +42,3 @@ class RngState:
 
     def permutation(self, x):
         return self._gen.permutation(x)
-
-    def shuffle(self, x) -> None:
-        self._gen.shuffle(x)

@@ -57,18 +57,13 @@ class CsrMatrix:
         return int(self.row_offsets[-1])
 
     @classmethod
-    def from_coo(cls, rows, cols, row_idx, col_idx, values, sum_duplicates=False) -> "CsrMatrix":
-        """Build from triplets. Duplicates are summed if requested, else an error."""
-        m = sp.coo_matrix(
-            (np.asarray(values, dtype=np.float64), (np.asarray(row_idx), np.asarray(col_idx))),
-            shape=(rows, cols),
-        )
-        if not sum_duplicates:
-            seen = set(zip(np.asarray(row_idx).tolist(), np.asarray(col_idx).tolist()))
-            if len(seen) != len(np.asarray(row_idx)):
-                raise ShapeError("duplicate coordinates in COO input")
-        csr = m.tocsr()
-        csr.sum_duplicates()
+    def from_coo(cls, rows, cols, row_idx, col_idx, values) -> "CsrMatrix":
+        """Build from triplets; duplicate coordinates are an error."""
+        row_idx, col_idx = np.asarray(row_idx), np.asarray(col_idx)
+        if len(set(zip(row_idx.tolist(), col_idx.tolist()))) != len(row_idx):
+            raise ShapeError("duplicate coordinates in COO input")
+        csr = sp.coo_matrix((np.asarray(values, dtype=np.float64), (row_idx, col_idx)),
+                            shape=(rows, cols)).tocsr()
         csr.sort_indices()
         return cls(rows, cols, csr.indptr, csr.indices, csr.data, _validate=False)
 
@@ -114,9 +109,6 @@ class CsrMatrix:
         if b.ndim != 2 or self.cols != b.shape[0]:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} CSR by {b.shape}")
         return np.asarray(self._scipy @ b)
-
-    def diagonal(self) -> np.ndarray:
-        return np.asarray(self._scipy.diagonal(), dtype=np.float64)
 
     def scale_rows(self, d: np.ndarray) -> "CsrMatrix":
         """Return diag(d) @ self."""

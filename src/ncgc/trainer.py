@@ -27,10 +27,10 @@ import numpy as np
 
 from . import numerics as nm
 from .clustering import (
-    ClusterState, PseudoLabels, init_centroids, kl_loss, pseudo_label_loss,
-    sinkhorn_pseudo_labels, soft_assign, target_distribution,
+    init_centroids, kl_loss, pseudo_label_loss, sinkhorn_pseudo_labels, soft_assign,
+    target_distribution,
 )
-from .errors import ContractError, NumericError, ParameterError
+from .errors import ContractError, NumericError, ParameterError, SplitError
 from .graph import Graph, Split, make_split, normalized_adjacency
 from .model import BACKBONES, ModelParams, feature_operator, forward, init_params, soc_penalty
 from .rng import RngState
@@ -121,11 +121,9 @@ class TrainReport:
     best_val: float = -1.0
     test_at_best_val: float = 0.0
     wall_time: float = 0.0
-    q_last: np.ndarray | None = None
-    psi_last: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
-        """Stable serialization; volatile fields (wall time, dumps) excluded."""
+        """Stable serialization; the volatile wall time is excluded."""
         return {
             "summary": {
                 "best_epoch": self.best_epoch,
@@ -196,13 +194,16 @@ def train(
     split: Split,
     hp: HyperParams,
     pseudo_label_mode: str = "sinkhorn",
-    capture_cluster_signals: bool = False,
-) -> tuple[ModelParams, ClusterState | None, TrainReport]:
+) -> tuple[ModelParams, nm.Parameter | None, TrainReport]:
     """Run one seeded training job and return the best-validation checkpoint.
 
+    Returns ``(params, centroids, report)``: the model parameters and the
+    ``"centroids"`` parameter at the best validation epoch (``centroids`` is
+    None when the KL loss never ran), and the per-epoch report.
     ``pseudo_label_mode`` is ``"sinkhorn"`` or ``"raw"`` (the latter feeds the
     detached predictions straight back as targets, used by the normalization
-    ablation).
+    ablation). A split that leaves no unlabeled node for a clustering loss
+    that needs one is a ``SplitError``.
     """
     if g.labels is None:
         raise ContractError("training requires node labels")
@@ -216,10 +217,13 @@ def train(
     centroid_rng = rng.derive("centroids")
 
     adam = nm.AdamState(params.all_parameters())
-    cluster_state: ClusterState | None = None
+    centroids: nm.Parameter | None = None
     clustering_wanted = hp.lambda_kl > 0 or hp.lambda_pl > 0
     u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
     kl_scope_idx = np.arange(g.n) if hp.kl_scope == "all" else u_idx
+    if (hp.lambda_pl > 0 and u_idx.size == 0) or (hp.lambda_kl > 0 and kl_scope_idx.size == 0):
+        raise SplitError(f"the training split covers all {g.n} nodes, leaving no unlabeled "
+                         f"node for the clustering loss")
 
     report = TrainReport()
     best_values: dict[str, np.ndarray] | None = None
@@ -231,37 +235,30 @@ def train(
         in_warmup = epoch < hp.warmup_epochs
         clustering_on = clustering_wanted and not in_warmup
 
-        if clustering_on and hp.lambda_kl > 0 and cluster_state is None:
+        if clustering_on and hp.lambda_kl > 0 and centroids is None:
             h_now, _ = forward(x, a_tilde, params, hp, RngState(0), training=False)
-            cluster_state = init_centroids(h_now.value, g.class_count, centroid_rng)
-            adam.m[cluster_state.centroids.name] = np.zeros_like(cluster_state.centroids.value)
-            adam.v[cluster_state.centroids.name] = np.zeros_like(cluster_state.centroids.value)
+            centroids = init_centroids(h_now.value, g.class_count, centroid_rng)
 
         trainable = list(params.all_parameters())
-        if cluster_state is not None:
-            trainable.append(cluster_state.centroids)
+        if centroids is not None:
+            trainable.append(centroids)
         for p in trainable:
             p.zero_grad()
 
         l_kl = l_pl = None
-        q_vals = psi_vals = None
         tape = nm.Tape()
         with tape:
             h, logits = forward(x, a_tilde, params, hp, drop_rng, training=True)
             l_class = class_loss(logits, g.labels, split.train_idx)
             if clustering_on:
                 if hp.lambda_kl > 0:
-                    q = soft_assign(h, cluster_state)
-                    q_vals = q.value.copy()
-                    p_target = target_distribution(q_vals)
+                    q = soft_assign(h, centroids)
+                    p_target = target_distribution(q.value)
                     l_kl = kl_loss(p_target, q, kl_scope_idx)
                 if hp.lambda_pl > 0:
                     psi_detached = nm.softmax_rows(logits.value).value[u_idx]
-                    if pseudo_label_mode == "sinkhorn":
-                        psi = sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
-                    else:
-                        psi = PseudoLabels(psi=psi_detached, sinkhorn_iterations_used=0)
-                    psi_vals = psi.psi
+                    psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
+                           if pseudo_label_mode == "sinkhorn" else psi_detached)
                     l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
             total = total_loss(l_class, l_kl, l_pl, hp, in_warmup)
 
@@ -287,19 +284,13 @@ def train(
             test_acc=test_acc,
             soc=_soc_diagnostic(h_ev.value),
         ))
-        if capture_cluster_signals:
-            if q_vals is not None:
-                report.q_last = q_vals
-            if psi_vals is not None:
-                report.psi_last = psi_vals
 
         if val_acc > report.best_val:
             report.best_val = val_acc
             report.best_epoch = epoch
             report.test_at_best_val = test_acc
             best_values = params.named_values()
-            best_centroids = (cluster_state.centroids.value.copy()
-                              if cluster_state is not None else None)
+            best_centroids = centroids.value.copy() if centroids is not None else None
             since_improve = 0
         else:
             since_improve += 1
@@ -308,10 +299,10 @@ def train(
 
     if best_values is not None:
         params.load_values(best_values)
-    if cluster_state is not None and best_centroids is not None:
-        cluster_state.centroids.value = best_centroids
+    if centroids is not None and best_centroids is not None:
+        centroids.value = best_centroids
     report.wall_time = time.perf_counter() - t0
-    return params, cluster_state, report
+    return params, centroids, report
 
 
 @dataclass
@@ -321,7 +312,7 @@ class SeedStats:
     mean: float
     std: float
     reports: list[TrainReport]
-    artifacts: list[tuple[ModelParams, ClusterState | None, Split]]
+    artifacts: list[tuple[ModelParams, nm.Parameter | None, Split]]
 
 
 def run_seeds(

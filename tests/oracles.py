@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 
+from ncgc.sparse import CsrMatrix
+
 
 def loop_matmul(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -181,3 +183,13 @@ def subspace_angle(q, v):
     """Sine of the largest principal angle between the column spans of q and v."""
     su = np.linalg.svd(np.asarray(q).T @ np.asarray(v), compute_uv=False)
     return float(np.sqrt(max(0.0, 1.0 - min(su) ** 2)))
+
+
+def transition_matrix(g, add_self_loops: bool = False):
+    """Row-stochastic D^-1 A as a CsrMatrix (rows of isolated nodes stay zero)."""
+    a = g.adjacency
+    if add_self_loops:
+        a = a.add(CsrMatrix.identity(g.n))
+    deg = a.matmul_dense(np.ones((g.n, 1)))[:, 0]
+    dinv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    return a.scale_rows(dinv)

@@ -195,17 +195,17 @@ def test_criterion_7_sinkhorn_properties():
         preds = _softmax(rng.normal((n, k)) * 2)
 
         shifted = preds + rng.normal((n, 1))
-        a = sinkhorn_pseudo_labels(preds, 0.05, 200).psi
-        b = sinkhorn_pseudo_labels(shifted, 0.05, 200).psi
+        a = sinkhorn_pseudo_labels(preds, 0.05, 200)
+        b = sinkhorn_pseudo_labels(shifted, 0.05, 200)
         assert np.abs(a - b).max() < 1e-8
 
-        const = sinkhorn_pseudo_labels(np.full((n, k), 1.0 / k), 0.05, 5).psi
+        const = sinkhorn_pseudo_labels(np.full((n, k), 1.0 / k), 0.05, 5)
         assert np.abs(const - 1.0 / k).max() < 1e-12
 
-        large = sinkhorn_pseudo_labels(preds, 1e6, 10).psi
+        large = sinkhorn_pseudo_labels(preds, 1e6, 10)
         assert np.abs(large - 1.0 / k).max() < 1e-6
 
-        log_dom = sinkhorn_pseudo_labels(preds, 0.05, 30).psi
+        log_dom = sinkhorn_pseudo_labels(preds, 0.05, 30)
         direct = sinkhorn_loop(preds, 0.05, 30)
         assert np.abs(log_dom - direct).max() < 1e-8
     print("ACCEPTANCE 7 (sinkhorn properties): PASS marginals/shift/symmetry/"
@@ -249,7 +249,7 @@ def test_criterion_8_gradient_suite():
             lp = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
             return total_loss(lc, lk, lp, hp, in_warmup=False)
 
-        trainable = params.all_parameters() + [cstate.centroids]
+        trainable = params.all_parameters() + [cstate]
         for p in trainable:
             p.zero_grad()
         tape = nm.Tape()

@@ -388,6 +388,11 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     pytest.param("sweep", ["--axis", "dropout", "--values", "0.5,1.5"], "dropout",
                  id="sweep-second-value"),
     pytest.param("evaluate", ["--backbone", "foo"], "backbone", id="evaluate-backbone"),
+    pytest.param("train", ["--split-policy", "bogus"], "split-policy", id="train-split-policy"),
+    pytest.param("train", ["--runs", "0"], "runs", id="train-runs-0"),
+    pytest.param("ablate", ["--runs", "0"], "runs", id="ablate-runs-0"),
+    pytest.param("sweep", ["--axis", "lr", "--values", "0.01", "--split-policy", "bogus"],
+                 "split-policy", id="sweep-split-policy"),
 ])
 def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
                                                       command, extra, field):
@@ -403,6 +408,19 @@ def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
               if line.startswith("error:")]
     assert len(errors) == 1 and field in errors[0]
     assert not out.exists()
+
+
+def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):
+    # 10 training nodes per class on a 2 x 10 SBM leave no unlabeled node for
+    # the pseudo-label loss
+    out = tmp_path / "o"
+    args = ["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+            "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
+    assert main(args + ["--train-per-class", "10", "--val-per-class", "0"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "unlabeled" in errors[0]
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("axis, values, header", [

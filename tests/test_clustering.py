@@ -3,9 +3,8 @@ import pytest
 
 import ncgc.numerics as nm
 from ncgc.clustering import (
-    ClusterState, PseudoLabels, init_centroids, kl_loss, pseudo_label_loss,
-    sinkhorn_pseudo_labels, sinkhorn_transport_plan, soft_assign,
-    target_distribution,
+    init_centroids, kl_loss, pseudo_label_loss, sinkhorn_pseudo_labels,
+    sinkhorn_transport_plan, soft_assign, target_distribution,
 )
 from ncgc.errors import ContractError, ParameterError
 from ncgc.rng import RngState
@@ -16,8 +15,7 @@ from oracles import (
 
 
 def make_state(centroids):
-    return ClusterState(nm.Parameter(np.asarray(centroids, dtype=float), name="centroids"),
-                        initialized=True)
+    return nm.Parameter(np.asarray(centroids, dtype=float), name="centroids")
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +43,6 @@ def test_soft_assign_rows_sum_to_one_and_positive():
     assert q.value.min() > 0
 
 
-def test_soft_assign_requires_initialized_state():
-    state = ClusterState(nm.Parameter(np.zeros((2, 2)), name="centroids"), initialized=False)
-    with pytest.raises(ContractError):
-        soft_assign(nm.Tensor(np.zeros((1, 2))), state)
-
-
 def test_soft_assign_gradient_wrt_embeddings_and_centroids():
     rng = RngState(1)
     h0 = rng.normal((3, 2))
@@ -58,7 +50,7 @@ def test_soft_assign_gradient_wrt_embeddings_and_centroids():
     w = rng.normal((3, 2))
 
     def build(h, c):
-        state = ClusterState(c, initialized=True)
+        state = c
         return nm.sum_all(nm.mul(soft_assign(h, state), w))
 
     params = [nm.Parameter(h0.copy(), name="h"), nm.Parameter(c0.copy(), name="c")]
@@ -69,7 +61,7 @@ def test_soft_assign_gradient_wrt_embeddings_and_centroids():
 
     def value(arrays):
         t = [nm.Tensor(a) for a in arrays]
-        state = ClusterState(nm.Parameter(arrays[1], name="c"), initialized=True)
+        state = nm.Parameter(arrays[1], name="c")
         return nm.sum_all(nm.mul(soft_assign(t[0], state), w)).item()
 
     fd = finite_difference_grads(value, [h0.copy(), c0.copy()])
@@ -165,21 +157,21 @@ def softmax(x):
 
 
 def test_sinkhorn_constant_input_gives_uniform():
-    psi = sinkhorn_pseudo_labels(np.full((6, 4), 0.25), 0.05, 3).psi
+    psi = sinkhorn_pseudo_labels(np.full((6, 4), 0.25), 0.05, 3)
     assert np.abs(psi - 0.25).max() < 1e-12
 
 
 def test_sinkhorn_large_epsilon_limit():
     rng = RngState(40)
     preds = softmax(rng.normal((10, 5)))
-    psi = sinkhorn_pseudo_labels(preds, 1e6, 10).psi
+    psi = sinkhorn_pseudo_labels(preds, 1e6, 10)
     assert np.abs(psi - 0.2).max() < 1e-6
 
 
 def test_sinkhorn_matches_straight_loop_oracle():
     preds = np.array([[0.9, 0.1], [0.2, 0.8]])
     expected = sinkhorn_loop(preds, 0.04, 50)
-    psi = sinkhorn_pseudo_labels(preds, 0.04, 50).psi
+    psi = sinkhorn_pseudo_labels(preds, 0.04, 50)
     assert np.abs(psi - expected).max() < 1e-8
 
 
@@ -187,8 +179,8 @@ def test_sinkhorn_row_shift_invariance():
     rng = RngState(41)
     preds = softmax(rng.normal((8, 3)))
     shifted = preds + rng.normal((8, 1))  # per-row constant on the inputs
-    a = sinkhorn_pseudo_labels(preds, 0.05, 200).psi
-    b = sinkhorn_pseudo_labels(shifted, 0.05, 200).psi
+    a = sinkhorn_pseudo_labels(preds, 0.05, 200)
+    b = sinkhorn_pseudo_labels(shifted, 0.05, 200)
     assert np.abs(a - b).max() < 1e-8
 
 
@@ -204,7 +196,7 @@ def test_sinkhorn_log_and_direct_domains_agree():
     rng = RngState(43)
     for _ in range(10):
         preds = softmax(rng.normal((12, 4)))
-        a = sinkhorn_pseudo_labels(preds, 0.05, 30).psi
+        a = sinkhorn_pseudo_labels(preds, 0.05, 30)
         b = sinkhorn_loop(preds, 0.05, 30)
         assert np.abs(a - b).max() < 1e-8
 
@@ -212,7 +204,7 @@ def test_sinkhorn_log_and_direct_domains_agree():
 def test_sinkhorn_log_domain_survives_tiny_epsilon():
     rng = RngState(44)
     preds = softmax(rng.normal((10, 4)) * 10)
-    psi = sinkhorn_pseudo_labels(preds, 0.003, 5).psi
+    psi = sinkhorn_pseudo_labels(preds, 0.003, 5)
     assert np.isfinite(psi).all()
     assert np.abs(psi.sum(axis=1) - 1.0).max() < 1e-8
 
@@ -222,7 +214,7 @@ def test_sinkhorn_entropy_grows_with_epsilon():
     preds = softmax(rng.normal((12, 4)) * 3)
     entropies = []
     for eps in (0.01, 0.04, 0.1, 1.0):
-        psi = sinkhorn_pseudo_labels(preds, eps, 100).psi
+        psi = sinkhorn_pseudo_labels(preds, eps, 100)
         entropies.append(float(-(psi * np.log(psi + 1e-300)).sum(axis=1).mean()))
     assert all(a < b + 1e-12 for a, b in zip(entropies, entropies[1:]))
 
@@ -240,7 +232,7 @@ def test_sinkhorn_rejects_bad_arguments():
 def test_sinkhorn_row_sums_exact_even_at_small_t():
     rng = RngState(46)
     preds = softmax(rng.normal((9, 3)))
-    psi = sinkhorn_pseudo_labels(preds, 0.04, 3).psi
+    psi = sinkhorn_pseudo_labels(preds, 0.04, 3)
     assert np.abs(psi.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -250,24 +242,32 @@ def test_sinkhorn_row_sums_exact_even_at_small_t():
 
 def test_pseudo_label_loss_perfect_match_is_zero():
     one_hot = np.eye(3)[[0, 2, 1]]
-    psi = PseudoLabels(psi=one_hot, sinkhorn_iterations_used=1)
+    psi = one_hot
     # live predictions nearly one-hot via softmax of strong logits
     logits = nm.Tensor(one_hot * 50.0)
     assert pseudo_label_loss(psi, logits).item() < 1e-12
 
 
 def test_pseudo_label_loss_one_hot_vs_uniform():
-    psi = PseudoLabels(psi=np.array([[0.0, 1.0, 0.0, 0.0]]), sinkhorn_iterations_used=1)
+    psi = np.array([[0.0, 1.0, 0.0, 0.0]])
     logits = nm.Tensor(np.zeros((1, 4)))
     assert pseudo_label_loss(psi, logits).item() == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_pseudo_label_loss_finite_when_probability_underflows():
     # exp(-800) underflows to zero; the log-softmax of the logits does not
-    psi = PseudoLabels(psi=np.array([[0.0, 1.0]]), sinkhorn_iterations_used=1)
+    psi = np.array([[0.0, 1.0]])
     loss = pseudo_label_loss(psi, nm.Tensor([[0.0, -800.0]]))
     assert np.isfinite(loss.value).all()
     assert abs(loss.item() - 800.0) < 1e-9
+
+
+def test_pseudo_label_loss_rejects_attached_or_negative_targets():
+    logits = nm.Tensor(np.zeros((1, 2)))
+    with pytest.raises(ContractError, match="detached"):
+        pseudo_label_loss(nm.Tensor([[0.5, 0.5]]), logits)
+    with pytest.raises(ContractError, match="non-negative"):
+        pseudo_label_loss(np.array([[1.5, -0.5]]), logits)
 
 
 def test_pseudo_label_loss_matches_loop_oracle():
@@ -276,7 +276,7 @@ def test_pseudo_label_loss_matches_loop_oracle():
     targets /= targets.sum(axis=1, keepdims=True)
     logits = rng.normal((5, 3))
     live = nm.softmax_rows(nm.Tensor(logits))
-    psi = PseudoLabels(psi=targets, sinkhorn_iterations_used=1)
+    psi = targets
     got = pseudo_label_loss(psi, nm.Tensor(logits)).item()
     expected = loop_cross_entropy(targets, live.value)
     assert abs(got - expected) < 1e-12
@@ -285,7 +285,7 @@ def test_pseudo_label_loss_matches_loop_oracle():
 def test_pseudo_label_loss_gradient_reaches_logits_only():
     rng = RngState(51)
     logits0 = rng.normal((4, 3))
-    targets = sinkhorn_pseudo_labels(softmax(logits0), 0.1, 20).psi
+    targets = sinkhorn_pseudo_labels(softmax(logits0), 0.1, 20)
     w = nm.Parameter(logits0.copy(), name="logits")
     tape = nm.Tape()
     with tape:
@@ -294,12 +294,12 @@ def test_pseudo_label_loss_gradient_reaches_logits_only():
         _ = sinkhorn_pseudo_labels(softmax(logits0), 0.1, 20)
         _ = target_distribution(softmax(logits0))
         assert len(tape) == nodes_before_targets
-        loss = pseudo_label_loss(PseudoLabels(targets, 20), w)
+        loss = pseudo_label_loss(targets, w)
     nm.backward(tape, loss)
     assert np.abs(w.grad).max() > 0
 
     def value(arrays):
-        return pseudo_label_loss(PseudoLabels(targets, 20), nm.Tensor(arrays[0])).item()
+        return pseudo_label_loss(targets, nm.Tensor(arrays[0])).item()
 
     fd = finite_difference_grads(value, [logits0.copy()])
     assert rel_error(w.grad, fd[0]) < 1e-4
@@ -313,8 +313,8 @@ def test_init_centroids_recovers_distinct_repeated_rows():
     base = np.array([[0.0, 0.0], [5.0, 5.0], [-4.0, 3.0]])
     h = np.repeat(base, 4, axis=0)
     state = init_centroids(h, 3, RngState(60))
-    assert state.initialized
-    got = state.centroids.value[np.lexsort(state.centroids.value.T)]
+    assert state.name == "centroids"
+    got = state.value[np.lexsort(state.value.T)]
     want = base[np.lexsort(base.T)]
     assert np.allclose(got, want, atol=1e-12)
 
@@ -324,9 +324,9 @@ def test_init_centroids_seed_contract():
     h = rng_h.normal((20, 3))
     a = init_centroids(h, 4, RngState(1))
     b = init_centroids(h, 4, RngState(2))
-    assert a.centroids.value.shape == b.centroids.value.shape == (4, 3)
+    assert a.value.shape == b.value.shape == (4, 3)
     c = init_centroids(h, 4, RngState(1))
-    assert np.array_equal(a.centroids.value, c.centroids.value)
+    assert np.array_equal(a.value, c.value)
 
 
 def test_init_centroids_wcss_matches_brute_force_on_separable():
@@ -334,7 +334,7 @@ def test_init_centroids_wcss_matches_brute_force_on_separable():
     centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
     h = np.vstack([c + 0.05 * rng.normal((3, 2)) for c in centers])
     state = init_centroids(h, 3, RngState(63))
-    d = ((h[:, None, :] - state.centroids.value[None, :, :]) ** 2).sum(-1)
+    d = ((h[:, None, :] - state.value[None, :, :]) ** 2).sum(-1)
     wcss = d.min(axis=1).sum()
     assert wcss <= best_partition_wcss(h, 3) + 1e-9
 
@@ -342,8 +342,8 @@ def test_init_centroids_wcss_matches_brute_force_on_separable():
 def test_init_centroids_pads_when_fewer_distinct_rows():
     h = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
     state = init_centroids(h, 4, RngState(64))
-    assert state.centroids.value.shape == (4, 2)
-    assert np.isfinite(state.centroids.value).all()
+    assert state.value.shape == (4, 2)
+    assert np.isfinite(state.value).all()
 
 
 def test_init_centroids_requires_enough_rows():

@@ -6,11 +6,12 @@ import pytest
 from ncgc.errors import IngestionError, ShapeError, SplitError
 from ncgc.graph import (
     Graph, Split, load_dataset, load_split, make_split, normalized_adjacency,
-    normalized_laplacian, row_l1_normalize, transition_matrix, write_dataset,
+    normalized_laplacian, row_l1_normalize, write_dataset,
 )
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
+from oracles import transition_matrix
 
 
 def write_triangle(path, n=3, m=3, d=2, k=2, edges="0\t1\n0\t2\n1\t2\n",

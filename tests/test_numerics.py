@@ -233,6 +233,26 @@ def test_adam_rejects_non_finite_gradient():
         nm.adam_step([p], state, lr=0.1)
 
 
+def test_adam_late_parameter_gets_zero_moments_and_shared_step():
+    w = make_param()
+    state = nm.AdamState([w])
+    nm.adam_step([w], state, lr=0.1)
+    nm.adam_step([w], state, lr=0.1)
+    late = nm.Parameter(np.zeros((1, 2)), name="late")
+    late.grad[...] = np.array([[2.0, -4.0]])
+    nm.adam_step([w, late], state, lr=0.1)
+    # zero moments, then one update: m = (1-b1) g, v = (1-b2) g^2, bias-corrected
+    # with the shared step count t = 3, not with the late parameter's first step
+    b1, b2, t = state.beta1, state.beta2, 3
+    g = np.array([[2.0, -4.0]])
+    mhat = (1 - b1) * g / (1 - b1 ** t)
+    vhat = (1 - b2) * g * g / (1 - b2 ** t)
+    assert np.allclose(state.m["late"], (1 - b1) * g, rtol=0, atol=1e-15)
+    assert np.allclose(state.v["late"], (1 - b2) * g * g, rtol=0, atol=1e-15)
+    assert np.allclose(late.value, -0.1 * mhat / (np.sqrt(vhat) + state.eps),
+                       rtol=1e-14, atol=0)
+
+
 def run_training_steps(seed, n_steps=10):
     rng = RngState(seed)
     x = rng.normal((6, 4))
