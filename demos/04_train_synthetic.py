@@ -6,7 +6,7 @@ signals carry most of the information, so the gap between the full method
 and its ablations is visible within seconds.
 """
 
-from ncgc.graph import make_split, normalized_adjacency
+from ncgc.graph import make_split
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams, run_seeds, train
@@ -21,10 +21,9 @@ hp = HyperParams(seed=0, beta=0.005, hidden_dim=32, layers=2, dropout=0.3,
 counts = dict(per_class_train=2, per_class_val=5, val_total=0, test_total=0)
 
 # one run, with the loss trajectory
-a_tilde = normalized_adjacency(g)
 split = make_split(g, "per_class", RngState(0).derive("split"), per_class_train=2,
                    per_class_val=5)
-params, cluster_state, report = train(g, a_tilde, split, hp)
+params, centroids, report = train(g, split, hp)
 print("epoch  l_class  l_kl    l_pl    val    test")
 for r in report.epochs[:: max(1, len(report.epochs) // 8)]:
     print(f"{r.epoch:5d}  {r.l_class:.4f}  {r.l_kl:.4f}  {r.l_pl:.4f}  "

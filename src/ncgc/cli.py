@@ -13,7 +13,12 @@ flag, reported before any dataset is read or any output is written.
 Options can come from a flat ``key = value`` config file (``#`` comments);
 explicit flags win over file values, and the fully resolved configuration is
 echoed into the output directory as ``config.resolved`` so any run can be
-reproduced bit-for-bit from its own artifacts.
+reproduced from its own artifacts.
+
+``train`` writes ``checkpoint.bin``, the ``named_values()`` of the first run's
+best-validation ``ModelParams`` (centroids included once seeded); ``evaluate``
+loads it into freshly built parameters and scores one ``trainer.predict``
+pass, whose normalized adjacency follows ``--self-loops`` as in training.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
 4 bad flags (including out-of-range hyperparameter values, an unknown split
@@ -32,7 +37,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import numerics as nm
 from .clustering import sinkhorn_pseudo_labels, soft_assign
 from .errors import (
     ContractError, IngestionError, NcgcError, NumericError, ParameterError,
@@ -41,10 +45,10 @@ from .errors import (
 from .graph import (
     SPLIT_POLICIES, load_dataset, load_split, normalized_adjacency, read_text, write_split,
 )
-from .model import feature_operator, forward, init_params, load_checkpoint, save_checkpoint
+from .model import feature_operator, init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
-from .trainer import VARIANTS, HyperParams, accuracy, apply_variant, run_seeds
+from .trainer import VARIANTS, HyperParams, accuracy, apply_variant, predict, run_seeds
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -264,14 +268,11 @@ def cmd_train(resolved: dict) -> int:
         "per_run": [r.to_json_dict() for r in stats.reports],
     }, out / "report.json")
     _write_epochs_csv(out / "epochs.csv", stats.reports)
-    params, centroids, split0 = stats.artifacts[0]
-    named = params.named_values()
-    if centroids is not None:
-        named["centroids"] = centroids.value.copy()
-    save_checkpoint(out / "checkpoint.bin", named)
+    params, split0 = stats.artifacts[0]
+    save_checkpoint(out / "checkpoint.bin", params.named_values())
     write_split(split0, out)
     if resolved["dump-cluster-signals"]:
-        _dump_cluster_signals(g, hp, params, centroids, out)
+        _dump_cluster_signals(g, hp, params, out)
     wall = sum(r.wall_time for r in stats.reports)
     print(f"dataset={g.name} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
           f"runs={resolved['runs']}")
@@ -280,17 +281,15 @@ def cmd_train(resolved: dict) -> int:
 
 
 def _eval_forward(g, params, hp: HyperParams):
-    """One eval-mode forward over the whole graph: embeddings and class probabilities."""
+    """``trainer.predict`` over the whole graph, as built for training from ``hp``."""
     a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
-    h, logits = forward(feature_operator(g.features), a_tilde, params, hp, RngState(0),
-                        training=False)
-    return h, nm.softmax_rows(logits.value).value
+    return predict(feature_operator(g.features), a_tilde, params, hp)
 
 
-def _dump_cluster_signals(g, hp: HyperParams, params, centroids, out: Path) -> None:
+def _dump_cluster_signals(g, hp: HyperParams, params, out: Path) -> None:
     h, y = _eval_forward(g, params, hp)
-    if centroids is not None:
-        q = soft_assign(h, centroids).value
+    if params.centroids is not None:
+        q = soft_assign(h, params.centroids).value
         np.savetxt(out / "q.tsv", q, delimiter="\t")
     psi = sinkhorn_pseudo_labels(y, hp.epsilon, hp.sinkhorn_t)
     np.savetxt(out / "psi.tsv", psi, delimiter="\t")
@@ -307,9 +306,7 @@ def cmd_evaluate(resolved: dict) -> int:
     if split is None:
         raise IngestionError(f"{split_dir}: no split files found for evaluation")
     params = init_params(hp, g.feature_dim, g.class_count, RngState(hp.seed).derive("init"))
-    named = load_checkpoint(resolved["checkpoint"])
-    named.pop("centroids", None)
-    params.load_values(named)
+    params.load_values(load_checkpoint(resolved["checkpoint"]))
     _, y = _eval_forward(g, params, hp)
     accs = {name: accuracy(y, g.labels, idx)
             for name, idx in (("train", split.train_idx), ("val", split.val_idx),

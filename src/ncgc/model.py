@@ -14,6 +14,10 @@ log-softmax, and detached probabilities are their row-wise softmax.
 The model's settings (backbone, depth, width, beta, dropout, the APPNP
 knobs, the input transform) are read from a ``trainer.HyperParams``, which
 validates them; every function here that takes a ``config`` takes one.
+
+``ModelParams`` holds every trainable parameter of a run, the clustering
+centroids included once they are seeded; a checkpoint is its
+``named_values()``.
 """
 
 from __future__ import annotations
@@ -36,12 +40,18 @@ BACKBONES = ("gcn", "appnp")
 
 
 class ModelParams:
-    """Trainable weights: input transform, per-layer matrices, prototype head."""
+    """Trainable weights: input transform, per-layer matrices, prototype head.
+
+    ``centroids`` is the clustering head's ``"centroids"`` parameter, None
+    until it is seeded; once set it comes last in ``all_parameters()``.
+    ``forward`` does not read it.
+    """
 
     def __init__(self, input_weights, layer_weights, w_proto):
         self.input_weights = list(input_weights)  # [(w, b), ...]
         self.layer_weights = list(layer_weights)
         self.w_proto = w_proto
+        self.centroids: nm.Parameter | None = None
 
     def all_parameters(self) -> list[nm.Parameter]:
         out = []
@@ -49,6 +59,8 @@ class ModelParams:
             out += [w, b]
         out += self.layer_weights
         out.append(self.w_proto)
+        if self.centroids is not None:
+            out.append(self.centroids)
         return out
 
     def named_values(self) -> dict[str, np.ndarray]:
@@ -91,28 +103,24 @@ def init_params(config: HyperParams, input_dim: int, class_count: int,
     return ModelParams(input_weights, layer_weights, w_proto)
 
 
-def backbone_propagate(
-    a_tilde: CsrMatrix,
-    z,
-    backbone: str,
-    appnp_alpha: float = 0.1,
-    appnp_hops: int = 10,
-):
-    """Apply the propagation operator to z; linear and differentiable in z.
+def backbone_propagate(a_tilde: CsrMatrix, z, config: HyperParams):
+    """Apply ``config.backbone`` to z; linear and differentiable in z.
 
     ``gcn`` is a single normalized-adjacency hop. ``appnp`` runs the
-    personalized-propagation recurrence x <- (1-a) A x + a z for the given
-    hop count, whose hop coefficients sum to one.
+    personalized-propagation recurrence x <- (1-a) A x + a z with
+    a = ``config.appnp_alpha`` for ``config.appnp_hops`` hops, whose hop
+    coefficients sum to one.
     """
-    if backbone == "gcn":
+    if config.backbone == "gcn":
         return nm.sparse_dense_matmul(a_tilde, z)
-    if backbone == "appnp":
+    if config.backbone == "appnp":
+        alpha = config.appnp_alpha
         h = z
-        for _ in range(appnp_hops):
-            h = nm.add(nm.scale(nm.sparse_dense_matmul(a_tilde, h), 1.0 - appnp_alpha),
-                       nm.scale(z, appnp_alpha))
+        for _ in range(config.appnp_hops):
+            h = nm.add(nm.scale(nm.sparse_dense_matmul(a_tilde, h), 1.0 - alpha),
+                       nm.scale(z, alpha))
         return h
-    raise ParameterError(f"unknown backbone {backbone!r}")
+    raise ParameterError(f"unknown backbone {config.backbone!r}")
 
 
 def sogn_layer(
@@ -131,7 +139,7 @@ def sogn_layer(
     """
     x = nm.dropout(h, config.dropout, rng, training)
     z = nm.matmul(x, w)
-    out = backbone_propagate(a_tilde, z, config.backbone, config.appnp_alpha, config.appnp_hops)
+    out = backbone_propagate(a_tilde, z, config)
     if config.beta != 0.0:
         zn = nm.column_l2_normalize(z)
         corr = nm.matmul(zn, nm.matmul(nm.transpose(zn), z))

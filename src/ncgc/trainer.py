@@ -8,6 +8,13 @@ loss, and takes one Adam step. Model selection is the checkpoint at the best
 validation accuracy; training stops early after ``patience`` epochs without
 improvement.
 
+A run is its graph, its split and its ``HyperParams``: ``train`` builds the
+normalized adjacency (with or without self-loops, as ``hp.self_loops`` says)
+and the feature operator itself. Its ``ModelParams`` carry every trainable
+parameter, the centroids included once seeded, so one snapshot and one
+restore of ``named_values()`` select the best-validation checkpoint.
+``predict`` is the one evaluation-mode pass.
+
 ``HyperParams`` is the one configuration of a run, model settings included:
 its constructor rejects every out-of-range value, and the same object is
 passed whole from the CLI down to each model layer.
@@ -34,7 +41,6 @@ from .errors import ContractError, NumericError, ParameterError, SplitError
 from .graph import Graph, Split, make_split, normalized_adjacency
 from .model import BACKBONES, ModelParams, feature_operator, forward, init_params, soc_penalty
 from .rng import RngState
-from .sparse import CsrMatrix
 
 VARIANTS = ("full", "no_soc", "no_kl", "no_pl", "no_skn")
 
@@ -167,12 +173,14 @@ def total_loss(l_class, l_kl, l_pl, hp: HyperParams, in_warmup: bool) -> "nm.Ten
     return total
 
 
-def evaluate(params: ModelParams, g: Graph, a_tilde: CsrMatrix, idx,
-             hp: HyperParams) -> float:
-    """Accuracy of argmax predictions on the given nodes (ties pick lowest class)."""
-    x = feature_operator(g.features)
-    _, logits = forward(x, a_tilde, params, hp, RngState(0), training=False)
-    return accuracy(nm.softmax_rows(logits.value).value, g.labels, idx)
+def predict(x, a_tilde, params: ModelParams, hp: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation-mode forward (no dropout): the embedding H and the predictions Y'.
+
+    ``x`` is the output of ``feature_operator``; Y' is the row-wise softmax of
+    the logits. Both are plain arrays.
+    """
+    h, logits = forward(x, a_tilde, params, hp, RngState(0), training=False)
+    return h.value, nm.softmax_rows(logits.value).value
 
 
 def accuracy(y_values: np.ndarray, labels, idx) -> float:
@@ -190,20 +198,20 @@ def _soc_diagnostic(h: np.ndarray) -> float:
 
 def train(
     g: Graph,
-    a_tilde: CsrMatrix,
     split: Split,
     hp: HyperParams,
     pseudo_label_mode: str = "sinkhorn",
 ) -> tuple[ModelParams, nm.Parameter | None, TrainReport]:
     """Run one seeded training job and return the best-validation checkpoint.
 
-    Returns ``(params, centroids, report)``: the model parameters and the
-    ``"centroids"`` parameter at the best validation epoch (``centroids`` is
-    None when the KL loss never ran), and the per-epoch report.
-    ``pseudo_label_mode`` is ``"sinkhorn"`` or ``"raw"`` (the latter feeds the
-    detached predictions straight back as targets, used by the normalization
-    ablation). A split that leaves no unlabeled node for a clustering loss
-    that needs one is a ``SplitError``.
+    Returns ``(params, params.centroids, report)``: the parameters at the best
+    validation epoch, their centroids (None when the KL loss never ran; when
+    the best epoch comes before the centroids are seeded, they keep their last
+    values) and the per-epoch report. ``pseudo_label_mode`` is ``"sinkhorn"``
+    or ``"raw"`` (the latter feeds the detached predictions straight back as
+    targets, used by the normalization ablation). A split that leaves no
+    unlabeled node for a clustering loss that needs one, or an empty
+    validation or test set, is a ``SplitError``.
     """
     if g.labels is None:
         raise ContractError("training requires node labels")
@@ -217,33 +225,30 @@ def train(
     centroid_rng = rng.derive("centroids")
 
     adam = nm.AdamState(params.all_parameters())
-    centroids: nm.Parameter | None = None
     clustering_wanted = hp.lambda_kl > 0 or hp.lambda_pl > 0
     u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
     kl_scope_idx = np.arange(g.n) if hp.kl_scope == "all" else u_idx
     if (hp.lambda_pl > 0 and u_idx.size == 0) or (hp.lambda_kl > 0 and kl_scope_idx.size == 0):
         raise SplitError(f"the training split covers all {g.n} nodes, leaving no unlabeled "
                          f"node for the clustering loss")
+    for name, idx in (("validation", split.val_idx), ("test", split.test_idx)):
+        if len(idx) == 0:
+            raise SplitError(f"the {name} set is empty")
 
     report = TrainReport()
-    best_values: dict[str, np.ndarray] | None = None
-    best_centroids: np.ndarray | None = None
+    best_values: dict[str, np.ndarray] = {}
     since_improve = 0
+    a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
     x = feature_operator(g.features)
 
     for epoch in range(hp.epochs):
         in_warmup = epoch < hp.warmup_epochs
         clustering_on = clustering_wanted and not in_warmup
 
-        if clustering_on and hp.lambda_kl > 0 and centroids is None:
-            h_now, _ = forward(x, a_tilde, params, hp, RngState(0), training=False)
-            centroids = init_centroids(h_now.value, g.class_count, centroid_rng)
-
-        trainable = list(params.all_parameters())
-        if centroids is not None:
-            trainable.append(centroids)
-        for p in trainable:
-            p.zero_grad()
+        if clustering_on and hp.lambda_kl > 0 and params.centroids is None:
+            h_now, _ = predict(x, a_tilde, params, hp)
+            params.centroids = init_centroids(h_now, g.class_count, centroid_rng)
+        params.zero_grads()
 
         l_kl = l_pl = None
         tape = nm.Tape()
@@ -252,7 +257,7 @@ def train(
             l_class = class_loss(logits, g.labels, split.train_idx)
             if clustering_on:
                 if hp.lambda_kl > 0:
-                    q = soft_assign(h, centroids)
+                    q = soft_assign(h, params.centroids)
                     p_target = target_distribution(q.value)
                     l_kl = kl_loss(p_target, q, kl_scope_idx)
                 if hp.lambda_pl > 0:
@@ -268,10 +273,9 @@ def train(
                 f"kl={None if l_kl is None else l_kl.item()!r} "
                 f"pl={None if l_pl is None else l_pl.item()!r}")
         nm.backward(tape, total)
-        nm.adam_step(trainable, adam, hp.lr, hp.weight_decay)
+        nm.adam_step(params.all_parameters(), adam, hp.lr, hp.weight_decay)
 
-        h_ev, logits_ev = forward(x, a_tilde, params, hp, RngState(0), training=False)
-        y_ev = nm.softmax_rows(logits_ev.value).value
+        h_ev, y_ev = predict(x, a_tilde, params, hp)
         val_acc = accuracy(y_ev, g.labels, split.val_idx)
         test_acc = accuracy(y_ev, g.labels, split.test_idx)
         report.epochs.append(EpochRecord(
@@ -282,7 +286,7 @@ def train(
             total=total.item(),
             val_acc=val_acc,
             test_acc=test_acc,
-            soc=_soc_diagnostic(h_ev.value),
+            soc=_soc_diagnostic(h_ev),
         ))
 
         if val_acc > report.best_val:
@@ -290,19 +294,17 @@ def train(
             report.best_epoch = epoch
             report.test_at_best_val = test_acc
             best_values = params.named_values()
-            best_centroids = centroids.value.copy() if centroids is not None else None
             since_improve = 0
         else:
             since_improve += 1
             if since_improve >= hp.patience:
                 break
 
-    if best_values is not None:
-        params.load_values(best_values)
-    if centroids is not None and best_centroids is not None:
-        centroids.value = best_centroids
+    if params.centroids is not None:
+        best_values.setdefault("centroids", params.centroids.value)
+    params.load_values(best_values)
     report.wall_time = time.perf_counter() - t0
-    return params, centroids, report
+    return params, params.centroids, report
 
 
 @dataclass
@@ -312,7 +314,7 @@ class SeedStats:
     mean: float
     std: float
     reports: list[TrainReport]
-    artifacts: list[tuple[ModelParams, nm.Parameter | None, Split]]
+    artifacts: list[tuple[ModelParams, Split]]
 
 
 def run_seeds(
@@ -330,7 +332,6 @@ def run_seeds(
     """
     if n_runs < 1:
         raise ParameterError("need at least one run")
-    a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
     accs, reports, artifacts = [], [], []
     for run in range(n_runs):
         hp_run = replace(hp, seed=hp.seed + run)
@@ -339,11 +340,10 @@ def run_seeds(
         else:
             split_rng = RngState(hp_run.seed).derive("split")
             split_run = make_split(g, split_policy, split_rng, **(split_counts or {}))
-        params, cs, report = train(g, a_tilde, split_run, hp_run,
-                                   pseudo_label_mode=pseudo_label_mode)
+        params, _, report = train(g, split_run, hp_run, pseudo_label_mode=pseudo_label_mode)
         accs.append(report.test_at_best_val)
         reports.append(report)
-        artifacts.append((params, cs, split_run))
+        artifacts.append((params, split_run))
     mean = float(np.mean(accs))
     std = float(np.std(accs, ddof=1)) if n_runs > 1 else 0.0
     return SeedStats(mean=mean, std=std, reports=reports, artifacts=artifacts)
@@ -363,11 +363,3 @@ def apply_variant(hp: HyperParams, variant: str) -> tuple[HyperParams, str]:
     elif variant == "no_skn":
         mode = "raw"
     return hp, mode
-
-
-def ablate(g: Graph, a_tilde: CsrMatrix, split: Split, hp: HyperParams,
-           variant: str) -> TrainReport:
-    """Train one ablation variant: full, no_soc, no_kl, no_pl, or no_skn."""
-    hp_v, mode = apply_variant(hp, variant)
-    _, _, report = train(g, a_tilde, split, hp_v, pseudo_label_mode=mode)
-    return report

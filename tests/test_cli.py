@@ -423,6 +423,21 @@ def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("val_per_class, empty", [("0", "validation"), ("7", "test")])
+def test_train_empty_validation_or_test_set_exit_2(capsys, sbm_dir, tmp_path,
+                                                   val_per_class, empty):
+    # 3 training nodes per class on a 2 x 10 SBM; 0 validation nodes per class
+    # leave the validation set empty, 7 leave no node for the test set
+    out = tmp_path / "o"
+    args = ["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+            "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
+    assert main(args + ["--train-per-class", "3", "--val-per-class", val_per_class]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and f"{empty} set is empty" in errors[0]
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("axis, values, header", [
     ("lr", "0.01,0.02", "lr"),
     ("hidden", "8,16", "hidden_dim"),
@@ -458,13 +473,14 @@ def test_out_naming_a_file_exit_2(capsys, sbm_dir, tmp_path, command):
 
 
 def test_evaluate_runs_one_forward(capsys, sbm_dir, tmp_path, monkeypatch):
-    import ncgc.cli as cli
+    import ncgc.trainer as trainer
     out = tmp_path / "ev"
     assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
                  "--epochs", "3", "--patience", "3", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
     calls = []
-    real_forward = cli.forward
-    monkeypatch.setattr(cli, "forward", lambda *a, **kw: calls.append(1) or real_forward(*a, **kw))
+    real_forward = trainer.forward
+    monkeypatch.setattr(trainer, "forward",
+                        lambda *a, **kw: calls.append(1) or real_forward(*a, **kw))
     capsys.readouterr()
     assert main(["evaluate", "--dataset", str(sbm_dir),
                  "--checkpoint", str(out / "checkpoint.bin"),

@@ -83,14 +83,15 @@ def test_config_validation():
 
 def test_gcn_on_identity_adjacency_is_identity():
     z = nm.Tensor(RngState(2).normal((4, 3)))
-    out = backbone_propagate(CsrMatrix.identity(4), z, "gcn")
+    out = backbone_propagate(CsrMatrix.identity(4), z, HyperParams(backbone="gcn"))
     assert np.array_equal(out.value, z.value)
 
 
 def test_appnp_alpha_one_is_identity():
     g, at = small_graph()
     z = nm.Tensor(RngState(3).normal((g.n, 3)))
-    out = backbone_propagate(at, z, "appnp", appnp_alpha=1.0, appnp_hops=5)
+    out = backbone_propagate(at, z, HyperParams(backbone="appnp", appnp_alpha=1.0,
+                                                appnp_hops=5))
     assert np.allclose(out.value, z.value, atol=1e-15)
 
 
@@ -107,7 +108,8 @@ def test_appnp_two_hops_matches_polynomial():
     expected = (alpha * z
                 + alpha * (1 - alpha) * a_dense @ z
                 + (1 - alpha) ** 2 * a_dense @ a_dense @ z)
-    out = backbone_propagate(at, nm.Tensor(z), "appnp", appnp_alpha=alpha, appnp_hops=2)
+    out = backbone_propagate(at, nm.Tensor(z), HyperParams(backbone="appnp",
+                                                           appnp_alpha=alpha, appnp_hops=2))
     assert np.allclose(out.value, expected, atol=1e-12)
 
 

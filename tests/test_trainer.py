@@ -10,8 +10,7 @@ from ncgc.model import feature_operator, forward, init_params
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 from ncgc.trainer import (
-    HyperParams, ablate, apply_variant, class_loss, evaluate, run_seeds,
-    total_loss, train,
+    HyperParams, accuracy, apply_variant, class_loss, predict, run_seeds, total_loss, train,
 )
 from oracles import loop_label_cross_entropy
 
@@ -85,8 +84,9 @@ def test_evaluate_and_complement_identity():
     g, at, split = sbm_setup(seed=1)
     hp = HyperParams(seed=0, **{**FAST, "lambda_kl": 0.0, "lambda_pl": 0.0, "beta": 0.0,
                                 "epochs": 30, "patience": 30, "warmup_epochs": 0})
-    params, _, _ = train(g, at, split, hp)
-    acc = evaluate(params, g, at, split.test_idx, hp)
+    params, _, _ = train(g, split, hp)
+    acc = accuracy(predict(feature_operator(g.features), at, params, hp)[1], g.labels,
+                   split.test_idx)
     _, logits = forward(feature_operator(g.features), at, params, hp,
                         RngState(0), training=False)
     y = nm.softmax_rows(logits)
@@ -107,7 +107,8 @@ def test_evaluate_hand_built_three_of_four():
     labels[idx] = preds[idx]
     labels[idx[0]] = 1 - preds[idx[0]]  # exactly one wrong
     object.__setattr__(g, "labels", labels)
-    assert evaluate(params, g, at, idx, cfg) == pytest.approx(0.75)
+    assert accuracy(predict(feature_operator(g.features), at, params, cfg)[1], g.labels,
+                    idx) == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def test_evaluate_hand_built_three_of_four():
 def test_training_reaches_full_accuracy_on_separable_sbm():
     g, at, split = sbm_setup(seed=4, n_per=10)
     hp = HyperParams(seed=0, **{**FAST, "epochs": 200, "patience": 200})
-    params, cs, report = train(g, at, split, hp)
+    params, cs, report = train(g, split, hp)
     assert report.best_val == max(r.val_acc for r in report.epochs)
     assert report.test_at_best_val == 1.0
     assert len(report.epochs) <= 200
@@ -127,7 +128,7 @@ def test_training_reaches_full_accuracy_on_separable_sbm():
 def test_clustering_losses_switch_on_after_warmup():
     g, at, split = sbm_setup(seed=5)
     hp = HyperParams(seed=0, **{**FAST, "warmup_epochs": 8, "epochs": 12, "patience": 12})
-    _, _, report = train(g, at, split, hp)
+    _, _, report = train(g, split, hp)
     assert report.epochs[7].l_kl == 0.0 and report.epochs[7].l_pl == 0.0
     assert report.epochs[8].l_kl > 0.0 and report.epochs[8].l_pl > 0.0
     assert report.epochs[7].total == pytest.approx(report.epochs[7].l_class)
@@ -139,8 +140,8 @@ def test_reduction_contract_clustering_machinery_off_vs_never_on():
             "epochs": 25, "patience": 25}
     hp_a = HyperParams(seed=3, **{**base, "warmup_epochs": 0})
     hp_b = HyperParams(seed=3, **{**base, "warmup_epochs": 24})
-    _, _, ra = train(g, at, split, hp_a)
-    _, _, rb = train(g, at, split, hp_b)
+    _, _, ra = train(g, split, hp_a)
+    _, _, rb = train(g, split, hp_b)
     for a, b in zip(ra.epochs, rb.epochs):
         assert a.l_class == b.l_class
         assert a.val_acc == b.val_acc
@@ -151,7 +152,7 @@ def test_reduction_matches_plain_gcn_oracle():
     g, at, split = sbm_setup(seed=7)
     hp = HyperParams(seed=11, **{**FAST, "lambda_kl": 0.0, "lambda_pl": 0.0, "beta": 0.0,
                                  "epochs": 15, "patience": 15, "warmup_epochs": 0})
-    _, _, report = train(g, at, split, hp)
+    _, _, report = train(g, split, hp)
 
     rng = RngState(hp.seed)
     params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
@@ -173,10 +174,30 @@ def test_reduction_matches_plain_gcn_oracle():
     assert np.allclose(got, losses, atol=1e-10)
 
 
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_train_builds_adjacency_as_hp_self_loops_says(monkeypatch, self_loops):
+    g, _, split = sbm_setup(seed=19)
+    hp = HyperParams(seed=0, **{**FAST, "epochs": 3, "patience": 3, "warmup_epochs": 1,
+                                "self_loops": self_loops})
+    seen = []
+    real_forward = trainer.forward
+
+    def spy(x, a_tilde, *rest, **kw):
+        seen.append(a_tilde.to_dense())
+        return real_forward(x, a_tilde, *rest, **kw)
+
+    monkeypatch.setattr(trainer, "forward", spy)
+    train(g, split, hp)
+    expected = normalized_adjacency(g, add_self_loops=self_loops).to_dense()
+    other = normalized_adjacency(g, add_self_loops=not self_loops).to_dense()
+    assert not np.array_equal(expected, other)
+    assert seen and all(np.array_equal(a, expected) for a in seen)
+
+
 def test_early_stop_fires_exactly_patience_after_last_improvement():
     g, at, split = sbm_setup(seed=8)
     hp = HyperParams(seed=1, **{**FAST, "epochs": 400, "patience": 12})
-    _, _, report = train(g, at, split, hp)
+    _, _, report = train(g, split, hp)
     assert len(report.epochs) < 400  # actually stopped early
     assert len(report.epochs) == report.best_epoch + hp.patience + 1
     vals = [r.val_acc for r in report.epochs]
@@ -187,16 +208,17 @@ def test_early_stop_fires_exactly_patience_after_last_improvement():
 def test_best_checkpoint_is_returned():
     g, at, split = sbm_setup(seed=9)
     hp = HyperParams(seed=2, **{**FAST, "epochs": 60, "patience": 60})
-    params, _, report = train(g, at, split, hp)
-    acc = evaluate(params, g, at, split.val_idx, hp)
+    params, _, report = train(g, split, hp)
+    acc = accuracy(predict(feature_operator(g.features), at, params, hp)[1], g.labels,
+                   split.val_idx)
     assert acc == pytest.approx(report.best_val)
 
 
 def test_determinism_identical_reports():
     g, at, split = sbm_setup(seed=10)
     hp = HyperParams(seed=5, **{**FAST, "epochs": 30, "patience": 30})
-    _, _, r1 = train(g, at, split, hp)
-    _, _, r2 = train(g, at, split, hp)
+    _, _, r1 = train(g, split, hp)
+    _, _, r2 = train(g, split, hp)
     assert r1.to_json_dict() == r2.to_json_dict()
 
 
@@ -206,7 +228,7 @@ def test_non_finite_loss_aborts_with_diagnostic():
                                 "warmup_epochs": 0})
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
-            train(g, at, split, hp)
+            train(g, split, hp)
 
 
 def test_no_target_leakage_stored_vs_recomputed_targets():
@@ -266,7 +288,7 @@ def test_soc_effect_reduces_column_correlation():
         g, at, split = sbm_setup(seed=20 + seed)
         hp = HyperParams(seed=seed, **{**FAST, "beta": beta, "epochs": 60,
                                        "patience": 60, "hidden_dim": 8})
-        params, _, _ = train(g, at, split, hp)
+        params, _, _ = train(g, split, hp)
         h, _ = forward(feature_operator(g.features), at, params, hp,
                        RngState(0), training=False)
         hv = h.value
@@ -309,7 +331,7 @@ def test_run_seeds_fresh_splits_per_run():
     hp = HyperParams(seed=0, **{**FAST, "epochs": 15, "patience": 15})
     stats = run_seeds(g, hp, "per_class", 2,
                       split_counts=dict(per_class_train=3, per_class_val=3))
-    s0, s1 = stats.artifacts[0][2], stats.artifacts[1][2]
+    s0, s1 = stats.artifacts[0][1], stats.artifacts[1][1]
     assert not np.array_equal(s0.val_idx, s1.val_idx) or not np.array_equal(
         s0.train_idx, s1.train_idx)
 
@@ -317,17 +339,19 @@ def test_run_seeds_fresh_splits_per_run():
 def test_ablate_full_equals_train():
     g, at, split = sbm_setup(seed=15)
     hp = HyperParams(seed=4, **{**FAST, "epochs": 25, "patience": 25})
-    _, _, direct = train(g, at, split, hp)
-    via_ablate = ablate(g, at, split, hp, "full")
+    _, _, direct = train(g, split, hp)
+    hp_v, mode = apply_variant(hp, "full")
+    _, _, via_ablate = train(g, split, hp_v, pseudo_label_mode=mode)
     assert direct.to_json_dict() == via_ablate.to_json_dict()
 
 
 def test_ablate_no_soc_equals_beta_zero_run():
     g, at, split = sbm_setup(seed=16)
     hp = HyperParams(seed=4, **{**FAST, "epochs": 25, "patience": 25})
-    no_soc = ablate(g, at, split, hp, "no_soc")
+    hp_v, mode = apply_variant(hp, "no_soc")
+    _, _, no_soc = train(g, split, hp_v, pseudo_label_mode=mode)
     hp0 = HyperParams(**{**vars(hp), "beta": 0.0})
-    _, _, beta0 = train(g, at, split, hp0)
+    _, _, beta0 = train(g, split, hp0)
     assert no_soc.to_json_dict() == beta0.to_json_dict()
 
 
@@ -352,7 +376,7 @@ def test_no_skn_feeds_raw_predictions(monkeypatch):
         return pseudo_label_loss(targets, live_logits)
 
     monkeypatch.setattr(trainer, "pseudo_label_loss", spy)
-    train(g, at, split, hp, pseudo_label_mode="raw")
+    train(g, split, hp, pseudo_label_mode="raw")
     # raw targets equal the detached predictions: cross-entropy is the
     # prediction entropy, strictly positive but free of sinkhorn balancing
     assert seen
