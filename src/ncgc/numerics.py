@@ -67,18 +67,6 @@ class Tensor:
             raise ContractError(f"item() on non-scalar tensor of shape {self.value.shape}")
         return float(self.value[0, 0])
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 

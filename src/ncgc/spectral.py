@@ -3,8 +3,7 @@
 Subspace iteration with QR orthonormalization approximates the invariant
 subspace of the k largest-magnitude eigenvalues of a symmetric operator;
 Lloyd's algorithm with k-means++ seeding rounds the basis to a hard
-partition. A cyclic-Jacobi dense eigendecomposition serves as the
-independent oracle for both.
+partition.
 """
 
 from __future__ import annotations
@@ -120,52 +119,6 @@ def ratiocut_trace(h: np.ndarray, l_tilde: CsrMatrix) -> float:
     if h.shape[0] != l_tilde.rows:
         raise ShapeError(f"H has {h.shape[0]} rows but the operator has {l_tilde.rows}")
     return float((h * l_tilde.matmul_dense(h)).sum())
-
-
-def dense_eigh_oracle(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Intended as a small-scale test oracle (n <= 64). Returns eigenvalues in
-    ascending order and the matching orthonormal eigenvector columns, with
-    residual ||MV - V diag(w)||_F below 1e-10.
-    """
-    a = np.array(m, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ContractError("matrix must be square")
-    if n > 64:
-        raise ContractError("oracle limited to n <= 64")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
-        raise ContractError("matrix must be symmetric within 1e-12")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    scale = max(np.abs(a).max(initial=0.0), 1.0)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a[off_mask])
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    w = np.diag(a).copy()
-    order = np.argsort(w)
-    return w[order], v[:, order]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ separate from the library code paths it checks.
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
+from ncgc.errors import ContractError
+from ncgc.model import load_checkpoint
 from ncgc.sparse import CsrMatrix
 
 
@@ -193,3 +197,116 @@ def transition_matrix(g, add_self_loops: bool = False):
     deg = a.matmul_dense(np.ones((g.n, 1)))[:, 0]
     dinv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     return a.scale_rows(dinv)
+
+
+def dense_eigh_oracle(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
+
+    Intended as a small-scale test oracle (n <= 64). Returns eigenvalues in
+    ascending order and the matching orthonormal eigenvector columns, with
+    residual ||MV - V diag(w)||_F below 1e-10.
+    """
+    a = np.array(m, dtype=np.float64)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ContractError("matrix must be square")
+    if n > 64:
+        raise ContractError("oracle limited to n <= 64")
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
+        raise ContractError("matrix must be symmetric within 1e-12")
+    a = 0.5 * (a + a.T)
+    v = np.eye(n)
+    scale = max(np.abs(a).max(initial=0.0), 1.0)
+    off_mask = ~np.eye(n, dtype=bool)
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(a[off_mask])
+        if off <= 1e-14 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-16 * scale:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                rot_p = c * v[:, p] - s * v[:, q]
+                rot_q = s * v[:, p] + c * v[:, q]
+                v[:, p], v[:, q] = rot_p, rot_q
+    w = np.diag(a).copy()
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
+# Two runs that differ only by floating-point rounding (another BLAS thread
+# count, or a change that reorders sums) agree within
+#     |a - b| <= RUN_RTOL * max(|a|, |b|, RUN_FLOOR)
+# for every checkpoint weight and every float in report.json; the floor turns
+# the bound into an absolute one (3e-14) for values near zero. Measured
+# between 1 and 2 OpenBLAS threads on a 2-core x86 VM, with this floor: at
+# most 6.5e-12 on the 8-epoch Cora shape (hidden 512, 3 layers) and 7.9e-13
+# on the 8-epoch PubMed shape. A weight moved by 1e6 ulp is 1.1e-10 to
+# 2.2e-10 off, well outside the bound.
+RUN_RTOL = 3e-11
+RUN_FLOOR = 1e-3
+
+
+def _beyond_rounding(a, b) -> np.ndarray:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    bound = RUN_RTOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), RUN_FLOOR)
+    return ~(np.abs(a - b) <= bound)  # NaN is beyond any bound
+
+
+def _json_differences(a, b, where: str, out: list) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            out.append(f"{where}: keys {sorted(a)} vs {sorted(b)}")
+            return
+        for k in a:
+            _json_differences(a[k], b[k], f"{where}.{k}", out)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            out.append(f"{where}: length {len(a)} vs {len(b)}")
+            return
+        for i, (x, y) in enumerate(zip(a, b)):
+            _json_differences(x, y, f"{where}[{i}]", out)
+    elif type(a) is float and type(b) is float:
+        if _beyond_rounding(a, b):
+            out.append(f"{where}: {a!r} vs {b!r}")
+    elif type(a) is not type(b) or a != b:  # integers (epochs, counts) must be equal
+        out.append(f"{where}: {a!r} vs {b!r}")
+
+
+def run_differences(dir_a, dir_b) -> list[str]:
+    """What two ``ncgc train`` output directories differ in beyond rounding.
+
+    Integers in ``report.json`` (``best_epoch``, ``epochs_run``, the epoch
+    numbers) must be equal; its floats and the ``checkpoint.bin`` weights must
+    agree within ``RUN_RTOL``; keys, lengths, parameter names and shapes must
+    match. Returns one line per difference: an empty list means the runs agree.
+    """
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    out: list[str] = []
+    reports = [json.loads((d / "report.json").read_text(encoding="utf-8"))
+               for d in (dir_a, dir_b)]
+    _json_differences(*reports, "report.json", out)
+    ca, cb = (load_checkpoint(d / "checkpoint.bin") for d in (dir_a, dir_b))
+    if list(ca) != list(cb):
+        return out + [f"checkpoint parameters {list(ca)} vs {list(cb)}"]
+    for name in ca:
+        if ca[name].shape != cb[name].shape:
+            out.append(f"checkpoint {name}: shape {ca[name].shape} vs {cb[name].shape}")
+            continue
+        bad = np.argwhere(_beyond_rounding(ca[name], cb[name]))
+        if len(bad):
+            i = tuple(bad[0])
+            out.append(f"checkpoint {name}: {len(bad)} weights beyond rounding, first at "
+                       f"{i}: {ca[name][i]!r} vs {cb[name][i]!r}")
+    return out

@@ -25,12 +25,12 @@ from ncgc.graph import load_dataset, normalized_adjacency, normalized_laplacian,
 from ncgc.model import feature_operator, forward, init_params
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
-from ncgc.spectral import dense_eigh_oracle, ratiocut_trace, subspace_iteration
+from ncgc.spectral import ratiocut_trace, subspace_iteration
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams, class_loss, run_seeds, total_loss
 from gradcheck import OPS, check_gradients
 from oracles import (
-    edge_sum_smoothness, random_symmetric_with_gap, rel_error, sinkhorn_loop, subspace_angle,
+    dense_eigh_oracle, edge_sum_smoothness, random_symmetric_with_gap, rel_error, sinkhorn_loop, subspace_angle,
 )
 
 # hyperparameter rows for the citation graphs (per-dataset tuned values)

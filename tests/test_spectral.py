@@ -6,13 +6,13 @@ from ncgc.graph import Graph, normalized_adjacency, normalized_laplacian
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.spectral import (
-    clustering_accuracy, dense_eigh_oracle, indicator_matrix, kmeans,
+    clustering_accuracy, indicator_matrix, kmeans,
     kmeans_round, lloyd, qr_orthonormalize, ratiocut_trace, spectral_cluster,
     subspace_iteration,
 )
 from ncgc.synth import make_sbm
 from oracles import (
-    best_partition_wcss, dense_top_k_by_magnitude, edge_sum_smoothness,
+    best_partition_wcss, dense_eigh_oracle, dense_top_k_by_magnitude, edge_sum_smoothness,
     random_symmetric_with_gap, subspace_angle,
 )
 
