@@ -12,7 +12,6 @@ confident predictions overflows the direct exponential.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import numerics as nm
 from .errors import ContractError, ParameterError, ShapeError
@@ -72,6 +71,12 @@ def _check_sinkhorn_args(psi_prime, epsilon: float, iterations: int) -> np.ndarr
     return psi
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum so exp cannot overflow."""
+    m = a.max(axis=axis)
+    return m + np.log(np.exp(a - np.expand_dims(m, axis)).sum(axis=axis))
+
+
 def sinkhorn_transport_plan(
     psi_prime: np.ndarray,
     epsilon: float,
@@ -90,8 +95,8 @@ def sinkhorn_transport_plan(
     v = np.zeros(k)
     la, lb = -np.log(n), -np.log(k)
     for _ in range(iterations):
-        u = la - logsumexp(log_k + v[None, :], axis=1)
-        v = lb - logsumexp(log_k + u[:, None], axis=0)
+        u = la - _logsumexp(log_k + v[None, :], axis=1)
+        v = lb - _logsumexp(log_k + u[:, None], axis=0)
     return np.exp(log_k + u[:, None] + v[None, :])
 
 
