@@ -102,18 +102,15 @@ class Split:
             raise SplitError(f"split references node {top} but graph has {n} nodes")
 
 
-def _symmetrize(n: int, pairs: set[tuple[int, int]]) -> CsrMatrix:
-    rows, cols = [], []
-    for i, j in pairs:
-        rows.append(i)
-        cols.append(j)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-    vals = np.ones(len(rows))
-    if not rows:
+def _symmetrize(n: int, pairs) -> CsrMatrix:
+    """0/1 adjacency with both A[i, j] and A[j, i] set for each pair (i, j)."""
+    if not pairs:
         return CsrMatrix.zeros(n, n)
-    return CsrMatrix.from_coo(n, n, rows, cols, vals)
+    p = np.array(list(pairs), dtype=np.int64)
+    off = p[p[:, 0] != p[:, 1]]
+    rows = np.concatenate([p[:, 0], off[:, 1]])
+    cols = np.concatenate([p[:, 1], off[:, 0]])
+    return CsrMatrix.from_coo(n, n, rows, cols, np.ones(rows.size))
 
 
 def _read_bytes(f: Path) -> bytes:
@@ -323,8 +320,7 @@ def normalized_adjacency(g: Graph, add_self_loops: bool = True) -> CsrMatrix:
 def normalized_laplacian(g: Graph) -> CsrMatrix:
     """I minus the (self-loop-free) normalized adjacency; symmetric PSD."""
     at = normalized_adjacency(g, add_self_loops=False)
-    neg = CsrMatrix(at.rows, at.cols, at.row_offsets, at.col_indices, -at.values, _validate=False)
-    return CsrMatrix.identity(g.n).add(neg)
+    return CsrMatrix.identity(g.n).add(at.scale_rows(np.full(g.n, -1.0)))
 
 
 def _class_pools(g: Graph, rng: RngState) -> dict[int, np.ndarray]:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _symmetrize
 from .rng import RngState
-from .sparse import CsrMatrix
 
 
 def make_sbm(
@@ -37,14 +36,7 @@ def make_sbm(
             if rng.uniform() < p:
                 pairs.append((i, j))
 
-    rows, cols = [], []
-    for i, j in pairs:
-        rows += [i, j]
-        cols += [j, i]
-    if rows:
-        adjacency = CsrMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
-    else:
-        adjacency = CsrMatrix.zeros(n, n)
+    adjacency = _symmetrize(n, pairs)
 
     means = rng.normal((k, feature_dim))
     means *= feature_shift / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
