@@ -7,8 +7,8 @@ index files):
     UTF-8 JSON object with integer fields ``n``, ``m``, ``d``, ``k`` and a
     string field ``name``.
 ``features.bin``
-    Little-endian 32-bit floats, row-major, exactly n*d values. Widened to
-    float64 on load.
+    Little-endian 32-bit floats, row-major, exactly n*d finite values.
+    Widened to float64 on load.
 ``edges.tsv``
     One undirected edge per line: two 0-based decimal node ids separated by
     a single tab. Each edge appears exactly once; duplicate lines are
@@ -160,6 +160,10 @@ def _read_features(path: Path, n: int, d: int) -> np.ndarray:
             f"{f}: expected {expected} bytes for {n}x{d} float32 values, "
             f"found {len(raw)} (truncated at byte offset {len(raw)})")
     feats = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
+    finite = np.isfinite(feats)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise IngestionError(f"{f}: non-finite value at node {i}, column {j}")
     return feats
 
 

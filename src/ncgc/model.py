@@ -67,7 +67,13 @@ class ModelParams:
         return {p.name: p.value.copy() for p in self.all_parameters()}
 
     def load_values(self, named: dict[str, np.ndarray]) -> None:
-        for p in self.all_parameters():
+        """Copy in a checkpoint, which must hold exactly this model's parameters
+        (plus ``centroids`` when the model has none yet)."""
+        params = self.all_parameters()
+        extra = sorted(set(named) - {p.name for p in params} - {"centroids"})
+        if extra:
+            raise ContractError(f"checkpoint has unexpected parameter {extra[0]!r}")
+        for p in params:
             if p.name not in named:
                 raise ContractError(f"checkpoint missing parameter {p.name!r}")
             v = np.asarray(named[p.name], dtype=np.float64)

@@ -74,6 +74,12 @@ def _idx_not_utf8(d):
         (d / f).write_bytes(b"\xfe0\n")
 
 
+def _nan_feature(d):
+    feats = np.fromfile(d / "features.bin", dtype="<f4")
+    feats[13] = np.nan
+    feats.tofile(d / "features.bin")
+
+
 @pytest.mark.parametrize("name, corrupt", [
     pytest.param("meta.json", lambda d: (d / "meta.json").write_bytes(b'{"name": "\xff"}'),
                  id="meta-not-utf8"),
@@ -87,6 +93,7 @@ def _idx_not_utf8(d):
     pytest.param("labels.tsv", lambda d: (d / "labels.tsv").write_bytes(b"0\t\xc3\n"),
                  id="labels-not-utf8"),
     pytest.param("train.idx", _idx_not_utf8, id="idx-not-utf8"),
+    pytest.param("features.bin", _nan_feature, id="features-non-finite"),
 ])
 def test_validate_malformed_dataset_bytes_exit_2(capsys, sbm_dir, name, corrupt):
     corrupt(sbm_dir)
@@ -211,6 +218,19 @@ def test_evaluate_from_checkpoint(capsys, sbm_dir, tmp_path):
     eval_out = capsys.readouterr().out
     test_acc = float(eval_out.split("test_acc=")[1].split()[0])
     assert test_acc == pytest.approx(acc_mean, abs=1e-9)
+
+
+def test_evaluate_checkpoint_with_extra_layer_exit_3(capsys, sbm_dir, tmp_path):
+    out = tmp_path / "deep"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--layers", "3", "--hidden", "8", "--epochs", "2", "--patience", "2",
+                 "--warmup", "1", "--train-per-class", "3", "--val-per-class", "3",
+                 "--split-policy", "per_class"]) == 0
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", str(out / "config.resolved"), "--layers", "2",
+               "--checkpoint", str(out / "checkpoint.bin")])
+    assert rc == 3
+    assert "layer2.w" in capsys.readouterr().err
 
 
 def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ncgc.numerics as nm
-from ncgc.errors import IngestionError, ParameterError, ShapeError
+from ncgc.errors import ContractError, IngestionError, ParameterError, ShapeError
 from ncgc.graph import Graph, normalized_adjacency
 from ncgc.model import (
     backbone_propagate, feature_operator, forward, init_params,
@@ -323,3 +323,14 @@ def test_load_values_shape_check(tmp_path):
     bad["proto.w"] = np.ones((4, 5))
     with pytest.raises(ShapeError):
         params.load_values(bad)
+
+
+def test_load_values_rejects_extra_parameter():
+    cfg = HyperParams(layers=1, hidden_dim=4)
+    params = init_params(cfg, input_dim=3, class_count=2, rng=RngState(30))
+    named = params.named_values()
+    named["centroids"] = np.zeros((2, 4))  # seeded later; a model without them accepts it
+    params.load_values(named)
+    named["layer1.w"] = np.zeros((4, 4))
+    with pytest.raises(ContractError, match="'layer1.w'"):
+        params.load_values(named)
