@@ -152,18 +152,15 @@ def lloyd(
     x: np.ndarray,
     centroids: np.ndarray,
     max_iter: int = 300,
-    track_wcss: bool = False,
 ):
     """Lloyd iterations until the assignment is a fixed point.
 
     An emptied cluster is reseeded at the point farthest from its currently
-    assigned centroid. Returns (centroids, assignments, wcss) and optionally
-    the per-iteration WCSS history.
+    assigned centroid. Returns (centroids, assignments, wcss).
     """
     centroids = np.array(centroids, dtype=np.float64)
     k = centroids.shape[0]
     assignments = np.full(x.shape[0], -1, dtype=np.int64)
-    history = []
     for _ in range(max_iter):
         d = _sqdist(x, centroids)
         new_assign = d.argmin(axis=1)
@@ -174,8 +171,6 @@ def lloyd(
                 new_assign[far] = c
                 centroids[c] = x[far]
                 point_cost[far] = 0.0
-        if track_wcss:
-            history.append(float(_sqdist(x, centroids)[np.arange(x.shape[0]), new_assign].sum()))
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -184,8 +179,6 @@ def lloyd(
             if len(members):
                 centroids[c] = members.mean(axis=0)
     wcss = float(_sqdist(x, centroids)[np.arange(x.shape[0]), assignments].sum())
-    if track_wcss:
-        return centroids, assignments, wcss, history
     return centroids, assignments, wcss
 
 

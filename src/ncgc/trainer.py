@@ -157,19 +157,15 @@ def class_loss(logits, labels, train_idx) -> "nm.Tensor":
     return nm.scale(nm.sum_all(nm.mul(log_pred, one_hot)), -1.0 / len(train_idx))
 
 
-def _as_tensor(x):
-    return x if isinstance(x, nm.Tensor) else nm.Tensor(np.array([[float(x)]]))
-
-
 def total_loss(l_class, l_kl, l_pl, hp: HyperParams, in_warmup: bool) -> "nm.Tensor":
     """Weighted sum of the loss components; clustering terms vanish in warmup."""
-    total = _as_tensor(l_class)
+    total = l_class
     if in_warmup:
         return total
     if l_kl is not None and hp.lambda_kl > 0:
-        total = nm.add(total, nm.scale(_as_tensor(l_kl), hp.lambda_kl))
+        total = nm.add(total, nm.scale(l_kl, hp.lambda_kl))
     if l_pl is not None and hp.lambda_pl > 0:
-        total = nm.add(total, nm.scale(_as_tensor(l_pl), hp.lambda_pl))
+        total = nm.add(total, nm.scale(l_pl, hp.lambda_pl))
     return total
 
 

@@ -76,7 +76,7 @@ def test_total_loss_reductions_and_arithmetic():
     assert total_loss(lc, nm.Tensor([[9.0]]), nm.Tensor([[9.0]]), hp, in_warmup=False).item() == 1.0
     hp = HyperParams(lambda_kl=1.0, lambda_pl=1.0)
     assert total_loss(lc, nm.Tensor([[0.5]]), nm.Tensor([[0.25]]), hp, in_warmup=True).item() == 1.0
-    got = total_loss(1.0, 0.5, 0.25, hp, in_warmup=False)
+    got = total_loss(lc, nm.Tensor([[0.5]]), nm.Tensor([[0.25]]), hp, in_warmup=False)
     assert got.item() == pytest.approx(1.75)
 
 
