@@ -21,8 +21,8 @@ loads it into freshly built parameters and scores one ``trainer.predict``
 pass, whose normalized adjacency follows ``--self-loops`` as in training.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
-4 bad flags (including out-of-range hyperparameter values, an unknown split
-policy and a run count below one).
+4 bad flags (including out-of-range or non-finite hyperparameter values, an
+unknown split policy, a run count below one and a negative count).
 """
 
 from __future__ import annotations
@@ -171,12 +171,16 @@ def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
 
 
 def _check_run_options(resolved: dict) -> None:
-    """Reject an unknown split policy or a run count below one as bad flags."""
-    if resolved["split-policy"] not in SPLIT_POLICIES:
+    """Reject an unknown split policy, a run count below one or a negative count
+    as bad flags; options the command does not take are not checked."""
+    if "split-policy" in resolved and resolved["split-policy"] not in SPLIT_POLICIES:
         raise _UsageError(f"unknown --split-policy {resolved['split-policy']!r}, "
                           f"expected one of {', '.join(SPLIT_POLICIES)}")
-    if resolved["runs"] < 1:
+    if resolved.get("runs", 1) < 1:
         raise _UsageError(f"--runs must be at least 1, got {resolved['runs']}")
+    for key in ("train-per-class", "val-per-class", "val-total", "test-total", "k"):
+        if resolved.get(key, 0) < 0:
+            raise _UsageError(f"--{key} must be non-negative, got {resolved[key]}")
 
 
 def _require(resolved: dict, keys, cmd: str) -> None:
@@ -196,8 +200,7 @@ def _split_counts(resolved: dict) -> dict:
 
 def _load_graph_and_split(resolved: dict):
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
-    fixed = load_split(resolved["dataset"], g.n)
-    return g, fixed
+    return g, load_split(resolved["dataset"], g.n)
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -239,7 +242,7 @@ def _echo_config(resolved: dict) -> None:
 
 def cmd_validate(resolved: dict) -> int:
     _echo_config(resolved)
-    g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
+    g = load_dataset(resolved["dataset"], row_normalize=False)
     print(f"n={g.n} m={g.m} d={g.feature_dim} k={g.class_count} name={g.name}")
     if g.labels is not None:
         hist = np.bincount(g.labels[g.labels >= 0], minlength=g.class_count)
@@ -377,8 +380,9 @@ def cmd_sweep(resolved: dict) -> int:
 
 
 def cmd_spectral(resolved: dict) -> int:
+    _check_run_options(resolved)
     out = _prepare_out(resolved)
-    g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
+    g = load_dataset(resolved["dataset"], row_normalize=False)
     k = resolved["k"] or g.class_count
     a_tilde = normalized_adjacency(g, add_self_loops=resolved["self-loops"])
     indicator, basis = spectral_cluster(a_tilde, k, RngState(resolved["seed"]))
@@ -403,7 +407,7 @@ _RUN_OPTIONS = ("dataset", "out", "seed", "runs", "row-normalize", "split-policy
 
 # name -> (function, options in config.resolved order, required options)
 COMMANDS = {
-    "validate": (cmd_validate, ("dataset", "row-normalize"), ("dataset",)),
+    "validate": (cmd_validate, ("dataset",), ("dataset",)),
     "train": (cmd_train, _RUN_OPTIONS + ("dump-cluster-signals",) + _HP_KEYS,
               ("dataset", "out", "seed")),
     "evaluate": (cmd_evaluate,
@@ -412,7 +416,7 @@ COMMANDS = {
     "ablate": (cmd_ablate, _RUN_OPTIONS + _HP_KEYS, ("dataset", "out", "seed")),
     "sweep": (cmd_sweep, _RUN_OPTIONS + _HP_KEYS + ("axis", "values"),
               ("dataset", "out", "seed", "values")),
-    "spectral": (cmd_spectral, ("dataset", "out", "seed", "k", "row-normalize", "self-loops"),
+    "spectral": (cmd_spectral, ("dataset", "out", "seed", "k", "self-loops"),
                  ("dataset", "out", "seed")),
 }
 

@@ -39,16 +39,15 @@ SPLIT_POLICIES = ("planetoid_style", "per_class")
 class Graph:
     """Undirected attributed graph with optional node labels.
 
-    ``features`` is the matrix handed to models (row-L1-normalized when the
-    loader was asked to); ``features_raw`` is what the files contained and is
-    what serialization writes back, so a load/save/load round trip is exact.
+    ``features`` is the one feature matrix, the one handed to models and the
+    one serialization writes: row-L1-normalized when the loader was asked to,
+    so a load/write/load round trip is exact for loads without normalization.
     """
 
     n: int
     m: int
     adjacency: CsrMatrix
     features: np.ndarray
-    features_raw: np.ndarray
     labels: np.ndarray | None
     class_count: int
     name: str = "graph"
@@ -227,7 +226,7 @@ def load_dataset(path, row_normalize: bool = True) -> Graph:
     path = Path(path)
     meta = _read_meta(path)
     n, d, k = meta["n"], meta["d"], meta["k"]
-    feats_raw = _read_features(path, n, d)
+    feats = _read_features(path, n, d)
     pairs = _read_edges(path, n)
     if len(pairs) != meta["m"]:
         raise IngestionError(
@@ -235,12 +234,10 @@ def load_dataset(path, row_normalize: bool = True) -> Graph:
             f"{len(pairs)} distinct undirected edges")
     labels = _read_labels(path, n, k)
     adjacency = _symmetrize(n, pairs)
-    feats = row_l1_normalize(feats_raw) if row_normalize else feats_raw
-    return Graph(
-        n=n, m=len(pairs), adjacency=adjacency,
-        features=feats, features_raw=feats_raw,
-        labels=labels, class_count=k, name=meta["name"],
-    )
+    if row_normalize:
+        feats = row_l1_normalize(feats)
+    return Graph(n=n, m=len(pairs), adjacency=adjacency, features=feats,
+                 labels=labels, class_count=k, name=meta["name"])
 
 
 def _read_idx(f: Path, n: int) -> np.ndarray:
@@ -281,7 +278,7 @@ def write_dataset(g: Graph, path, split: Split | None = None) -> None:
     meta = {"n": g.n, "m": g.m, "d": g.feature_dim, "k": g.class_count, "name": g.name}
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     (path / "features.bin").write_bytes(
-        np.ascontiguousarray(g.features_raw, dtype="<f4").tobytes())
+        np.ascontiguousarray(g.features, dtype="<f4").tobytes())
     lines = []
     off, idx = g.adjacency.row_offsets, g.adjacency.col_indices
     for i in range(g.n):

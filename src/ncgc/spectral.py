@@ -213,14 +213,12 @@ def kmeans_round(q: np.ndarray, k: int, rng: RngState, restarts: int = 10) -> Cl
 
 
 def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Best-permutation agreement between cluster ids and labels (Hungarian)."""
-    if k > 20:
-        raise ContractError("permutation matching supported for at most 20 classes")
+    """Agreement of cluster ids with labels under the best one-to-one matching
+    (Hungarian); with k unequal to the class count, unmatched nodes are wrong."""
     mask = labels >= 0
     a, y = assignments[mask], labels[mask]
-    confusion = np.zeros((k, k))
-    for ai, yi in zip(a, y):
-        confusion[ai, yi] += 1
+    confusion = np.zeros((k, int(y.max(initial=-1)) + 1))
+    np.add.at(confusion, (a, y), 1)
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / len(a))
 

@@ -42,8 +42,5 @@ def make_sbm(
     means *= feature_shift / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
     feats = means[labels] + feature_noise * rng.normal((n, feature_dim))
 
-    return Graph(
-        n=n, m=len(pairs), adjacency=adjacency,
-        features=feats, features_raw=feats,
-        labels=labels, class_count=k, name=name,
-    )
+    return Graph(n=n, m=len(pairs), adjacency=adjacency, features=feats,
+                 labels=labels, class_count=k, name=name)

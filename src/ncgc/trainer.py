@@ -69,6 +69,9 @@ class HyperParams:
     input_transform: str = "auto"  # auto | linear | mlp
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.patience > self.epochs:
             raise ParameterError("patience must not exceed epochs")
         if self.lambda_kl < 0 or self.lambda_pl < 0:

@@ -283,7 +283,7 @@ def test_spectral_two_disjoint_triangles(capsys, tmp_path):
     cols = [j for i, j in e] + [i for i, j in e]
     adj = sp.CsrMatrix.from_coo(6, 6, rows, cols, np.ones(12))
     feats = np.zeros((6, 2), dtype=np.float64)
-    g = Graph(n=6, m=6, adjacency=adj, features=feats, features_raw=feats,
+    g = Graph(n=6, m=6, adjacency=adj, features=feats,
               labels=np.array([0, 0, 0, 1, 1, 1]), class_count=2, name="twotri")
     d = tmp_path / "twotri"
     write_dataset(g, d)
@@ -367,14 +367,13 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
     flags = {name: {s for a in p._actions for s in a.option_strings if s != "-h"} - {"--help"}
              for name, p in sub.choices.items()}
     assert flags == {
-        "validate": {"--config", "--dataset", "--row-normalize"},
+        "validate": {"--config", "--dataset"},
         "train": _TRAIN_FLAGS,
         "evaluate": _HP_FLAGS | {"--config", "--dataset", "--checkpoint", "--split-dir",
                                  "--row-normalize", "--seed"},
         "ablate": _TRAIN_FLAGS - {"--dump-cluster-signals"},
         "sweep": _TRAIN_FLAGS - {"--dump-cluster-signals"} | {"--axis", "--values"},
-        "spectral": {"--config", "--dataset", "--out", "--seed", "--k", "--row-normalize",
-                     "--self-loops"},
+        "spectral": {"--config", "--dataset", "--out", "--seed", "--k", "--self-loops"},
     }
     out = tmp_path / "o"
     assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
@@ -413,6 +412,14 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     pytest.param("ablate", ["--runs", "0"], "runs", id="ablate-runs-0"),
     pytest.param("sweep", ["--axis", "lr", "--values", "0.01", "--split-policy", "bogus"],
                  "split-policy", id="sweep-split-policy"),
+    *[pytest.param("train", [f"--{flag}", "-1"], f"--{flag} must be non-negative",
+                   id=f"train-{flag}-negative")
+      for flag in ("train-per-class", "val-per-class", "val-total", "test-total")],
+    pytest.param("ablate", ["--train-per-class", "-1"], "--train-per-class must be non-negative",
+                 id="ablate-train-per-class-negative"),
+    pytest.param("sweep", ["--values", "0.01", "--test-total", "-1"],
+                 "--test-total must be non-negative", id="sweep-test-total-negative"),
+    pytest.param("spectral", ["--k", "-1"], "--k must be non-negative", id="spectral-k-negative"),
 ])
 def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
                                                       command, extra, field):
@@ -420,6 +427,8 @@ def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
     if command == "evaluate":
         args = ["evaluate", "--dataset", str(sbm_dir),
                 "--checkpoint", str(tmp_path / "checkpoint.bin")]
+    elif command == "spectral":
+        args = ["spectral", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1"]
     else:
         args = [command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
                 "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
@@ -428,6 +437,71 @@ def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
               if line.startswith("error:")]
     assert len(errors) == 1 and field in errors[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", [
+    ("lambda-kl", "nan"), ("lambda-pl", "nan"), ("epsilon", "inf"), ("epsilon", "nan"),
+    ("lr", "nan"), ("lr", "inf"), ("beta", "nan"), ("beta", "inf"),
+    ("weight-decay", "nan"), ("weight-decay", "inf"),
+])
+def test_non_finite_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
+                                                         source, flag, value):
+    out = tmp_path / "o"
+    args = ["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+            "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
+    if source == "flag":
+        args += [f"--{flag}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and f"{flag.replace('-', '_')} must be finite" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral"])
+def test_row_normalize_is_not_a_flag_of_validate_or_spectral_exit_4(capsys, sbm_dir,
+                                                                     tmp_path, command):
+    out = tmp_path / "o"
+    args = [command, "--dataset", str(sbm_dir), "--row-normalize", "off"]
+    if command == "spectral":
+        args += ["--out", str(out), "--seed", "1"]
+    assert main(args) == 4
+    assert "--row-normalize" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_from_train_config_resolved(capsys, sbm_dir, tmp_path):
+    # a train run's config.resolved carries row-normalize and other keys that
+    # validate does not take; they are skipped
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    assert "row-normalize = off" in (out / "config.resolved").read_text()
+    capsys.readouterr()
+    assert main(["validate", "--config", str(out / "config.resolved")]) == 0
+    assert "n=20" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_spectral_cluster_count_other_than_class_count(capsys, tmp_path, k):
+    g = make_sbm([10, 10, 10], 0.5, 0.02, feature_dim=2, rng=RngState(12), name="sbm3")
+    d = tmp_path / "sbm3"
+    write_dataset(g, d)
+    out = tmp_path / "o"
+    assert main(["spectral", "--dataset", str(d), "--out", str(out), "--seed", "1",
+                 "--k", str(k)]) == 0
+    acc = float(capsys.readouterr().out.split("clustering_acc=")[1].split()[0])
+    assert set(np.loadtxt(out / "assignments.tsv", dtype=int)[:, 1]) <= set(range(k))
+    # k clusters can match at most k of the three equal-size classes, and a
+    # single cluster matches exactly one
+    assert acc <= k / 3 + 1e-12
+    if k == 1:
+        assert acc == pytest.approx(1 / 3, abs=1e-4)
 
 
 def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):

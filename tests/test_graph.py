@@ -30,7 +30,7 @@ def write_triangle(path, n=3, m=3, d=2, k=2, edges="0\t1\n0\t2\n1\t2\n",
 def triangle_graph(features=None):
     adj = CsrMatrix.from_coo(3, 3, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], np.ones(6))
     feats = np.eye(3, 2) if features is None else features
-    return Graph(n=3, m=3, adjacency=adj, features=feats, features_raw=feats,
+    return Graph(n=3, m=3, adjacency=adj, features=feats,
                  labels=np.array([0, 1, 1]), class_count=2, name="triangle")
 
 
@@ -85,11 +85,11 @@ def test_meta_edge_count_mismatch(tmp_path):
 def test_row_normalization_default_and_off(tmp_path):
     d = write_triangle(tmp_path / "t6")
     g = load_dataset(d)
-    sums = np.abs(g.features).sum(axis=1)
-    nz = np.abs(g.features_raw).sum(axis=1) > 0
-    assert np.allclose(sums[nz], 1.0)
     g_raw = load_dataset(d, row_normalize=False)
-    assert np.array_equal(g_raw.features, g_raw.features_raw)
+    sums = np.abs(g.features).sum(axis=1)
+    nz = np.abs(g_raw.features).sum(axis=1) > 0
+    assert np.allclose(sums[nz], 1.0)
+    assert np.array_equal(g.features, row_l1_normalize(g_raw.features))
 
 
 def test_round_trip_is_identical(tmp_path):
@@ -97,14 +97,13 @@ def test_round_trip_is_identical(tmp_path):
     g = make_sbm([5, 4], 0.8, 0.1, feature_dim=3, rng=rng)
     split = make_split(g, "per_class", RngState(1), per_class_train=2, per_class_val=1)
     write_dataset(g, tmp_path / "a", split)
-    g1 = load_dataset(tmp_path / "a")
+    g1 = load_dataset(tmp_path / "a", row_normalize=False)
     s1 = load_split(tmp_path / "a", g1.n)
     write_dataset(g1, tmp_path / "b", s1)
-    g2 = load_dataset(tmp_path / "b")
+    g2 = load_dataset(tmp_path / "b", row_normalize=False)
     s2 = load_split(tmp_path / "b", g2.n)
     assert g1.n == g2.n and g1.m == g2.m
     assert np.array_equal(g1.features, g2.features)
-    assert np.array_equal(g1.features_raw, g2.features_raw)
     assert np.array_equal(g1.labels, g2.labels)
     assert np.array_equal(g1.adjacency.col_indices, g2.adjacency.col_indices)
     assert np.array_equal(g1.adjacency.row_offsets, g2.adjacency.row_offsets)
@@ -145,7 +144,7 @@ def test_normalized_adjacency_triangle():
 def test_normalized_adjacency_isolated_node():
     adj = CsrMatrix.zeros(1, 1)
     feats = np.zeros((1, 1))
-    g = Graph(n=1, m=0, adjacency=adj, features=feats, features_raw=feats,
+    g = Graph(n=1, m=0, adjacency=adj, features=feats,
               labels=None, class_count=1)
     assert normalized_adjacency(g, add_self_loops=False).to_dense() == pytest.approx(0.0)
     assert normalized_adjacency(g, add_self_loops=True).to_dense() == pytest.approx(1.0)
@@ -156,7 +155,7 @@ def test_normalized_laplacian_triangle_and_edgeless():
     assert np.allclose(lt, np.eye(3) * 1.5 - 0.5, atol=1e-15)
     adj = CsrMatrix.zeros(4, 4)
     feats = np.zeros((4, 1))
-    g = Graph(n=4, m=0, adjacency=adj, features=feats, features_raw=feats,
+    g = Graph(n=4, m=0, adjacency=adj, features=feats,
               labels=None, class_count=1)
     assert np.allclose(normalized_laplacian(g).to_dense(), np.eye(4))
 
@@ -246,5 +245,5 @@ def test_graph_invariant_checks():
     adj = CsrMatrix.zeros(2, 2)
     feats = np.zeros((2, 2))
     with pytest.raises(ShapeError):
-        Graph(n=2, m=0, adjacency=adj, features=feats, features_raw=feats,
+        Graph(n=2, m=0, adjacency=adj, features=feats,
               labels=np.array([0, 3]), class_count=2)

@@ -99,7 +99,7 @@ def test_appnp_two_hops_matches_polynomial():
     # triangle graph, alpha=0.2: coefficients a, a(1-a), (1-a)^2 on A^0, A^1, A^2
     adj = CsrMatrix.from_coo(3, 3, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], np.ones(6))
     feats = np.zeros((3, 1))
-    g = Graph(n=3, m=3, adjacency=adj, features=feats, features_raw=feats,
+    g = Graph(n=3, m=3, adjacency=adj, features=feats,
               labels=None, class_count=2)
     at = normalized_adjacency(g, add_self_loops=False)
     a_dense = at.to_dense()
@@ -189,7 +189,7 @@ def test_forward_one_layer_composition_oracle():
     g0, at = small_graph(seed=18, d=5)
     feats = np.abs(g0.features)
     g = Graph(n=g0.n, m=g0.m, adjacency=g0.adjacency, features=feats,
-              features_raw=feats, labels=g0.labels, class_count=g0.class_count)
+              labels=g0.labels, class_count=g0.class_count)
     cfg = HyperParams(layers=1, hidden_dim=5, beta=0.0, dropout=0.0)
     params = init_params(cfg, 5, g.class_count, RngState(19))
     params.input_weights[0][0].value = np.eye(5)
@@ -258,7 +258,7 @@ def test_sparse_feature_path_matches_dense_composition():
     feats = rng.normal((n, d)) * (rng.uniform((n, d)) < 0.02)
     g0 = make_sbm([n // 2, n // 2], 0.05, 0.01, feature_dim=1, rng=RngState(71))
     g = Graph(n=n, m=g0.m, adjacency=g0.adjacency, features=feats,
-              features_raw=feats, labels=g0.labels, class_count=2)
+              labels=g0.labels, class_count=2)
     x = feature_operator(g.features)
     assert isinstance(x, CsrMatrix)
     at = normalized_adjacency(g)
