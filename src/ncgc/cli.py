@@ -22,7 +22,8 @@ pass, whose normalized adjacency follows ``--self-loops`` as in training.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
 4 bad flags (including out-of-range or non-finite hyperparameter values, an
-unknown split policy, a run count below one and a negative count).
+unknown split policy, a run count below one, a negative count and a
+``spectral --k`` above the node count).
 """
 
 from __future__ import annotations
@@ -381,9 +382,11 @@ def cmd_sweep(resolved: dict) -> int:
 
 def cmd_spectral(resolved: dict) -> int:
     _check_run_options(resolved)
-    out = _prepare_out(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=False)
     k = resolved["k"] or g.class_count
+    if k > g.n:
+        raise _UsageError(f"--k must be at most the node count {g.n}, got {k}")
+    out = _prepare_out(resolved)
     a_tilde = normalized_adjacency(g, add_self_loops=resolved["self-loops"])
     indicator, basis = spectral_cluster(a_tilde, k, RngState(resolved["seed"]))
     with (out / "assignments.tsv").open("w", encoding="utf-8") as f:
@@ -391,7 +394,7 @@ def cmd_spectral(resolved: dict) -> int:
             f.write(f"{i}\t{c}\n")
     msg = (f"dataset={g.name} k={k} converged={str(basis.converged).lower()} "
            f"iterations={basis.iterations_used}")
-    if g.labels is not None:
+    if g.labeled_nodes().size:
         acc = clustering_accuracy(indicator.assignments, g.labels, k)
         msg += f" clustering_acc={acc:.4f}"
     print(msg)

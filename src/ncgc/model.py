@@ -3,9 +3,12 @@
 Each layer computes ``sigma(prop(Z) - beta * Zn (Zn^T Z))`` where
 ``Z = dropout(H) W``, ``Zn`` is the column-L2-normalized ``Z`` and ``prop``
 is a pluggable propagation backbone (one-hop normalized adjacency, or a
-truncated personalized-propagation polynomial). The correction is realized
-as two skinny products, so the n x n outer product is never materialized and
-``beta = 0`` reduces the layer to the plain backbone exactly.
+truncated personalized-propagation polynomial). APPNP propagation is one
+primitive, ``nm.appnp_propagate``: it records one tape node whatever its hop
+count, keeps only A and Z for backward, and its VJP runs the adjoint
+recurrence. The correction is realized as two skinny products, so the n x n
+outer product is never materialized and ``beta = 0`` reduces the layer to
+the plain backbone exactly.
 
 A shared bias-free prototype head maps the final embedding to class/cluster
 logits, the model's one prediction output: losses take their row-wise
@@ -115,17 +118,14 @@ def backbone_propagate(a_tilde: CsrMatrix, z, config: HyperParams):
     ``gcn`` is a single normalized-adjacency hop. ``appnp`` runs the
     personalized-propagation recurrence x <- (1-a) A x + a z with
     a = ``config.appnp_alpha`` for ``config.appnp_hops`` hops, whose hop
-    coefficients sum to one.
+    coefficients sum to one, as the one primitive ``nm.appnp_propagate``:
+    one tape node per layer at any hop count, whose VJP runs the adjoint
+    recurrence with the transpose of A.
     """
     if config.backbone == "gcn":
         return nm.sparse_dense_matmul(a_tilde, z)
     if config.backbone == "appnp":
-        alpha = config.appnp_alpha
-        h = z
-        for _ in range(config.appnp_hops):
-            h = nm.add(nm.scale(nm.sparse_dense_matmul(a_tilde, h), 1.0 - alpha),
-                       nm.scale(z, alpha))
-        return h
+        return nm.appnp_propagate(a_tilde, z, config.appnp_alpha, config.appnp_hops)
     raise ParameterError(f"unknown backbone {config.backbone!r}")
 
 

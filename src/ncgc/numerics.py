@@ -190,6 +190,33 @@ def sparse_dense_matmul(s: CsrMatrix, b) -> Tensor:
     return _record(out, (b,), vjp)
 
 
+def appnp_propagate(s: CsrMatrix, z, alpha: float, hops: int) -> Tensor:
+    """``hops`` steps of h <- (1-alpha) s h + alpha z from h = z, as one tape node.
+
+    Each step computes ``s h * (1-alpha) + z * alpha``, the same expression
+    as the unrolled ``sparse_dense_matmul``/``scale``/``add`` chain, so the
+    value is bitwise equal to it. The result is linear in z, and its VJP runs
+    the same recurrence on the incoming gradient with the transpose of s:
+    u <- (1-alpha) s^T u + alpha g from u = g. The node keeps only s and z.
+    """
+    vz = _as_value(z)
+    c, a = 1.0 - float(alpha), float(alpha)
+    az = vz * a
+    h = vz
+    for _ in range(hops):
+        h = s.matmul_dense(h) * c + az
+    out = Tensor(h)
+
+    def vjp(g):
+        st, ag = s.transpose(), g * a
+        u = g
+        for _ in range(hops):
+            u = st.matmul_dense(u) * c + ag
+        return (u,)
+
+    return _record(out, (z,), vjp)
+
+
 def transpose(x) -> Tensor:
     v = _as_value(x)
     out = Tensor(v.T)

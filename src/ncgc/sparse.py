@@ -6,7 +6,9 @@ CSR matrix in canonical form: within each row the column indices are
 strictly increasing. Every constructor and operation here returns that form,
 so there is no separate layout check. ``rows``, ``cols``, ``nnz``,
 ``row_offsets``, ``col_indices`` and ``values`` are read-only views of it.
-Instances are treated as read-only and may be shared freely across threads.
+Instances are treated as read-only and may be shared freely across threads;
+``transpose`` builds its result once and keeps it on the instance, so the
+backward passes that apply the adjoint of one operator share one copy.
 Products with dense matrices are delegated to scipy, which keeps a fixed
 summation order.
 """
@@ -22,11 +24,12 @@ from .errors import ShapeError
 class CsrMatrix:
     """Sparse rows x cols matrix with sorted, duplicate-free column indices."""
 
-    __slots__ = ("_scipy",)
+    __slots__ = ("_scipy", "_transpose")
 
     def __init__(self, csr: sp.csr_matrix):
         """Wrap a canonical float64 scipy CSR matrix; build through the classmethods."""
         self._scipy = csr
+        self._transpose = None
 
     @property
     def rows(self) -> int:
@@ -78,9 +81,16 @@ class CsrMatrix:
         return self._scipy.toarray()
 
     def transpose(self) -> "CsrMatrix":
-        t = self._scipy.T.tocsr()
-        t.sort_indices()
-        return CsrMatrix(t)
+        """The transpose, built on the first call and returned by every later one.
+
+        Two threads racing on the first call each build an equal matrix and
+        one of them is kept, so sharing an instance stays safe.
+        """
+        if self._transpose is None:
+            t = self._scipy.T.tocsr()
+            t.sort_indices()
+            self._transpose = CsrMatrix(t)
+        return self._transpose
 
     def matmul_dense(self, b: np.ndarray) -> np.ndarray:
         """Sparse @ dense with shape checking; returns a new dense array."""

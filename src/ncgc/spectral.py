@@ -214,10 +214,13 @@ def kmeans_round(q: np.ndarray, k: int, rng: RngState, restarts: int = 10) -> Cl
 
 def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Agreement of cluster ids with labels under the best one-to-one matching
-    (Hungarian); with k unequal to the class count, unmatched nodes are wrong."""
+    (Hungarian); with k unequal to the class count, unmatched nodes are wrong.
+    Only labeled nodes (label >= 0) count, and there must be at least one."""
     mask = labels >= 0
+    if not mask.any():
+        raise ContractError("clustering accuracy needs at least one labeled node")
     a, y = assignments[mask], labels[mask]
-    confusion = np.zeros((k, int(y.max(initial=-1)) + 1))
+    confusion = np.zeros((k, int(y.max()) + 1))
     np.add.at(confusion, (a, y), 1)
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / len(a))

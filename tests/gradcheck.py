@@ -56,6 +56,18 @@ def _build_spmm(rng):
             [rng.normal((5, 3))])
 
 
+@op_case("appnp_propagate")
+def _build_appnp(rng):
+    dense = rng.normal((5, 5)) * (rng.uniform((5, 5)) < 0.5)
+    dense[0, 1], dense[1, 0] = 0.8, 0.0  # asymmetric: the adjoint needs the transpose
+    s = CsrMatrix.from_dense(dense)
+    alpha = float(rng.uniform((1,), 0.05, 0.95)[0])
+    hops = int(rng.integers(1, 5))
+    c = rng.normal((5, 3))
+    return (lambda z: nm.sum_all(nm.mul(nm.appnp_propagate(s, z, alpha, hops), c)),
+            [rng.normal((5, 3))])
+
+
 @op_case("transpose")
 def _build_transpose(rng):
     c = rng.normal((3, 4))

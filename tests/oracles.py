@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+import ncgc.numerics as nm
 from ncgc.errors import ContractError
 from ncgc.model import load_checkpoint
 from ncgc.sparse import CsrMatrix
@@ -27,6 +28,15 @@ def loop_matmul(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def appnp_chain(s, z, alpha, hops):
+    """APPNP propagation unrolled into primitives: sparse matmul, two scales
+    and an add per hop, four tape nodes each (what ``nm.appnp_propagate`` fuses)."""
+    h = z
+    for _ in range(hops):
+        h = nm.add(nm.scale(nm.sparse_dense_matmul(s, h), 1.0 - alpha), nm.scale(z, alpha))
+    return h
 
 
 def finite_difference_grads(f, arrays, step=1e-5):

@@ -504,6 +504,26 @@ def test_spectral_cluster_count_other_than_class_count(capsys, tmp_path, k):
         assert acc == pytest.approx(1 / 3, abs=1e-4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_with_no_labeled_node_omits_accuracy(capsys, sbm_dir, tmp_path):
+    (sbm_dir / "labels.tsv").write_text("")
+    out = tmp_path / "o"
+    assert main(["spectral", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("dataset=sbm k=2 ") and "clustering_acc" not in stdout
+    assert (out / "assignments.tsv").exists()
+
+
+def test_spectral_k_above_node_count_exit_4_writes_nothing(capsys, sbm_dir, tmp_path):
+    out = tmp_path / "o"
+    assert main(["spectral", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--k", "25"]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "--k must be at most the node count 20" in errors[0]
+    assert not out.exists()
+
+
 def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):
     # 10 training nodes per class on a 2 x 10 SBM leave no unlabeled node for
     # the pseudo-label loss

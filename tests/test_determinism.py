@@ -2,7 +2,8 @@
 
 Byte identity of ``report.json`` and ``checkpoint.bin`` holds only for one
 numpy, scipy and BLAS build at one thread count (criterion 9 checks it);
-across thread counts the runs must agree within ``oracles.RUN_RTOL``.
+across thread counts the runs must agree within ``oracles.RUN_RTOL``, and so
+must a fused APPNP run and one through the unrolled primitive chain.
 """
 
 import json
@@ -15,11 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncgc.model as model
+from ncgc.cli import main
 from ncgc.graph import write_dataset
 from ncgc.model import load_checkpoint, save_checkpoint
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
-from oracles import run_differences
+from oracles import appnp_chain, run_differences
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,13 +46,19 @@ def train_with_blas_threads(data: Path, out: Path, threads: int) -> None:
 
 
 @pytest.fixture(scope="module")
-def thread_runs(tmp_path_factory):
-    base = tmp_path_factory.mktemp("threads")
+def sbm(tmp_path_factory):
+    d = tmp_path_factory.mktemp("data") / "sbm"
     g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
                  feature_shift=2.5, feature_noise=0.6)
-    write_dataset(g, base / "sbm")
+    write_dataset(g, d)
+    return d
+
+
+@pytest.fixture(scope="module")
+def thread_runs(sbm, tmp_path_factory):
+    base = tmp_path_factory.mktemp("threads")
     for threads in (1, 2):
-        train_with_blas_threads(base / "sbm", base / f"t{threads}", threads)
+        train_with_blas_threads(sbm, base / f"t{threads}", threads)
     return base / "t1", base / "t2"
 
 
@@ -79,3 +88,19 @@ def test_comparator_requires_equal_epoch_numbers(thread_runs, tmp_path):
     (moved / "report.json").write_text(json.dumps(report))
     diffs = run_differences(run, moved)
     assert len(diffs) == 1 and "best_epoch" in diffs[0]
+
+
+def test_fused_appnp_run_agrees_with_the_unrolled_chain(sbm, tmp_path, monkeypatch, capsys):
+    args = ["train", "--dataset", str(sbm), "--backbone", "appnp", *CRITERION_9_FLAGS]
+    assert main(args + ["--out", str(tmp_path / "fused")]) == 0
+    hops = []
+
+    def chain_propagate(a_tilde, z, config):
+        hops.append(config.appnp_hops)
+        return appnp_chain(a_tilde, z, config.appnp_alpha, config.appnp_hops)
+
+    monkeypatch.setattr(model, "backbone_propagate", chain_propagate)
+    assert main(args + ["--out", str(tmp_path / "chain")]) == 0
+    capsys.readouterr()
+    assert hops and set(hops) == {10}
+    assert run_differences(tmp_path / "fused", tmp_path / "chain") == []

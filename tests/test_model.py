@@ -113,6 +113,21 @@ def test_appnp_two_hops_matches_polynomial():
     assert np.allclose(out.value, expected, atol=1e-12)
 
 
+def test_appnp_layer_tape_nodes_do_not_grow_with_hops():
+    g, at = small_graph(seed=4)
+    rng = RngState(5)
+    h = nm.Tensor(rng.normal((g.n, 4)))
+    w = nm.Parameter(rng.normal((4, 4)), name="w")
+    counts = []
+    for hops in (1, 10):
+        tape = nm.Tape()
+        with tape:
+            sogn_layer(h, w, at, HyperParams(backbone="appnp", appnp_hops=hops),
+                       RngState(6), training=True)
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # layer
 

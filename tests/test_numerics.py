@@ -6,7 +6,7 @@ from ncgc.errors import ContractError, NumericError, ParameterError, ShapeError
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from gradcheck import OPS, check_gradients
-from oracles import loop_matmul
+from oracles import appnp_chain, loop_matmul, rel_error
 
 E = np.e
 
@@ -50,6 +50,29 @@ def test_sparse_dense_matmul_identity_empty_and_oracle():
         s = CsrMatrix.from_dense(dense)
         b = rng.normal((5, 4))
         assert np.allclose(nm.sparse_dense_matmul(s, nm.Tensor(b)).value, dense @ b, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, hops", [(0.1, 1), (0.1, 10), (0.37, 3), (1.0, 2)])
+def test_appnp_propagate_forward_bitwise_equals_chain(alpha, hops):
+    rng = RngState(3)
+    dense = rng.normal((30, 30)) * (rng.uniform((30, 30)) < 0.2)
+    s = CsrMatrix.from_dense(dense)
+    assert not s.is_symmetric()
+    z = nm.Tensor(rng.normal((30, 6)))
+    fused = nm.appnp_propagate(s, z, alpha, hops)
+    assert np.array_equal(fused.value, appnp_chain(s, z, alpha, hops).value)
+
+    # the fused adjoint matches the chain's backward up to summation order
+    c = rng.normal((30, 6))
+    grads = []
+    for prop in (nm.appnp_propagate, appnp_chain):
+        zp = nm.Parameter(z.value, name="z")
+        tape = nm.Tape()
+        with tape:
+            loss = nm.sum_all(nm.mul(prop(s, zp, alpha, hops), c))
+        nm.backward(tape, loss)
+        grads.append(zp.grad)
+    assert rel_error(*grads) < 1e-13
 
 
 def test_softmax_rows_uniform_and_hand_value():

@@ -59,6 +59,14 @@ def test_transpose_add_and_scaling():
     assert_canonical(sa.scale_cols(d_col), a * d_col[None, :])
 
 
+def test_transpose_is_built_once_and_canonical():
+    a = random_sparse(6, 4, seed=8)
+    s = CsrMatrix.from_dense(a)
+    t = s.transpose()
+    assert s.transpose() is t
+    assert_canonical(t, a.T)
+
+
 def test_matmul_dense_matches_numpy_and_checks_shape():
     a = random_sparse(5, 3, seed=6)
     b = RngState(7).normal((3, 2))

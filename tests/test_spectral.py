@@ -271,6 +271,13 @@ def test_clustering_accuracy_hungarian():
     assert clustering_accuracy(np.array([0, 0, 1, 1, 2, 3]), labels, 4) == pytest.approx(5 / 6)
 
 
+def test_clustering_accuracy_rejects_no_labeled_node():
+    with pytest.raises(ContractError, match="labeled node"):
+        clustering_accuracy(np.array([0, 1, 1]), np.full(3, -1), 2)
+    # unlabeled nodes (-1) do not count
+    assert clustering_accuracy(np.array([0, 1, 1]), np.array([-1, 0, 0]), 2) == 1.0
+
+
 def test_spectral_cluster_two_components():
     g = two_triangles()
     at = normalized_adjacency(g)
