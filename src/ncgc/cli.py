@@ -305,6 +305,8 @@ def cmd_evaluate(resolved: dict) -> int:
         resolved["seed"] = 0
     hp = hyperparams_from(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
+    if g.labels is None:
+        raise IngestionError(f"{resolved['dataset']}: no labels.tsv; evaluation needs node labels")
     split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
     split = load_split(split_dir, g.n)
     if split is None:

@@ -6,9 +6,11 @@ is a pluggable propagation backbone (one-hop normalized adjacency, or a
 truncated personalized-propagation polynomial). APPNP propagation is one
 primitive, ``nm.appnp_propagate``: it records one tape node whatever its hop
 count, keeps only A and Z for backward, and its VJP runs the adjoint
-recurrence. The correction is realized as two skinny products, so the n x n
-outer product is never materialized and ``beta = 0`` reduces the layer to
-the plain backbone exactly.
+recurrence. The correction is one primitive too, ``nm.soft_orthogonal``:
+it uses ``Zn (Zn^T Z) = Z (S^-2 Z^T Z)`` with ``S^2`` the squared column
+norms, so it needs only the d x d Gram matrix, never the n x n outer product
+or a normalized copy of Z, and records one tape node. ``beta = 0`` skips it
+and reduces the layer to the plain backbone exactly.
 
 A shared bias-free prototype head maps the final embedding to class/cluster
 logits, the model's one prediction output: losses take their row-wise
@@ -140,16 +142,15 @@ def sogn_layer(
 ):
     """One soft-orthogonal message-passing layer with the settings of ``config``.
 
-    The correction term is computed as Zn (Zn^T Z), two products of skinny
-    matrices; cost per layer stays O(n d^2 + nnz d).
+    The correction term beta * Zn (Zn^T Z) is the one tape node
+    ``nm.soft_orthogonal``, built from the d x d Gram matrix of Z; cost per
+    layer stays O(n d^2 + nnz d).
     """
     x = nm.dropout(h, config.dropout, rng, training)
     z = nm.matmul(x, w)
     out = backbone_propagate(a_tilde, z, config)
     if config.beta != 0.0:
-        zn = nm.column_l2_normalize(z)
-        corr = nm.matmul(zn, nm.matmul(nm.transpose(zn), z))
-        out = nm.sub(out, nm.scale(corr, config.beta))
+        out = nm.sub(out, nm.soft_orthogonal(z, config.beta))
     return nm.relu(out) if activation else out
 
 

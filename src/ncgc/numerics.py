@@ -347,6 +347,36 @@ def column_l2_normalize(x, guard: float = 1e-12) -> Tensor:
     return _record(out, (x,), vjp)
 
 
+def soft_orthogonal(z, beta: float) -> Tensor:
+    """``beta * Zn (Zn^T Z)``, Zn the ``column_l2_normalize`` of z, as one tape node.
+
+    With G = Z^T Z and S^2 = diag(G) on the columns whose norm reaches
+    1e-12 (1 on the rest, which pass through unnormalized), the value is
+    Z M with M = beta S^-2 G: a Gram product and one GEMM, never an n x n
+    matrix. The node keeps z, M and S^2, no other n x d array. Its VJP, with
+    Mbar = Z^T g, is g M^T + Z (Gbar + Gbar^T), where Gbar_ij = Mbar_ij beta
+    / s_i, less sum_j Mbar_ij M_ij / s_i on the diagonal of active columns.
+    """
+    v = _as_value(z)
+    beta = float(beta)
+    gram = v.T @ v
+    sq = np.diag(gram)
+    active = np.sqrt(sq) >= 1e-12  # column_l2_normalize's guard
+    s = np.where(active, sq, 1.0)[:, None]
+    m = gram * (beta / s)
+    out = Tensor(v @ m)
+
+    def vjp(g):
+        mbar = v.T @ g
+        gbar = mbar * (beta / s)
+        gbar[np.diag_indices_from(gbar)] -= active * (mbar * m).sum(axis=1) / s[:, 0]
+        gz = g @ m.T
+        gz += v @ (gbar + gbar.T)
+        return (gz,)
+
+    return _record(out, (z,), vjp)
+
+
 def frobenius_sq_diff(x, y) -> Tensor:
     """Scalar squared Frobenius norm of (x - y)."""
     vx, vy = _as_value(x), _as_value(y)

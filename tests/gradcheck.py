@@ -1,5 +1,7 @@
 """Shared gradient-checking harness and the per-operation case registry."""
 
+import zlib
+
 import numpy as np
 
 import ncgc.numerics as nm
@@ -28,6 +30,15 @@ def check_gradients(build, arrays, tol=1e-4, step=1e-5):
                                  [a.copy() for a in arrays], step=step)
     for g, gn in zip(grads, fd):
         assert rel_error(g, gn) < tol
+
+
+def trial_rng(name: str, trial: int) -> RngState:
+    """The generator of one op's gradcheck instance, the same in every process.
+
+    ``zlib.crc32`` rather than ``hash``: Python salts ``str`` hashes per
+    process, which would make a failing instance impossible to replay.
+    """
+    return RngState(1000 + 37 * trial + zlib.crc32(name.encode()) % 1000)
 
 
 OPS = {}
@@ -158,6 +169,14 @@ def _build_colnorm(rng):
     c = rng.normal((5, 3))
     x = rng.normal((5, 3)) + 0.5
     return (lambda t: nm.sum_all(nm.mul(nm.column_l2_normalize(t), c)), [x])
+
+
+@op_case("soft_orthogonal")
+def _build_soft_orth(rng):
+    c = rng.normal((6, 3))
+    x = rng.normal((6, 3)) + 0.5  # columns away from zero: differences would cross the guard
+    beta = float(rng.uniform((1,), 0.1, 2.0)[0])
+    return (lambda t: nm.sum_all(nm.mul(nm.soft_orthogonal(t, beta), c)), [x])
 
 
 @op_case("frobenius_sq_diff")

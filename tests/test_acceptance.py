@@ -28,7 +28,7 @@ from ncgc.sparse import CsrMatrix
 from ncgc.spectral import ratiocut_trace, subspace_iteration
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams, class_loss, run_seeds, total_loss
-from gradcheck import OPS, check_gradients
+from gradcheck import OPS, check_gradients, trial_rng
 from oracles import (
     dense_eigh_oracle, edge_sum_smoothness, random_symmetric_with_gap, rel_error, sinkhorn_loop, subspace_angle,
 )
@@ -219,8 +219,7 @@ def test_criterion_7_sinkhorn_properties():
 def test_criterion_8_gradient_suite():
     for name, case in sorted(OPS.items()):
         for trial in range(20):
-            rng = RngState(1000 + 37 * trial + hash(name) % 1000)
-            build, arrays = case(rng)
+            build, arrays = case(trial_rng(name, trial))
             check_gradients(build, arrays)
 
     # composed forward + full multi-task loss against finite differences

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import ncgc.cli as cli
 from ncgc.cli import main, read_config_file
 from ncgc.graph import write_dataset
 from ncgc.rng import RngState
@@ -231,6 +233,25 @@ def test_evaluate_checkpoint_with_extra_layer_exit_3(capsys, sbm_dir, tmp_path):
                "--checkpoint", str(out / "checkpoint.bin")])
     assert rc == 3
     assert "layer2.w" in capsys.readouterr().err
+
+
+def test_evaluate_on_dataset_without_labels_exit_2(capsys, sbm_dir, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    unlabeled = tmp_path / "unlabeled"
+    shutil.copytree(sbm_dir, unlabeled)
+    (unlabeled / "labels.tsv").unlink()
+
+    def never(path):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", str(out / "config.resolved"),
+               "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(unlabeled)])
+    assert rc == 2
+    assert "evaluation needs node labels" in capsys.readouterr().err
 
 
 def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):

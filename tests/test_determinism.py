@@ -3,7 +3,8 @@
 Byte identity of ``report.json`` and ``checkpoint.bin`` holds only for one
 numpy, scipy and BLAS build at one thread count (criterion 9 checks it);
 across thread counts the runs must agree within ``oracles.RUN_RTOL``, and so
-must a fused APPNP run and one through the unrolled primitive chain.
+must a run through a fused primitive (APPNP propagation, the soft-orthogonal
+correction) and one through the primitive chain it replaces.
 """
 
 import json
@@ -17,12 +18,13 @@ import numpy as np
 import pytest
 
 import ncgc.model as model
+import ncgc.numerics as nm
 from ncgc.cli import main
 from ncgc.graph import write_dataset
 from ncgc.model import load_checkpoint, save_checkpoint
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
-from oracles import appnp_chain, run_differences
+from oracles import appnp_chain, run_differences, soft_orth_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -103,4 +105,21 @@ def test_fused_appnp_run_agrees_with_the_unrolled_chain(sbm, tmp_path, monkeypat
     assert main(args + ["--out", str(tmp_path / "chain")]) == 0
     capsys.readouterr()
     assert hops and set(hops) == {10}
+    assert run_differences(tmp_path / "fused", tmp_path / "chain") == []
+
+
+def test_fused_soft_orthogonal_run_agrees_with_the_primitive_chain(sbm, tmp_path, monkeypatch,
+                                                                  capsys):
+    args = ["train", "--dataset", str(sbm), *CRITERION_9_FLAGS]
+    assert main(args + ["--out", str(tmp_path / "fused")]) == 0
+    betas = []
+
+    def chain(z, beta):
+        betas.append(beta)
+        return soft_orth_chain(z, beta)
+
+    monkeypatch.setattr(nm, "soft_orthogonal", chain)
+    assert main(args + ["--out", str(tmp_path / "chain")]) == 0
+    capsys.readouterr()
+    assert betas and set(betas) == {0.005}
     assert run_differences(tmp_path / "fused", tmp_path / "chain") == []

@@ -12,7 +12,7 @@ from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams
-from oracles import loop_soc_penalty, rel_error
+from oracles import loop_soc_penalty, rel_error, soft_orth_chain
 
 
 def small_graph(seed=0, n_per=3, k=2, d=4):
@@ -126,6 +126,23 @@ def test_appnp_layer_tape_nodes_do_not_grow_with_hops():
                        RngState(6), training=True)
         counts.append(len(tape))
     assert counts[0] == counts[1]
+
+
+def test_soft_orthogonal_layer_records_four_fewer_tape_nodes_than_the_chain(monkeypatch):
+    g, at = small_graph(seed=4)
+    rng = RngState(5)
+    h = nm.Tensor(rng.normal((g.n, 4)))
+    w = nm.Parameter(rng.normal((4, 4)), name="w")
+
+    def layer_tape_nodes():
+        tape = nm.Tape()
+        with tape:
+            sogn_layer(h, w, at, HyperParams(beta=0.01), RngState(6), training=True)
+        return len(tape)
+
+    fused = layer_tape_nodes()
+    monkeypatch.setattr(nm, "soft_orthogonal", soft_orth_chain)
+    assert layer_tape_nodes() == fused + 4
 
 
 # ---------------------------------------------------------------------------

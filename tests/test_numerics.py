@@ -5,8 +5,8 @@ import ncgc.numerics as nm
 from ncgc.errors import ContractError, NumericError, ParameterError, ShapeError
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
-from gradcheck import OPS, check_gradients
-from oracles import appnp_chain, loop_matmul, rel_error
+from gradcheck import OPS, check_gradients, trial_rng
+from oracles import appnp_chain, loop_matmul, rel_error, soft_orth_chain
 
 E = np.e
 
@@ -73,6 +73,31 @@ def test_appnp_propagate_forward_bitwise_equals_chain(alpha, hops):
         nm.backward(tape, loss)
         grads.append(zp.grad)
     assert rel_error(*grads) < 1e-13
+
+
+@pytest.mark.parametrize("n,d,zero_col", [(7, 3, None), (40, 8, 2), (200, 16, 0), (5, 4, 3)])
+def test_soft_orthogonal_matches_the_primitive_chain(n, d, zero_col):
+    rng = RngState(n + d)
+    zv = rng.normal((n, d))
+    if zero_col is not None:
+        zv[:, zero_col] = 0.0  # the guard path: the column passes through unnormalized
+    beta = 0.37
+    c = rng.normal((n, d))
+    values, grads = [], []
+    for corr in (nm.soft_orthogonal, soft_orth_chain):
+        z = nm.Parameter(zv, name="z")
+        tape = nm.Tape()
+        with tape:
+            out = corr(z, beta)
+            loss = nm.sum_all(nm.mul(out, c))
+        nm.backward(tape, loss)
+        values.append(out.value)
+        grads.append(z.grad)
+    assert rel_error(*values) < 1e-13
+    assert rel_error(*grads) < 1e-13
+    if zero_col is not None:
+        assert np.array_equal(values[0][:, zero_col], np.zeros(n))
+        assert np.all(np.isfinite(grads[0]))
 
 
 def test_softmax_rows_uniform_and_hand_value():
@@ -209,8 +234,7 @@ def test_gradient_accumulates_over_reuse():
 def test_gradcheck_every_op(name):
     # acceptance gradient suite: >= 20 random small instances per operation
     for trial in range(20):
-        rng = RngState(1000 + 37 * trial + hash(name) % 1000)
-        build, arrays = OPS[name](rng)
+        build, arrays = OPS[name](trial_rng(name, trial))
         check_gradients(build, arrays)
 
 
