@@ -311,6 +311,7 @@ def cmd_evaluate(resolved: dict) -> int:
     split = load_split(split_dir, g.n)
     if split is None:
         raise IngestionError(f"{split_dir}: no split files found for evaluation")
+    split.check_labeled(g.labels)
     params = init_params(hp, g.feature_dim, g.class_count, RngState(hp.seed).derive("init"))
     params.load_values(load_checkpoint(resolved["checkpoint"]))
     _, y = _eval_forward(g, params, hp)

@@ -1,23 +1,18 @@
 """Graph data model, dataset ingestion, normalized operators, and splits.
 
-The on-disk dataset layout is a directory of five files (plus optional split
-index files):
+A dataset is a directory holding ``meta.json`` (UTF-8 JSON object with
+integer fields ``n``, ``m``, ``d``, ``k`` and a string field ``name``),
+``features.bin`` (n*d finite little-endian float32 values, row-major,
+widened to float64 on load), ``edges.tsv`` (one undirected edge ``i j`` per
+line; duplicate lines are deduplicated), an optional ``labels.tsv`` (one
+``node class`` line per labeled node, class in [0, k)) and optional
+``train.idx``, ``val.idx`` and ``test.idx`` (all three or none: one node id
+per line, defining the split instead of ``make_split``).
 
-``meta.json``
-    UTF-8 JSON object with integer fields ``n``, ``m``, ``d``, ``k`` and a
-    string field ``name``.
-``features.bin``
-    Little-endian 32-bit floats, row-major, exactly n*d finite values.
-    Widened to float64 on load.
-``edges.tsv``
-    One undirected edge per line: two 0-based decimal node ids separated by
-    a single tab. Each edge appears exactly once; duplicate lines are
-    tolerated and deduplicated.
-``labels.tsv``
-    One line per labeled node: node id, tab, class id in [0, k).
-``train.idx`` / ``val.idx`` / ``test.idx`` (optional, all three or none)
-    One decimal node id per line. When present they define the split and
-    ``make_split`` is bypassed.
+The text files share one format: each non-blank line holds a fixed number of
+decimal integers separated by single tabs, node ids in [0, n). Empty and
+whitespace-only lines are skipped; a rejected line is reported as
+``file:line``.
 """
 
 from __future__ import annotations
@@ -100,15 +95,20 @@ class Split:
         if top >= n:
             raise SplitError(f"split references node {top} but graph has {n} nodes")
 
+    def check_labeled(self, labels: np.ndarray) -> None:
+        """Every index must name a labeled node (label >= 0) of ``labels``."""
+        for name, idx in (("train", self.train_idx), ("validation", self.val_idx),
+                          ("test", self.test_idx)):
+            unlabeled = idx[labels[idx] < 0]
+            if unlabeled.size:
+                raise SplitError(f"the {name} set names unlabeled node {unlabeled[0]}")
 
-def _symmetrize(n: int, pairs) -> CsrMatrix:
-    """0/1 adjacency with both A[i, j] and A[j, i] set for each pair (i, j)."""
-    if not pairs:
-        return CsrMatrix.zeros(n, n)
-    p = np.array(list(pairs), dtype=np.int64)
-    off = p[p[:, 0] != p[:, 1]]
-    rows = np.concatenate([p[:, 0], off[:, 1]])
-    cols = np.concatenate([p[:, 1], off[:, 0]])
+
+def _symmetrize(n: int, edges: np.ndarray) -> CsrMatrix:
+    """0/1 adjacency with A[i, j] and A[j, i] set for each distinct edge row (i, j)."""
+    off = edges[edges[:, 0] != edges[:, 1]]
+    rows = np.concatenate([edges[:, 0], off[:, 1]])
+    cols = np.concatenate([edges[:, 1], off[:, 0]])
     return CsrMatrix.from_coo(n, n, rows, cols, np.ones(rows.size))
 
 
@@ -166,47 +166,61 @@ def _read_features(path: Path, n: int, d: int) -> np.ndarray:
     return feats
 
 
-def _read_edges(path: Path, n: int) -> set[tuple[int, int]]:
+def _read_int_rows(f: Path, width: int) -> tuple[np.ndarray, list[int]]:
+    """The (r, width) int64 array of the tab-separated integers on each non-blank
+    line of ``f``, and those lines' 1-based numbers; IngestionError at a bad line."""
+    lines = read_text(f).split("\n")
+    lineno = [i for i, line in enumerate(lines, 1) if line.strip()]
+    kept = [lines[i - 1] for i in lineno]
+
+    def ints(fields: list[str]) -> np.ndarray:
+        return np.fromiter(map(int, fields), dtype=np.int64, count=len(fields))
+
+    try:
+        if any(line.count("\t") != width - 1 for line in kept):
+            raise ValueError("wrong field count")
+        return ints("\t".join(kept).split("\t") if kept else []).reshape(-1, width), lineno
+    except (ValueError, OverflowError):
+        for i, line in zip(lineno, kept):  # name the first malformed line
+            try:
+                ints(line.split("\t")).reshape(width)
+            except (ValueError, OverflowError) as e:
+                raise IngestionError(f"{f}:{i}: expected {width} tab-separated integers") from e
+        raise
+
+
+def _reject(f: Path, lineno: list[int], rows: np.ndarray, bad: np.ndarray,
+            message: str) -> None:
+    """IngestionError for the first row in ``bad``; ``message`` formats its fields."""
+    if bad.any():
+        r = np.argmax(bad)
+        raise IngestionError(f"{f}:{lineno[r]}: " + message.format(*rows[r]))
+
+
+def _read_edges(path: Path, n: int) -> np.ndarray:
+    """The distinct undirected edges as an (m, 2) int64 array of rows i <= j."""
     f = path / "edges.tsv"
-    pairs: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(read_text(f).split("\n"), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestionError(f"{f}:{lineno}: expected two tab-separated ids")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise IngestionError(f"{f}:{lineno}: non-integer node id") from e
-        if not (0 <= i < n and 0 <= j < n):
-            raise IngestionError(f"{f}:{lineno}: node id out of range [0, {n})")
-        pairs.add((min(i, j), max(i, j)))
-    return pairs
+    rows, lineno = _read_int_rows(f, 2)
+    _reject(f, lineno, rows, ((rows < 0) | (rows >= n)).any(axis=1),
+            f"node id out of range [0, {n})")
+    # one key i * n + j per edge: below 2**63 for every n that fits in memory
+    key = np.unique(rows.min(axis=1) * n + rows.max(axis=1))
+    return np.column_stack(np.divmod(key, n))
 
 
 def _read_labels(path: Path, n: int, k: int) -> np.ndarray | None:
     f = path / "labels.tsv"
     if not f.exists():
         return None
+    rows, lineno = _read_int_rows(f, 2)
+    node, cls = rows[:, 0], rows[:, 1]
+    _reject(f, lineno, rows, (node < 0) | (node >= n), "node id {0} out of range")
+    _reject(f, lineno, rows, (cls < 0) | (cls >= k), "class id {1} out of range [0, %d)" % k)
+    repeated = np.ones(len(node), dtype=bool)
+    repeated[np.unique(node, return_index=True)[1]] = False
+    _reject(f, lineno, rows, repeated, "node {0} labeled twice")
     labels = np.full(n, -1, dtype=np.int64)
-    for lineno, line in enumerate(read_text(f).split("\n"), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestionError(f"{f}:{lineno}: expected 'node<TAB>class'")
-        try:
-            i, c = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise IngestionError(f"{f}:{lineno}: non-integer field") from e
-        if not 0 <= i < n:
-            raise IngestionError(f"{f}:{lineno}: node id {i} out of range")
-        if not 0 <= c < k:
-            raise IngestionError(f"{f}:{lineno}: class id {c} out of range [0, {k})")
-        if labels[i] != -1:
-            raise IngestionError(f"{f}:{lineno}: node {i} labeled twice")
-        labels[i] = c
+    labels[node] = cls
     return labels
 
 
@@ -227,33 +241,23 @@ def load_dataset(path, row_normalize: bool = True) -> Graph:
     meta = _read_meta(path)
     n, d, k = meta["n"], meta["d"], meta["k"]
     feats = _read_features(path, n, d)
-    pairs = _read_edges(path, n)
-    if len(pairs) != meta["m"]:
+    edges = _read_edges(path, n)
+    if len(edges) != meta["m"]:
         raise IngestionError(
-            f"{path / 'meta.json'}: m={meta['m']} but edges.tsv holds "
-            f"{len(pairs)} distinct undirected edges")
+            f"{path / 'meta.json'}: m={meta['m']} but {path / 'edges.tsv'} holds "
+            f"{len(edges)} distinct undirected edges")
     labels = _read_labels(path, n, k)
-    adjacency = _symmetrize(n, pairs)
+    adjacency = _symmetrize(n, edges)
     if row_normalize:
         feats = row_l1_normalize(feats)
-    return Graph(n=n, m=len(pairs), adjacency=adjacency, features=feats,
+    return Graph(n=n, m=len(edges), adjacency=adjacency, features=feats,
                  labels=labels, class_count=k, name=meta["name"])
 
 
 def _read_idx(f: Path, n: int) -> np.ndarray:
-    out = []
-    for lineno, line in enumerate(read_text(f).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            i = int(line)
-        except ValueError as e:
-            raise IngestionError(f"{f}:{lineno}: non-integer node id") from e
-        if not 0 <= i < n:
-            raise IngestionError(f"{f}:{lineno}: node id {i} out of range")
-        out.append(i)
-    return np.asarray(out, dtype=np.int64)
+    rows, lineno = _read_int_rows(f, 1)
+    _reject(f, lineno, rows, (rows[:, 0] < 0) | (rows[:, 0] >= n), "node id {0} out of range")
+    return rows[:, 0]
 
 
 def load_split(path, n: int) -> Split | None:
@@ -266,9 +270,10 @@ def load_split(path, n: int) -> Split | None:
     if not all(present):
         missing = [f.name for f, p in zip(files, present) if not p]
         raise IngestionError(f"{path}: split files are partial, missing {missing}")
-    split = Split(*[_read_idx(f, n) for f in files])
-    split.check_against(n)
-    return split
+    try:
+        return Split(*[_read_idx(f, n) for f in files])
+    except SplitError as e:
+        raise SplitError(f"{', '.join(map(str, files))}: {e}") from e
 
 
 def write_dataset(g: Graph, path, split: Split | None = None) -> None:
@@ -279,16 +284,15 @@ def write_dataset(g: Graph, path, split: Split | None = None) -> None:
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     (path / "features.bin").write_bytes(
         np.ascontiguousarray(g.features, dtype="<f4").tobytes())
-    lines = []
-    off, idx = g.adjacency.row_offsets, g.adjacency.col_indices
-    for i in range(g.n):
-        for j in idx[off[i]:off[i + 1]]:
-            if i <= j:
-                lines.append(f"{i}\t{j}\n")
-    (path / "edges.tsv").write_text("".join(lines), encoding="utf-8")
+    a = g.adjacency
+    rows = np.repeat(np.arange(g.n), np.diff(a.row_offsets))
+    upper = rows <= a.col_indices
+    np.savetxt(path / "edges.tsv", np.column_stack((rows[upper], a.col_indices[upper])),
+               fmt="%d", delimiter="\t")
     if g.labels is not None:
-        lab_lines = [f"{i}\t{g.labels[i]}\n" for i in range(g.n) if g.labels[i] >= 0]
-        (path / "labels.tsv").write_text("".join(lab_lines), encoding="utf-8")
+        labeled = g.labeled_nodes()
+        np.savetxt(path / "labels.tsv", np.column_stack((labeled, g.labels[labeled])),
+                   fmt="%d", delimiter="\t")
     if split is not None:
         write_split(split, path)
 
@@ -300,7 +304,7 @@ def write_split(split: Split, path) -> None:
     for name, arr in (("train.idx", split.train_idx),
                       ("val.idx", split.val_idx),
                       ("test.idx", split.test_idx)):
-        (path / name).write_text("".join(f"{i}\n" for i in arr), encoding="utf-8")
+        np.savetxt(path / name, arr, fmt="%d")
 
 
 def normalized_adjacency(g: Graph, add_self_loops: bool = True) -> CsrMatrix:

@@ -73,10 +73,6 @@ class CsrMatrix:
     def identity(cls, n: int) -> "CsrMatrix":
         return cls(sp.identity(n, dtype=np.float64, format="csr"))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "CsrMatrix":
-        return cls(sp.csr_matrix((rows, cols), dtype=np.float64))
-
     def to_dense(self) -> np.ndarray:
         return self._scipy.toarray()
 

@@ -29,18 +29,15 @@ def make_sbm(
     n = sum(block_sizes)
     labels = np.concatenate([np.full(s, b, dtype=np.int64) for b, s in enumerate(block_sizes)])
 
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if labels[i] == labels[j] else p_out
-            if rng.uniform() < p:
-                pairs.append((i, j))
-
-    adjacency = _symmetrize(n, pairs)
+    # one uniform draw per pair i < j, in row-major order
+    i, j = np.triu_indices(n, 1)
+    keep = rng.uniform(i.size) < np.where(labels[i] == labels[j], p_in, p_out)
+    edges = np.column_stack((i[keep], j[keep]))
+    adjacency = _symmetrize(n, edges)
 
     means = rng.normal((k, feature_dim))
     means *= feature_shift / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
     feats = means[labels] + feature_noise * rng.normal((n, feature_dim))
 
-    return Graph(n=n, m=len(pairs), adjacency=adjacency, features=feats,
+    return Graph(n=n, m=len(edges), adjacency=adjacency, features=feats,
                  labels=labels, class_count=k, name=name)

@@ -208,15 +208,16 @@ def train(
     the best epoch comes before the centroids are seeded, they keep their last
     values) and the per-epoch report. ``pseudo_label_mode`` is ``"sinkhorn"``
     or ``"raw"`` (the latter feeds the detached predictions straight back as
-    targets, used by the normalization ablation). A split that leaves no
-    unlabeled node for a clustering loss that needs one, or an empty
-    validation or test set, is a ``SplitError``.
+    targets, used by the normalization ablation). A split that names an
+    unlabeled node, leaves no unlabeled node for a clustering loss that needs
+    one, or has an empty validation or test set, is a ``SplitError``.
     """
     if g.labels is None:
         raise ContractError("training requires node labels")
     if pseudo_label_mode not in ("sinkhorn", "raw"):
         raise ParameterError(f"unknown pseudo_label_mode {pseudo_label_mode!r}")
     split.check_against(g.n)
+    split.check_labeled(g.labels)
     t0 = time.perf_counter()
     rng = RngState(hp.seed)
     params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))

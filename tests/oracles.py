@@ -47,6 +47,25 @@ def soft_orth_chain(z, beta):
     return nm.scale(nm.matmul(zn, nm.matmul(nm.transpose(zn), z)), beta)
 
 
+def sbm_pairs_loop(block_sizes, p_in, p_out, feature_dim, rng, feature_shift=2.0,
+                   feature_noise=1.0):
+    """The stochastic block model sampled pair by pair: one ``rng.uniform()``
+    draw per pair i < j in row-major order, then the block means and the
+    features (what ``synth.make_sbm`` draws as one vector). Returns the list of
+    edges (i, j) and the feature matrix."""
+    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    n = len(labels)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p_in if labels[i] == labels[j] else p_out
+            if rng.uniform() < p:
+                pairs.append((i, j))
+    means = rng.normal((len(block_sizes), feature_dim))
+    means *= feature_shift / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
+    return pairs, means[labels] + feature_noise * rng.normal((n, feature_dim))
+
+
 def finite_difference_grads(f, arrays, step=1e-5):
     """Central finite differences of scalar f(list of arrays) w.r.t. every entry."""
     grads = []

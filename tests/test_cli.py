@@ -82,6 +82,19 @@ def _nan_feature(d):
     feats.tofile(d / "features.bin")
 
 
+def _write(name, data):
+    return lambda d: (d / name).write_bytes(data)
+
+
+def _train_idx(data):
+    """A split whose val.idx and test.idx are valid and whose train.idx is ``data``."""
+    def corrupt(d):
+        (d / "train.idx").write_bytes(data)
+        (d / "val.idx").write_bytes(b"18\n")
+        (d / "test.idx").write_bytes(b"19\n")
+    return corrupt
+
+
 @pytest.mark.parametrize("name, corrupt", [
     pytest.param("meta.json", lambda d: (d / "meta.json").write_bytes(b'{"name": "\xff"}'),
                  id="meta-not-utf8"),
@@ -96,6 +109,19 @@ def _nan_feature(d):
                  id="labels-not-utf8"),
     pytest.param("train.idx", _idx_not_utf8, id="idx-not-utf8"),
     pytest.param("features.bin", _nan_feature, id="features-non-finite"),
+    pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t1\t2\n"), id="edges-field-count"),
+    pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\tx\n"), id="edges-non-integer"),
+    pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t20\n"), id="edges-node-range"),
+    pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n1\n"), id="labels-field-count"),
+    pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n1\t1.0\n"),
+                 id="labels-non-integer"),
+    pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n-1\t0\n"), id="labels-node-range"),
+    pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n1\t2\n"), id="labels-class-range"),
+    pytest.param("labels.tsv:3", _write("labels.tsv", b"0\t0\n1\t1\n0\t1\n"),
+                 id="labels-twice"),
+    pytest.param("train.idx:2", _train_idx(b"0\n1\t2\n"), id="idx-field-count"),
+    pytest.param("train.idx:2", _train_idx(b"0\nx\n"), id="idx-non-integer"),
+    pytest.param("train.idx:2", _train_idx(b"0\n20\n"), id="idx-node-range"),
 ])
 def test_validate_malformed_dataset_bytes_exit_2(capsys, sbm_dir, name, corrupt):
     corrupt(sbm_dir)
@@ -252,6 +278,38 @@ def test_evaluate_on_dataset_without_labels_exit_2(capsys, sbm_dir, tmp_path, mo
                "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(unlabeled)])
     assert rc == 2
     assert "evaluation needs node labels" in capsys.readouterr().err
+
+
+def test_evaluate_with_empty_labels_file_exit_2(capsys, sbm_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    unlabeled = tmp_path / "unlabeled"
+    shutil.copytree(sbm_dir, unlabeled)
+    (unlabeled / "labels.tsv").write_bytes(b"")
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", str(out / "config.resolved"),
+               "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(unlabeled)])
+    assert rc == 2
+    assert "the train set names unlabeled node" in capsys.readouterr().err
+
+
+def test_train_fixed_split_naming_unlabeled_node_exit_2(capsys, sbm_dir, tmp_path):
+    lines = (sbm_dir / "labels.tsv").read_text().splitlines(keepends=True)
+    (sbm_dir / "labels.tsv").write_text("".join(line for line in lines
+                                                if not line.startswith("19\t")))
+    (sbm_dir / "train.idx").write_text("0\n1\n2\n10\n11\n12\n")
+    (sbm_dir / "val.idx").write_text("3\n13\n19\n")
+    (sbm_dir / "test.idx").write_text("4\n5\n14\n15\n")
+    out = tmp_path / "o"
+    rc = main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+               "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:])
+    assert rc == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: the validation set names unlabeled node 19"]
+    # the run stops before its first epoch: only the echoed configuration is there
+    assert [f.name for f in out.iterdir()] == ["config.resolved"]
 
 
 def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):

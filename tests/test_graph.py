@@ -6,12 +6,12 @@ import pytest
 from ncgc.errors import IngestionError, ShapeError, SplitError
 from ncgc.graph import (
     Graph, Split, load_dataset, load_split, make_split, normalized_adjacency,
-    normalized_laplacian, row_l1_normalize, write_dataset,
+    normalized_laplacian, row_l1_normalize, write_dataset, write_split,
 )
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
-from oracles import transition_matrix
+from oracles import sbm_pairs_loop, transition_matrix
 
 
 def write_triangle(path, n=3, m=3, d=2, k=2, edges="0\t1\n0\t2\n1\t2\n",
@@ -69,6 +69,19 @@ def test_missing_file_and_bad_records(tmp_path):
         load_dataset(d)
 
 
+def test_whitespace_only_lines_are_skipped(tmp_path):
+    d = write_triangle(tmp_path / "ws", edges=" \n0\t1\n\t\n0\t2\n  \t \n1\t2\n",
+                       labels="\t\n0\t0\n \n1\t1\n2\t1\n\t \n")
+    write_split(Split(np.array([0]), np.array([1]), np.array([2])), d)
+    (d / "train.idx").write_text(" \n0\n\t\n")
+    g, ref = load_dataset(d), load_dataset(write_triangle(tmp_path / "ref"))
+    assert g.m == ref.m == 3
+    assert np.array_equal(g.adjacency.to_dense(), ref.adjacency.to_dense())
+    assert np.array_equal(g.labels, ref.labels)
+    split = load_split(d, g.n)
+    assert [list(a) for a in (split.train_idx, split.val_idx, split.test_idx)] == [[0], [1], [2]]
+
+
 def test_truncated_features_names_byte_offset(tmp_path):
     full = np.arange(6, dtype="<f4").tobytes()
     d = write_triangle(tmp_path / "t4", feat_bytes=full[:-3])
@@ -112,6 +125,21 @@ def test_round_trip_is_identical(tmp_path):
         assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
 
+@pytest.mark.parametrize("sizes, p_in, p_out, seed", [
+    ([10, 10], 0.6, 0.05, 0), ([5, 4], 0.8, 0.1, 3), ([30, 20, 7], 0.3, 0.05, 11),
+    ([6, 0, 3], 1.0, 0.0, 12), ([1], 0.5, 0.5, 4), ([40] * 6, 0.10, 0.004, 7),
+])
+def test_make_sbm_matches_the_pair_loop(sizes, p_in, p_out, seed):
+    g = make_sbm(sizes, p_in, p_out, feature_dim=3, rng=RngState(seed))
+    pairs, feats = sbm_pairs_loop(sizes, p_in, p_out, 3, RngState(seed))
+    dense = np.zeros((g.n, g.n))
+    for i, j in pairs:
+        dense[i, j] = dense[j, i] = 1.0
+    assert g.m == len(pairs)
+    assert np.array_equal(g.adjacency.to_dense(), dense)
+    assert np.array_equal(g.features, feats)
+
+
 def test_cora_fixture_statistics():
     from test_acceptance import dataset_dir
     g = load_dataset(dataset_dir("cora"))  # skips when not converted locally
@@ -142,7 +170,7 @@ def test_normalized_adjacency_triangle():
 
 
 def test_normalized_adjacency_isolated_node():
-    adj = CsrMatrix.zeros(1, 1)
+    adj = CsrMatrix.from_dense(np.zeros((1, 1)))
     feats = np.zeros((1, 1))
     g = Graph(n=1, m=0, adjacency=adj, features=feats,
               labels=None, class_count=1)
@@ -153,7 +181,7 @@ def test_normalized_adjacency_isolated_node():
 def test_normalized_laplacian_triangle_and_edgeless():
     lt = normalized_laplacian(triangle_graph()).to_dense()
     assert np.allclose(lt, np.eye(3) * 1.5 - 0.5, atol=1e-15)
-    adj = CsrMatrix.zeros(4, 4)
+    adj = CsrMatrix.from_dense(np.zeros((4, 4)))
     feats = np.zeros((4, 1))
     g = Graph(n=4, m=0, adjacency=adj, features=feats,
               labels=None, class_count=1)
@@ -242,7 +270,7 @@ def test_split_validation():
 
 
 def test_graph_invariant_checks():
-    adj = CsrMatrix.zeros(2, 2)
+    adj = CsrMatrix.from_dense(np.zeros((2, 2)))
     feats = np.zeros((2, 2))
     with pytest.raises(ShapeError):
         Graph(n=2, m=0, adjacency=adj, features=feats,

@@ -43,8 +43,8 @@ def test_sparse_dense_matmul_identity_empty_and_oracle():
     rng = RngState(2)
     m = rng.normal((5, 3))
     assert np.array_equal(nm.sparse_dense_matmul(CsrMatrix.identity(5), nm.Tensor(m)).value, m)
-    assert np.array_equal(
-        nm.sparse_dense_matmul(CsrMatrix.zeros(4, 5), nm.Tensor(m)).value, np.zeros((4, 3)))
+    zero = CsrMatrix.from_dense(np.zeros((4, 5)))
+    assert np.array_equal(nm.sparse_dense_matmul(zero, nm.Tensor(m)).value, np.zeros((4, 3)))
     for _ in range(5):
         dense = rng.normal((5, 5)) * (rng.uniform((5, 5)) < 0.4)
         s = CsrMatrix.from_dense(dense)

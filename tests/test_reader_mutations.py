@@ -1,0 +1,82 @@
+"""Seeded mutation test of the dataset readers.
+
+Each mutant is the 20-node SBM fixture, with its split files, after one
+mutation of one file: truncation, a byte flip, an inserted invalid UTF-8 byte,
+or a directory in place of the file. ``ncgc validate`` must accept it (exit 0)
+or reject it with exit 2 and one ``error:`` line naming the file at fault,
+and never raise. Every mutant is drawn from a ``zlib.crc32`` seed, so a
+failing case replays from its test id.
+"""
+
+import shutil
+import zlib
+
+import pytest
+
+from ncgc.cli import main
+from ncgc.graph import make_split, write_dataset
+from ncgc.rng import RngState
+from ncgc.synth import make_sbm
+
+FILES = ("meta.json", "features.bin", "edges.tsv", "labels.tsv",
+         "train.idx", "val.idx", "test.idx")
+TRIALS = 6
+
+
+def _truncate(data: bytes, rng: RngState) -> bytes:
+    return data[:int(rng.integers(0, len(data)))]
+
+
+def _flip(data: bytes, rng: RngState) -> bytes:
+    at = int(rng.integers(0, len(data)))
+    return data[:at] + bytes([data[at] ^ int(rng.integers(1, 256))]) + data[at + 1:]
+
+
+def _invalid_utf8(data: bytes, rng: RngState) -> bytes:
+    at = int(rng.integers(0, len(data) + 1))
+    return data[:at] + (b"\xff", b"\xc3", b"\x80")[int(rng.integers(0, 3))] + data[at:]
+
+
+MUTATIONS = {"truncate": _truncate, "flip": _flip, "invalid-utf8": _invalid_utf8}
+CASES = [(name, kind, trial) for name in FILES for kind in MUTATIONS for trial in range(TRIALS)]
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0))
+    split = make_split(g, "per_class", RngState(1), per_class_train=3, per_class_val=3)
+    d = tmp_path_factory.mktemp("pristine") / "sbm"
+    write_dataset(g, d, split)
+    return d
+
+
+def _validate(capsys, d, name) -> int:
+    """Exit code of ``ncgc validate`` on ``d``, checking the error line of an exit 2."""
+    rc = main(["validate", "--dataset", str(d)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    if rc == 2:
+        errors = [line for line in err.splitlines() if not line.startswith("config:")]
+        assert len(errors) == 1 and errors[0].startswith("error:"), err
+        assert str(d / name) in errors[0], errors[0]
+    return rc
+
+
+@pytest.mark.parametrize("name, kind, trial", CASES,
+                         ids=[f"{name}-{kind}-{trial}" for name, kind, trial in CASES])
+def test_mutated_file_exits_0_or_2_naming_it(capsys, tmp_path, pristine, name, kind, trial):
+    d = tmp_path / "sbm"
+    shutil.copytree(pristine, d)
+    rng = RngState(zlib.crc32(f"{name}:{kind}:{trial}".encode()))
+    f = d / name
+    f.write_bytes(MUTATIONS[kind](f.read_bytes(), rng))
+    _validate(capsys, d, name)
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_directory_in_place_of_file_exit_2(capsys, tmp_path, pristine, name):
+    d = tmp_path / "sbm"
+    shutil.copytree(pristine, d)
+    (d / name).unlink()
+    (d / name).mkdir()
+    assert _validate(capsys, d, name) == 2

@@ -42,7 +42,7 @@ def test_from_dense_identity_zeros():
     a = random_sparse(5, 7, seed=1)
     assert_canonical(CsrMatrix.from_dense(a), a)
     assert_canonical(CsrMatrix.identity(4), np.eye(4))
-    z = CsrMatrix.zeros(3, 5)
+    z = CsrMatrix.from_dense(np.zeros((3, 5)))
     assert_canonical(z, np.zeros((3, 5)))
     assert z.nnz == 0
 
