@@ -23,7 +23,8 @@ pass, whose normalized adjacency follows ``--self-loops`` as in training.
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
 4 bad flags (including out-of-range or non-finite hyperparameter values, an
 unknown split policy, a run count below one, a negative count and a
-``spectral --k`` above the node count).
+``spectral --k`` above the node count). A command reads and checks all its
+input files before it creates ``--out``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
 from .graph import (
     SPLIT_POLICIES, load_dataset, load_split, normalized_adjacency, read_text, write_split,
 )
-from .model import feature_operator, init_params, load_checkpoint, save_checkpoint
+from .model import init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
 from .trainer import VARIANTS, HyperParams, accuracy, apply_variant, predict, run_seeds
@@ -199,9 +200,16 @@ def _split_counts(resolved: dict) -> dict:
     )
 
 
-def _load_graph_and_split(resolved: dict):
+def _load_labeled(resolved: dict, split_dir: str, purpose: str):
+    """The graph, which must have labels, and the split in ``split_dir`` (None
+    without split files), which must name only labeled nodes."""
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
-    return g, load_split(resolved["dataset"], g.n)
+    if g.labels is None:
+        raise IngestionError(f"{resolved['dataset']}: no labels.tsv; {purpose} needs node labels")
+    split = load_split(split_dir, g.n)
+    if split is not None:
+        split.check_labeled(g.labels)
+    return g, split
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -261,8 +269,8 @@ def cmd_validate(resolved: dict) -> int:
 def cmd_train(resolved: dict) -> int:
     hp = hyperparams_from(resolved)
     _check_run_options(resolved)
+    g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
     out = _prepare_out(resolved)
-    g, fixed_split = _load_graph_and_split(resolved)
     stats = run_seeds(g, hp, resolved["split-policy"], resolved["runs"], split=fixed_split,
                       split_counts=_split_counts(resolved))
     _json_dump({
@@ -287,7 +295,7 @@ def cmd_train(resolved: dict) -> int:
 def _eval_forward(g, params, hp: HyperParams):
     """``trainer.predict`` over the whole graph, as built for training from ``hp``."""
     a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
-    return predict(feature_operator(g.features), a_tilde, params, hp)
+    return predict(g.features, a_tilde, params, hp)
 
 
 def _dump_cluster_signals(g, hp: HyperParams, params, out: Path) -> None:
@@ -304,14 +312,10 @@ def cmd_evaluate(resolved: dict) -> int:
     if resolved["seed"] is None:
         resolved["seed"] = 0
     hp = hyperparams_from(resolved)
-    g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
-    if g.labels is None:
-        raise IngestionError(f"{resolved['dataset']}: no labels.tsv; evaluation needs node labels")
     split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
-    split = load_split(split_dir, g.n)
+    g, split = _load_labeled(resolved, split_dir, "evaluation")
     if split is None:
         raise IngestionError(f"{split_dir}: no split files found for evaluation")
-    split.check_labeled(g.labels)
     params = init_params(hp, g.feature_dim, g.class_count, RngState(hp.seed).derive("init"))
     params.load_values(load_checkpoint(resolved["checkpoint"]))
     _, y = _eval_forward(g, params, hp)
@@ -326,8 +330,8 @@ def cmd_evaluate(resolved: dict) -> int:
 def cmd_ablate(resolved: dict) -> int:
     base_hp = hyperparams_from(resolved)
     _check_run_options(resolved)
+    g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
     out = _prepare_out(resolved)
-    g, fixed_split = _load_graph_and_split(resolved)
     table = {}
     for variant in VARIANTS:
         hp_v, mode = apply_variant(base_hp, variant)
@@ -363,8 +367,8 @@ def cmd_sweep(resolved: dict) -> int:
         raise _UsageError("empty --values list")
     hps = [hyperparams_from(resolved, **{axis: v}) for v in values]
     _check_run_options(resolved)
+    g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
     out = _prepare_out(resolved)
-    g, fixed_split = _load_graph_and_split(resolved)
     rows = []
     for v, hp in zip(values, hps):
         stats = run_seeds(g, hp, resolved["split-policy"], resolved["runs"],

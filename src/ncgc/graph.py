@@ -3,7 +3,7 @@
 A dataset is a directory holding ``meta.json`` (UTF-8 JSON object with
 integer fields ``n``, ``m``, ``d``, ``k`` and a string field ``name``),
 ``features.bin`` (n*d finite little-endian float32 values, row-major,
-widened to float64 on load), ``edges.tsv`` (one undirected edge ``i j`` per
+loaded as a float64 ``CsrMatrix``), ``edges.tsv`` (one undirected edge ``i j`` per
 line; duplicate lines are deduplicated), an optional ``labels.tsv`` (one
 ``node class`` line per labeled node, class in [0, k)) and optional
 ``train.idx``, ``val.idx`` and ``test.idx`` (all three or none: one node id
@@ -34,15 +34,15 @@ SPLIT_POLICIES = ("planetoid_style", "per_class")
 class Graph:
     """Undirected attributed graph with optional node labels.
 
-    ``features`` is the one feature matrix, the one handed to models and the
-    one serialization writes: row-L1-normalized when the loader was asked to,
-    so a load/write/load round trip is exact for loads without normalization.
+    ``features`` is the one feature matrix, in CSR, that models take and
+    serialization writes: row-L1-normalized when the loader was asked to, so a
+    load/write/load round trip is exact for loads without normalization.
     """
 
     n: int
     m: int
     adjacency: CsrMatrix
-    features: np.ndarray
+    features: CsrMatrix
     labels: np.ndarray | None
     class_count: int
     name: str = "graph"
@@ -50,7 +50,7 @@ class Graph:
     def __post_init__(self):
         if self.adjacency.rows != self.n or self.adjacency.cols != self.n:
             raise ShapeError("adjacency must be n x n")
-        if self.features.shape[0] != self.n:
+        if self.features.rows != self.n:
             raise ShapeError("features must have one row per node")
         if self.labels is not None:
             lab = self.labels
@@ -62,7 +62,7 @@ class Graph:
 
     @property
     def feature_dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.cols
 
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
@@ -150,20 +150,22 @@ def _read_meta(path: Path) -> dict:
     return meta
 
 
-def _read_features(path: Path, n: int, d: int) -> np.ndarray:
+def _read_features(path: Path, n: int, d: int) -> CsrMatrix:
+    """The nonzeros of ``features.bin``, read from its float32 bytes in place."""
     f = path / "features.bin"
     raw = _read_bytes(f)
     expected = n * d * 4
     if len(raw) != expected:
+        where = "truncated at" if len(raw) < expected else "extra bytes from"
         raise IngestionError(
             f"{f}: expected {expected} bytes for {n}x{d} float32 values, "
-            f"found {len(raw)} (truncated at byte offset {len(raw)})")
-    feats = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
+            f"found {len(raw)} ({where} byte offset {min(len(raw), expected)})")
+    feats = np.frombuffer(raw, dtype="<f4").reshape(n, d)
     finite = np.isfinite(feats)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise IngestionError(f"{f}: non-finite value at node {i}, column {j}")
-    return feats
+    return CsrMatrix.from_dense(feats)
 
 
 def _read_int_rows(f: Path, width: int) -> tuple[np.ndarray, list[int]]:
@@ -224,10 +226,11 @@ def _read_labels(path: Path, n: int, k: int) -> np.ndarray | None:
     return labels
 
 
-def row_l1_normalize(x: np.ndarray) -> np.ndarray:
+def row_l1_normalize(x: CsrMatrix) -> CsrMatrix:
     """Divide each row by its L1 norm; all-zero rows pass through."""
-    norms = np.abs(x).sum(axis=1, keepdims=True)
-    return x / np.where(norms > 0, norms, 1.0)
+    row = np.repeat(np.arange(x.rows), np.diff(x.row_offsets))
+    norms = np.bincount(row, weights=np.abs(x.values), minlength=x.rows)
+    return x.with_values(x.values / np.where(norms > 0, norms, 1.0)[row])
 
 
 def load_dataset(path, row_normalize: bool = True) -> Graph:
@@ -282,8 +285,7 @@ def write_dataset(g: Graph, path, split: Split | None = None) -> None:
     path.mkdir(parents=True, exist_ok=True)
     meta = {"n": g.n, "m": g.m, "d": g.feature_dim, "k": g.class_count, "name": g.name}
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
-    (path / "features.bin").write_bytes(
-        np.ascontiguousarray(g.features, dtype="<f4").tobytes())
+    (path / "features.bin").write_bytes(g.features.to_dense().astype("<f4").tobytes())
     a = g.adjacency
     rows = np.repeat(np.arange(g.n), np.diff(a.row_offsets))
     upper = rows <= a.col_indices

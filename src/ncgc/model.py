@@ -154,29 +154,17 @@ def sogn_layer(
     return nm.relu(out) if activation else out
 
 
-def feature_operator(features: np.ndarray):
-    """The features as ``forward`` takes them: CSR when large and sparse, else as given."""
-    density = np.count_nonzero(features) / max(features.size, 1)
-    if features.size > 100_000 and density < 0.25:
-        return CsrMatrix.from_dense(features)
-    return features
-
-
-def input_transform(x, params: ModelParams):
-    """Map ``feature_operator`` output to the width of the hidden layers (with activation)."""
+def input_transform(x: CsrMatrix, params: ModelParams):
+    """Map the CSR features to the hidden width: ReLU affine maps, the first sparse."""
     h = None
     for w, b in params.input_weights:
-        if h is None:
-            prod = (nm.sparse_dense_matmul(x, w) if isinstance(x, CsrMatrix)
-                    else nm.matmul(x, w))
-        else:
-            prod = nm.matmul(h, w)
+        prod = nm.sparse_dense_matmul(x, w) if h is None else nm.matmul(h, w)
         h = nm.relu(nm.add_bias(prod, b))
     return h
 
 
 def forward(
-    x,
+    x: CsrMatrix,
     a_tilde: CsrMatrix,
     params: ModelParams,
     config: HyperParams,
@@ -185,10 +173,10 @@ def forward(
 ):
     """Full pass: input transform, layer stack, prototype head.
 
-    ``x`` is the output of ``feature_operator``. Returns the final embedding H
-    (no activation on the last layer, so the clustering geometry keeps the
-    full space) and the prototype-head logits H W_p; the predictions Y' are
-    their row-wise softmax. Evaluation mode disables dropout.
+    ``x`` is the CSR ``Graph.features``. Returns the final embedding H (no
+    activation on the last layer, so the clustering geometry keeps the full
+    space) and the prototype-head logits H W_p; the predictions Y' are their
+    row-wise softmax. Evaluation mode disables dropout.
     """
     h = input_transform(x, params)
     n_layers = len(params.layer_weights)

@@ -1,7 +1,7 @@
 """Immutable real matrices in compressed-sparse-row layout.
 
 ``CsrMatrix`` carries the graph operators (normalized adjacency and
-Laplacian) and the sparse feature operator. It holds one ``scipy.sparse``
+Laplacian) and the node feature matrix. It holds one ``scipy.sparse``
 CSR matrix in canonical form: within each row the column indices are
 strictly increasing. Every constructor and operation here returns that form,
 so there is no separate layout check. ``rows``, ``cols``, ``nnz``,
@@ -67,7 +67,14 @@ class CsrMatrix:
 
     @classmethod
     def from_dense(cls, a) -> "CsrMatrix":
-        return cls(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
+        """The nonzeros of a real 2-D array, found through one boolean mask; only
+        they are widened to float64, never the whole array."""
+        a = np.asarray(a)
+        rows, cols = a.shape
+        flat = np.flatnonzero(a != 0)  # row-major positions, so each row comes sorted
+        indptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
+        data = a.reshape(-1)[flat].astype(np.float64)
+        return cls(sp.csr_matrix((data, flat % cols, indptr), shape=a.shape))
 
     @classmethod
     def identity(cls, n: int) -> "CsrMatrix":
@@ -95,7 +102,8 @@ class CsrMatrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} CSR by {b.shape}")
         return np.asarray(self._scipy @ b)
 
-    def _with_values(self, values: np.ndarray) -> "CsrMatrix":
+    def with_values(self, values: np.ndarray) -> "CsrMatrix":
+        """The matrix with this one's sparsity pattern and the stored ``values``."""
         s = self._scipy
         return CsrMatrix(sp.csr_matrix((values, s.indices, s.indptr), shape=s.shape))
 
@@ -104,14 +112,14 @@ class CsrMatrix:
         d = np.asarray(d, dtype=np.float64)
         if d.shape != (self.rows,):
             raise ShapeError("row scaling vector length mismatch")
-        return self._with_values(self.values * np.repeat(d, np.diff(self.row_offsets)))
+        return self.with_values(self.values * np.repeat(d, np.diff(self.row_offsets)))
 
     def scale_cols(self, d: np.ndarray) -> "CsrMatrix":
         """Return self @ diag(d)."""
         d = np.asarray(d, dtype=np.float64)
         if d.shape != (self.cols,):
             raise ShapeError("column scaling vector length mismatch")
-        return self._with_values(self.values * d[self.col_indices])
+        return self.with_values(self.values * d[self.col_indices])
 
     def add(self, other: "CsrMatrix") -> "CsrMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

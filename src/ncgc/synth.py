@@ -6,6 +6,7 @@ import numpy as np
 
 from .graph import Graph, _symmetrize
 from .rng import RngState
+from .sparse import CsrMatrix
 
 
 def make_sbm(
@@ -39,5 +40,5 @@ def make_sbm(
     means *= feature_shift / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
     feats = means[labels] + feature_noise * rng.normal((n, feature_dim))
 
-    return Graph(n=n, m=len(edges), adjacency=adjacency, features=feats,
+    return Graph(n=n, m=len(edges), adjacency=adjacency, features=CsrMatrix.from_dense(feats),
                  labels=labels, class_count=k, name=name)

@@ -10,9 +10,9 @@ improvement.
 
 A run is its graph, its split and its ``HyperParams``: ``train`` builds the
 normalized adjacency (with or without self-loops, as ``hp.self_loops`` says)
-and the feature operator itself. Its ``ModelParams`` carry every trainable
-parameter, the centroids included once seeded, so one snapshot and one
-restore of ``named_values()`` select the best-validation checkpoint.
+itself; the model takes ``Graph.features`` as it is. Its ``ModelParams`` carry
+every trainable parameter, the centroids included once seeded, so one snapshot
+and one restore of ``named_values()`` select the best-validation checkpoint.
 ``predict`` is the one evaluation-mode pass.
 
 ``HyperParams`` is the one configuration of a run, model settings included:
@@ -39,7 +39,7 @@ from .clustering import (
 )
 from .errors import ContractError, NumericError, ParameterError, SplitError
 from .graph import Graph, Split, make_split, normalized_adjacency
-from .model import BACKBONES, ModelParams, feature_operator, forward, init_params, soc_penalty
+from .model import BACKBONES, ModelParams, forward, init_params, soc_penalty
 from .rng import RngState
 
 VARIANTS = ("full", "no_soc", "no_kl", "no_pl", "no_skn")
@@ -175,8 +175,8 @@ def total_loss(l_class, l_kl, l_pl, hp: HyperParams, in_warmup: bool) -> "nm.Ten
 def predict(x, a_tilde, params: ModelParams, hp: HyperParams) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation-mode forward (no dropout): the embedding H and the predictions Y'.
 
-    ``x`` is the output of ``feature_operator``; Y' is the row-wise softmax of
-    the logits. Both are plain arrays.
+    ``x`` is the CSR feature matrix ``Graph.features``; Y' is the row-wise
+    softmax of the logits. Both are plain arrays.
     """
     h, logits = forward(x, a_tilde, params, hp, RngState(0), training=False)
     return h.value, nm.softmax_rows(logits.value).value
@@ -187,12 +187,6 @@ def accuracy(y_values: np.ndarray, labels, idx) -> float:
     idx = np.asarray(idx, dtype=np.int64)
     preds = y_values[idx].argmax(axis=1)
     return float((preds == np.asarray(labels)[idx]).mean())
-
-
-def _soc_diagnostic(h: np.ndarray) -> float:
-    norms = np.linalg.norm(h, axis=0, keepdims=True)
-    hn = h / np.where(norms < 1e-12, 1.0, norms)
-    return soc_penalty(hn)
 
 
 def train(
@@ -239,21 +233,20 @@ def train(
     best_values: dict[str, np.ndarray] = {}
     since_improve = 0
     a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
-    x = feature_operator(g.features)
 
     for epoch in range(hp.epochs):
         in_warmup = epoch < hp.warmup_epochs
         clustering_on = clustering_wanted and not in_warmup
 
         if clustering_on and hp.lambda_kl > 0 and params.centroids is None:
-            h_now, _ = predict(x, a_tilde, params, hp)
+            h_now, _ = predict(g.features, a_tilde, params, hp)
             params.centroids = init_centroids(h_now, g.class_count, centroid_rng)
         params.zero_grads()
 
         l_kl = l_pl = None
         tape = nm.Tape()
         with tape:
-            h, logits = forward(x, a_tilde, params, hp, drop_rng, training=True)
+            h, logits = forward(g.features, a_tilde, params, hp, drop_rng, training=True)
             l_class = class_loss(logits, g.labels, split.train_idx)
             if clustering_on:
                 if hp.lambda_kl > 0:
@@ -275,7 +268,7 @@ def train(
         nm.backward(tape, total)
         nm.adam_step(params.all_parameters(), adam, hp.lr, hp.weight_decay)
 
-        h_ev, y_ev = predict(x, a_tilde, params, hp)
+        h_ev, y_ev = predict(g.features, a_tilde, params, hp)
         val_acc = accuracy(y_ev, g.labels, split.val_idx)
         test_acc = accuracy(y_ev, g.labels, split.test_idx)
         report.epochs.append(EpochRecord(
@@ -286,7 +279,7 @@ def train(
             total=total.item(),
             val_acc=val_acc,
             test_acc=test_acc,
-            soc=_soc_diagnostic(h_ev),
+            soc=soc_penalty(nm.column_l2_normalize(h_ev).value),
         ))
 
         if val_acc > report.best_val:

@@ -22,7 +22,7 @@ from ncgc.clustering import (
 )
 from ncgc.cli import main as cli_main
 from ncgc.graph import load_dataset, normalized_adjacency, normalized_laplacian, write_dataset
-from ncgc.model import feature_operator, forward, init_params
+from ncgc.model import forward, init_params
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.spectral import ratiocut_trace, subspace_iteration
@@ -234,7 +234,7 @@ def test_criterion_8_gradient_suite():
         train_idx = np.array([0, 3])
         u_idx = np.setdiff1d(np.arange(g.n), train_idx)
 
-        x = feature_operator(g.features)
+        x = g.features
         h0, logits0 = forward(x, at, params, hp, RngState(0), training=False)
         y0 = nm.softmax_rows(logits0)
         cstate = init_centroids(h0.value, g.class_count, rng.derive("centroids"))

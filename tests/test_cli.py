@@ -86,6 +86,13 @@ def _write(name, data):
     return lambda d: (d / name).write_bytes(data)
 
 
+def _append(name, data):
+    def corrupt(d):
+        with (d / name).open("ab") as f:
+            f.write(data)
+    return corrupt
+
+
 def _train_idx(data):
     """A split whose val.idx and test.idx are valid and whose train.idx is ``data``."""
     def corrupt(d):
@@ -109,6 +116,10 @@ def _train_idx(data):
                  id="labels-not-utf8"),
     pytest.param("train.idx", _idx_not_utf8, id="idx-not-utf8"),
     pytest.param("features.bin", _nan_feature, id="features-non-finite"),
+    pytest.param("features.bin: expected 480 bytes for 20x6 float32 values, found 484 "
+                 "(extra bytes from byte offset 480)",
+                 _append("features.bin", bytes(4)),
+                 id="features-too-long"),
     pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t1\t2\n"), id="edges-field-count"),
     pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\tx\n"), id="edges-non-integer"),
     pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t20\n"), id="edges-node-range"),
@@ -308,8 +319,31 @@ def test_train_fixed_split_naming_unlabeled_node_exit_2(capsys, sbm_dir, tmp_pat
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors == ["error: the validation set names unlabeled node 19"]
-    # the run stops before its first epoch: only the echoed configuration is there
-    assert [f.name for f in out.iterdir()] == ["config.resolved"]
+    assert not out.exists()
+
+
+def _fixed_split_without_labels(d):
+    (d / "labels.tsv").unlink()
+    for name, ids in (("train.idx", "0\n10\n"), ("val.idx", "1\n11\n"), ("test.idx", "2\n12\n")):
+        (d / name).write_text(ids)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", []), ("ablate", []), ("sweep", ["--axis", "beta", "--values", "0,0.01"]),
+])
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_append("edges.tsv", b"0\tx\n"), "edges.tsv:", id="edges-malformed"),
+    pytest.param(_fixed_split_without_labels, "no labels.tsv", id="fixed-split-no-labels"),
+])
+def test_input_error_exits_2_before_creating_out(capsys, sbm_dir, tmp_path, command, extra,
+                                                 corrupt, message):
+    corrupt(sbm_dir)
+    out = tmp_path / "o"
+    rc = main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+               "--epochs", "2", "--patience", "2", "--warmup", "1"] + extra + FAST_FLAGS[14:])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):
@@ -362,7 +396,7 @@ def test_spectral_two_disjoint_triangles(capsys, tmp_path):
     cols = [j for i, j in e] + [i for i, j in e]
     adj = sp.CsrMatrix.from_coo(6, 6, rows, cols, np.ones(12))
     feats = np.zeros((6, 2), dtype=np.float64)
-    g = Graph(n=6, m=6, adjacency=adj, features=feats,
+    g = Graph(n=6, m=6, adjacency=adj, features=sp.CsrMatrix.from_dense(feats),
               labels=np.array([0, 0, 0, 1, 1, 1]), class_count=2, name="twotri")
     d = tmp_path / "twotri"
     write_dataset(g, d)

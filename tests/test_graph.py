@@ -30,7 +30,7 @@ def write_triangle(path, n=3, m=3, d=2, k=2, edges="0\t1\n0\t2\n1\t2\n",
 def triangle_graph(features=None):
     adj = CsrMatrix.from_coo(3, 3, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], np.ones(6))
     feats = np.eye(3, 2) if features is None else features
-    return Graph(n=3, m=3, adjacency=adj, features=feats,
+    return Graph(n=3, m=3, adjacency=adj, features=CsrMatrix.from_dense(feats),
                  labels=np.array([0, 1, 1]), class_count=2, name="triangle")
 
 
@@ -99,10 +99,10 @@ def test_row_normalization_default_and_off(tmp_path):
     d = write_triangle(tmp_path / "t6")
     g = load_dataset(d)
     g_raw = load_dataset(d, row_normalize=False)
-    sums = np.abs(g.features).sum(axis=1)
-    nz = np.abs(g_raw.features).sum(axis=1) > 0
+    sums = np.abs(g.features.to_dense()).sum(axis=1)
+    nz = np.abs(g_raw.features.to_dense()).sum(axis=1) > 0
     assert np.allclose(sums[nz], 1.0)
-    assert np.array_equal(g.features, row_l1_normalize(g_raw.features))
+    assert np.array_equal(g.features.to_dense(), row_l1_normalize(g_raw.features).to_dense())
 
 
 def test_round_trip_is_identical(tmp_path):
@@ -116,7 +116,7 @@ def test_round_trip_is_identical(tmp_path):
     g2 = load_dataset(tmp_path / "b", row_normalize=False)
     s2 = load_split(tmp_path / "b", g2.n)
     assert g1.n == g2.n and g1.m == g2.m
-    assert np.array_equal(g1.features, g2.features)
+    assert np.array_equal(g1.features.to_dense(), g2.features.to_dense())
     assert np.array_equal(g1.labels, g2.labels)
     assert np.array_equal(g1.adjacency.col_indices, g2.adjacency.col_indices)
     assert np.array_equal(g1.adjacency.row_offsets, g2.adjacency.row_offsets)
@@ -137,7 +137,7 @@ def test_make_sbm_matches_the_pair_loop(sizes, p_in, p_out, seed):
         dense[i, j] = dense[j, i] = 1.0
     assert g.m == len(pairs)
     assert np.array_equal(g.adjacency.to_dense(), dense)
-    assert np.array_equal(g.features, feats)
+    assert np.array_equal(g.features.to_dense(), feats)
 
 
 def test_cora_fixture_statistics():
@@ -172,7 +172,7 @@ def test_normalized_adjacency_triangle():
 def test_normalized_adjacency_isolated_node():
     adj = CsrMatrix.from_dense(np.zeros((1, 1)))
     feats = np.zeros((1, 1))
-    g = Graph(n=1, m=0, adjacency=adj, features=feats,
+    g = Graph(n=1, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
               labels=None, class_count=1)
     assert normalized_adjacency(g, add_self_loops=False).to_dense() == pytest.approx(0.0)
     assert normalized_adjacency(g, add_self_loops=True).to_dense() == pytest.approx(1.0)
@@ -183,7 +183,7 @@ def test_normalized_laplacian_triangle_and_edgeless():
     assert np.allclose(lt, np.eye(3) * 1.5 - 0.5, atol=1e-15)
     adj = CsrMatrix.from_dense(np.zeros((4, 4)))
     feats = np.zeros((4, 1))
-    g = Graph(n=4, m=0, adjacency=adj, features=feats,
+    g = Graph(n=4, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
               labels=None, class_count=1)
     assert np.allclose(normalized_laplacian(g).to_dense(), np.eye(4))
 
@@ -212,9 +212,21 @@ def test_operators_are_symmetric_and_transition_rows_sum_to_one():
 
 
 def test_row_l1_normalize_keeps_zero_rows():
-    x = np.array([[2.0, -2.0], [0.0, 0.0]])
-    out = row_l1_normalize(x)
+    x = CsrMatrix.from_dense(np.array([[2.0, -2.0], [0.0, 0.0]]))
+    out = row_l1_normalize(x).to_dense()
     assert np.allclose(out, [[0.5, -0.5], [0.0, 0.0]])
+
+
+def test_row_l1_normalize_matches_the_dense_formula():
+    d = 40
+    a = RngState(8).normal((7, d)) * (RngState(9).uniform((7, d)) < 0.4)
+    a[[0, 6]] = 0.0
+    out = row_l1_normalize(CsrMatrix.from_dense(a)).to_dense()
+    norms = np.abs(a).sum(axis=1, keepdims=True)
+    # the row sums differ only in summation order: d roundings each at most
+    rtol = 2 * d * np.finfo(np.float64).eps
+    assert np.allclose(out, a / np.where(norms > 0, norms, 1.0), rtol=rtol, atol=0.0)
+    assert not out[[0, 6]].any()
 
 
 # ---------------------------------------------------------------------------
@@ -273,5 +285,5 @@ def test_graph_invariant_checks():
     adj = CsrMatrix.from_dense(np.zeros((2, 2)))
     feats = np.zeros((2, 2))
     with pytest.raises(ShapeError):
-        Graph(n=2, m=0, adjacency=adj, features=feats,
+        Graph(n=2, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
               labels=np.array([0, 3]), class_count=2)

@@ -5,7 +5,7 @@ import ncgc.numerics as nm
 from ncgc.errors import ContractError, IngestionError, ParameterError, ShapeError
 from ncgc.graph import Graph, normalized_adjacency
 from ncgc.model import (
-    backbone_propagate, feature_operator, forward, init_params,
+    backbone_propagate, forward, init_params,
     load_checkpoint, save_checkpoint, soc_penalty, sogn_layer,
 )
 from ncgc.rng import RngState
@@ -22,7 +22,7 @@ def small_graph(seed=0, n_per=3, k=2, d=4):
 
 def forward_probs(g, at, params, cfg, rng, training):
     """Embedding H and predictions Y', the row-wise softmax of the logits."""
-    h, logits = forward(feature_operator(g.features), at, params, cfg, rng, training=training)
+    h, logits = forward(g.features, at, params, cfg, rng, training=training)
     return h, nm.softmax_rows(logits)
 
 
@@ -99,7 +99,7 @@ def test_appnp_two_hops_matches_polynomial():
     # triangle graph, alpha=0.2: coefficients a, a(1-a), (1-a)^2 on A^0, A^1, A^2
     adj = CsrMatrix.from_coo(3, 3, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], np.ones(6))
     feats = np.zeros((3, 1))
-    g = Graph(n=3, m=3, adjacency=adj, features=feats,
+    g = Graph(n=3, m=3, adjacency=adj, features=CsrMatrix.from_dense(feats),
               labels=None, class_count=2)
     at = normalized_adjacency(g, add_self_loops=False)
     a_dense = at.to_dense()
@@ -219,8 +219,8 @@ def test_forward_eval_mode_deterministic():
 def test_forward_one_layer_composition_oracle():
     # identity-like input transform: square weight = I, zero bias, nonneg features
     g0, at = small_graph(seed=18, d=5)
-    feats = np.abs(g0.features)
-    g = Graph(n=g0.n, m=g0.m, adjacency=g0.adjacency, features=feats,
+    feats = np.abs(g0.features.to_dense())
+    g = Graph(n=g0.n, m=g0.m, adjacency=g0.adjacency, features=CsrMatrix.from_dense(feats),
               labels=g0.labels, class_count=g0.class_count)
     cfg = HyperParams(layers=1, hidden_dim=5, beta=0.0, dropout=0.0)
     params = init_params(cfg, 5, g.class_count, RngState(19))
@@ -241,7 +241,7 @@ def test_forward_beta_zero_equivalence_any_config():
         params = init_params(cfg, g.feature_dim, g.class_count, RngState(seed))
         h, _ = forward_probs(g, at, params, cfg, RngState(0), training=False)
         # plain-backbone composition without any correction-term code path
-        x = g.features
+        x = g.features.to_dense()
         w0, b0 = params.input_weights[0]
         h_ref = np.maximum(x @ w0.value + b0.value, 0.0)
         a_dense = at.to_dense()
@@ -284,15 +284,14 @@ def test_forward_gradients_match_finite_differences():
 
 
 def test_sparse_feature_path_matches_dense_composition():
-    # wide sparse attributes trigger the CSR input path used by real datasets
+    # wide sparse attributes, as real datasets have, through the CSR input product
     rng = RngState(70)
     n, d = 300, 400
     feats = rng.normal((n, d)) * (rng.uniform((n, d)) < 0.02)
     g0 = make_sbm([n // 2, n // 2], 0.05, 0.01, feature_dim=1, rng=RngState(71))
-    g = Graph(n=n, m=g0.m, adjacency=g0.adjacency, features=feats,
+    x = CsrMatrix.from_dense(feats)
+    g = Graph(n=n, m=g0.m, adjacency=g0.adjacency, features=x,
               labels=g0.labels, class_count=2)
-    x = feature_operator(g.features)
-    assert isinstance(x, CsrMatrix)
     at = normalized_adjacency(g)
     cfg = HyperParams(layers=1, hidden_dim=8, beta=0.0, dropout=0.0)
     params = init_params(cfg, d, 2, RngState(72))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ncgc.errors import ShapeError
 from ncgc.rng import RngState
@@ -45,6 +46,22 @@ def test_from_dense_identity_zeros():
     z = CsrMatrix.from_dense(np.zeros((3, 5)))
     assert_canonical(z, np.zeros((3, 5)))
     assert z.nnz == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 5), (0, 4), (4, 0)])
+def test_from_dense_matches_scipy(dtype, shape):
+    a = random_sparse(*shape, seed=6).astype(dtype)
+    if a.size:
+        a[[2, 6]] = 0.0  # all-zero rows, the last one included
+        a[:, 3] = 0.0  # an all-zero column
+        a[0, 0] = a[4, 1] = -0.0  # a negative zero is not stored
+    ref = sp.csr_matrix(a.astype(np.float64))
+    m = CsrMatrix.from_dense(a)
+    for got, want in ((m.row_offsets, ref.indptr), (m.col_indices, ref.indices),
+                      (m.values, ref.data)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert_canonical(m, a.astype(np.float64))
 
 
 def test_transpose_add_and_scaling():

@@ -20,7 +20,7 @@ from oracles import (
 def triangle_graph():
     adj = CsrMatrix.from_coo(3, 3, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], np.ones(6))
     feats = np.zeros((3, 1))
-    return Graph(n=3, m=3, adjacency=adj, features=feats,
+    return Graph(n=3, m=3, adjacency=adj, features=CsrMatrix.from_dense(feats),
                  labels=None, class_count=2)
 
 
@@ -30,7 +30,7 @@ def two_triangles():
     cols = [j for i, j in e] + [i for i, j in e]
     adj = CsrMatrix.from_coo(6, 6, rows, cols, np.ones(12))
     feats = np.zeros((6, 1))
-    return Graph(n=6, m=6, adjacency=adj, features=feats,
+    return Graph(n=6, m=6, adjacency=adj, features=CsrMatrix.from_dense(feats),
                  labels=np.array([0, 0, 0, 1, 1, 1]), class_count=2)
 
 

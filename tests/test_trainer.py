@@ -6,7 +6,7 @@ from ncgc import trainer
 from ncgc.clustering import pseudo_label_loss
 from ncgc.errors import ContractError, NumericError, ParameterError
 from ncgc.graph import make_split, normalized_adjacency
-from ncgc.model import feature_operator, forward, init_params
+from ncgc.model import forward, init_params
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 from ncgc.trainer import (
@@ -85,9 +85,9 @@ def test_evaluate_and_complement_identity():
     hp = HyperParams(seed=0, **{**FAST, "lambda_kl": 0.0, "lambda_pl": 0.0, "beta": 0.0,
                                 "epochs": 30, "patience": 30, "warmup_epochs": 0})
     params, _, _ = train(g, split, hp)
-    acc = accuracy(predict(feature_operator(g.features), at, params, hp)[1], g.labels,
+    acc = accuracy(predict(g.features, at, params, hp)[1], g.labels,
                    split.test_idx)
-    _, logits = forward(feature_operator(g.features), at, params, hp,
+    _, logits = forward(g.features, at, params, hp,
                         RngState(0), training=False)
     y = nm.softmax_rows(logits)
     preds = y.value[split.test_idx].argmax(axis=1)
@@ -99,7 +99,7 @@ def test_evaluate_hand_built_three_of_four():
     g, at, _ = sbm_setup(seed=2)
     cfg = HyperParams()
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(3))
-    _, logits = forward(feature_operator(g.features), at, params, cfg, RngState(0),
+    _, logits = forward(g.features, at, params, cfg, RngState(0),
                         training=False)
     preds = nm.softmax_rows(logits).value.argmax(axis=1)
     idx = np.arange(4)
@@ -107,7 +107,7 @@ def test_evaluate_hand_built_three_of_four():
     labels[idx] = preds[idx]
     labels[idx[0]] = 1 - preds[idx[0]]  # exactly one wrong
     object.__setattr__(g, "labels", labels)
-    assert accuracy(predict(feature_operator(g.features), at, params, cfg)[1], g.labels,
+    assert accuracy(predict(g.features, at, params, cfg)[1], g.labels,
                     idx) == pytest.approx(0.75)
 
 
@@ -158,7 +158,7 @@ def test_reduction_matches_plain_gcn_oracle():
     params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
     drop_rng = rng.derive("dropout")
     adam = nm.AdamState(params.all_parameters())
-    x = feature_operator(g.features)
+    x = g.features
     losses = []
     for _ in range(15):
         params.zero_grads()
@@ -209,7 +209,7 @@ def test_best_checkpoint_is_returned():
     g, at, split = sbm_setup(seed=9)
     hp = HyperParams(seed=2, **{**FAST, "epochs": 60, "patience": 60})
     params, _, report = train(g, split, hp)
-    acc = accuracy(predict(feature_operator(g.features), at, params, hp)[1], g.labels,
+    acc = accuracy(predict(g.features, at, params, hp)[1], g.labels,
                    split.val_idx)
     assert acc == pytest.approx(report.best_val)
 
@@ -244,7 +244,7 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
     hp = HyperParams(seed=9, **FAST)
     params = init_params(hp, g.feature_dim, g.class_count, RngState(9).derive("init"))
     u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
-    x = feature_operator(g.features)
+    x = g.features
     h0, logits0 = forward(x, at, params, hp, RngState(0), training=False)
     y0 = nm.softmax_rows(logits0)
     cstate = init_centroids(h0.value, g.class_count, RngState(9).derive("centroids"))
@@ -289,7 +289,7 @@ def test_soc_effect_reduces_column_correlation():
         hp = HyperParams(seed=seed, **{**FAST, "beta": beta, "epochs": 60,
                                        "patience": 60, "hidden_dim": 8})
         params, _, _ = train(g, split, hp)
-        h, _ = forward(feature_operator(g.features), at, params, hp,
+        h, _ = forward(g.features, at, params, hp,
                        RngState(0), training=False)
         hv = h.value
         norms = np.linalg.norm(hv, axis=0, keepdims=True)
