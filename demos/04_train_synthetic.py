@@ -9,7 +9,7 @@ and its ablations is visible within seconds.
 from ncgc.graph import make_split
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
-from ncgc.trainer import HyperParams, run_seeds, train
+from ncgc.trainer import HyperParams, run_seeds, seed_splits, train
 
 g = make_sbm([40] * 6, 0.10, 0.004, feature_dim=32, rng=RngState(7),
              feature_shift=0.8, feature_noise=1.0, name="hard_sbm")
@@ -41,6 +41,6 @@ for label, kwargs, mode in (
     ("plain backbone", {"beta": 0.0, "lambda_kl": 0.0, "lambda_pl": 0.0}, "sinkhorn"),
 ):
     hp_v = HyperParams(**{**vars(hp), **kwargs})
-    stats = run_seeds(g, hp_v, "per_class", 5, split_counts=counts,
+    stats = run_seeds(g, hp_v, seed_splits(g, hp_v.seed, "per_class", 5, split_counts=counts),
                       pseudo_label_mode=mode)
     print(f"{label:22s} acc = {stats.mean:.4f} +/- {stats.std:.4f}")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ncgc.graph import load_dataset
-from ncgc.trainer import HyperParams, run_seeds
+from ncgc.trainer import HyperParams, run_seeds, seed_splits
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -44,7 +44,7 @@ for name in available:
     best = None
     for eps in eps_grid:
         hp = HyperParams(seed=0, epsilon=eps, **row)
-        stats = run_seeds(g, hp, "planetoid_style", 5, split_counts=SPLIT)
+        stats = run_seeds(g, hp, seed_splits(g, hp.seed, "planetoid_style", 5, split_counts=SPLIT))
         val = float(np.mean([r.best_val for r in stats.reports]))
         wall = sum(r.wall_time for r in stats.reports)
         print(f"  eps={eps}: test {stats.mean:.4f} +/- {stats.std:.4f} "

@@ -17,6 +17,6 @@ from .graph import (
 from .model import ModelParams, forward, init_params, soc_penalty
 from .rng import RngState
 from .sparse import CsrMatrix
-from .trainer import HyperParams, TrainReport, predict, run_seeds, train
+from .trainer import HyperParams, TrainReport, predict, run_seeds, seed_splits, train
 
 __version__ = "0.1.0"

@@ -50,7 +50,9 @@ from .graph import (
 from .model import init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
-from .trainer import VARIANTS, HyperParams, accuracy, apply_variant, predict, run_seeds
+from .trainer import (
+    VARIANTS, HyperParams, accuracy, apply_variant, check_split, predict, run_seeds, seed_splits,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -212,6 +214,18 @@ def _load_labeled(resolved: dict, split_dir: str, purpose: str):
     return g, split
 
 
+def _run_splits(g, fixed_split, hps, resolved: dict) -> list:
+    """The split of every run, checked against every hyperparameter set the
+    command trains with (they share one seed), so that a bad split exits
+    before ``--out`` is created."""
+    splits = seed_splits(g, hps[0].seed, resolved["split-policy"], resolved["runs"],
+                         fixed_split, _split_counts(resolved))
+    for hp in hps:
+        for split in splits:
+            check_split(g, split, hp)
+    return splits
+
+
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -270,9 +284,9 @@ def cmd_train(resolved: dict) -> int:
     hp = hyperparams_from(resolved)
     _check_run_options(resolved)
     g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
+    splits = _run_splits(g, fixed_split, [hp], resolved)
     out = _prepare_out(resolved)
-    stats = run_seeds(g, hp, resolved["split-policy"], resolved["runs"], split=fixed_split,
-                      split_counts=_split_counts(resolved))
+    stats = run_seeds(g, hp, splits)
     _json_dump({
         "acc_mean": stats.mean,
         "acc_std": stats.std,
@@ -331,13 +345,12 @@ def cmd_ablate(resolved: dict) -> int:
     base_hp = hyperparams_from(resolved)
     _check_run_options(resolved)
     g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
+    variants = {variant: apply_variant(base_hp, variant) for variant in VARIANTS}
+    splits = _run_splits(g, fixed_split, [hp for hp, _ in variants.values()], resolved)
     out = _prepare_out(resolved)
     table = {}
-    for variant in VARIANTS:
-        hp_v, mode = apply_variant(base_hp, variant)
-        stats = run_seeds(g, hp_v, resolved["split-policy"], resolved["runs"],
-                          split=fixed_split, split_counts=_split_counts(resolved),
-                          pseudo_label_mode=mode)
+    for variant, (hp_v, mode) in variants.items():
+        stats = run_seeds(g, hp_v, splits, pseudo_label_mode=mode)
         table[variant] = {"acc_mean": stats.mean, "acc_std": stats.std}
         print(f"variant={variant} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
               f"runs={resolved['runs']}")
@@ -368,11 +381,11 @@ def cmd_sweep(resolved: dict) -> int:
     hps = [hyperparams_from(resolved, **{axis: v}) for v in values]
     _check_run_options(resolved)
     g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
+    splits = _run_splits(g, fixed_split, hps, resolved)
     out = _prepare_out(resolved)
     rows = []
     for v, hp in zip(values, hps):
-        stats = run_seeds(g, hp, resolved["split-policy"], resolved["runs"],
-                          split=fixed_split, split_counts=_split_counts(resolved))
+        stats = run_seeds(g, hp, splits)
         rows.append((v, stats.mean, stats.std))
         print(f"{axis}={v} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
               f"runs={resolved['runs']}")

@@ -3,14 +3,15 @@
 Each layer computes ``sigma(prop(Z) - beta * Zn (Zn^T Z))`` where
 ``Z = dropout(H) W``, ``Zn`` is the column-L2-normalized ``Z`` and ``prop``
 is a pluggable propagation backbone (one-hop normalized adjacency, or a
-truncated personalized-propagation polynomial). APPNP propagation is one
-primitive, ``nm.appnp_propagate``: it records one tape node whatever its hop
-count, keeps only A and Z for backward, and its VJP runs the adjoint
-recurrence. The correction is one primitive too, ``nm.soft_orthogonal``:
-it uses ``Zn (Zn^T Z) = Z (S^-2 Z^T Z)`` with ``S^2`` the squared column
-norms, so it needs only the d x d Gram matrix, never the n x n outer product
-or a normalized copy of Z, and records one tape node. ``beta = 0`` skips it
-and reduces the layer to the plain backbone exactly.
+truncated personalized-propagation polynomial). A layer is one primitive,
+``nm.sogn_layer``, and records one tape node whatever its backbone, hop
+count or correction. The correction uses ``Zn (Zn^T Z) = Z M`` with
+``M = beta S^-2 Z^T Z`` and ``S^2`` the squared column norms, so it needs
+only the d x d Gram matrix, never the n x n outer product or a normalized
+copy of Z. The node keeps the layer input, a boolean dropout mask, Z, M,
+``S^2`` and the output; its VJP runs the backbone again with the transpose
+of the adjacency, which is the adjoint of a linear map. ``beta = 0`` skips
+the correction and reduces the layer to the plain backbone exactly.
 
 A shared bias-free prototype head maps the final embedding to class/cluster
 logits, the model's one prediction output: losses take their row-wise
@@ -114,20 +115,26 @@ def init_params(config: HyperParams, input_dim: int, class_count: int,
     return ModelParams(input_weights, layer_weights, w_proto)
 
 
-def backbone_propagate(a_tilde: CsrMatrix, z, config: HyperParams):
-    """Apply ``config.backbone`` to z; linear and differentiable in z.
+def backbone_propagate(a_tilde: CsrMatrix, z: np.ndarray, config: HyperParams) -> np.ndarray:
+    """Apply ``config.backbone`` to the n x d array z and return a new array.
 
     ``gcn`` is a single normalized-adjacency hop. ``appnp`` runs the
-    personalized-propagation recurrence x <- (1-a) A x + a z with
-    a = ``config.appnp_alpha`` for ``config.appnp_hops`` hops, whose hop
-    coefficients sum to one, as the one primitive ``nm.appnp_propagate``:
-    one tape node per layer at any hop count, whose VJP runs the adjoint
-    recurrence with the transpose of A.
+    personalized-propagation recurrence x <- (1-a) A x + a z from x = z with
+    a = ``config.appnp_alpha`` for ``config.appnp_hops`` hops; each step
+    computes ``A x * (1-a) + z * a`` and the hop coefficients sum to one.
+    Both are linear in z, and the adjoint of each is the same map with the
+    transpose of A, which is how ``sogn_layer``'s single tape node runs its
+    VJP without keeping any hop.
     """
     if config.backbone == "gcn":
-        return nm.sparse_dense_matmul(a_tilde, z)
+        return a_tilde.matmul_dense(z)
     if config.backbone == "appnp":
-        return nm.appnp_propagate(a_tilde, z, config.appnp_alpha, config.appnp_hops)
+        c, a = 1.0 - config.appnp_alpha, config.appnp_alpha
+        az = z * a
+        x = z
+        for _ in range(config.appnp_hops):
+            x = a_tilde.matmul_dense(x) * c + az
+        return x
     raise ParameterError(f"unknown backbone {config.backbone!r}")
 
 
@@ -142,16 +149,16 @@ def sogn_layer(
 ):
     """One soft-orthogonal message-passing layer with the settings of ``config``.
 
-    The correction term beta * Zn (Zn^T Z) is the one tape node
-    ``nm.soft_orthogonal``, built from the d x d Gram matrix of Z; cost per
+    The whole layer (dropout, ``H W``, ``backbone_propagate``, the correction
+    beta * Zn (Zn^T Z) and the ReLU) is the one tape node ``nm.sogn_layer``;
+    the correction is built from the d x d Gram matrix of Z, so the cost per
     layer stays O(n d^2 + nnz d).
     """
-    x = nm.dropout(h, config.dropout, rng, training)
-    z = nm.matmul(x, w)
-    out = backbone_propagate(a_tilde, z, config)
-    if config.beta != 0.0:
-        out = nm.sub(out, nm.soft_orthogonal(z, config.beta))
-    return nm.relu(out) if activation else out
+    return nm.sogn_layer(
+        h, w,
+        lambda z: backbone_propagate(a_tilde, z, config),
+        lambda g: backbone_propagate(a_tilde.transpose(), g, config),
+        config.beta, config.dropout, rng, training, activation)
 
 
 def input_transform(x: CsrMatrix, params: ModelParams):

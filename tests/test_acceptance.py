@@ -27,7 +27,7 @@ from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.spectral import ratiocut_trace, subspace_iteration
 from ncgc.synth import make_sbm
-from ncgc.trainer import HyperParams, class_loss, run_seeds, total_loss
+from ncgc.trainer import HyperParams, class_loss, run_seeds, seed_splits, total_loss
 from gradcheck import OPS, check_gradients, trial_rng
 from oracles import (
     dense_eigh_oracle, edge_sum_smoothness, random_symmetric_with_gap, rel_error, sinkhorn_loop, subspace_angle,
@@ -66,8 +66,8 @@ def citation_hp(name: str, seed: int = 0, **overrides) -> HyperParams:
 def run_citation(name: str, hp: HyperParams, n_runs: int = N_SEEDS,
                  pseudo_label_mode: str = "sinkhorn"):
     g = load_dataset(dataset_dir(name))
-    return run_seeds(g, hp, "planetoid_style", n_runs,
-                     split_counts=CITATION_SPLIT, pseudo_label_mode=pseudo_label_mode)
+    splits = seed_splits(g, hp.seed, "planetoid_style", n_runs, split_counts=CITATION_SPLIT)
+    return run_seeds(g, hp, splits, pseudo_label_mode=pseudo_label_mode)
 
 
 def select_by_validation(name: str, epsilons, **overrides):

@@ -328,19 +328,34 @@ def _fixed_split_without_labels(d):
         (d / name).write_text(ids)
 
 
+def _unchanged(d):
+    pass
+
+
 @pytest.mark.parametrize("command, extra", [
     ("train", []), ("ablate", []), ("sweep", ["--axis", "beta", "--values", "0,0.01"]),
 ])
-@pytest.mark.parametrize("corrupt, message", [
-    pytest.param(_append("edges.tsv", b"0\tx\n"), "edges.tsv:", id="edges-malformed"),
-    pytest.param(_fixed_split_without_labels, "no labels.tsv", id="fixed-split-no-labels"),
+@pytest.mark.parametrize("corrupt, split_flags, message", [
+    pytest.param(_append("edges.tsv", b"0\tx\n"), [], "edges.tsv:", id="edges-malformed"),
+    pytest.param(_fixed_split_without_labels, [], "no labels.tsv", id="fixed-split-no-labels"),
+    # the 20-node SBM has 10 nodes per class
+    pytest.param(_unchanged, ["--train-per-class", "9", "--val-per-class", "3"],
+                 "classes with too few labeled nodes", id="split-too-few-labeled"),
+    pytest.param(_unchanged, ["--train-per-class", "7"], "the test set is empty",
+                 id="split-empty-test"),
+    pytest.param(_unchanged, ["--val-per-class", "0"], "the validation set is empty",
+                 id="split-empty-validation"),
+    pytest.param(_unchanged, ["--split-policy", "planetoid_style", "--train-per-class", "10",
+                              "--val-total", "0", "--test-total", "0"],
+                 "the training split covers all 20 nodes", id="split-covers-every-node"),
 ])
 def test_input_error_exits_2_before_creating_out(capsys, sbm_dir, tmp_path, command, extra,
-                                                 corrupt, message):
+                                                 corrupt, split_flags, message):
     corrupt(sbm_dir)
     out = tmp_path / "o"
     rc = main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-               "--epochs", "2", "--patience", "2", "--warmup", "1"] + extra + FAST_FLAGS[14:])
+               "--epochs", "2", "--patience", "2", "--warmup", "1"] + extra + FAST_FLAGS[14:]
+              + split_flags)
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -694,7 +709,10 @@ def test_sweep_rejects_non_hyperparameter_axis_exit_4(capsys, sbm_dir, tmp_path,
 def test_out_naming_a_file_exit_2(capsys, sbm_dir, tmp_path, command):
     out = tmp_path / "taken"
     out.write_text("not a directory\n")
-    assert main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1"]) == 2
+    # a split the graph can hold, so that --out is the only bad input
+    split = FAST_FLAGS[14:-2] if command == "train" else []
+    assert main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1"]
+                + split) == 2
     assert str(out) in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
 

@@ -2,9 +2,9 @@
 
 Byte identity of ``report.json`` and ``checkpoint.bin`` holds only for one
 numpy, scipy and BLAS build at one thread count (criterion 9 checks it);
-across thread counts the runs must agree within ``oracles.RUN_RTOL``, and so
-must a run through a fused primitive (APPNP propagation, the soft-orthogonal
-correction) and one through the primitive chain it replaces.
+across thread counts the runs must agree within ``oracles.RUN_RTOL``. A run
+through the fused layer op and one through the chain of primitives it
+replaces (``oracles.sogn_chain``) must agree byte for byte.
 """
 
 import json
@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 import ncgc.model as model
-import ncgc.numerics as nm
 from ncgc.cli import main
 from ncgc.graph import write_dataset
 from ncgc.model import load_checkpoint, save_checkpoint
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
-from oracles import appnp_chain, run_differences, soft_orth_chain
+from oracles import run_differences, sogn_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -92,34 +91,21 @@ def test_comparator_requires_equal_epoch_numbers(thread_runs, tmp_path):
     assert len(diffs) == 1 and "best_epoch" in diffs[0]
 
 
-def test_fused_appnp_run_agrees_with_the_unrolled_chain(sbm, tmp_path, monkeypatch, capsys):
-    args = ["train", "--dataset", str(sbm), "--backbone", "appnp", *CRITERION_9_FLAGS]
+@pytest.mark.parametrize("backbone", ["gcn", "appnp"])
+def test_fused_layer_run_agrees_with_the_unrolled_layer(sbm, tmp_path, monkeypatch, capsys,
+                                                        backbone):
+    args = ["train", "--dataset", str(sbm), "--backbone", backbone, *CRITERION_9_FLAGS]
     assert main(args + ["--out", str(tmp_path / "fused")]) == 0
-    hops = []
+    configs = []
 
-    def chain_propagate(a_tilde, z, config):
-        hops.append(config.appnp_hops)
-        return appnp_chain(a_tilde, z, config.appnp_alpha, config.appnp_hops)
+    def chain(h, w, a_tilde, config, rng, training, activation=True):
+        configs.append((config.backbone, config.beta, config.appnp_hops))
+        return sogn_chain(h, w, a_tilde, config, rng, training, activation)
 
-    monkeypatch.setattr(model, "backbone_propagate", chain_propagate)
+    monkeypatch.setattr(model, "sogn_layer", chain)
     assert main(args + ["--out", str(tmp_path / "chain")]) == 0
     capsys.readouterr()
-    assert hops and set(hops) == {10}
+    assert configs and set(configs) == {(backbone, 0.005, 10)}
     assert run_differences(tmp_path / "fused", tmp_path / "chain") == []
-
-
-def test_fused_soft_orthogonal_run_agrees_with_the_primitive_chain(sbm, tmp_path, monkeypatch,
-                                                                  capsys):
-    args = ["train", "--dataset", str(sbm), *CRITERION_9_FLAGS]
-    assert main(args + ["--out", str(tmp_path / "fused")]) == 0
-    betas = []
-
-    def chain(z, beta):
-        betas.append(beta)
-        return soft_orth_chain(z, beta)
-
-    monkeypatch.setattr(nm, "soft_orthogonal", chain)
-    assert main(args + ["--out", str(tmp_path / "chain")]) == 0
-    capsys.readouterr()
-    assert betas and set(betas) == {0.005}
-    assert run_differences(tmp_path / "fused", tmp_path / "chain") == []
+    for name in ("report.json", "checkpoint.bin", "epochs.csv"):
+        assert (tmp_path / "fused" / name).read_bytes() == (tmp_path / "chain" / name).read_bytes()

@@ -11,7 +11,7 @@ import pytest
 
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
-from ncgc.trainer import HyperParams, run_seeds
+from ncgc.trainer import HyperParams, run_seeds, seed_splits
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ COUNTS = dict(per_class_train=2, per_class_val=5, val_total=0, test_total=0)
 
 def run(g, n_runs=5, mode="sinkhorn", **overrides):
     hp = HyperParams(seed=0, **{"beta": 0.005, **COMMON, **overrides})
-    return run_seeds(g, hp, "per_class", n_runs, split_counts=COUNTS,
+    return run_seeds(g, hp, seed_splits(g, hp.seed, "per_class", n_runs, split_counts=COUNTS),
                      pseudo_label_mode=mode)
 
 

@@ -3,7 +3,10 @@
 ``perfbench/layertrace.py`` wraps package functions by name and reads
 ``forward``'s ``training`` argument by position, so a rename or a signature
 change in ``src`` would break ``perfbench/run.py --trace 1`` without this test.
-The tracer is only imported, never modified.
+It also sizes every tape node's saved values, closure cells included, so a
+VJP that closes over a name one branch of its op leaves unbound crashes it:
+the run goes through each backbone with and without the correction. The
+tracer is only imported, never modified.
 """
 
 import json
@@ -11,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,22 +31,26 @@ from ncgc.graph import write_dataset
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 
-data, out = sys.argv[1:]
+data, out, backbone, beta = sys.argv[1:]
 write_dataset(make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
                        feature_shift=2.5, feature_noise=0.6), data)
 code = cli.main(["train", "--dataset", data, "--out", out, "--seed", "1",
                  "--epochs", "4", "--patience", "4", "--warmup", "1", "--hidden", "16",
                  "--train-per-class", "3", "--val-per-class", "3",
-                 "--split-policy", "per_class", "--row-normalize", "off"])
+                 "--split-policy", "per_class", "--row-normalize", "off",
+                 "--backbone", backbone, "--beta", beta])
 print(json.dumps({"exit": code, "calls": tracer.summary()["calls"]}))
 """
 
 
-def test_layertrace_installs_and_traces_train(tmp_path):
+@pytest.mark.parametrize("backbone", ["gcn", "appnp"])
+@pytest.mark.parametrize("beta", ["0", "0.005"])
+def test_layertrace_installs_and_traces_train(tmp_path, backbone, beta):
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]
                            + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "sbm"), str(tmp_path / "run")],
+        [sys.executable, "-c", SCRIPT, str(tmp_path / "sbm"), str(tmp_path / "run"),
+         backbone, beta],
         env={**os.environ, "PYTHONPATH": path}, cwd=ROOT,
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

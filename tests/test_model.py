@@ -12,7 +12,8 @@ from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams
-from oracles import loop_soc_penalty, rel_error, soft_orth_chain
+from gradcheck import check_gradients, tape_value_and_grads, trial_rng
+from oracles import loop_soc_penalty, rel_error, sogn_chain
 
 
 def small_graph(seed=0, n_per=3, k=2, d=4):
@@ -82,17 +83,17 @@ def test_config_validation():
 
 
 def test_gcn_on_identity_adjacency_is_identity():
-    z = nm.Tensor(RngState(2).normal((4, 3)))
+    z = RngState(2).normal((4, 3))
     out = backbone_propagate(CsrMatrix.identity(4), z, HyperParams(backbone="gcn"))
-    assert np.array_equal(out.value, z.value)
+    assert np.array_equal(out, z)
 
 
 def test_appnp_alpha_one_is_identity():
     g, at = small_graph()
-    z = nm.Tensor(RngState(3).normal((g.n, 3)))
+    z = RngState(3).normal((g.n, 3))
     out = backbone_propagate(at, z, HyperParams(backbone="appnp", appnp_alpha=1.0,
                                                 appnp_hops=5))
-    assert np.allclose(out.value, z.value, atol=1e-15)
+    assert np.allclose(out, z, atol=1e-15)
 
 
 def test_appnp_two_hops_matches_polynomial():
@@ -108,9 +109,9 @@ def test_appnp_two_hops_matches_polynomial():
     expected = (alpha * z
                 + alpha * (1 - alpha) * a_dense @ z
                 + (1 - alpha) ** 2 * a_dense @ a_dense @ z)
-    out = backbone_propagate(at, nm.Tensor(z), HyperParams(backbone="appnp",
-                                                           appnp_alpha=alpha, appnp_hops=2))
-    assert np.allclose(out.value, expected, atol=1e-12)
+    out = backbone_propagate(at, z, HyperParams(backbone="appnp",
+                                                appnp_alpha=alpha, appnp_hops=2))
+    assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_appnp_layer_tape_nodes_do_not_grow_with_hops():
@@ -128,21 +129,26 @@ def test_appnp_layer_tape_nodes_do_not_grow_with_hops():
     assert counts[0] == counts[1]
 
 
-def test_soft_orthogonal_layer_records_four_fewer_tape_nodes_than_the_chain(monkeypatch):
+@pytest.mark.parametrize("backbone", ["gcn", "appnp"])
+@pytest.mark.parametrize("beta", [0.0, 0.01])
+@pytest.mark.parametrize("training", [False, True])
+def test_sogn_layer_records_one_tape_node(backbone, beta, training):
     g, at = small_graph(seed=4)
     rng = RngState(5)
     h = nm.Tensor(rng.normal((g.n, 4)))
     w = nm.Parameter(rng.normal((4, 4)), name="w")
+    cfg = HyperParams(backbone=backbone, beta=beta, dropout=0.3, appnp_hops=3)
 
-    def layer_tape_nodes():
+    def tape_nodes(layer):
         tape = nm.Tape()
         with tape:
-            sogn_layer(h, w, at, HyperParams(beta=0.01), RngState(6), training=True)
+            layer(h, w, at, cfg, RngState(6), training=training)
         return len(tape)
 
-    fused = layer_tape_nodes()
-    monkeypatch.setattr(nm, "soft_orthogonal", soft_orth_chain)
-    assert layer_tape_nodes() == fused + 4
+    assert tape_nodes(sogn_layer) == 1
+    # the chain it fuses: dropout (when training), matmul, propagation,
+    # correction and sub (when beta > 0), relu
+    assert tape_nodes(sogn_chain) == 3 + training + 2 * (beta > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +194,39 @@ def test_correction_term_associativity():
         norms = np.linalg.norm(z, axis=0, keepdims=True)
         zn = z / norms
         assert np.allclose(zn @ (zn.T @ z), (zn @ zn.T) @ z, atol=1e-10)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "appnp"])
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+@pytest.mark.parametrize("activation", [False, True])
+def test_fused_layer_gradcheck_and_chain_on_asymmetric_csr(backbone, beta, dropout,
+                                                           activation):
+    # the adjoint must use the transpose of the operator, so it is asymmetric
+    cfg = HyperParams(backbone=backbone, beta=beta, dropout=dropout,
+                      appnp_alpha=0.3, appnp_hops=3)
+    for trial in range(5):
+        rng = trial_rng(f"sogn_layer-{backbone}-{beta}-{dropout}-{activation}", trial)
+        dense = rng.normal((6, 6)) * (rng.uniform((6, 6)) < 0.5)
+        dense[0, 1], dense[1, 0] = 0.8, 0.0
+        at = CsrMatrix.from_dense(dense)
+        c = rng.normal((6, 3))
+        seed = int(rng.integers(0, 2 ** 31))
+        arrays = [rng.normal((6, 4)), rng.normal((4, 3))]
+
+        def build(layer):
+            return lambda h, w: nm.sum_all(nm.mul(
+                layer(h, w, at, cfg, RngState(seed), True, activation), c))
+
+        check_gradients(build(sogn_layer), arrays)
+        fused, chain = (tape_value_and_grads(build(layer), arrays)
+                        for layer in (sogn_layer, sogn_chain))
+        assert fused[0] == chain[0]
+        for g_fused, g_chain in zip(fused[1], chain[1]):
+            assert np.array_equal(g_fused, g_chain)
+        outputs = [layer(nm.Tensor(arrays[0]), arrays[1], at, cfg, RngState(seed), True,
+                         activation).value for layer in (sogn_layer, sogn_chain)]
+        assert np.array_equal(*outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from ncgc.model import forward, init_params
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 from ncgc.trainer import (
-    HyperParams, accuracy, apply_variant, class_loss, predict, run_seeds, total_loss, train,
+    HyperParams, accuracy, apply_variant, class_loss, predict, run_seeds, seed_splits, total_loss,
+    train,
 )
 from oracles import loop_label_cross_entropy
 
@@ -310,7 +311,7 @@ def test_soc_effect_reduces_column_correlation():
 def test_run_seeds_single_run_std_zero():
     g, _, split = sbm_setup(seed=12)
     hp = HyperParams(seed=0, **{**FAST, "epochs": 25, "patience": 25})
-    stats = run_seeds(g, hp, "per_class", 1, split=split)
+    stats = run_seeds(g, hp, [split])
     assert stats.std == 0.0
     assert stats.mean == stats.reports[0].test_at_best_val
 
@@ -319,8 +320,7 @@ def test_run_seeds_mean_std_formula():
     assert float(np.std([0.8, 0.9], ddof=1)) == pytest.approx(0.0707106781, abs=1e-9)
     g, _, split = sbm_setup(seed=13)
     hp = HyperParams(seed=0, **{**FAST, "epochs": 20, "patience": 20})
-    stats = run_seeds(g, hp, "per_class", 2, split=split,
-                      split_counts=dict(per_class_train=3, per_class_val=3))
+    stats = run_seeds(g, hp, [split, split])
     accs = [r.test_at_best_val for r in stats.reports]
     assert stats.mean == pytest.approx(float(np.mean(accs)))
     assert stats.std == pytest.approx(float(np.std(accs, ddof=1)))
@@ -329,8 +329,8 @@ def test_run_seeds_mean_std_formula():
 def test_run_seeds_fresh_splits_per_run():
     g, _, _ = sbm_setup(seed=14)
     hp = HyperParams(seed=0, **{**FAST, "epochs": 15, "patience": 15})
-    stats = run_seeds(g, hp, "per_class", 2,
-                      split_counts=dict(per_class_train=3, per_class_val=3))
+    stats = run_seeds(g, hp, seed_splits(g, hp.seed, "per_class", 2,
+                                         split_counts=dict(per_class_train=3, per_class_val=3)))
     s0, s1 = stats.artifacts[0][1], stats.artifacts[1][1]
     assert not np.array_equal(s0.val_idx, s1.val_idx) or not np.array_equal(
         s0.train_idx, s1.train_idx)
