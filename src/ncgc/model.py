@@ -9,9 +9,11 @@ count or correction. The correction uses ``Zn (Zn^T Z) = Z M`` with
 ``M = beta S^-2 Z^T Z`` and ``S^2`` the squared column norms, so it needs
 only the d x d Gram matrix, never the n x n outer product or a normalized
 copy of Z. The node keeps the layer input, a boolean dropout mask, Z, M,
-``S^2`` and the output; its VJP runs the backbone again with the transpose
-of the adjacency, which is the adjoint of a linear map. ``beta = 0`` skips
-the correction and reduces the layer to the plain backbone exactly.
+``S^2`` and the output; its VJP runs the backbone's adjoint, the same
+recurrence with products by the transpose of the adjacency, which
+``CsrMatrix.transpose_matmul_dense`` computes without building that
+transpose. ``beta = 0`` skips the correction and reduces the layer to the
+plain backbone exactly.
 
 A shared bias-free prototype head maps the final embedding to class/cluster
 logits, the model's one prediction output: losses take their row-wise
@@ -115,25 +117,31 @@ def init_params(config: HyperParams, input_dim: int, class_count: int,
     return ModelParams(input_weights, layer_weights, w_proto)
 
 
-def backbone_propagate(a_tilde: CsrMatrix, z: np.ndarray, config: HyperParams) -> np.ndarray:
+def backbone_propagate(a_tilde: CsrMatrix, z: np.ndarray, config: HyperParams,
+                       adjoint: bool = False) -> np.ndarray:
     """Apply ``config.backbone`` to the n x d array z and return a new array.
 
     ``gcn`` is a single normalized-adjacency hop. ``appnp`` runs the
     personalized-propagation recurrence x <- (1-a) A x + a z from x = z with
     a = ``config.appnp_alpha`` for ``config.appnp_hops`` hops; each step
-    computes ``A x * (1-a) + z * a`` and the hop coefficients sum to one.
-    Both are linear in z, and the adjoint of each is the same map with the
-    transpose of A, which is how ``sogn_layer``'s single tape node runs its
-    VJP without keeping any hop.
+    computes ``A x``, scales it by 1-a and adds ``z * a`` in place, and the
+    hop coefficients sum to one. Both are linear in z, and the adjoint of
+    each is the same map with the transpose of A: ``adjoint=True`` runs it
+    with ``a_tilde.transpose_matmul_dense``, which is how ``sogn_layer``'s
+    single tape node runs its VJP without keeping any hop or building the
+    transpose.
     """
+    product = a_tilde.transpose_matmul_dense if adjoint else a_tilde.matmul_dense
     if config.backbone == "gcn":
-        return a_tilde.matmul_dense(z)
+        return product(z)
     if config.backbone == "appnp":
         c, a = 1.0 - config.appnp_alpha, config.appnp_alpha
         az = z * a
         x = z
         for _ in range(config.appnp_hops):
-            x = a_tilde.matmul_dense(x) * c + az
+            x = product(x)
+            x *= c
+            x += az
         return x
     raise ParameterError(f"unknown backbone {config.backbone!r}")
 
@@ -157,7 +165,7 @@ def sogn_layer(
     return nm.sogn_layer(
         h, w,
         lambda z: backbone_propagate(a_tilde, z, config),
-        lambda g: backbone_propagate(a_tilde.transpose(), g, config),
+        lambda g: backbone_propagate(a_tilde, g, config, adjoint=True),
         config.beta, config.dropout, rng, training, activation)
 
 

@@ -5,7 +5,9 @@ value and nothing else, so what a primitive computes depends only on its
 operands' values, never on how they were produced. Primitive operations
 compute eagerly and, when a ``Tape`` is active, record a node with the saved
 values its backward rule needs. ``backward`` replays the tape once in reverse
-and accumulates gradients into every ``Parameter`` reached from the loss.
+and accumulates gradients into every ``Parameter`` reached from the loss; it
+takes each node off the tape as it runs that node's rule, so the values the
+node saved are released as soon as they have been used.
 Without an active tape the same functions run as plain numpy, which is how
 evaluation-mode passes avoid the recording cost.
 
@@ -104,8 +106,8 @@ class Tape:
     """Ordered record of primitive operations for one forward pass.
 
     Use as a context manager; operations executed inside the block are
-    recorded in topological order. ``backward`` consumes the tape: after the
-    sweep the node list is cleared and intermediate values are released.
+    recorded in topological order. ``backward`` consumes the tape from its
+    end, one node at a time, and leaves it empty.
     """
 
     def __init__(self):
@@ -138,28 +140,40 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(parameter) into every Parameter on the tape.
 
     The loss must be a 1x1 tensor. Each node is visited exactly once in
-    reverse topological order; gradients of non-parameter intermediates are
-    dropped as soon as their node is processed.
+    reverse topological order, and it is popped off the tape before its VJP
+    runs: by the time the next node's VJP runs, nothing but the caller's own
+    references keeps the node, its output or the arrays its VJP saved.
+    Gradients of non-parameter intermediates are dropped as soon as their
+    node is processed.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar (1x1), got shape {loss.value.shape}")
     grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         g = grads.pop(id(node.out), None)
-        if g is None:
+        if g is not None:
+            _accumulate(grads, node.inputs, node.vjp(g))
+
+
+def _accumulate(grads: dict, inputs: tuple, input_grads) -> None:
+    """Add each input's gradient to its Parameter or to its entry in ``grads``.
+
+    A function of its own so that the VJP's outputs and the loop variables
+    die when it returns, not during the next node's VJP.
+    """
+    for t, gt in zip(inputs, input_grads):
+        if gt is None or not isinstance(t, Tensor):
             continue
-        for t, gt in zip(node.inputs, node.vjp(g)):
-            if gt is None or not isinstance(t, Tensor):
-                continue
-            if isinstance(t, Parameter):
-                t.grad += gt
+        if isinstance(t, Parameter):
+            t.grad += gt
+        else:
+            key = id(t)
+            if key in grads:
+                grads[key] += gt
             else:
-                key = id(t)
-                if key in grads:
-                    grads[key] += gt
-                else:
-                    grads[key] = gt
-    tape.nodes.clear()
+                grads[key] = gt
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +199,7 @@ def sparse_dense_matmul(s: CsrMatrix, b) -> Tensor:
     out = Tensor(s.matmul_dense(vb))
 
     def vjp(g):
-        return (s.transpose().matmul_dense(g) if isinstance(b, Tensor) else None,)
+        return (s.transpose_matmul_dense(g) if isinstance(b, Tensor) else None,)
 
     return _record(out, (b,), vjp)
 
@@ -201,7 +215,9 @@ def add(a, b) -> Tensor:
     if va.shape != vb.shape:
         raise ShapeError(f"add shape mismatch: {va.shape} vs {vb.shape}")
     out = Tensor(va + vb)
-    return _record(out, (a, b), lambda g: (g, g))
+    # two arrays: backward adds into a gradient in place, so the operands'
+    # gradients must not share one
+    return _record(out, (a, b), lambda g: (g, g.copy()))
 
 
 def sub(a, b) -> Tensor:
@@ -356,8 +372,8 @@ def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: R
                training: bool, activation: bool = True) -> Tensor:
     """``sigma(prop(Z) - beta * Zn (Zn^T Z))`` with ``Z = dropout(h) w``, as one tape node.
 
-    ``propagate`` is a linear map of n x d arrays that returns a new array,
-    and ``propagate_adjoint`` is its adjoint. Dropout is inverted with
+    ``propagate`` is a linear map of n x d arrays and ``propagate_adjoint``
+    is its adjoint; each returns a new array. Dropout is inverted with
     probability p and acts only when training: it keeps the entries where
     ``rng.uniform`` over h's shape is at least p and scales them by
     1/(1-p). The correction is Z M from ``_soft_orthogonal``; ``beta = 0``
@@ -368,8 +384,9 @@ def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: R
     The node keeps h, the boolean keep mask, Z, M, S^2 and the output, no
     other n x d array. Its VJP recomputes the dropped-out input from h and
     the mask and the ReLU mask from the output, runs ``propagate_adjoint``
-    and ``_soft_orthogonal_vjp`` on the gradient of the pre-activation, and
-    ends with the matmul and dropout rules.
+    and then ``_soft_orthogonal_vjp`` on the gradient of the pre-activation,
+    subtracting the second from the first in place, and ends with the matmul
+    and dropout rules.
     """
     if not (0.0 <= p < 1.0):
         raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
@@ -391,13 +408,12 @@ def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: R
     def vjp(g):
         if activation:
             g = g * (out.value > 0.0)
-        if m is None:
-            gz = propagate_adjoint(g)
-        else:
-            # the correction enters with a minus sign; the chain summed its
-            # gradient first, and the n x d temporaries stay fewer this way
-            gz = _soft_orthogonal_vjp(z, m, s, active, beta, -g)
-            gz += propagate_adjoint(g)
+        gz = propagate_adjoint(g)
+        if m is not None:
+            # the correction enters with a minus sign; negation is exact, so
+            # this equals the chain's sum of the correction's gradient of -g
+            # and the propagation's, bit for bit, with one n x d array fewer
+            gz -= _soft_orthogonal_vjp(z, m, s, active, beta, g)
         del g  # the masked copy: free it before the input-side temporaries
         keep = None if mask is None else mask / (1.0 - p)
         gw = gh = None

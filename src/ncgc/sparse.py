@@ -6,11 +6,13 @@ CSR matrix in canonical form: within each row the column indices are
 strictly increasing. Every constructor and operation here returns that form,
 so there is no separate layout check. ``rows``, ``cols``, ``nnz``,
 ``row_offsets``, ``col_indices`` and ``values`` are read-only views of it.
-Instances are treated as read-only and may be shared freely across threads;
-``transpose`` builds its result once and keeps it on the instance, so the
-backward passes that apply the adjoint of one operator share one copy.
-Products with dense matrices are delegated to scipy, which keeps a fixed
-summation order.
+Instances are treated as read-only and may be shared freely across threads.
+The adjoint product ``transpose_matmul_dense`` reads the same arrays as a
+compressed-sparse-column view of the transpose, so the backward passes that
+apply the adjoint of an operator build no transposed copy of it; where a
+transposed matrix itself is wanted, ``transpose`` builds it once and keeps it
+on the instance. Products with dense matrices are delegated to scipy, which
+keeps a fixed summation order.
 """
 
 from __future__ import annotations
@@ -101,6 +103,19 @@ class CsrMatrix:
         if b.ndim != 2 or self.cols != b.shape[0]:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} CSR by {b.shape}")
         return np.asarray(self._scipy @ b)
+
+    def transpose_matmul_dense(self, b: np.ndarray) -> np.ndarray:
+        """``self^T @ b`` through the CSC view of this matrix's arrays, no transpose built.
+
+        Each output row sums its terms in ascending order of this matrix's row
+        index, as the product with the sorted ``transpose()`` does, so the two
+        are equal bit for bit.
+        """
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim != 2 or self.rows != b.shape[0]:
+            raise ShapeError(f"cannot multiply the transpose of {self.rows}x{self.cols} CSR "
+                             f"by {b.shape}")
+        return np.asarray(self._scipy.T @ b)
 
     def with_values(self, values: np.ndarray) -> "CsrMatrix":
         """The matrix with this one's sparsity pattern and the stored ``values``."""

@@ -244,31 +244,45 @@ def train(
     since_improve = 0
     a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
 
+    # The two passes of an epoch are functions so that their n x d arrays
+    # (the embedding and logits, then the eval-mode ones) die when they
+    # return: before backward, and before the next epoch's step.
+    def losses(in_warmup: bool, clustering_on: bool):
+        """The training forward on the active tape: the total and its components."""
+        l_kl = l_pl = None
+        h, logits = forward(g.features, a_tilde, params, hp, drop_rng, training=True)
+        l_class = class_loss(logits, g.labels, split.train_idx)
+        if clustering_on:
+            if hp.lambda_kl > 0:
+                q = soft_assign(h, params.centroids)
+                p_target = target_distribution(q.value)
+                l_kl = kl_loss(p_target, q, kl_scope_idx)
+            if hp.lambda_pl > 0:
+                psi_detached = nm.softmax_rows(logits.value).value[u_idx]
+                psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
+                       if pseudo_label_mode == "sinkhorn" else psi_detached)
+                l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
+        return total_loss(l_class, l_kl, l_pl, hp, in_warmup), l_class, l_kl, l_pl
+
+    def evaluation() -> tuple[float, float, float]:
+        """Validation and test accuracy, and the soc penalty, of the eval-mode pass."""
+        h_ev, y_ev = predict(g.features, a_tilde, params, hp)
+        return (accuracy(y_ev, g.labels, split.val_idx),
+                accuracy(y_ev, g.labels, split.test_idx),
+                soc_penalty(nm.column_l2_normalize(h_ev).value))
+
     for epoch in range(hp.epochs):
         in_warmup = epoch < hp.warmup_epochs
         clustering_on = clustering_wanted and not in_warmup
 
         if clustering_on and hp.lambda_kl > 0 and params.centroids is None:
-            h_now, _ = predict(g.features, a_tilde, params, hp)
-            params.centroids = init_centroids(h_now, g.class_count, centroid_rng)
+            params.centroids = init_centroids(predict(g.features, a_tilde, params, hp)[0],
+                                              g.class_count, centroid_rng)
         params.zero_grads()
 
-        l_kl = l_pl = None
         tape = nm.Tape()
         with tape:
-            h, logits = forward(g.features, a_tilde, params, hp, drop_rng, training=True)
-            l_class = class_loss(logits, g.labels, split.train_idx)
-            if clustering_on:
-                if hp.lambda_kl > 0:
-                    q = soft_assign(h, params.centroids)
-                    p_target = target_distribution(q.value)
-                    l_kl = kl_loss(p_target, q, kl_scope_idx)
-                if hp.lambda_pl > 0:
-                    psi_detached = nm.softmax_rows(logits.value).value[u_idx]
-                    psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
-                           if pseudo_label_mode == "sinkhorn" else psi_detached)
-                    l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
-            total = total_loss(l_class, l_kl, l_pl, hp, in_warmup)
+            total, l_class, l_kl, l_pl = losses(in_warmup, clustering_on)
 
         if not np.isfinite(total.value).all():
             raise NumericError(
@@ -278,9 +292,7 @@ def train(
         nm.backward(tape, total)
         nm.adam_step(params.all_parameters(), adam, hp.lr, hp.weight_decay)
 
-        h_ev, y_ev = predict(g.features, a_tilde, params, hp)
-        val_acc = accuracy(y_ev, g.labels, split.val_idx)
-        test_acc = accuracy(y_ev, g.labels, split.test_idx)
+        val_acc, test_acc, soc = evaluation()
         report.epochs.append(EpochRecord(
             epoch=epoch,
             l_class=l_class.item(),
@@ -289,7 +301,7 @@ def train(
             total=total.item(),
             val_acc=val_acc,
             test_acc=test_acc,
-            soc=soc_penalty(nm.column_l2_normalize(h_ev).value),
+            soc=soc,
         ))
 
         if val_acc > report.best_val:

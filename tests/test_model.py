@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,41 @@ def test_fused_layer_gradcheck_and_chain_on_asymmetric_csr(backbone, beta, dropo
         outputs = [layer(nm.Tensor(arrays[0]), arrays[1], at, cfg, RngState(seed), True,
                          activation).value for layer in (sogn_layer, sogn_chain)]
         assert np.array_equal(*outputs)
+
+
+def _appnp_layer_vjp_high_water(beta, n=4000, d=32):
+    """Peak bytes the VJP of one training-mode APPNP layer allocates above its
+    entry, in n x d float64 arrays, the returned gradients included."""
+    rng = RngState(21)
+    ring = np.arange(n)
+    rows = np.repeat(ring, 3)
+    cols = np.stack([ring, (ring + 1) % n, (ring + 7) % n], axis=1).reshape(-1)
+    at = CsrMatrix.from_coo(n, n, rows, cols, rng.uniform((3 * n,), 0.1, 0.4))
+    cfg = HyperParams(backbone="appnp", beta=beta, dropout=0.5, appnp_hops=10)
+    h = nm.Tensor(rng.normal((n, d)))
+    w = nm.Parameter(rng.normal((d, d)) * 0.2, name="w")
+    tape = nm.Tape()
+    with tape:
+        sogn_layer(h, w, at, cfg, RngState(22), training=True)
+    (node,) = tape.nodes
+    g = rng.normal((n, d))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = node.vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[0].shape == (n, d) and grads[1].shape == (d, d)
+    return (peak - entry) / (n * d * 8)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_appnp_layer_vjp_high_water_mark(beta):
+    # 10 hops, dropout 0.5: the adjoint hops run in place before the
+    # correction's temporaries exist, and no negated copy of the gradient
+    assert _appnp_layer_vjp_high_water(beta) <= 4.5
 
 
 # ---------------------------------------------------------------------------

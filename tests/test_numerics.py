@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,20 @@ def test_gradient_accumulates_over_reuse():
     assert np.allclose(w.grad, [[4.0]])
 
 
+def test_add_operand_gradients_do_not_alias():
+    # a feeds add and, before it on the tape, a scale; the sweep reaches the
+    # add first, so a's gradient is accumulated into after b's is set
+    x = nm.Parameter(np.array([[1.0]]), name="x")
+    y = nm.Parameter(np.array([[1.0]]), name="y")
+    tape = nm.Tape()
+    with tape:
+        a, b = nm.scale(x, 1.0), nm.scale(y, 1.0)
+        d = nm.scale(a, 3.0)
+        loss = nm.sum_all(nm.add(nm.add(a, b), d))
+    nm.backward(tape, loss)
+    assert np.array_equal(x.grad, [[4.0]]) and np.array_equal(y.grad, [[1.0]])
+
+
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_gradcheck_every_op(name):
     # acceptance gradient suite: >= 20 random small instances per operation
@@ -336,3 +352,34 @@ def test_tape_cleared_after_backward():
     assert len(tape) > 0
     nm.backward(tape, loss)
     assert len(tape) == 0
+
+
+def test_backward_pops_each_node_and_frees_what_it_saved():
+    # node i scales by an array that only its VJP keeps; while node i's VJP
+    # runs, the tape holds exactly the nodes before it, and the arrays of the
+    # nodes after it (already processed) are gone
+    w = nm.Parameter(RngState(12).normal((3, 2)), name="w")
+    tape = nm.Tape()
+    refs, seen = [], []
+
+    def scaled(x, i):
+        factor = np.full((3, 2), i + 2.0)
+        refs.append(weakref.ref(factor))
+
+        def vjp(g):
+            seen.append((i, len(tape.nodes), [r() is None for r in refs[i + 1:]]))
+            return (g * factor,)
+
+        return nm._record(nm.Tensor(nm._as_value(x) * factor), (x,), vjp)
+
+    with tape:
+        x = w
+        for i in range(4):
+            x = scaled(x, i)
+        loss = nm.sum_all(x)
+    del x
+    nm.backward(tape, loss)
+    assert [(i, n) for i, n, _ in seen] == [(i, i) for i in (3, 2, 1, 0)]
+    assert all(all(dead) for _, _, dead in seen)
+    assert len(tape) == 0 and all(r() is None for r in refs)
+    assert np.array_equal(w.grad, np.full((3, 2), 2.0 * 3.0 * 4.0 * 5.0))

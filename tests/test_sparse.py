@@ -91,3 +91,27 @@ def test_matmul_dense_matches_numpy_and_checks_shape():
     assert np.allclose(s.matmul_dense(b), a @ b, rtol=1e-14, atol=1e-14)
     with pytest.raises(ShapeError):
         s.matmul_dense(np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("rows, cols", [(7, 4), (4, 9), (6, 6)])
+@pytest.mark.parametrize("width", [1, 3])
+def test_transpose_matmul_dense_bit_equals_the_built_transpose(rows, cols, width):
+    a = random_sparse(rows, cols, seed=rows * cols + width, density=0.5)
+    a[1] = 0.0  # an empty row
+    a[:, 2] = 0.0  # an empty column
+    a[0, 1], a[1, 0] = 0.75, 0.0  # asymmetric where square
+    s = CsrMatrix.from_dense(a)
+    b = RngState(width).normal((rows, width))
+    got = s.transpose_matmul_dense(b)
+    assert got.shape == (cols, width)
+    assert np.array_equal(got, s.transpose().matmul_dense(b))
+    assert np.allclose(got, a.T @ b, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(got[2], np.zeros(width))
+
+
+def test_transpose_matmul_dense_checks_shape():
+    s = CsrMatrix.from_dense(random_sparse(5, 3, seed=9))
+    with pytest.raises(ShapeError):
+        s.transpose_matmul_dense(np.ones((3, 2)))  # the product wants 5 rows
+    with pytest.raises(ShapeError):
+        s.transpose_matmul_dense(np.ones(5))
