@@ -72,7 +72,7 @@ class Graph:
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/validation/test node index sets."""
+    """Disjoint train/validation/test node index sets, none of them empty."""
 
     train_idx: np.ndarray
     val_idx: np.ndarray
@@ -84,6 +84,9 @@ class Split:
             object.__setattr__(self, name, arr)
         if self.train_idx.size == 0:
             raise SplitError("train split is empty")
+        for name, idx in (("validation", self.val_idx), ("test", self.test_idx)):
+            if idx.size == 0:
+                raise SplitError(f"the {name} set is empty")
         all_idx = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
         if all_idx.size and all_idx.min() < 0:
             raise SplitError("negative node index in split")

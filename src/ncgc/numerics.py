@@ -444,14 +444,20 @@ def frobenius_sq_diff(x, y) -> Tensor:
     return _record(out, (x, y), vjp)
 
 
+def sqdist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """n x K squared Euclidean distances between the rows of arrays x and c,
+    clipped at 0 against cancellation; records nothing."""
+    d = (x * x).sum(axis=1, keepdims=True) + (c * c).sum(axis=1) - 2.0 * (x @ c.T)
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
 def pairwise_sqdist(h, c) -> Tensor:
     """n x K matrix of squared Euclidean distances between rows of h and rows of c."""
     vh, vc = _as_value(h), _as_value(c)
     if vh.shape[1] != vc.shape[1]:
         raise ShapeError(f"pairwise_sqdist dimension mismatch: {vh.shape} vs {vc.shape}")
-    d = (vh * vh).sum(axis=1, keepdims=True) + (vc * vc).sum(axis=1) - 2.0 * (vh @ vc.T)
-    np.maximum(d, 0.0, out=d)
-    out = Tensor(d)
+    out = Tensor(sqdist(vh, vc))
 
     def vjp(g):
         gh = 2.0 * (vh * g.sum(axis=1, keepdims=True) - g @ vc) if isinstance(h, Tensor) else None

@@ -10,9 +10,9 @@ Instances are treated as read-only and may be shared freely across threads.
 The adjoint product ``transpose_matmul_dense`` reads the same arrays as a
 compressed-sparse-column view of the transpose, so the backward passes that
 apply the adjoint of an operator build no transposed copy of it; where a
-transposed matrix itself is wanted, ``transpose`` builds it once and keeps it
-on the instance. Products with dense matrices are delegated to scipy, which
-keeps a fixed summation order.
+transposed matrix itself is wanted, ``transpose`` builds a new one on each
+call. Products with dense matrices are delegated to scipy, which keeps a
+fixed summation order.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from .errors import ShapeError
 class CsrMatrix:
     """Sparse rows x cols matrix with sorted, duplicate-free column indices."""
 
-    __slots__ = ("_scipy", "_transpose")
+    __slots__ = ("_scipy",)
 
     def __init__(self, csr: sp.csr_matrix):
         """Wrap a canonical float64 scipy CSR matrix; build through the classmethods."""
         self._scipy = csr
-        self._transpose = None
 
     @property
     def rows(self) -> int:
@@ -86,16 +85,10 @@ class CsrMatrix:
         return self._scipy.toarray()
 
     def transpose(self) -> "CsrMatrix":
-        """The transpose, built on the first call and returned by every later one.
-
-        Two threads racing on the first call each build an equal matrix and
-        one of them is kept, so sharing an instance stays safe.
-        """
-        if self._transpose is None:
-            t = self._scipy.T.tocsr()
-            t.sort_indices()
-            self._transpose = CsrMatrix(t)
-        return self._transpose
+        """The transpose, a new matrix in canonical form."""
+        t = self._scipy.T.tocsr()
+        t.sort_indices()
+        return CsrMatrix(t)
 
     def matmul_dense(self, b: np.ndarray) -> np.ndarray:
         """Sparse @ dense with shape checking; returns a new dense array."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import numerics as nm
 from .errors import ContractError, RankError, ShapeError
 from .rng import RngState
 from .sparse import CsrMatrix
@@ -142,12 +143,6 @@ def kmeans_pp_init(x: np.ndarray, k: int, rng: RngState) -> np.ndarray:
     return centroids
 
 
-def _sqdist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    d = (x * x).sum(axis=1, keepdims=True) + (c * c).sum(axis=1) - 2.0 * (x @ c.T)
-    np.maximum(d, 0.0, out=d)
-    return d
-
-
 def lloyd(
     x: np.ndarray,
     centroids: np.ndarray,
@@ -162,7 +157,7 @@ def lloyd(
     k = centroids.shape[0]
     assignments = np.full(x.shape[0], -1, dtype=np.int64)
     for _ in range(max_iter):
-        d = _sqdist(x, centroids)
+        d = nm.sqdist(x, centroids)
         new_assign = d.argmin(axis=1)
         point_cost = d[np.arange(x.shape[0]), new_assign]
         for c in range(k):
@@ -178,7 +173,7 @@ def lloyd(
             members = x[assignments == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-    wcss = float(_sqdist(x, centroids)[np.arange(x.shape[0]), assignments].sum())
+    wcss = float(nm.sqdist(x, centroids)[np.arange(x.shape[0]), assignments].sum())
     return centroids, assignments, wcss
 
 

@@ -37,7 +37,7 @@ from .clustering import (
     init_centroids, kl_loss, pseudo_label_loss, sinkhorn_pseudo_labels, soft_assign,
     target_distribution,
 )
-from .errors import ContractError, NumericError, ParameterError, SplitError
+from .errors import ContractError, NumericError, ParameterError
 from .graph import Graph, Split, make_split, normalized_adjacency
 from .model import BACKBONES, ModelParams, forward, init_params, soc_penalty
 from .rng import RngState
@@ -189,23 +189,15 @@ def accuracy(y_values: np.ndarray, labels, idx) -> float:
     return float((preds == np.asarray(labels)[idx]).mean())
 
 
-def check_split(g: Graph, split: Split, hp: HyperParams) -> None:
+def check_split(g: Graph, split: Split) -> None:
     """Reject what ``train`` cannot run on: a graph without labels (a
-    ``ContractError``), or a split (``SplitError``) that names a node outside
-    the graph or an unlabeled one, leaves no unlabeled node for a clustering
-    loss of ``hp`` that needs one, or has an empty validation or test set."""
+    ``ContractError``), or a split that names a node outside the graph or an
+    unlabeled one (a ``SplitError``). A ``Split`` has non-empty validation and
+    test sets, so the clustering losses always have nodes outside training."""
     if g.labels is None:
         raise ContractError("training requires node labels")
     split.check_against(g.n)
     split.check_labeled(g.labels)
-    unlabeled = g.n - split.train_idx.size  # the split's indices are distinct and in range
-    kl_scope = g.n if hp.kl_scope == "all" else unlabeled
-    if (hp.lambda_pl > 0 and unlabeled == 0) or (hp.lambda_kl > 0 and kl_scope == 0):
-        raise SplitError(f"the training split covers all {g.n} nodes, leaving no unlabeled "
-                         f"node for the clustering loss")
-    for name, idx in (("validation", split.val_idx), ("test", split.test_idx)):
-        if len(idx) == 0:
-            raise SplitError(f"the {name} set is empty")
 
 
 def train(
@@ -221,13 +213,12 @@ def train(
     the best epoch comes before the centroids are seeded, they keep their last
     values) and the per-epoch report. ``pseudo_label_mode`` is ``"sinkhorn"``
     or ``"raw"`` (the latter feeds the detached predictions straight back as
-    targets, used by the normalization ablation). A split that names an
-    unlabeled node, leaves no unlabeled node for a clustering loss that needs
-    one, or has an empty validation or test set, is a ``SplitError``.
+    targets, used by the normalization ablation). A split that names a node
+    outside the graph or an unlabeled one is a ``SplitError``.
     """
     if pseudo_label_mode not in ("sinkhorn", "raw"):
         raise ParameterError(f"unknown pseudo_label_mode {pseudo_label_mode!r}")
-    check_split(g, split, hp)
+    check_split(g, split)
     t0 = time.perf_counter()
     rng = RngState(hp.seed)
     params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))

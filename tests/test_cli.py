@@ -305,6 +305,30 @@ def test_evaluate_with_empty_labels_file_exit_2(capsys, sbm_dir, tmp_path):
     assert "the train set names unlabeled node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("empty, name", [("val", "validation"), ("test", "test")])
+def test_evaluate_split_with_empty_set_exit_2(capsys, sbm_dir, tmp_path, empty, name):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    (out / f"{empty}.idx").write_bytes(b"")
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", str(out / "config.resolved"),
+               "--checkpoint", str(out / "checkpoint.bin")])
+    assert rc == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and f"the {name} set is empty" in errors[0]
+    assert all(str(out / f) in errors[0] for f in ("train.idx", "val.idx", "test.idx"))
+
+
+@pytest.mark.parametrize("empty, name", [("val", "validation"), ("test", "test")])
+def test_validate_split_with_empty_set_exit_2(capsys, sbm_dir, empty, name):
+    for f, ids in (("train", "0\n10\n"), ("val", "1\n11\n"), ("test", "2\n12\n")):
+        (sbm_dir / f"{f}.idx").write_text("" if f == empty else ids)
+    assert main(["validate", "--dataset", str(sbm_dir)]) == 2
+    assert f"the {name} set is empty" in capsys.readouterr().err
+
+
 def test_train_fixed_split_naming_unlabeled_node_exit_2(capsys, sbm_dir, tmp_path):
     lines = (sbm_dir / "labels.tsv").read_text().splitlines(keepends=True)
     (sbm_dir / "labels.tsv").write_text("".join(line for line in lines
@@ -347,7 +371,7 @@ def _unchanged(d):
                  id="split-empty-validation"),
     pytest.param(_unchanged, ["--split-policy", "planetoid_style", "--train-per-class", "10",
                               "--val-total", "0", "--test-total", "0"],
-                 "the training split covers all 20 nodes", id="split-covers-every-node"),
+                 "the validation set is empty", id="split-covers-every-node"),
 ])
 def test_input_error_exits_2_before_creating_out(capsys, sbm_dir, tmp_path, command, extra,
                                                  corrupt, split_flags, message):
@@ -653,15 +677,15 @@ def test_spectral_k_above_node_count_exit_4_writes_nothing(capsys, sbm_dir, tmp_
 
 
 def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):
-    # 10 training nodes per class on a 2 x 10 SBM leave no unlabeled node for
-    # the pseudo-label loss
+    # 10 training nodes per class on a 2 x 10 SBM leave no node for the
+    # validation set
     out = tmp_path / "o"
     args = ["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
             "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
     assert main(args + ["--train-per-class", "10", "--val-per-class", "0"]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
-    assert len(errors) == 1 and "unlabeled" in errors[0]
+    assert len(errors) == 1 and "the validation set is empty" in errors[0]
     assert not (out / "report.json").exists()
 
 

@@ -281,6 +281,13 @@ def test_split_validation():
         s.check_against(2)
 
 
+@pytest.mark.parametrize("empty", ["validation", "test"])
+def test_split_rejects_empty_validation_or_test_set(empty):
+    val, test = ([], [2]) if empty == "validation" else ([1], [])
+    with pytest.raises(SplitError, match=f"the {empty} set is empty"):
+        Split(np.array([0]), np.array(val, dtype=np.int64), np.array(test, dtype=np.int64))
+
+
 def test_graph_invariant_checks():
     adj = CsrMatrix.from_dense(np.zeros((2, 2)))
     feats = np.zeros((2, 2))
