@@ -15,6 +15,10 @@ recurrence with products by the transpose of the adjacency, which
 transpose. ``beta = 0`` skips the correction and reduces the layer to the
 plain backbone exactly.
 
+The input transform maps the features to the hidden width with one or two
+ReLU affine maps (``linear`` or ``mlp``), the first from the sparse features.
+Each map is one tape node, ``nm.affine_relu``, which keeps only its output.
+
 A shared bias-free prototype head maps the final embedding to class/cluster
 logits, the model's one prediction output: losses take their row-wise
 log-softmax, and detached probabilities are their row-wise softmax.
@@ -170,11 +174,11 @@ def sogn_layer(
 
 
 def input_transform(x: CsrMatrix, params: ModelParams):
-    """Map the CSR features to the hidden width: ReLU affine maps, the first sparse."""
-    h = None
+    """Map the CSR features to the hidden width: ReLU affine maps, the first
+    sparse, each one tape node (``nm.affine_relu``)."""
+    h = x
     for w, b in params.input_weights:
-        prod = nm.sparse_dense_matmul(x, w) if h is None else nm.matmul(h, w)
-        h = nm.relu(nm.add_bias(prod, b))
+        h = nm.affine_relu(h, w, b)
     return h
 
 

@@ -266,6 +266,38 @@ def relu(x) -> Tensor:
     return _record(out, (x,), lambda g: (g * mask,))
 
 
+def affine_relu(x, w, b) -> Tensor:
+    """``relu(x w + b)`` as one tape node; x is a constant CSR matrix or a dense operand.
+
+    Every value and gradient equals that of the ``sparse_dense_matmul`` (or
+    ``matmul``), ``add_bias`` and ``relu`` chain, bit for bit. The bias and
+    the ReLU run in place on the product, and the node keeps only its
+    output: the VJP recomputes the ReLU mask from it.
+    """
+    sparse = isinstance(x, CsrMatrix)
+    vx = None if sparse else _as_value(x)
+    vw, vb = _as_value(w), _as_value(b)
+    if not sparse and vx.shape[1] != vw.shape[0]:
+        raise ShapeError(f"affine_relu shape mismatch: {vx.shape} @ {vw.shape}")
+    y = x.matmul_dense(vw) if sparse else vx @ vw
+    if vb.shape != (1, y.shape[1]):
+        raise ShapeError(f"bias shape {vb.shape} does not broadcast over {y.shape}")
+    y += vb
+    np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
+
+    def vjp(g):
+        g = g * (out.value > 0.0)
+        gx = g @ vw.T if isinstance(x, Tensor) else None
+        gw = None
+        if isinstance(w, Tensor):
+            gw = x.transpose_matmul_dense(g) if sparse else vx.T @ g
+        gb = g.sum(axis=0, keepdims=True) if isinstance(b, Tensor) else None
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), vjp)
+
+
 def softmax_rows(x) -> Tensor:
     """Row-wise softmax, stabilized by subtracting the per-row maximum."""
     v = _as_value(x)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import numerics as nm
 from .errors import ContractError, RankError, ShapeError
@@ -214,6 +213,9 @@ def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray, k: int) -> 
     mask = labels >= 0
     if not mask.any():
         raise ContractError("clustering accuracy needs at least one labeled node")
+    # imported here: scipy.optimize adds about 27 MiB to every process that imports ncgc
+    from scipy.optimize import linear_sum_assignment
+
     a, y = assignments[mask], labels[mask]
     confusion = np.zeros((k, int(y.max()) + 1))
     np.add.at(confusion, (a, y), 1)

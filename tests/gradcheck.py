@@ -127,6 +127,22 @@ def _build_relu(rng):
     return (lambda t: nm.sum_all(nm.mul(nm.relu(t), c)), [x])
 
 
+@op_case("affine_relu_sparse")
+def _build_affine_relu_sparse(rng):
+    dense = rng.normal((5, 4)) * (rng.uniform((5, 4)) < 0.5)
+    x = CsrMatrix.from_dense(dense)
+    c = rng.normal((5, 3))
+    return (lambda w, b: nm.sum_all(nm.mul(nm.affine_relu(x, w, b), c)),
+            [rng.normal((4, 3)), rng.normal((1, 3))])
+
+
+@op_case("affine_relu_dense")
+def _build_affine_relu_dense(rng):
+    c = rng.normal((5, 3))
+    return (lambda x, w, b: nm.sum_all(nm.mul(nm.affine_relu(x, w, b), c)),
+            [rng.normal((5, 4)), rng.normal((4, 3)), rng.normal((1, 3))])
+
+
 @op_case("softmax_rows")
 def _build_softmax(rng):
     c = rng.normal((4, 5))

@@ -82,6 +82,14 @@ def sogn_chain(h, w, a_tilde, config, rng, training, activation=True):
     return nm.relu(out) if activation else out
 
 
+def input_chain(x, w, b):
+    """One ReLU affine map of ``model.input_transform`` as the chain of tape
+    nodes ``nm.affine_relu`` fuses: ``sparse_dense_matmul`` for a CSR x (or
+    ``matmul`` for a dense one), ``add_bias`` and ``relu``."""
+    prod = nm.sparse_dense_matmul(x, w) if isinstance(x, CsrMatrix) else nm.matmul(x, w)
+    return nm.relu(nm.add_bias(prod, b))
+
+
 def sbm_pairs_loop(block_sizes, p_in, p_out, feature_dim, rng, feature_shift=2.0,
                    feature_noise=1.0):
     """The stochastic block model sampled pair by pair: one ``rng.uniform()``

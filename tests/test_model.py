@@ -7,7 +7,7 @@ import ncgc.numerics as nm
 from ncgc.errors import ContractError, IngestionError, ParameterError, ShapeError
 from ncgc.graph import Graph, normalized_adjacency
 from ncgc.model import (
-    backbone_propagate, forward, init_params,
+    backbone_propagate, forward, init_params, input_transform,
     load_checkpoint, save_checkpoint, soc_penalty, sogn_layer,
 )
 from ncgc.rng import RngState
@@ -15,7 +15,7 @@ from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams
 from gradcheck import check_gradients, tape_value_and_grads, trial_rng
-from oracles import loop_soc_penalty, rel_error, sogn_chain
+from oracles import input_chain, loop_soc_penalty, rel_error, sogn_chain
 
 
 def small_graph(seed=0, n_per=3, k=2, d=4):
@@ -229,6 +229,44 @@ def test_fused_layer_gradcheck_and_chain_on_asymmetric_csr(backbone, beta, dropo
         outputs = [layer(nm.Tensor(arrays[0]), arrays[1], at, cfg, RngState(seed), True,
                          activation).value for layer in (sogn_layer, sogn_chain)]
         assert np.array_equal(*outputs)
+
+
+@pytest.mark.parametrize("layers, transform", [(2, "linear"), (4, "mlp")])
+def test_input_transform_one_node_per_map_equals_chain(layers, transform):
+    # linear: the sparse map alone; mlp: the sparse map, then the dense one
+    g, _ = small_graph(seed=27, n_per=5, k=2, d=6)
+    cfg = HyperParams(layers=layers, hidden_dim=5)
+    assert cfg.resolved_input_transform() == transform
+    params = init_params(cfg, g.feature_dim, g.class_count, RngState(28))
+    maps = len(params.input_weights)
+    assert maps == (1 if transform == "linear" else 2)
+    rng = RngState(29)
+    for _, b in params.input_weights:
+        b.value = rng.normal(b.value.shape)
+    c = rng.normal((g.n, 5))
+
+    def chain(x, p):
+        for w, b in p.input_weights:
+            x = input_chain(x, w, b)
+        return x
+
+    def run(transform_fn):
+        params.zero_grads()
+        tape = nm.Tape()
+        with tape:
+            h = transform_fn(g.features, params)
+            nodes = len(tape)
+            loss = nm.sum_all(nm.mul(h, c))
+        nm.backward(tape, loss)
+        return h.value, nodes, [p.grad.copy() for p in params.all_parameters()]
+
+    fused, chained = run(input_transform), run(chain)
+    assert (fused[1], chained[1]) == (maps, 3 * maps)
+    assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()  # the ReLU bites
+    assert np.array_equal(fused[0], chained[0])
+    for g_fused, g_chain in zip(fused[2], chained[2]):
+        assert np.array_equal(g_fused, g_chain)
+    assert all(np.any(p.grad != 0.0) for w_b in params.input_weights for p in w_b)
 
 
 def _appnp_layer_vjp_high_water(beta, n=4000, d=32):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -276,6 +281,18 @@ def test_clustering_accuracy_rejects_no_labeled_node():
         clustering_accuracy(np.array([0, 1, 1]), np.full(3, -1), 2)
     # unlabeled nodes (-1) do not count
     assert clustering_accuracy(np.array([0, 1, 1]), np.array([-1, 0, 0]), 2) == 1.0
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # only clustering_accuracy needs linear_sum_assignment; training must not
+    # pay for scipy.optimize and what it pulls in
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ncgc, ncgc.cli; sys.exit('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:] or "scipy.optimize was imported"
 
 
 def test_spectral_cluster_two_components():
