@@ -24,8 +24,8 @@ with tape:
     loss = nm.frobenius_sq_diff(h, target)
 print(f"loss = {loss.item():.6f} (tape recorded {len(tape)} ops)")
 
-nm.backward(tape, loss)
-print("dL/dw:\n", w.grad)
+grads = nm.backward(tape, loss)  # {parameter: gradient} for each one the loss reaches
+print("dL/dw:\n", grads[w])
 
 # --- sanity: finite differences agree --------------------------------------
 step = 1e-5
@@ -37,17 +37,15 @@ for idx in np.ndindex(w.value.shape):
         h = nm.relu(nm.matmul(x, w))
         fd[idx] += sign * nm.frobenius_sq_diff(h, target).item() / (2 * step)
     w.value[idx] = orig
-print(f"max |tape grad - finite diff| = {np.abs(w.grad - fd).max():.2e}")
+print(f"max |tape grad - finite diff| = {np.abs(grads[w] - fd).max():.2e}")
 
 # --- a few Adam steps -------------------------------------------------------
-state = nm.AdamState([w])
+state = nm.AdamState()  # moments are created per parameter on its first step
 for it in range(200):
-    w.zero_grad()
     tape = nm.Tape()
     with tape:
         loss = nm.frobenius_sq_diff(nm.relu(nm.matmul(x, w)), target)
-    nm.backward(tape, loss)
-    nm.adam_step([w], state, lr=0.05, weight_decay=0.0)
+    nm.adam_step([w], nm.backward(tape, loss), state, lr=0.05, weight_decay=0.0)
     if it % 50 == 0 or it == 199:
         print(f"step {it:3d}  loss = {loss.item():.6f}")
 

@@ -43,6 +43,11 @@ def target_distribution(q: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
+def mean_cross_entropy(log_p, targets: np.ndarray) -> "nm.Tensor":
+    """Mean over rows of -sum_k targets * log_p, the targets a fixed plain array."""
+    return nm.scale(nm.sum_all(nm.mul(log_p, targets)), -1.0 / targets.shape[0])
+
+
 def kl_loss(p: np.ndarray, q, scope) -> "nm.Tensor":
     """Mean over ``scope`` rows of KL(p_i || q_i); gradients flow into q only."""
     scope = np.asarray(scope, dtype=np.int64)
@@ -51,11 +56,9 @@ def kl_loss(p: np.ndarray, q, scope) -> "nm.Tensor":
     p = np.asarray(p, dtype=np.float64)
     p_s = p[scope]
     log_q = nm.log_elementwise(nm.take_rows(q, scope))
-    n = len(scope)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p_s > 0, p_s * np.log(np.where(p_s > 0, p_s, 1.0)), 0.0).sum()
-    cross = nm.scale(nm.sum_all(nm.mul(log_q, p_s)), -1.0 / n)
-    return nm.add_scalar(cross, plogp / n)
+    return nm.add_scalar(mean_cross_entropy(log_q, p_s), plogp / len(scope))
 
 
 def _check_sinkhorn_args(psi_prime, epsilon: float, iterations: int) -> np.ndarray:
@@ -130,8 +133,7 @@ def pseudo_label_loss(targets: np.ndarray, live_logits) -> "nm.Tensor":
     if targets.shape != live_logits.value.shape:
         raise ShapeError(
             f"targets {targets.shape} vs predictions {live_logits.value.shape}")
-    log_pred = nm.log_softmax_rows(live_logits)
-    return nm.scale(nm.sum_all(nm.mul(log_pred, targets)), -1.0 / targets.shape[0])
+    return mean_cross_entropy(nm.log_softmax_rows(live_logits), targets)
 
 
 def init_centroids(h: np.ndarray, k: int, rng: RngState) -> nm.Parameter:

@@ -94,10 +94,6 @@ class ModelParams:
                     f"checkpoint shape {v.shape} for {p.name!r}, expected {p.value.shape}")
             p.value = v.copy()
 
-    def zero_grads(self) -> None:
-        for p in self.all_parameters():
-            p.zero_grad()
-
 
 def glorot(shape, rng: RngState) -> np.ndarray:
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))

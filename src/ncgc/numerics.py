@@ -5,9 +5,9 @@ value and nothing else, so what a primitive computes depends only on its
 operands' values, never on how they were produced. Primitive operations
 compute eagerly and, when a ``Tape`` is active, record a node with the saved
 values its backward rule needs. ``backward`` replays the tape once in reverse
-and accumulates gradients into every ``Parameter`` reached from the loss; it
-takes each node off the tape as it runs that node's rule, so the values the
-node saved are released as soon as they have been used.
+and returns the gradients of the ``Parameter``s reached from the loss, keyed by
+the Parameter, for ``adam_step``; no tensor holds a gradient. It takes each
+node off the tape as it runs that node's rule, so what the node saved is freed.
 Without an active tape the same functions run as plain numpy, which is how
 evaluation-mode passes avoid the recording cost.
 
@@ -29,6 +29,8 @@ from .rng import RngState
 from .sparse import CsrMatrix
 
 Array = np.ndarray
+
+NORM_GUARD = 1e-12  # columns with a smaller norm are not normalized
 
 
 def _as_value(x) -> Array:
@@ -74,17 +76,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with a persistent gradient buffer."""
+    """Trainable leaf tensor; ``backward`` returns its gradient, keyed by the object."""
 
-    __slots__ = ("grad", "name")
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str):
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"
@@ -136,29 +134,30 @@ def _record(out: Tensor, inputs: tuple, vjp) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(parameter) into every Parameter on the tape.
+def backward(tape: Tape, loss: Tensor) -> dict[Parameter, Array]:
+    """d(loss)/d(parameter) for every Parameter the loss reaches, keyed by the Parameter.
 
     The loss must be a 1x1 tensor. Each node is visited exactly once in
     reverse topological order, and it is popped off the tape before its VJP
     runs: by the time the next node's VJP runs, nothing but the caller's own
     references keeps the node, its output or the arrays its VJP saved.
-    Gradients of non-parameter intermediates are dropped as soon as their
-    node is processed.
+    Gradients of intermediates are dropped as soon as their node is
+    processed. A Parameter whose node gets no gradient has no entry.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar (1x1), got shape {loss.value.shape}")
-    grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
+    grads: dict[Tensor, Array] = {loss: np.ones((1, 1))}
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
-        g = grads.pop(id(node.out), None)
+        g = grads.pop(node.out, None)
         if g is not None:
             _accumulate(grads, node.inputs, node.vjp(g))
+    return {t: g for t, g in grads.items() if isinstance(t, Parameter)}
 
 
 def _accumulate(grads: dict, inputs: tuple, input_grads) -> None:
-    """Add each input's gradient to its Parameter or to its entry in ``grads``.
+    """Add each input's gradient to its entry in ``grads``; the first one is stored as is.
 
     A function of its own so that the VJP's outputs and the loop variables
     die when it returns, not during the next node's VJP.
@@ -166,14 +165,10 @@ def _accumulate(grads: dict, inputs: tuple, input_grads) -> None:
     for t, gt in zip(inputs, input_grads):
         if gt is None or not isinstance(t, Tensor):
             continue
-        if isinstance(t, Parameter):
-            t.grad += gt
+        if t in grads:
+            grads[t] += gt
         else:
-            key = id(t)
-            if key in grads:
-                grads[key] += gt
-            else:
-                grads[key] = gt
+            grads[t] = gt
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +347,11 @@ def dropout(x, p: float, rng: RngState, training: bool) -> Tensor:
     return _record(out, (x,), lambda g: (g * keep,))
 
 
-def column_l2_normalize(x, guard: float = 1e-12) -> Tensor:
-    """Scale every column to unit Euclidean norm; all-zero columns pass through."""
+def column_l2_normalize(x) -> Tensor:
+    """Scale every column to unit Euclidean norm; columns under ``NORM_GUARD`` pass through."""
     v = _as_value(x)
     norms = np.sqrt((v * v).sum(axis=0, keepdims=True))
-    active = norms >= guard
+    active = norms >= NORM_GUARD
     safe = np.where(active, norms, 1.0)
     y = v / safe
     out = Tensor(y)
@@ -372,14 +367,14 @@ def _soft_orthogonal(z: Array, beta: float) -> tuple[Array, Array, Array]:
     """The d x d factor M of the correction ``beta * Zn (Zn^T Z) = Z M``.
 
     Zn is the ``column_l2_normalize`` of z. With G = Z^T Z and S^2 = diag(G)
-    on the columns whose norm reaches 1e-12 (1 on the rest, which pass
+    on the columns whose norm reaches ``NORM_GUARD`` (1 on the rest, which pass
     through unnormalized), M = beta S^-2 G: a Gram product, never an n x n
     matrix or a normalized copy of z. Returns M, S^2 as a column and the
     mask of the active columns.
     """
     gram = z.T @ z
     sq = np.diag(gram)
-    active = np.sqrt(sq) >= 1e-12  # column_l2_normalize's guard
+    active = np.sqrt(sq) >= NORM_GUARD
     s = np.where(active, sq, 1.0)[:, None]
     return gram * (beta / s), s, active
 
@@ -547,47 +542,43 @@ def sum_all(x) -> Tensor:
 
 
 class AdamState:
-    """First/second moment buffers and the step counter for a parameter set.
+    """First/second moment buffers, keyed by the Parameter object, and the step counter.
 
-    The constructor rejects duplicate parameter names. A parameter that joins
-    later (the centroids, seeded after warmup) gets zero moments the first
-    time ``adam_step`` sees it, and its update is bias-corrected with the
-    shared step count.
+    A parameter gets zero moments the first time ``adam_step`` sees it, so
+    one that joins late (the centroids, seeded after warmup) has its update
+    bias-corrected with the shared step count.
     """
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        params = list(params)
-        names = [p.name for p in params]
-        if len(set(names)) != len(names):
-            raise ContractError("parameter names must be unique")
+    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = {p.name: np.zeros_like(p.value) for p in params}
-        self.v = {p.name: np.zeros_like(p.value) for p in params}
+        self.m: dict[Parameter, Array] = {}
+        self.v: dict[Parameter, Array] = {}
 
 
-def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
+def adam_step(params, grads: dict[Parameter, Array], state: AdamState, lr: float,
+              weight_decay: float = 0.0) -> None:
     """One Adam update with decoupled weight decay, applied in place.
 
-    Weight decay shrinks the value before the moment-based step, so it does
-    not enter the moment estimates.
+    ``grads`` is ``backward``'s mapping; a parameter missing from it takes
+    the zero-gradient step. Weight decay shrinks the value before the
+    moment-based step, so it does not enter the moment estimates.
     """
-    params = list(params)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     for p in params:
-        g = p.grad
+        g = grads.get(p, 0.0)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {p.name!r} at step {t}")
         if weight_decay:
             p.value *= 1.0 - lr * weight_decay
-        if p.name not in state.m:
-            state.m[p.name] = np.zeros_like(p.value)
-            state.v[p.name] = np.zeros_like(p.value)
-        m, v = state.m[p.name], state.v[p.name]
+        if p not in state.m:
+            state.m[p] = np.zeros_like(p.value)
+            state.v[p] = np.zeros_like(p.value)
+        m, v = state.m[p], state.v[p]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

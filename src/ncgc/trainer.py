@@ -34,8 +34,8 @@ import numpy as np
 
 from . import numerics as nm
 from .clustering import (
-    init_centroids, kl_loss, pseudo_label_loss, sinkhorn_pseudo_labels, soft_assign,
-    target_distribution,
+    init_centroids, kl_loss, mean_cross_entropy, pseudo_label_loss, sinkhorn_pseudo_labels,
+    soft_assign, target_distribution,
 )
 from .errors import ContractError, NumericError, ParameterError
 from .graph import Graph, Split, make_split, normalized_adjacency
@@ -156,8 +156,7 @@ def class_loss(logits, labels, train_idx) -> "nm.Tensor":
         raise ContractError("label out of range [0, K) in the training set")
     one_hot = np.zeros((len(train_idx), k))
     one_hot[np.arange(len(train_idx)), picked] = 1.0
-    log_pred = nm.take_rows(nm.log_softmax_rows(logits), train_idx)
-    return nm.scale(nm.sum_all(nm.mul(log_pred, one_hot)), -1.0 / len(train_idx))
+    return mean_cross_entropy(nm.take_rows(nm.log_softmax_rows(logits), train_idx), one_hot)
 
 
 def total_loss(l_class, l_kl, l_pl, hp: HyperParams, in_warmup: bool) -> "nm.Tensor":
@@ -225,7 +224,7 @@ def train(
     drop_rng = rng.derive("dropout")
     centroid_rng = rng.derive("centroids")
 
-    adam = nm.AdamState(params.all_parameters())
+    adam = nm.AdamState()
     clustering_wanted = hp.lambda_kl > 0 or hp.lambda_pl > 0
     u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
     kl_scope_idx = np.arange(g.n) if hp.kl_scope == "all" else u_idx
@@ -269,7 +268,6 @@ def train(
         if clustering_on and hp.lambda_kl > 0 and params.centroids is None:
             params.centroids = init_centroids(predict(g.features, a_tilde, params, hp)[0],
                                               g.class_count, centroid_rng)
-        params.zero_grads()
 
         tape = nm.Tape()
         with tape:
@@ -280,8 +278,9 @@ def train(
                 f"non-finite loss at epoch {epoch}: class={l_class.item()!r} "
                 f"kl={None if l_kl is None else l_kl.item()!r} "
                 f"pl={None if l_pl is None else l_pl.item()!r}")
-        nm.backward(tape, total)
-        nm.adam_step(params.all_parameters(), adam, hp.lr, hp.weight_decay)
+        # the gradients are bound to no name, so they are freed before the eval pass
+        nm.adam_step(params.all_parameters(), nm.backward(tape, total), adam, hp.lr,
+                     hp.weight_decay)
 
         val_acc, test_acc, soc = evaluation()
         report.epochs.append(EpochRecord(

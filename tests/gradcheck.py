@@ -16,8 +16,8 @@ def tape_value_and_grads(build, arrays):
     tape = nm.Tape()
     with tape:
         loss = build(*params)
-    nm.backward(tape, loss)
-    return loss.item(), [p.grad.copy() for p in params]
+    grads = nm.backward(tape, loss)
+    return loss.item(), [grads[p] for p in params]
 
 
 def eager_value(build, arrays):

@@ -385,6 +385,7 @@ def test_input_error_exits_2_before_creating_out(capsys, sbm_dir, tmp_path, comm
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("tape_guard")
 def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):
     out = tmp_path / "ab"
     rc = main(["ablate", "--dataset", str(sbm_dir), "--out", str(out),

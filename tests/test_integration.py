@@ -13,6 +13,8 @@ from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams, run_seeds, seed_splits
 
+pytestmark = pytest.mark.usefixtures("tape_guard")
+
 
 @pytest.fixture(scope="module")
 def hard_sbm():

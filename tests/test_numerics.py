@@ -74,8 +74,7 @@ def test_appnp_propagate_forward_bitwise_equals_chain(alpha, hops):
         tape = nm.Tape()
         with tape:
             loss = nm.sum_all(nm.mul(prop(s, zp, alpha, hops), c))
-        nm.backward(tape, loss)
-        grads.append(zp.grad)
+        grads.append(nm.backward(tape, loss)[zp])
     assert rel_error(*grads) < 1e-13
 
 
@@ -94,9 +93,8 @@ def test_soft_orthogonal_matches_the_primitive_chain(n, d, zero_col):
         with tape:
             out = corr(z, beta)
             loss = nm.sum_all(nm.mul(out, c))
-        nm.backward(tape, loss)
+        grads.append(nm.backward(tape, loss)[z])
         values.append(out.value)
-        grads.append(z.grad)
     assert rel_error(*values) < 1e-13
     assert rel_error(*grads) < 1e-13
     if zero_col is not None:
@@ -187,8 +185,7 @@ def test_backward_sum_gives_ones():
     tape = nm.Tape()
     with tape:
         loss = nm.sum_all(w)
-    nm.backward(tape, loss)
-    assert np.array_equal(w.grad, np.ones((3, 4)))
+    assert np.array_equal(nm.backward(tape, loss)[w], np.ones((3, 4)))
 
 
 def test_backward_frobenius_gives_2w():
@@ -197,8 +194,7 @@ def test_backward_frobenius_gives_2w():
     tape = nm.Tape()
     with tape:
         loss = nm.frobenius_sq_diff(w, np.zeros((4, 2)))
-    nm.backward(tape, loss)
-    assert np.allclose(w.grad, 2.0 * w0, atol=1e-12)
+    assert np.allclose(nm.backward(tape, loss)[w], 2.0 * w0, atol=1e-12)
 
 
 def test_backward_requires_scalar_loss():
@@ -230,10 +226,10 @@ def test_gradient_accumulates_over_reuse():
     tape = nm.Tape()
     with tape:
         loss = nm.sum_all(nm.mul(w, w))  # w^2
-    nm.backward(tape, loss)
-    assert np.allclose(w.grad, [[4.0]])
+    assert np.allclose(nm.backward(tape, loss)[w], [[4.0]])
 
 
+@pytest.mark.usefixtures("tape_guard")
 def test_add_operand_gradients_do_not_alias():
     # a feeds add and, before it on the tape, a scale; the sweep reaches the
     # add first, so a's gradient is accumulated into after b's is set
@@ -244,8 +240,66 @@ def test_add_operand_gradients_do_not_alias():
         a, b = nm.scale(x, 1.0), nm.scale(y, 1.0)
         d = nm.scale(a, 3.0)
         loss = nm.sum_all(nm.add(nm.add(a, b), d))
-    nm.backward(tape, loss)
-    assert np.array_equal(x.grad, [[4.0]]) and np.array_equal(y.grad, [[1.0]])
+    grads = nm.backward(tape, loss)
+    assert np.array_equal(grads[x], [[4.0]]) and np.array_equal(grads[y], [[1.0]])
+
+
+def _aliased_add(a, b):
+    # an add whose VJP hands one array to both operands
+    out = nm.Tensor(nm._as_value(a) + nm._as_value(b))
+    return nm._record(out, (a, b), lambda g: (g, g))
+
+
+def _returns_saved_factor(a, b):
+    # a scale whose VJP returns the array it saved instead of a new one
+    factor = np.full_like(nm._as_value(a), 2.0)
+    out = nm.Tensor(nm._as_value(a) * factor)
+    return nm._record(out, (a, b), lambda g: (factor, None))
+
+
+@pytest.mark.parametrize("op, message", [
+    (_aliased_add, "two gradients of one VJP share memory"),
+    (_returns_saved_factor, "a VJP returned a read-only array"),
+])
+def test_tape_guard_fires_on_a_planted_aliasing_op(tape_guard, op, message):
+    x = nm.Parameter(np.array([[1.0]]), name="x")
+    y = nm.Parameter(np.array([[1.0]]), name="y")
+    tape = nm.Tape()
+    with tape:
+        a, b = nm.scale(x, 1.0), nm.scale(y, 1.0)
+        loss = nm.sum_all(nm.add(op(a, b), nm.scale(a, 3.0)))
+    with pytest.raises(AssertionError, match=message):
+        nm.backward(tape, loss)
+    # the guard froze the operands while the tape was live and gave them back
+    assert a.value.flags.writeable and b.value.flags.writeable
+
+
+def test_backward_returns_exactly_the_parameters_the_loss_reaches():
+    rng = RngState(14)
+    w = nm.Parameter(rng.normal((3, 2)), name="w")
+    dead = nm.Parameter(rng.normal((3, 2)), name="dead")
+    unused = nm.Parameter(rng.normal((3, 2)), name="unused")
+    k = nm.Tensor(rng.normal((4, 3)))  # a constant leaf that receives a gradient
+
+    def run():
+        tape = nm.Tape()
+        with tape:
+            nm.scale(dead, 2.0)  # recorded, but its output never reaches the loss
+            h = nm.matmul(k, w)
+            loss = nm.sum_all(nm.mul(h, h))
+        return nm.backward(tape, loss)
+
+    first = run()
+    assert list(first) == [w]
+    assert unused not in first and dead not in first
+    expected = k.value.T @ (2.0 * (k.value @ w.value))
+    assert np.array_equal(first[w], expected)
+    kept = first[w].copy()
+    second = run()
+    assert list(second) == [w]
+    assert second[w] is not first[w]
+    assert np.array_equal(second[w], expected)  # nothing carried over from the first
+    assert np.array_equal(first[w], kept)
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -267,53 +321,87 @@ def make_param(seed=11, shape=(3, 2)):
 def test_adam_zero_gradient_is_noop():
     p = make_param()
     before = p.value.copy()
-    state = nm.AdamState([p])
-    nm.adam_step([p], state, lr=0.1, weight_decay=0.0)
+    state = nm.AdamState()
+    nm.adam_step([p], {p: np.zeros_like(p.value)}, state, lr=0.1, weight_decay=0.0)
     assert np.array_equal(p.value, before)
 
 
 def test_adam_first_step_magnitude():
     p = nm.Parameter(np.zeros((2, 2)), name="w")
-    p.grad[...] = np.array([[3.0, -0.5], [10.0, 0.2]])
-    state = nm.AdamState([p])
-    nm.adam_step([p], state, lr=0.05, weight_decay=0.0)
+    g = np.array([[3.0, -0.5], [10.0, 0.2]])
+    state = nm.AdamState()
+    nm.adam_step([p], {p: g}, state, lr=0.05, weight_decay=0.0)
     # first Adam step moves by ~lr in the direction opposite the gradient
     assert np.allclose(np.abs(p.value), 0.05, rtol=1e-6)
-    assert np.all(np.sign(p.value) == -np.sign(p.grad))
+    assert np.all(np.sign(p.value) == -np.sign(g))
 
 
 def test_adam_decoupled_weight_decay():
     p = nm.Parameter(np.full((1, 1), 2.0), name="w")
-    state = nm.AdamState([p])
-    nm.adam_step([p], state, lr=0.1, weight_decay=0.5)
+    state = nm.AdamState()
+    nm.adam_step([p], {p: np.zeros((1, 1))}, state, lr=0.1, weight_decay=0.5)
     # zero gradient: only the decay factor (1 - lr*wd) applies
     assert p.value[0, 0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
 
 
 def test_adam_rejects_non_finite_gradient():
     p = make_param()
-    p.grad[...] = np.nan
-    state = nm.AdamState([p])
+    state = nm.AdamState()
     with pytest.raises(NumericError):
-        nm.adam_step([p], state, lr=0.1)
+        nm.adam_step([p], {p: np.full_like(p.value, np.nan)}, state, lr=0.1)
+
+
+def test_adam_parameter_missing_from_grads_decays_only():
+    # a parameter absent from the mapping: its moments decay and weight decay
+    # applies, bit for bit as with an explicit zero gradient
+    grads = [RngState(13).normal((3, 2)), None, None]
+    runs = []
+    for explicit_zero in (True, False):
+        p = make_param()
+        state = nm.AdamState()
+        for g in grads:
+            if g is None:
+                g = {p: np.zeros_like(p.value)} if explicit_zero else {}
+            else:
+                g = {p: g}
+            nm.adam_step([p], g, state, lr=0.1, weight_decay=0.3)
+        runs.append((p.value, state.m[p], state.v[p]))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+    m1 = (1 - 0.9) * grads[0]
+    assert np.array_equal(runs[1][1], m1 * 0.9 * 0.9)
+
+
+def test_adam_keys_moments_by_parameter_not_name():
+    a = nm.Parameter(np.zeros((1, 2)), name="twin")
+    b = nm.Parameter(np.zeros((1, 2)), name="twin")
+    state = nm.AdamState()
+    nm.adam_step([a, b], {a: np.array([[1.0, 2.0]]), b: np.array([[-3.0, 0.5]])}, state,
+                 lr=0.1)
+    assert set(state.m) == {a, b} and set(state.v) == {a, b}
+    assert state.m[a] is not state.m[b]
+    assert np.array_equal(state.m[a], (1 - state.beta1) * np.array([[1.0, 2.0]]))
+    assert np.array_equal(state.m[b], (1 - state.beta1) * np.array([[-3.0, 0.5]]))
+    # each moved against its own gradient
+    assert np.array_equal(np.sign(a.value), [[-1.0, -1.0]])
+    assert np.array_equal(np.sign(b.value), [[1.0, -1.0]])
 
 
 def test_adam_late_parameter_gets_zero_moments_and_shared_step():
     w = make_param()
-    state = nm.AdamState([w])
-    nm.adam_step([w], state, lr=0.1)
-    nm.adam_step([w], state, lr=0.1)
+    state = nm.AdamState()
+    nm.adam_step([w], {}, state, lr=0.1)
+    nm.adam_step([w], {}, state, lr=0.1)
     late = nm.Parameter(np.zeros((1, 2)), name="late")
-    late.grad[...] = np.array([[2.0, -4.0]])
-    nm.adam_step([w, late], state, lr=0.1)
+    nm.adam_step([w, late], {late: np.array([[2.0, -4.0]])}, state, lr=0.1)
     # zero moments, then one update: m = (1-b1) g, v = (1-b2) g^2, bias-corrected
     # with the shared step count t = 3, not with the late parameter's first step
     b1, b2, t = state.beta1, state.beta2, 3
     g = np.array([[2.0, -4.0]])
     mhat = (1 - b1) * g / (1 - b1 ** t)
     vhat = (1 - b2) * g * g / (1 - b2 ** t)
-    assert np.allclose(state.m["late"], (1 - b1) * g, rtol=0, atol=1e-15)
-    assert np.allclose(state.v["late"], (1 - b2) * g * g, rtol=0, atol=1e-15)
+    assert np.allclose(state.m[late], (1 - b1) * g, rtol=0, atol=1e-15)
+    assert np.allclose(state.v[late], (1 - b2) * g * g, rtol=0, atol=1e-15)
     assert np.allclose(late.value, -0.1 * mhat / (np.sqrt(vhat) + state.eps),
                        rtol=1e-14, atol=0)
 
@@ -323,16 +411,14 @@ def run_training_steps(seed, n_steps=10):
     x = rng.normal((6, 4))
     target = rng.normal((6, 3))
     w = nm.Parameter(rng.derive("init").normal((4, 3), scale=0.3), name="w")
-    state = nm.AdamState([w])
+    state = nm.AdamState()
     drop_rng = rng.derive("dropout")
     for _ in range(n_steps):
-        w.zero_grad()
         tape = nm.Tape()
         with tape:
             h = nm.dropout(nm.matmul(x, w), 0.3, drop_rng, training=True)
             loss = nm.frobenius_sq_diff(h, target)
-        nm.backward(tape, loss)
-        nm.adam_step([w], state, lr=0.01, weight_decay=1e-3)
+        nm.adam_step([w], nm.backward(tape, loss), state, lr=0.01, weight_decay=1e-3)
     return w.value
 
 
@@ -378,8 +464,8 @@ def test_backward_pops_each_node_and_frees_what_it_saved():
             x = scaled(x, i)
         loss = nm.sum_all(x)
     del x
-    nm.backward(tape, loss)
+    grads = nm.backward(tape, loss)
     assert [(i, n) for i, n, _ in seen] == [(i, i) for i in (3, 2, 1, 0)]
     assert all(all(dead) for _, _, dead in seen)
     assert len(tape) == 0 and all(r() is None for r in refs)
-    assert np.array_equal(w.grad, np.full((3, 2), 2.0 * 3.0 * 4.0 * 5.0))
+    assert np.array_equal(grads[w], np.full((3, 2), 2.0 * 3.0 * 4.0 * 5.0))

@@ -15,6 +15,8 @@ from ncgc.trainer import (
 )
 from oracles import loop_label_cross_entropy
 
+pytestmark = pytest.mark.usefixtures("tape_guard")
+
 
 def sbm_setup(seed=0, n_per=10, k=2, p_in=0.6, p_out=0.05, d=6,
               train_per_class=3, val_per_class=3):
@@ -158,18 +160,17 @@ def test_reduction_matches_plain_gcn_oracle():
     rng = RngState(hp.seed)
     params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
     drop_rng = rng.derive("dropout")
-    adam = nm.AdamState(params.all_parameters())
+    adam = nm.AdamState()
     x = g.features
     losses = []
     for _ in range(15):
-        params.zero_grads()
         tape = nm.Tape()
         with tape:
             _, logits = forward(x, at, params, hp, drop_rng, training=True)
             loss = class_loss(logits, g.labels, split.train_idx)
         losses.append(loss.item())
-        nm.backward(tape, loss)
-        nm.adam_step(params.all_parameters(), adam, hp.lr, hp.weight_decay)
+        nm.adam_step(params.all_parameters(), nm.backward(tape, loss), adam, hp.lr,
+                     hp.weight_decay)
         forward(x, at, params, hp, RngState(0), training=False)
     got = [r.l_class for r in report.epochs]
     assert np.allclose(got, losses, atol=1e-10)
@@ -252,9 +253,6 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
 
     def grads_with(targets_builder):
         p_target, psi = targets_builder()
-        for p in params.all_parameters():
-            p.zero_grad()
-        cstate.zero_grad()
         tape = nm.Tape()
         with tape:
             h, logits = forward(x, at, params, hp, RngState(0), training=False)
@@ -264,8 +262,8 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
                 kl_loss(p_target, q, np.arange(g.n)),
                 pseudo_label_loss(psi, nm.take_rows(logits, u_idx)),
                 hp, in_warmup=False)
-        nm.backward(tape, loss)
-        return [p.grad.copy() for p in params.all_parameters()]
+        grads = nm.backward(tape, loss)
+        return [grads[p] for p in params.all_parameters()]
 
     def fresh_targets():
         q0 = soft_assign(h0, cstate).value
