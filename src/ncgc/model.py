@@ -9,11 +9,11 @@ count or correction. The correction uses ``Zn (Zn^T Z) = Z M`` with
 ``M = beta S^-2 Z^T Z`` and ``S^2`` the squared column norms, so it needs
 only the d x d Gram matrix, never the n x n outer product or a normalized
 copy of Z. The node keeps the layer input, a boolean dropout mask, Z, M,
-``S^2`` and the output; its VJP runs the backbone's adjoint, the same
-recurrence with products by the transpose of the adjacency, which
-``CsrMatrix.transpose_matmul_dense`` computes without building that
-transpose. ``beta = 0`` skips the correction and reduces the layer to the
-plain backbone exactly.
+``S^2`` and, when a ReLU follows, the output; its VJP runs the backbone's
+adjoint, the same recurrence with products by the transpose of the
+adjacency, which ``CsrMatrix.transpose_matmul_dense`` computes without
+building that transpose. ``beta = 0`` skips the correction and reduces the
+layer to the plain backbone exactly.
 
 The input transform maps the features to the hidden width with one or two
 ReLU affine maps (``linear`` or ``mlp``), the first from the sparse features.
@@ -160,13 +160,16 @@ def sogn_layer(
     The whole layer (dropout, ``H W``, ``backbone_propagate``, the correction
     beta * Zn (Zn^T Z) and the ReLU) is the one tape node ``nm.sogn_layer``;
     the correction is built from the d x d Gram matrix of Z, so the cost per
-    layer stays O(n d^2 + nnz d).
+    layer stays O(n d^2 + nnz d). The gcn adjoint is one sparse product, so
+    the VJP builds the correction's gradient first; the APPNP hops hold three
+    n x d arrays, so there it comes after them (``correction_first``).
     """
     return nm.sogn_layer(
         h, w,
         lambda z: backbone_propagate(a_tilde, z, config),
         lambda g: backbone_propagate(a_tilde, g, config, adjoint=True),
-        config.beta, config.dropout, rng, training, activation)
+        config.beta, config.dropout, rng, training, activation,
+        correction_first=config.backbone == "gcn")
 
 
 def input_transform(x: CsrMatrix, params: ModelParams):

@@ -7,7 +7,11 @@ compute eagerly and, when a ``Tape`` is active, record a node with the saved
 values its backward rule needs. ``backward`` replays the tape once in reverse
 and returns the gradients of the ``Parameter``s reached from the loss, keyed by
 the Parameter, for ``adam_step``; no tensor holds a gradient. It takes each
-node off the tape as it runs that node's rule, so what the node saved is freed.
+node off the tape and drops it before it runs that node's rule, keeping only
+the node's inputs and rule: while a rule runs, the node's output is alive only
+if the rule itself saved it, and what processed nodes saved is freed. Rules
+save as little as they can: the fused layer keeps its dropout mask as a
+boolean array, not a float copy, and its output only when a ReLU needs it.
 Without an active tape the same functions run as plain numpy, which is how
 evaluation-mode passes avoid the recording cost.
 
@@ -138,11 +142,15 @@ def backward(tape: Tape, loss: Tensor) -> dict[Parameter, Array]:
     """d(loss)/d(parameter) for every Parameter the loss reaches, keyed by the Parameter.
 
     The loss must be a 1x1 tensor. Each node is visited exactly once in
-    reverse topological order, and it is popped off the tape before its VJP
-    runs: by the time the next node's VJP runs, nothing but the caller's own
-    references keeps the node, its output or the arrays its VJP saved.
-    Gradients of intermediates are dropped as soon as their node is
-    processed. A Parameter whose node gets no gradient has no entry.
+    reverse topological order. It is popped off the tape, its gradient is
+    taken out of the working mapping, and the node itself is dropped before
+    its VJP runs: only its inputs and its VJP are kept. So while a node's VJP
+    runs, what stays alive is the nodes still on the tape (with their outputs
+    and saved arrays), the gradients pending for their outputs and the
+    Parameters, this node's incoming gradient, and what this VJP closes over;
+    the node's own output lives on only if the VJP keeps it or the caller
+    holds it. The processed nodes and everything only they saved are gone.
+    A Parameter whose node gets no gradient has no entry.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar (1x1), got shape {loss.value.shape}")
@@ -150,9 +158,10 @@ def backward(tape: Tape, loss: Tensor) -> dict[Parameter, Array]:
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
-        g = grads.pop(node.out, None)
+        g, inputs, vjp = grads.pop(node.out, None), node.inputs, node.vjp
+        del node  # and with it the output, unless the VJP keeps it
         if g is not None:
-            _accumulate(grads, node.inputs, node.vjp(g))
+            _accumulate(grads, inputs, vjp(g))
     return {t: g for t, g in grads.items() if isinstance(t, Parameter)}
 
 
@@ -395,25 +404,47 @@ def _soft_orthogonal_vjp(z: Array, m: Array, s: Array, active: Array, beta: floa
     return gz
 
 
+def _dropped(v: Array, mask: Array, scale: float, out: Array | None = None) -> Array:
+    """Inverted dropout of v by the boolean keep mask: the mask first, then the scale.
+
+    In that order every entry has the bits of ``v * (mask / (1 - p))``, signed
+    zeros, infinities, NaN and values near the float64 maximum included,
+    without an n x d float copy of the mask; scaling first would turn a
+    dropped entry whose scaled value overflows into NaN instead of a zero.
+    ``out=v`` runs it in place.
+    """
+    x = np.multiply(v, mask, out=out)
+    x *= scale
+    return x
+
+
 def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: RngState,
-               training: bool, activation: bool = True) -> Tensor:
+               training: bool, activation: bool = True,
+               correction_first: bool = False) -> Tensor:
     """``sigma(prop(Z) - beta * Zn (Zn^T Z))`` with ``Z = dropout(h) w``, as one tape node.
 
     ``propagate`` is a linear map of n x d arrays and ``propagate_adjoint``
     is its adjoint; each returns a new array. Dropout is inverted with
     probability p and acts only when training: it keeps the entries where
-    ``rng.uniform`` over h's shape is at least p and scales them by
-    1/(1-p). The correction is Z M from ``_soft_orthogonal``; ``beta = 0``
-    skips it. sigma is ReLU, or the identity without ``activation``. Every
-    value equals that of the dropout, matmul, propagation, correction, sub
-    and relu chain, bit for bit.
+    ``rng.uniform`` over h's shape is at least p, as a boolean mask, and
+    scales them by 1/(1-p) after the mask is applied (``_dropped``). The
+    correction is Z M from ``_soft_orthogonal``; ``beta = 0`` skips it. sigma
+    is ReLU, or the identity without ``activation``. Every value equals that
+    of the dropout, matmul, propagation, correction, sub and relu chain, bit
+    for bit.
 
-    The node keeps h, the boolean keep mask, Z, M, S^2 and the output, no
-    other n x d array. Its VJP recomputes the dropped-out input from h and
-    the mask and the ReLU mask from the output, runs ``propagate_adjoint``
-    and then ``_soft_orthogonal_vjp`` on the gradient of the pre-activation,
-    subtracting the second from the first in place, and ends with the matmul
-    and dropout rules.
+    The node keeps h, the boolean keep mask, Z, M and S^2, and the output
+    only with the ReLU, whose mask the VJP recomputes from it; no other n x d
+    array. Without the ReLU, ``backward`` has freed the output before the VJP
+    runs. The VJP recomputes the dropped-out input from h and the mask, runs
+    ``propagate_adjoint`` and ``_soft_orthogonal_vjp`` on the gradient of the
+    pre-activation and subtracts the second from the first in place, and ends
+    with the matmul and dropout rules. ``correction_first`` builds the
+    correction's gradient before the adjoint propagation rather than after
+    it: that holds fewer n x d arrays at once when the adjoint allocates one
+    array (a single sparse product), and more when it allocates several (the
+    APPNP hops), so the caller, which knows its propagation, chooses. The
+    order changes no bit.
     """
     if not (0.0 <= p < 1.0):
         raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
@@ -422,7 +453,8 @@ def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: R
         raise ShapeError(f"layer shape mismatch: {vh.shape} @ {vw.shape}")
     beta = float(beta)
     mask = rng.uniform(vh.shape) >= p if training and p > 0.0 else None
-    z = (vh if mask is None else vh * (mask / (1.0 - p))) @ vw
+    scale = 1.0 / (1.0 - p)
+    z = (vh if mask is None else _dropped(vh, mask, scale)) @ vw
     y = propagate(z)
     m = s = active = None
     if beta != 0.0:
@@ -430,26 +462,30 @@ def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: R
         y -= z @ m
     if activation:
         np.maximum(y, 0.0, out=y)
+    relu_out = y if activation else None
     out = Tensor(y)
 
     def vjp(g):
-        if activation:
-            g = g * (out.value > 0.0)
+        if relu_out is not None:
+            g = g * (relu_out > 0.0)
+        # the correction enters with a minus sign; negation is exact (a NaN's
+        # sign aside), so gz equals the chain's sum of the propagation's
+        # gradient and the correction's gradient of -g, bit for bit, with one
+        # n x d array fewer
+        corr = None
+        if m is not None and correction_first:
+            corr = _soft_orthogonal_vjp(z, m, s, active, beta, g)
         gz = propagate_adjoint(g)
         if m is not None:
-            # the correction enters with a minus sign; negation is exact, so
-            # this equals the chain's sum of the correction's gradient of -g
-            # and the propagation's, bit for bit, with one n x d array fewer
-            gz -= _soft_orthogonal_vjp(z, m, s, active, beta, g)
-        del g  # the masked copy: free it before the input-side temporaries
-        keep = None if mask is None else mask / (1.0 - p)
+            gz -= _soft_orthogonal_vjp(z, m, s, active, beta, g) if corr is None else corr
+        del g, corr  # free them before the input-side temporaries
         gw = gh = None
         if isinstance(w, Tensor):
-            gw = (vh if keep is None else vh * keep).T @ gz
+            gw = (vh if mask is None else _dropped(vh, mask, scale)).T @ gz
         if isinstance(h, Tensor):
             gh = gz @ vw.T
-            if keep is not None:
-                gh *= keep
+            if mask is not None:
+                _dropped(gh, mask, scale, out=gh)
         return gh, gw
 
     return _record(out, (h, w), vjp)

@@ -254,20 +254,30 @@ def train(
                 l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
         return total_loss(l_class, l_kl, l_pl, hp, in_warmup), l_class, l_kl, l_pl
 
-    def evaluation() -> tuple[float, float, float]:
-        """Validation and test accuracy, and the soc penalty, of the eval-mode pass."""
+    def evaluation(keep_embedding: bool):
+        """Validation and test accuracy, and the soc penalty, of the eval-mode pass,
+        and its embedding when ``keep_embedding`` (else None)."""
         h_ev, y_ev = predict(g.features, a_tilde, params, hp)
         return (accuracy(y_ev, g.labels, split.val_idx),
                 accuracy(y_ev, g.labels, split.test_idx),
-                soc_penalty(nm.column_l2_normalize(h_ev).value))
+                soc_penalty(nm.column_l2_normalize(h_ev).value),
+                h_ev if keep_embedding else None)
 
+    # The centroids are seeded on the eval embedding at the first clustering
+    # epoch. The previous epoch's eval pass ran with exactly these parameters,
+    # so its embedding is kept across that one epoch boundary and never through
+    # a training step; with no warmup there is no previous pass.
+    seed_epoch = hp.warmup_epochs if hp.lambda_kl > 0 else None
+    h_seed = None
     for epoch in range(hp.epochs):
         in_warmup = epoch < hp.warmup_epochs
         clustering_on = clustering_wanted and not in_warmup
 
-        if clustering_on and hp.lambda_kl > 0 and params.centroids is None:
-            params.centroids = init_centroids(predict(g.features, a_tilde, params, hp)[0],
-                                              g.class_count, centroid_rng)
+        if epoch == seed_epoch:
+            if h_seed is None:
+                h_seed = predict(g.features, a_tilde, params, hp)[0]
+            params.centroids = init_centroids(h_seed, g.class_count, centroid_rng)
+            h_seed = None
 
         tape = nm.Tape()
         with tape:
@@ -282,7 +292,7 @@ def train(
         nm.adam_step(params.all_parameters(), nm.backward(tape, total), adam, hp.lr,
                      hp.weight_decay)
 
-        val_acc, test_acc, soc = evaluation()
+        val_acc, test_acc, soc, h_seed = evaluation(keep_embedding=epoch + 1 == seed_epoch)
         report.epochs.append(EpochRecord(
             epoch=epoch,
             l_class=l_class.item(),

@@ -269,20 +269,20 @@ def test_input_transform_one_node_per_map_equals_chain(layers, transform):
     assert all(np.any(g != 0.0) for g in fused[2])
 
 
-def _appnp_layer_vjp_high_water(beta, n=4000, d=32):
-    """Peak bytes the VJP of one training-mode APPNP layer allocates above its
-    entry, in n x d float64 arrays, the returned gradients included."""
+def _layer_vjp_high_water(backbone, beta, activation=True, n=4000, d=32):
+    """Peak bytes the VJP of one training-mode layer with dropout 0.5 allocates
+    above its entry, in n x d float64 arrays, the returned gradients included."""
     rng = RngState(21)
     ring = np.arange(n)
     rows = np.repeat(ring, 3)
     cols = np.stack([ring, (ring + 1) % n, (ring + 7) % n], axis=1).reshape(-1)
     at = CsrMatrix.from_coo(n, n, rows, cols, rng.uniform((3 * n,), 0.1, 0.4))
-    cfg = HyperParams(backbone="appnp", beta=beta, dropout=0.5, appnp_hops=10)
+    cfg = HyperParams(backbone=backbone, beta=beta, dropout=0.5, appnp_hops=10)
     h = nm.Tensor(rng.normal((n, d)))
     w = nm.Parameter(rng.normal((d, d)) * 0.2, name="w")
     tape = nm.Tape()
     with tape:
-        sogn_layer(h, w, at, cfg, RngState(22), training=True)
+        sogn_layer(h, w, at, cfg, RngState(22), training=True, activation=activation)
     (node,) = tape.nodes
     g = rng.normal((n, d))
     tracemalloc.start()
@@ -301,7 +301,52 @@ def _appnp_layer_vjp_high_water(beta, n=4000, d=32):
 def test_appnp_layer_vjp_high_water_mark(beta):
     # 10 hops, dropout 0.5: the adjoint hops run in place before the
     # correction's temporaries exist, and no negated copy of the gradient
-    assert _appnp_layer_vjp_high_water(beta) <= 4.5
+    assert _layer_vjp_high_water("appnp", beta) <= 4.5
+
+
+@pytest.mark.parametrize("beta, activation, bound", [
+    (0.3, True, 3.5), (0.3, False, 2.5), (0.0, True, 2.5), (0.0, False, 2.5)])
+@pytest.mark.usefixtures("tape_guard")
+def test_gcn_layer_vjp_high_water_mark(beta, activation, bound):
+    # the correction's gradient (two products) is built before the one adjoint
+    # product, and dropout applies the boolean mask in place, with no float
+    # copy of it: the ReLU's masked copy of g and the correction's products
+    # make three n x d arrays at once (3.03), two without either (2.07)
+    assert _layer_vjp_high_water("gcn", beta, activation) <= bound
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "appnp"])
+@pytest.mark.parametrize("activation", [False, True])
+def test_fused_layer_dropout_keeps_the_chain_bits_on_special_values(backbone, activation):
+    # The layer applies the boolean mask before the 1/(1-p) scale, so a dropped
+    # entry is v * 0.0 as in the chain's v * (mask / (1 - p)): -0.0 stays -0.0,
+    # +-inf and NaN give NaN, and 1.7e308 gives 0 where scaling it first would
+    # overflow to inf. np.array_equal would miss signed zeros and NaN, so the
+    # bytes are compared. With beta 0 and a diagonal propagation the rows stay
+    # apart; the correction's Gram matrix would spread a NaN over every entry.
+    specials = [-0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308]
+    n, seed = 48, 5
+    rng = RngState(43)
+    h, w, c = rng.normal((n, 3)), rng.normal((3, 4)), rng.normal((n, 4))
+    h[:n // 2, 0] = np.resize(specials, n // 2)  # in the input, one per row
+    c[n // 2:, 0] = np.resize(specials, n // 2)  # in the gradient of the output
+    mask = RngState(seed).uniform(h.shape) >= 0.5
+    big = np.abs(h) == 1.7e308
+    assert (big & mask).any() and (big & ~mask).any()
+    at = CsrMatrix.from_dense(np.diag(rng.uniform((n,), 0.5, 1.5)))
+    cfg = HyperParams(backbone=backbone, beta=0.0, dropout=0.5, appnp_hops=3)
+    results = []
+    for layer in (sogn_layer, sogn_chain):
+        params = [nm.Parameter(h.copy(), name="h"), nm.Parameter(w.copy(), name="w")]
+        tape = nm.Tape()
+        with np.errstate(all="ignore"):
+            with tape:
+                out = layer(*params, at, cfg, RngState(seed), True, activation)
+                loss = nm.sum_all(nm.mul(out, c))
+            grads = nm.backward(tape, loss)
+        results.append([out.value.tobytes()] + [grads[p].tobytes() for p in params])
+        assert np.isfinite(out.value[(big & ~mask).any(axis=1)]).all()
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

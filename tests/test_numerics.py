@@ -469,3 +469,40 @@ def test_backward_pops_each_node_and_frees_what_it_saved():
     assert all(all(dead) for _, _, dead in seen)
     assert len(tape) == 0 and all(r() is None for r in refs)
     assert np.array_equal(grads[w], np.full((3, 2), 2.0 * 3.0 * 4.0 * 5.0))
+
+
+def _small_layer(x, w, activation):
+    rng = RngState(14)
+    at = CsrMatrix.from_dense(rng.normal((5, 5)) * (rng.uniform((5, 5)) < 0.5))
+    return nm.sogn_layer(x, w, at.matmul_dense, at.transpose_matmul_dense, 0.3, 0.5,
+                         RngState(15), True, activation=activation)
+
+
+@pytest.mark.parametrize("make, reads_output", [
+    (lambda x, w: nm.scale(nm.matmul(x, w), 2.0), False),
+    (lambda x, w: _small_layer(x, w, activation=False), False),
+    (lambda x, w: _small_layer(x, w, activation=True), True),  # the ReLU mask
+], ids=["scale", "layer", "layer_relu"])
+@pytest.mark.usefixtures("tape_guard")
+def test_backward_frees_a_node_output_before_a_vjp_that_does_not_read_it(make, reads_output):
+    rng = RngState(13)
+    x, w = nm.Parameter(rng.normal((5, 4)), "x"), nm.Parameter(rng.normal((4, 3)), "w")
+    c = rng.normal((5, 3))
+    tape = nm.Tape()
+    seen = []
+    with tape:
+        out = make(x, w)
+        ref, node = weakref.ref(out.value), tape.nodes[-1]
+        real_vjp = node.vjp
+
+        def vjp(g):
+            seen.append(ref() is None)
+            return real_vjp(g)
+
+        node.vjp = vjp
+        del node
+        loss = nm.sum_all(nm.mul(out, c))
+    del out  # the next node, mul, keeps it until its VJP has run
+    grads = nm.backward(tape, loss)
+    assert seen == [not reads_output]
+    assert set(grads) == {x, w}

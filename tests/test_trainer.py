@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,39 @@ def test_train_builds_adjacency_as_hp_self_loops_says(monkeypatch, self_loops):
     other = normalized_adjacency(g, add_self_loops=not self_loops).to_dense()
     assert not np.array_equal(expected, other)
     assert seen and all(np.array_equal(a, expected) for a in seen)
+
+
+@pytest.mark.parametrize("warmup", [0, 2])
+def test_centroids_seeded_on_the_previous_eval_embedding(monkeypatch, warmup):
+    # the previous epoch's eval pass ran with the parameters the first
+    # clustering epoch starts from, so its embedding seeds the centroids and
+    # the eval forward does not run again; with no warmup there is no such
+    # pass. No eval embedding outlives its epoch into a training forward.
+    g, _, split = sbm_setup(seed=20)
+    hp = HyperParams(seed=0, **{**FAST, "epochs": 4, "patience": 4, "warmup_epochs": warmup})
+    evals, seeded_on = [], []
+    real_predict, real_init, real_forward = (
+        trainer.predict, trainer.init_centroids, trainer.forward)
+
+    def predict_spy(*args):
+        out = real_predict(*args)
+        evals.append(weakref.ref(out[0]))
+        return out
+
+    def init_spy(h, *rest):
+        seeded_on.append([r() is h for r in evals].index(True))
+        return real_init(h, *rest)
+
+    def forward_spy(*args, training):
+        assert not training or all(r() is None for r in evals)
+        return real_forward(*args, training=training)
+
+    monkeypatch.setattr(trainer, "predict", predict_spy)
+    monkeypatch.setattr(trainer, "init_centroids", init_spy)
+    monkeypatch.setattr(trainer, "forward", forward_spy)
+    train(g, split, hp)
+    assert len(evals) == hp.epochs + (warmup == 0)
+    assert seeded_on == [max(warmup - 1, 0)]
 
 
 def test_early_stop_fires_exactly_patience_after_last_improvement():
