@@ -5,10 +5,15 @@ Subcommands: ``validate``, ``train``, ``evaluate``, ``ablate``, ``sweep``,
 The hyperparameter flags, their types and defaults are the fields of
 ``trainer.HyperParams``: ``hidden_dim``, ``sinkhorn_t`` and ``warmup_epochs``
 are spelled ``--hidden``, ``--sinkhorn-iters`` and ``--warmup``, every other
-field is its name with dashes. ``sweep --axis`` takes any numeric
+field is its name with dashes, except ``seed``, a run option, and
+``sinkhorn``, which has no flag: it is an ablation switch, not a setting of the
+method, so only ``ablate``'s ``no_skn`` variant turns it off and no config key
+or ``config.resolved`` line carries it. ``sweep --axis`` takes any numeric
 hyperparameter, by flag or by field name. The resolved values build one
-``HyperParams``, the whole run's configuration; a value it rejects is a bad
-flag, reported before any dataset is read or any output is written.
+``HyperParams``, the whole run's configuration; ``ablate`` and ``sweep`` build
+one per row, with the ``trainer.VARIANTS`` overrides or the swept value. A
+value ``HyperParams`` rejects is a bad flag, reported before any dataset is
+read or any output is written.
 
 Options can come from a flat ``key = value`` config file (``#`` comments);
 explicit flags win over file values, and the fully resolved configuration is
@@ -48,8 +53,7 @@ from .model import init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
 from .trainer import (
-    VARIANTS, EpochRecord, HyperParams, accuracy, apply_variant, check_split, predict, run_seeds,
-    seed_splits,
+    VARIANTS, EpochRecord, HyperParams, accuracy, check_split, predict, run_seeds, seed_splits,
 )
 
 EXIT_OK = 0
@@ -78,9 +82,10 @@ def _onoff(value: str) -> bool:
 # HyperParams fields whose flag is not the field name with dashes
 _FLAG_RENAMES = {"hidden_dim": "hidden", "sinkhorn_t": "sinkhorn-iters",
                  "warmup_epochs": "warmup"}
-# flag -> HyperParams field, in field order; the seed is a run option
+# flag -> HyperParams field, in field order; the seed is a run option and
+# sinkhorn an ablation switch, so neither has a flag
 _HP_FIELDS = {_FLAG_RENAMES.get(f.name, f.name.replace("_", "-")): f
-              for f in fields(HyperParams) if f.name != "seed"}
+              for f in fields(HyperParams) if f.name not in ("seed", "sinkhorn")}
 _HP_TYPES = get_type_hints(HyperParams)
 _HP_KEYS = (*_HP_FIELDS, "determinism")
 
@@ -330,13 +335,13 @@ def cmd_evaluate(resolved: dict) -> int:
 
 
 def _run_table(resolved: dict, name: str, column: str, entries) -> tuple[Path, list]:
-    """Train each ``(label, hp, pseudo_label_mode)`` entry on the command's
-    splits, print its ``column=label`` line and write ``<name>.csv``. Returns
-    ``--out`` and the ``(label, acc_mean, acc_std)`` rows."""
+    """Train each ``(label, hp)`` entry on the command's splits, print its
+    ``column=label`` line and write ``<name>.csv``. Returns ``--out`` and the
+    ``(label, acc_mean, acc_std)`` rows."""
     g, splits, out = _prepare_runs(resolved)
     rows = []
-    for label, hp, mode in entries:
-        stats = run_seeds(g, hp, splits, pseudo_label_mode=mode)
+    for label, hp in entries:
+        stats = run_seeds(g, hp, splits)
         rows.append((label, stats.mean, stats.std))
         print(f"{column}={label} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
               f"runs={resolved['runs']}")
@@ -349,8 +354,8 @@ def _run_table(resolved: dict, name: str, column: str, entries) -> tuple[Path, l
 
 
 def cmd_ablate(resolved: dict) -> int:
-    base_hp = hyperparams_from(resolved)
-    entries = [(variant, *apply_variant(base_hp, variant)) for variant in VARIANTS]
+    entries = [(variant, hyperparams_from(resolved, **overrides))
+               for variant, overrides in VARIANTS.items()]
     out, rows = _run_table(resolved, "ablate", "variant", entries)
     _json_dump({"runs": resolved["runs"], "variants": {
         variant: {"acc_mean": m, "acc_std": s} for variant, m, s in rows}},
@@ -372,7 +377,7 @@ def cmd_sweep(resolved: dict) -> int:
         raise _UsageError(f"bad --values list: {e}") from e
     if not values:
         raise _UsageError("empty --values list")
-    entries = [(v, hyperparams_from(resolved, **{axis: v}), "sinkhorn") for v in values]
+    entries = [(v, hyperparams_from(resolved, **{axis: v})) for v in values]
     out, rows = _run_table(resolved, "sweep", axis, entries)
     _json_dump({"axis": axis, "rows": [
         {"value": v, "acc_mean": m, "acc_std": s} for v, m, s in rows]},

@@ -153,5 +153,5 @@ def init_centroids(h: np.ndarray, k: int, rng: RngState) -> nm.Parameter:
         seeds = np.vstack([distinct, np.array(pads)])
     else:
         seeds = kmeans_pp_init(h, k, rng)
-    centroids, _, _ = lloyd(h, seeds[:k] if len(seeds) > k else seeds, max_iter=LLOYD_ITERS)
+    centroids, _, _ = lloyd(h, seeds, max_iter=LLOYD_ITERS)
     return nm.Parameter(centroids, name="centroids")

@@ -237,7 +237,8 @@ def save_checkpoint(path, named_values: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a ``save_checkpoint`` file; malformed bytes or non-finite weights are rejected."""
+    """Read a ``save_checkpoint`` file; malformed bytes, a repeated parameter name,
+    bytes after the last parameter or non-finite weights are rejected."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -255,6 +256,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             (name_len,) = struct.unpack_from("<I", data, pos)
             pos += 4
             name = data[pos:pos + name_len].decode("utf-8")
+            if name in out:
+                raise IngestionError(f"{path}: repeated parameter {name!r} at byte offset {pos}")
             pos += name_len
             rows, cols = struct.unpack_from("<QQ", data, pos)
             pos += 16
@@ -270,4 +273,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise IngestionError(f"{path}: truncated checkpoint ({e})") from e
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: parameter name at byte offset {pos} is not UTF-8") from e
+    if pos != len(data):
+        raise IngestionError(f"{path}: {len(data) - pos} extra bytes from byte offset {pos}")
     return out

@@ -150,7 +150,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Parameter, Array]:
     Parameters, this node's incoming gradient, and what this VJP closes over;
     the node's own output lives on only if the VJP keeps it or the caller
     holds it. The processed nodes and everything only they saved are gone.
-    A Parameter whose node gets no gradient has no entry.
+    A VJP owns the gradient it is given and may overwrite it: no other
+    gradient and no saved array shares its memory. A Parameter whose node
+    gets no gradient has no entry.
     """
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar (1x1), got shape {loss.value.shape}")
@@ -276,7 +278,8 @@ def affine_relu(x, w, b) -> Tensor:
     Every value and gradient equals that of the ``sparse_dense_matmul`` (or
     ``matmul``), ``add_bias`` and ``relu`` chain, bit for bit. The bias and
     the ReLU run in place on the product, and the node keeps only its
-    output: the VJP recomputes the ReLU mask from it.
+    output: the VJP recomputes the ReLU mask from it and applies it to the
+    gradient in place.
     """
     sparse = isinstance(x, CsrMatrix)
     vx = None if sparse else _as_value(x)
@@ -291,7 +294,7 @@ def affine_relu(x, w, b) -> Tensor:
     out = Tensor(y)
 
     def vjp(g):
-        g = g * (out.value > 0.0)
+        np.multiply(g, out.value > 0.0, out=g)
         gx = g @ vw.T if isinstance(x, Tensor) else None
         gw = None
         if isinstance(w, Tensor):
@@ -436,15 +439,16 @@ def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: R
     The node keeps h, the boolean keep mask, Z, M and S^2, and the output
     only with the ReLU, whose mask the VJP recomputes from it; no other n x d
     array. Without the ReLU, ``backward`` has freed the output before the VJP
-    runs. The VJP recomputes the dropped-out input from h and the mask, runs
-    ``propagate_adjoint`` and ``_soft_orthogonal_vjp`` on the gradient of the
-    pre-activation and subtracts the second from the first in place, and ends
-    with the matmul and dropout rules. ``correction_first`` builds the
-    correction's gradient before the adjoint propagation rather than after
-    it: that holds fewer n x d arrays at once when the adjoint allocates one
-    array (a single sparse product), and more when it allocates several (the
-    APPNP hops), so the caller, which knows its propagation, chooses. The
-    order changes no bit.
+    runs. The VJP masks its gradient with the ReLU in place, recomputes the
+    dropped-out input from h and the mask, runs ``propagate_adjoint`` and
+    ``_soft_orthogonal_vjp`` on the gradient of the pre-activation and
+    subtracts the second from the first in place, and ends with the matmul
+    and dropout rules. ``correction_first`` builds the correction's gradient
+    before the adjoint propagation rather than after it: that holds fewer
+    n x d arrays at once when the adjoint allocates one array (a single
+    sparse product), and more when it allocates several (the APPNP hops), so
+    the caller, which knows its propagation, chooses. The order changes no
+    bit.
     """
     if not (0.0 <= p < 1.0):
         raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
@@ -467,7 +471,7 @@ def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: R
 
     def vjp(g):
         if relu_out is not None:
-            g = g * (relu_out > 0.0)
+            np.multiply(g, relu_out > 0.0, out=g)
         # the correction enters with a minus sign; negation is exact (a NaN's
         # sign aside), so gz equals the chain's sum of the propagation's
         # gradient and the correction's gradient of -g, bit for bit, with one

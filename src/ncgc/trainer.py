@@ -15,9 +15,13 @@ every trainable parameter, the centroids included once seeded, so one snapshot
 and one restore of ``named_values()`` select the best-validation checkpoint.
 ``predict`` is the one evaluation-mode pass.
 
-``HyperParams`` is the one configuration of a run, model settings included:
-its constructor rejects every out-of-range value, and the same object is
-passed whole from the CLI down to each model layer.
+``HyperParams`` is the one configuration of a run, model settings and
+ablation switches included: its constructor rejects every out-of-range value,
+and the same object is passed whole from the CLI down to each model layer.
+Each ablation variant is a set of field overrides (``VARIANTS``), so
+``ablate`` and ``sweep`` both run one ``HyperParams`` per row.
+``sinkhorn=False``, the paper's "w/o SKN", feeds the detached predictions
+back as the pseudo-label targets in place of their Sinkhorn balancing.
 
 Independent random streams are derived per consumer (init, dropout,
 centroids), so switching a clustering component on or off never perturbs the
@@ -42,7 +46,9 @@ from .graph import Graph, Split, make_split, normalized_adjacency
 from .model import BACKBONES, ModelParams, forward, init_params, soc_penalty
 from .rng import RngState
 
-VARIANTS = ("full", "no_soc", "no_kl", "no_pl", "no_skn")
+# ablation variant -> the HyperParams fields it overrides
+VARIANTS = {"full": {}, "no_soc": {"beta": 0.0}, "no_kl": {"lambda_kl": 0.0},
+            "no_pl": {"lambda_pl": 0.0}, "no_skn": {"sinkhorn": False}}
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,7 @@ class HyperParams:
     appnp_alpha: float = 0.1
     appnp_hops: int = 10
     input_transform: str = "auto"  # auto | linear | mlp
+    sinkhorn: bool = True  # False: the detached predictions are the pseudo-labels
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -199,24 +206,16 @@ def check_split(g: Graph, split: Split) -> None:
     split.check_labeled(g.labels)
 
 
-def train(
-    g: Graph,
-    split: Split,
-    hp: HyperParams,
-    pseudo_label_mode: str = "sinkhorn",
-) -> tuple[ModelParams, nm.Parameter | None, TrainReport]:
+def train(g: Graph, split: Split,
+          hp: HyperParams) -> tuple[ModelParams, nm.Parameter | None, TrainReport]:
     """Run one seeded training job and return the best-validation checkpoint.
 
     Returns ``(params, params.centroids, report)``: the parameters at the best
     validation epoch, their centroids (None when the KL loss never ran; when
     the best epoch comes before the centroids are seeded, they keep their last
-    values) and the per-epoch report. ``pseudo_label_mode`` is ``"sinkhorn"``
-    or ``"raw"`` (the latter feeds the detached predictions straight back as
-    targets, used by the normalization ablation). A split that names a node
-    outside the graph or an unlabeled one is a ``SplitError``.
+    values) and the per-epoch report. A split that names a node outside the
+    graph or an unlabeled one is a ``SplitError``.
     """
-    if pseudo_label_mode not in ("sinkhorn", "raw"):
-        raise ParameterError(f"unknown pseudo_label_mode {pseudo_label_mode!r}")
     check_split(g, split)
     t0 = time.perf_counter()
     rng = RngState(hp.seed)
@@ -250,7 +249,7 @@ def train(
             if hp.lambda_pl > 0:
                 psi_detached = nm.softmax_rows(logits.value).value[u_idx]
                 psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
-                       if pseudo_label_mode == "sinkhorn" else psi_detached)
+                       if hp.sinkhorn else psi_detached)
                 l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
         return total_loss(l_class, l_kl, l_pl, hp, in_warmup), l_class, l_kl, l_pl
 
@@ -348,12 +347,7 @@ def seed_splits(
                        **(split_counts or {})) for run in range(n_runs)]
 
 
-def run_seeds(
-    g: Graph,
-    hp: HyperParams,
-    splits: list[Split],
-    pseudo_label_mode: str = "sinkhorn",
-) -> SeedStats:
+def run_seeds(g: Graph, hp: HyperParams, splits: list[Split]) -> SeedStats:
     """Train once on each of ``splits``, run i with seed hp.seed + i (``seed_splits``
     builds them); the sample std uses the n-1 denominator."""
     if not splits:
@@ -361,7 +355,7 @@ def run_seeds(
     accs, reports, artifacts = [], [], []
     for run, split_run in enumerate(splits):
         hp_run = replace(hp, seed=hp.seed + run)
-        params, _, report = train(g, split_run, hp_run, pseudo_label_mode=pseudo_label_mode)
+        params, _, report = train(g, split_run, hp_run)
         accs.append(report.test_at_best_val)
         reports.append(report)
         artifacts.append((params, split_run))
@@ -369,18 +363,3 @@ def run_seeds(
     std = float(np.std(accs, ddof=1)) if len(splits) > 1 else 0.0
     return SeedStats(mean=mean, std=std, reports=reports, artifacts=artifacts)
 
-
-def apply_variant(hp: HyperParams, variant: str) -> tuple[HyperParams, str]:
-    """Translate an ablation variant into hyperparameters and pseudo-label mode."""
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown ablation variant {variant!r}")
-    mode = "sinkhorn"
-    if variant == "no_soc":
-        hp = replace(hp, beta=0.0)
-    elif variant == "no_kl":
-        hp = replace(hp, lambda_kl=0.0)
-    elif variant == "no_pl":
-        hp = replace(hp, lambda_pl=0.0)
-    elif variant == "no_skn":
-        mode = "raw"
-    return hp, mode

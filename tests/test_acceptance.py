@@ -63,11 +63,10 @@ def citation_hp(name: str, seed: int = 0, **overrides) -> HyperParams:
     return HyperParams(seed=seed, **row)
 
 
-def run_citation(name: str, hp: HyperParams, n_runs: int = N_SEEDS,
-                 pseudo_label_mode: str = "sinkhorn"):
+def run_citation(name: str, hp: HyperParams, n_runs: int = N_SEEDS):
     g = load_dataset(dataset_dir(name))
     splits = seed_splits(g, hp.seed, "planetoid_style", n_runs, split_counts=CITATION_SPLIT)
-    return run_seeds(g, hp, splits, pseudo_label_mode=pseudo_label_mode)
+    return run_seeds(g, hp, splits)
 
 
 def select_by_validation(name: str, epsilons, **overrides):
@@ -114,8 +113,7 @@ def test_criterion_3_plain_gcn_baseline_sanity():
 def test_criterion_4_ablation_directionality_cora():
     full = run_citation("cora", citation_hp("cora", epsilon=0.04))
     no_pl = run_citation("cora", citation_hp("cora", epsilon=0.04, lambda_pl=0.0))
-    no_skn = run_citation("cora", citation_hp("cora", epsilon=0.04),
-                          pseudo_label_mode="raw")
+    no_skn = run_citation("cora", citation_hp("cora", epsilon=0.04, sinkhorn=False))
     assert full.mean >= no_pl.mean + 0.010, (
         f"full {full.mean:.4f} vs no_pl {no_pl.mean:.4f}: gap below 1 point")
     assert full.mean >= no_skn.mean + 0.010, (

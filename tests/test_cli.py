@@ -1,14 +1,18 @@
 import json
 import shutil
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ncgc.cli as cli
+from ncgc import trainer
 from ncgc.cli import main, read_config_file
 from ncgc.graph import write_dataset
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
+from ncgc.trainer import run_seeds
 
 
 @pytest.fixture()
@@ -155,12 +159,25 @@ def _nan_weight(path):
     save_checkpoint(path, named)
 
 
+def _repeat_first_parameter(path):
+    # append a second copy of the first entry and count it in the header
+    data = path.read_bytes()
+    (count,) = struct.unpack_from("<I", data, 8)
+    (name_len,) = struct.unpack_from("<I", data, 12)
+    rows, cols = struct.unpack_from("<QQ", data, 16 + name_len)
+    end = 32 + name_len + rows * cols * 8
+    path.write_bytes(data[:8] + struct.pack("<I", count + 1) + data[12:] + data[12:end])
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     pytest.param(lambda p: p.write_bytes(p.read_bytes()[:10]), "truncated",
                  id="short-header"),
     pytest.param(lambda p: p.write_bytes(p.read_bytes().replace(b"input.w0", b"input.w\xff")),
                  "not UTF-8", id="name-not-utf8"),
     pytest.param(_nan_weight, "non-finite", id="nan-weight"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes() + b"\0"), "extra bytes from byte offset",
+                 id="trailing-bytes"),
+    pytest.param(_repeat_first_parameter, "repeated parameter 'input.w0'", id="repeated-name"),
 ])
 def test_evaluate_malformed_checkpoint_exit_2(capsys, sbm_dir, tmp_path, corrupt, reason):
     out = tmp_path / "ck"
@@ -401,6 +418,24 @@ def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):
     assert sorted(table) == ["full", "no_kl", "no_pl", "no_skn", "no_soc"]
     lines = (out / "ablate.csv").read_text().strip().splitlines()
     assert len(lines) == 6
+
+
+@pytest.mark.usefixtures("tape_guard")
+def test_ablate_no_skn_row_is_a_sinkhorn_off_run(sbm_dir, tmp_path, monkeypatch):
+    argv = ["ablate", "--dataset", str(sbm_dir), "--out", str(tmp_path / "ab"), "--seed", "3",
+            "--runs", "2"] + FAST_FLAGS
+    hps = []
+    real_train = trainer.train
+    monkeypatch.setattr(trainer, "train",
+                        lambda g, split, hp: hps.append(hp) or real_train(g, split, hp))
+    assert main(argv) == 0
+    # two runs per variant, in VARIANTS order; only no_skn switches Sinkhorn off
+    assert [hp.sinkhorn for hp in hps] == [True] * 8 + [False] * 2
+    table = json.loads((tmp_path / "ab" / "report.json").read_text())["variants"]
+    resolved = cli.resolve_options(cli.build_parser().parse_args(argv), cli.COMMANDS["ablate"][1])
+    g, splits, _ = cli._prepare_runs(resolved)
+    hp = cli.hyperparams_from(resolved)
+    assert table["no_skn"]["acc_mean"] == run_seeds(g, replace(hp, sinkhorn=False), splits).mean
 
 
 def test_sweep_csv_row_count_and_single_value_matches_train(capsys, sbm_dir, tmp_path):

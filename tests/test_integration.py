@@ -27,10 +27,9 @@ COMMON = dict(hidden_dim=32, layers=2, dropout=0.3, lr=0.01, weight_decay=5e-4,
 COUNTS = dict(per_class_train=2, per_class_val=5, val_total=0, test_total=0)
 
 
-def run(g, n_runs=5, mode="sinkhorn", **overrides):
+def run(g, n_runs=5, **overrides):
     hp = HyperParams(seed=0, **{"beta": 0.005, **COMMON, **overrides})
-    return run_seeds(g, hp, seed_splits(g, hp.seed, "per_class", n_runs, split_counts=COUNTS),
-                     pseudo_label_mode=mode)
+    return run_seeds(g, hp, seed_splits(g, hp.seed, "per_class", n_runs, split_counts=COUNTS))
 
 
 def test_clustering_signals_beat_plain_reduction(hard_sbm):
@@ -43,7 +42,7 @@ def test_clustering_signals_beat_plain_reduction(hard_sbm):
 def test_ablation_directionality_on_synthetic(hard_sbm):
     full = run(hard_sbm)
     no_pl = run(hard_sbm, lambda_pl=0.0)
-    no_skn = run(hard_sbm, mode="raw")
+    no_skn = run(hard_sbm, sinkhorn=False)
     assert full.mean >= no_pl.mean + 0.02, (
         f"full {full.mean:.4f} vs no_pl {no_pl.mean:.4f}")
     assert full.mean >= no_skn.mean + 0.02, (

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from ncgc.model import forward, init_params
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 from ncgc.trainer import (
-    HyperParams, accuracy, apply_variant, class_loss, predict, run_seeds, seed_splits, total_loss,
-    train,
+    VARIANTS, HyperParams, accuracy, class_loss, predict, run_seeds, seed_splits, total_loss, train,
 )
 from oracles import loop_label_cross_entropy
 
@@ -373,29 +373,29 @@ def test_ablate_full_equals_train():
     g, at, split = sbm_setup(seed=15)
     hp = HyperParams(seed=4, **{**FAST, "epochs": 25, "patience": 25})
     _, _, direct = train(g, split, hp)
-    hp_v, mode = apply_variant(hp, "full")
-    _, _, via_ablate = train(g, split, hp_v, pseudo_label_mode=mode)
+    _, _, via_ablate = train(g, split, replace(hp, **VARIANTS["full"]))
     assert direct.to_json_dict() == via_ablate.to_json_dict()
 
 
 def test_ablate_no_soc_equals_beta_zero_run():
     g, at, split = sbm_setup(seed=16)
     hp = HyperParams(seed=4, **{**FAST, "epochs": 25, "patience": 25})
-    hp_v, mode = apply_variant(hp, "no_soc")
-    _, _, no_soc = train(g, split, hp_v, pseudo_label_mode=mode)
+    _, _, no_soc = train(g, split, replace(hp, **VARIANTS["no_soc"]))
     hp0 = HyperParams(**{**vars(hp), "beta": 0.0})
     _, _, beta0 = train(g, split, hp0)
     assert no_soc.to_json_dict() == beta0.to_json_dict()
 
 
-def test_ablate_variants_and_modes():
+def test_ablate_variants_are_hyperparams_overrides():
+    # the paper's ablation: the full method, then each component switched off
+    assert VARIANTS == {"full": {}, "no_soc": {"beta": 0.0}, "no_kl": {"lambda_kl": 0.0},
+                        "no_pl": {"lambda_pl": 0.0}, "no_skn": {"sinkhorn": False}}
     hp = HyperParams()
-    assert apply_variant(hp, "no_kl")[0].lambda_kl == 0.0
-    assert apply_variant(hp, "no_pl")[0].lambda_pl == 0.0
-    assert apply_variant(hp, "no_skn")[1] == "raw"
-    assert apply_variant(hp, "full") == (hp, "sinkhorn")
-    with pytest.raises(ParameterError):
-        apply_variant(hp, "no_everything")
+    assert hp.sinkhorn
+    for overrides in VARIANTS.values():
+        hp_v = replace(hp, **overrides)
+        changed = {k for k, v in vars(hp_v).items() if v != getattr(hp, k)}
+        assert changed == set(overrides)
 
 
 def test_no_skn_feeds_raw_predictions(monkeypatch):
@@ -405,15 +405,18 @@ def test_no_skn_feeds_raw_predictions(monkeypatch):
     seen = []
 
     def spy(targets, live_logits):
-        seen.append(targets)
+        seen.append((targets, nm.softmax_rows(live_logits.value).value))
         return pseudo_label_loss(targets, live_logits)
 
     monkeypatch.setattr(trainer, "pseudo_label_loss", spy)
-    train(g, split, hp, pseudo_label_mode="raw")
-    # raw targets equal the detached predictions: cross-entropy is the
-    # prediction entropy, strictly positive but free of sinkhorn balancing
+    train(g, split, replace(hp, sinkhorn=False))
+    # raw targets are the detached predictions themselves, free of sinkhorn balancing
     assert seen
-    assert np.abs(seen[-1].sum(axis=1) - 1.0).max() < 1e-9
+    for targets, predictions in seen:
+        assert np.array_equal(targets, predictions)
+    seen.clear()
+    train(g, split, hp)
+    assert not any(np.array_equal(targets, predictions) for targets, predictions in seen)
 
 
 def test_hyperparams_validation():
