@@ -178,14 +178,14 @@ def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
 
 
 def _check_run_options(resolved: dict) -> None:
-    """Reject an unknown split policy, a run count below one or a negative count
-    as bad flags; options the command does not take are not checked."""
+    """Reject an unknown split policy, a run count below one or a negative seed
+    or count as bad flags; options the command does not take are not checked."""
     if "split-policy" in resolved and resolved["split-policy"] not in SPLIT_POLICIES:
         raise _UsageError(f"unknown --split-policy {resolved['split-policy']!r}, "
                           f"expected one of {', '.join(SPLIT_POLICIES)}")
     if resolved.get("runs", 1) < 1:
         raise _UsageError(f"--runs must be at least 1, got {resolved['runs']}")
-    for key in ("train-per-class", "val-per-class", "val-total", "test-total", "k"):
+    for key in ("seed", "train-per-class", "val-per-class", "val-total", "test-total", "k"):
         if resolved.get(key, 0) < 0:
             raise _UsageError(f"--{key} must be non-negative, got {resolved[key]}")
 
@@ -318,6 +318,7 @@ def cmd_evaluate(resolved: dict) -> int:
     _echo_config(resolved)
     if resolved["seed"] is None:
         resolved["seed"] = 0
+    _check_run_options(resolved)
     hp = hyperparams_from(resolved)
     split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
     g, split = _load_labeled(resolved, split_dir, "evaluation")

@@ -3,17 +3,18 @@
 Each layer computes ``sigma(prop(Z) - beta * Zn (Zn^T Z))`` where
 ``Z = dropout(H) W``, ``Zn`` is the column-L2-normalized ``Z`` and ``prop``
 is a pluggable propagation backbone (one-hop normalized adjacency, or a
-truncated personalized-propagation polynomial). A layer is one primitive,
-``nm.sogn_layer``, and records one tape node whatever its backbone, hop
-count or correction. The correction uses ``Zn (Zn^T Z) = Z M`` with
+truncated personalized-propagation polynomial). A layer is one function,
+``sogn_layer``, and records one tape node whatever its backbone, hop count
+or correction. The correction uses ``Zn (Zn^T Z) = Z M`` with
 ``M = beta S^-2 Z^T Z`` and ``S^2`` the squared column norms, so it needs
 only the d x d Gram matrix, never the n x n outer product or a normalized
-copy of Z. The node keeps the layer input, a boolean dropout mask, Z, M,
-``S^2`` and, when a ReLU follows, the output; its VJP runs the backbone's
-adjoint, the same recurrence with products by the transpose of the
-adjacency, which ``CsrMatrix.transpose_matmul_dense`` computes without
-building that transpose. ``beta = 0`` skips the correction and reduces the
-layer to the plain backbone exactly.
+copy of Z. The node keeps the layer input and a boolean dropout mask; Z, M
+and ``S^2`` only when beta > 0; and the output only when a ReLU follows.
+Its VJP builds the correction's gradient, then runs the backbone's adjoint,
+the same recurrence with products by the transpose of the adjacency, which
+``CsrMatrix.transpose_matmul_dense`` computes without building that
+transpose; the adjoint consumes the gradient. ``beta = 0`` skips the
+correction and reduces the layer to the plain backbone exactly.
 
 The input transform maps the features to the hidden width with one or two
 ReLU affine maps (``linear`` or ``mlp``), the first from the sparse features.
@@ -128,22 +129,70 @@ def backbone_propagate(a_tilde: CsrMatrix, z: np.ndarray, config: HyperParams,
     hop coefficients sum to one. Both are linear in z, and the adjoint of
     each is the same map with the transpose of A: ``adjoint=True`` runs it
     with ``a_tilde.transpose_matmul_dense``, which is how ``sogn_layer``'s
-    single tape node runs its VJP without keeping any hop or building the
-    transpose.
+    VJP runs without keeping any hop or building the transpose. The forward
+    map leaves z alone. The adjoint consumes z, a gradient the VJP owns: the
+    APPNP adjoint scales it in place into its ``z * a`` term after the first
+    product.
     """
     product = a_tilde.transpose_matmul_dense if adjoint else a_tilde.matmul_dense
     if config.backbone == "gcn":
         return product(z)
     if config.backbone == "appnp":
         c, a = 1.0 - config.appnp_alpha, config.appnp_alpha
-        az = z * a
-        x = z
-        for _ in range(config.appnp_hops):
-            x = product(x)
+        x = product(z)
+        az = np.multiply(z, a, out=z if adjoint else None)
+        for hop in range(config.appnp_hops):
+            if hop:
+                x = product(x)
             x *= c
             x += az
         return x
     raise ParameterError(f"unknown backbone {config.backbone!r}")
+
+
+def _soft_orthogonal(z: np.ndarray, beta: float):
+    """The d x d factor M of the correction ``beta * Zn (Zn^T Z) = Z M``.
+
+    Zn is the ``nm.column_l2_normalize`` of z. With G = Z^T Z and S^2 =
+    diag(G) on the columns whose norm reaches ``nm.NORM_GUARD`` (1 on the
+    rest, which pass through unnormalized), M = beta S^-2 G: a Gram product,
+    never an n x n matrix or a normalized copy of z. Returns M, S^2 as a
+    column and the mask of the active columns.
+    """
+    gram = z.T @ z
+    sq = np.diag(gram)
+    active = np.sqrt(sq) >= nm.NORM_GUARD
+    s = np.where(active, sq, 1.0)[:, None]
+    return gram * (beta / s), s, active
+
+
+def _soft_orthogonal_vjp(z, m, s, active, beta: float, g: np.ndarray) -> np.ndarray:
+    """The gradient in z of <g, Z M>, with M, S^2 and the mask from ``_soft_orthogonal``.
+
+    With Mbar = Z^T g it is g M^T + Z (Gbar + Gbar^T), where Gbar_ij =
+    Mbar_ij beta / s_i, less sum_j Mbar_ij M_ij / s_i on the diagonal of
+    active columns.
+    """
+    mbar = z.T @ g
+    gbar = mbar * (beta / s)
+    gbar[np.diag_indices_from(gbar)] -= active * (mbar * m).sum(axis=1) / s[:, 0]
+    gz = g @ m.T
+    gz += z @ (gbar + gbar.T)
+    return gz
+
+
+def _dropped(v: np.ndarray, mask: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """Inverted dropout of v by the boolean keep mask: the mask first, then the scale.
+
+    In that order every entry has the bits of ``v * (mask / (1 - p))``, signed
+    zeros, infinities, NaN and values near the float64 maximum included,
+    without an n x d float copy of the mask; scaling first would turn a
+    dropped entry whose scaled value overflows into NaN instead of a zero.
+    ``out=v`` runs it in place.
+    """
+    x = np.multiply(v, mask, out=out)
+    x *= scale
+    return x
 
 
 def sogn_layer(
@@ -155,21 +204,70 @@ def sogn_layer(
     training: bool,
     activation: bool = True,
 ):
-    """One soft-orthogonal message-passing layer with the settings of ``config``.
+    """``sigma(prop(Z) - beta * Zn (Zn^T Z))`` with ``Z = dropout(h) w``, as one tape node.
 
-    The whole layer (dropout, ``H W``, ``backbone_propagate``, the correction
-    beta * Zn (Zn^T Z) and the ReLU) is the one tape node ``nm.sogn_layer``;
-    the correction is built from the d x d Gram matrix of Z, so the cost per
-    layer stays O(n d^2 + nnz d). The gcn adjoint is one sparse product, so
-    the VJP builds the correction's gradient first; the APPNP hops hold three
-    n x d arrays, so there it comes after them (``correction_first``).
+    prop is ``backbone_propagate`` and beta, the dropout probability p and
+    the backbone come from ``config``. Dropout is inverted and acts only
+    when training: it keeps the entries where ``rng.uniform`` over h's shape
+    is at least p, as a boolean mask, and scales them by 1/(1-p) after the
+    mask is applied (``_dropped``). The correction is Z M from
+    ``_soft_orthogonal``, built from the d x d Gram matrix of Z, so the cost
+    per layer stays O(n d^2 + nnz d); ``beta = 0`` skips it. sigma is ReLU,
+    or the identity without ``activation``. Every value equals that of the
+    dropout, matmul, propagation, correction, sub and relu chain, bit for
+    bit, and so does every gradient up to the sign of a NaN.
+
+    The node keeps h and the boolean keep mask; Z, M and S^2 only when
+    beta > 0, since only the correction's gradient reads them; and the
+    output only with the ReLU, whose mask the VJP recomputes from it; no
+    other n x d array. Without the ReLU, ``backward`` has freed the output
+    before the VJP runs. The VJP masks its gradient with the ReLU in place,
+    builds the correction's gradient, then runs the backbone's adjoint,
+    which consumes the gradient, and subtracts the first from the second in
+    place; it ends with the matmul and dropout rules, recomputing the
+    dropped-out input from h and the mask.
     """
-    return nm.sogn_layer(
-        h, w,
-        lambda z: backbone_propagate(a_tilde, z, config),
-        lambda g: backbone_propagate(a_tilde, g, config, adjoint=True),
-        config.beta, config.dropout, rng, training, activation,
-        correction_first=config.backbone == "gcn")
+    vh, vw = nm._as_value(h), nm._as_value(w)
+    if vh.shape[1] != vw.shape[0]:
+        raise ShapeError(f"layer shape mismatch: {vh.shape} @ {vw.shape}")
+    p, beta = config.dropout, float(config.beta)
+    mask = rng.uniform(vh.shape) >= p if training and p > 0.0 else None
+    scale = 1.0 / (1.0 - p)
+    z = (vh if mask is None else _dropped(vh, mask, scale)) @ vw
+    y = backbone_propagate(a_tilde, z, config)
+    m = s = active = None
+    if beta != 0.0:
+        m, s, active = _soft_orthogonal(z, beta)
+        y -= z @ m
+    else:
+        z = None  # only the correction's gradient reads Z
+    if activation:
+        np.maximum(y, 0.0, out=y)
+    relu_out = y if activation else None
+    out = nm.Tensor(y)
+
+    def vjp(g):
+        if relu_out is not None:
+            np.multiply(g, relu_out > 0.0, out=g)
+        # the correction enters with a minus sign; negation is exact (a NaN's
+        # sign aside), so gz equals the chain's sum of the propagation's
+        # gradient and the correction's gradient of -g, bit for bit, with one
+        # n x d array fewer
+        corr = None if m is None else _soft_orthogonal_vjp(z, m, s, active, beta, g)
+        gz = backbone_propagate(a_tilde, g, config, adjoint=True)
+        if corr is not None:
+            gz -= corr
+        del g, corr  # free them before the input-side temporaries
+        gw = gh = None
+        if isinstance(w, nm.Tensor):
+            gw = (vh if mask is None else _dropped(vh, mask, scale)).T @ gz
+        if isinstance(h, nm.Tensor):
+            gh = gz @ vw.T
+            if mask is not None:
+                _dropped(gh, mask, scale, out=gh)
+        return gh, gw
+
+    return nm._record(out, (h, w), vjp)
 
 
 def input_transform(x: CsrMatrix, params: ModelParams):

@@ -10,10 +10,11 @@ the Parameter, for ``adam_step``; no tensor holds a gradient. It takes each
 node off the tape and drops it before it runs that node's rule, keeping only
 the node's inputs and rule: while a rule runs, the node's output is alive only
 if the rule itself saved it, and what processed nodes saved is freed. Rules
-save as little as they can: the fused layer keeps its dropout mask as a
-boolean array, not a float copy, and its output only when a ReLU needs it.
-Without an active tape the same functions run as plain numpy, which is how
-evaluation-mode passes avoid the recording cost.
+save as little as they can; ``affine_relu`` keeps only its output. The model
+layer, ``model.sogn_layer``, records its own one-node rule through
+``_record``; this module keeps no layer-specific code. Without an active
+tape the same functions run as plain numpy, which is how evaluation-mode
+passes avoid the recording cost.
 
 Targets that must not receive gradients (sharpened distributions,
 pseudo-labels) are passed around as raw numpy arrays; only ``Tensor``
@@ -373,126 +374,6 @@ def column_l2_normalize(x) -> Tensor:
         return ((g - y * coef * active) / safe,)
 
     return _record(out, (x,), vjp)
-
-
-def _soft_orthogonal(z: Array, beta: float) -> tuple[Array, Array, Array]:
-    """The d x d factor M of the correction ``beta * Zn (Zn^T Z) = Z M``.
-
-    Zn is the ``column_l2_normalize`` of z. With G = Z^T Z and S^2 = diag(G)
-    on the columns whose norm reaches ``NORM_GUARD`` (1 on the rest, which pass
-    through unnormalized), M = beta S^-2 G: a Gram product, never an n x n
-    matrix or a normalized copy of z. Returns M, S^2 as a column and the
-    mask of the active columns.
-    """
-    gram = z.T @ z
-    sq = np.diag(gram)
-    active = np.sqrt(sq) >= NORM_GUARD
-    s = np.where(active, sq, 1.0)[:, None]
-    return gram * (beta / s), s, active
-
-
-def _soft_orthogonal_vjp(z: Array, m: Array, s: Array, active: Array, beta: float,
-                         g: Array) -> Array:
-    """The gradient in z of <g, Z M>, with M, S^2 and the mask from ``_soft_orthogonal``.
-
-    With Mbar = Z^T g it is g M^T + Z (Gbar + Gbar^T), where Gbar_ij =
-    Mbar_ij beta / s_i, less sum_j Mbar_ij M_ij / s_i on the diagonal of
-    active columns.
-    """
-    mbar = z.T @ g
-    gbar = mbar * (beta / s)
-    gbar[np.diag_indices_from(gbar)] -= active * (mbar * m).sum(axis=1) / s[:, 0]
-    gz = g @ m.T
-    gz += z @ (gbar + gbar.T)
-    return gz
-
-
-def _dropped(v: Array, mask: Array, scale: float, out: Array | None = None) -> Array:
-    """Inverted dropout of v by the boolean keep mask: the mask first, then the scale.
-
-    In that order every entry has the bits of ``v * (mask / (1 - p))``, signed
-    zeros, infinities, NaN and values near the float64 maximum included,
-    without an n x d float copy of the mask; scaling first would turn a
-    dropped entry whose scaled value overflows into NaN instead of a zero.
-    ``out=v`` runs it in place.
-    """
-    x = np.multiply(v, mask, out=out)
-    x *= scale
-    return x
-
-
-def sogn_layer(h, w, propagate, propagate_adjoint, beta: float, p: float, rng: RngState,
-               training: bool, activation: bool = True,
-               correction_first: bool = False) -> Tensor:
-    """``sigma(prop(Z) - beta * Zn (Zn^T Z))`` with ``Z = dropout(h) w``, as one tape node.
-
-    ``propagate`` is a linear map of n x d arrays and ``propagate_adjoint``
-    is its adjoint; each returns a new array. Dropout is inverted with
-    probability p and acts only when training: it keeps the entries where
-    ``rng.uniform`` over h's shape is at least p, as a boolean mask, and
-    scales them by 1/(1-p) after the mask is applied (``_dropped``). The
-    correction is Z M from ``_soft_orthogonal``; ``beta = 0`` skips it. sigma
-    is ReLU, or the identity without ``activation``. Every value equals that
-    of the dropout, matmul, propagation, correction, sub and relu chain, bit
-    for bit.
-
-    The node keeps h, the boolean keep mask, Z, M and S^2, and the output
-    only with the ReLU, whose mask the VJP recomputes from it; no other n x d
-    array. Without the ReLU, ``backward`` has freed the output before the VJP
-    runs. The VJP masks its gradient with the ReLU in place, recomputes the
-    dropped-out input from h and the mask, runs ``propagate_adjoint`` and
-    ``_soft_orthogonal_vjp`` on the gradient of the pre-activation and
-    subtracts the second from the first in place, and ends with the matmul
-    and dropout rules. ``correction_first`` builds the correction's gradient
-    before the adjoint propagation rather than after it: that holds fewer
-    n x d arrays at once when the adjoint allocates one array (a single
-    sparse product), and more when it allocates several (the APPNP hops), so
-    the caller, which knows its propagation, chooses. The order changes no
-    bit.
-    """
-    if not (0.0 <= p < 1.0):
-        raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
-    vh, vw = _as_value(h), _as_value(w)
-    if vh.shape[1] != vw.shape[0]:
-        raise ShapeError(f"layer shape mismatch: {vh.shape} @ {vw.shape}")
-    beta = float(beta)
-    mask = rng.uniform(vh.shape) >= p if training and p > 0.0 else None
-    scale = 1.0 / (1.0 - p)
-    z = (vh if mask is None else _dropped(vh, mask, scale)) @ vw
-    y = propagate(z)
-    m = s = active = None
-    if beta != 0.0:
-        m, s, active = _soft_orthogonal(z, beta)
-        y -= z @ m
-    if activation:
-        np.maximum(y, 0.0, out=y)
-    relu_out = y if activation else None
-    out = Tensor(y)
-
-    def vjp(g):
-        if relu_out is not None:
-            np.multiply(g, relu_out > 0.0, out=g)
-        # the correction enters with a minus sign; negation is exact (a NaN's
-        # sign aside), so gz equals the chain's sum of the propagation's
-        # gradient and the correction's gradient of -g, bit for bit, with one
-        # n x d array fewer
-        corr = None
-        if m is not None and correction_first:
-            corr = _soft_orthogonal_vjp(z, m, s, active, beta, g)
-        gz = propagate_adjoint(g)
-        if m is not None:
-            gz -= _soft_orthogonal_vjp(z, m, s, active, beta, g) if corr is None else corr
-        del g, corr  # free them before the input-side temporaries
-        gw = gh = None
-        if isinstance(w, Tensor):
-            gw = (vh if mask is None else _dropped(vh, mask, scale)).T @ gz
-        if isinstance(h, Tensor):
-            gh = gz @ vw.T
-            if mask is not None:
-                _dropped(gh, mask, scale, out=gh)
-        return gh, gw
-
-    return _record(out, (h, w), vjp)
 
 
 def frobenius_sq_diff(x, y) -> Tensor:

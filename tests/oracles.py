@@ -14,7 +14,9 @@ import numpy as np
 
 import ncgc.numerics as nm
 from ncgc.errors import ContractError
-from ncgc.model import backbone_propagate, load_checkpoint
+from ncgc.model import (
+    _soft_orthogonal, _soft_orthogonal_vjp, backbone_propagate, load_checkpoint,
+)
 from ncgc.sparse import CsrMatrix
 from ncgc.trainer import HyperParams
 
@@ -49,13 +51,13 @@ def appnp_chain(s, z, alpha, hops):
 
 
 def soft_orthogonal(z, beta):
-    """The correction beta * Zn (Zn^T Z) as one tape node, from the layer op's
-    Gram-form helpers ``nm._soft_orthogonal`` and ``nm._soft_orthogonal_vjp``."""
+    """The correction beta * Zn (Zn^T Z) as one tape node, from the layer's
+    Gram-form helpers ``model._soft_orthogonal`` and ``model._soft_orthogonal_vjp``."""
     v, beta = nm._as_value(z), float(beta)
-    m, s, active = nm._soft_orthogonal(v, beta)
+    m, s, active = _soft_orthogonal(v, beta)
     out = nm.Tensor(v @ m)
     return nm._record(out, (z,),
-                      lambda g: (nm._soft_orthogonal_vjp(v, m, s, active, beta, g),))
+                      lambda g: (_soft_orthogonal_vjp(v, m, s, active, beta, g),))
 
 
 def soft_orth_chain(z, beta):
@@ -67,7 +69,7 @@ def soft_orth_chain(z, beta):
 
 
 def sogn_chain(h, w, a_tilde, config, rng, training, activation=True):
-    """``model.sogn_layer`` as the chain of tape nodes the one-node ``nm.sogn_layer``
+    """``model.sogn_layer`` as the chain of tape nodes that its one node
     fuses: dropout, matmul, propagation (``sparse_dense_matmul`` or
     ``appnp_propagate``), ``soft_orthogonal``, sub and relu. Same signature,
     so it can stand in for the layer in a whole run."""

@@ -608,6 +608,10 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     pytest.param("sweep", ["--values", "0.01", "--test-total", "-1"],
                  "--test-total must be non-negative", id="sweep-test-total-negative"),
     pytest.param("spectral", ["--k", "-1"], "--k must be non-negative", id="spectral-k-negative"),
+    *[pytest.param(command, ["--seed", "-1", *extra], "--seed must be non-negative",
+                   id=f"{command}-seed-negative")
+      for command, extra in (("train", []), ("ablate", []), ("sweep", ["--values", "0.01"]),
+                             ("spectral", []), ("evaluate", []))],
 ])
 def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
                                                       command, extra, field):

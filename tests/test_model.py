@@ -297,13 +297,14 @@ def _layer_vjp_high_water(backbone, beta, activation=True, n=4000, d=32):
     return (peak - entry) / (n * d * 8)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("beta, bound", [(0.0, 2.5), (0.3, 3.5)], ids=["0.0", "0.3"])
 @pytest.mark.usefixtures("tape_guard")
-def test_appnp_layer_vjp_high_water_mark(beta):
+def test_appnp_layer_vjp_high_water_mark(beta, bound):
     # 10 hops, dropout 0.5: the ReLU masks the gradient in place, the adjoint
-    # hops run in place before the correction's temporaries exist, and no
-    # negated copy of the gradient (3.03)
-    assert _layer_vjp_high_water("appnp", beta) <= 3.5
+    # scales the gradient in place into its alpha term, so a hop holds two
+    # n x d arrays (2.07), and with the correction its gradient lives through
+    # the hops (3.00); no negated copy of the gradient
+    assert _layer_vjp_high_water("appnp", beta) <= bound
 
 
 @pytest.mark.parametrize("beta, activation, bound", [
@@ -314,6 +315,30 @@ def test_gcn_layer_vjp_high_water_mark(beta, activation, bound):
     # product, and the ReLU and dropout apply their boolean masks in place,
     # with no float copy of either: two n x d arrays at once (2.07)
     assert _layer_vjp_high_water("gcn", beta, activation) <= bound
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "appnp"])
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("activation", [False, True])
+def test_layer_node_keeps_z_only_when_beta_is_positive(backbone, beta, activation):
+    # only the correction's gradient reads Z: at beta 0 the VJP holds no n x d
+    # float array but h's value and, with the ReLU, the output
+    n, d = 40, 6
+    rng = RngState(44)
+    at = CsrMatrix.from_dense(rng.normal((n, n)) * (rng.uniform((n, n)) < 0.2))
+    h = nm.Tensor(rng.normal((n, d)))
+    w = nm.Parameter(rng.normal((d, d)), name="w")
+    cfg = HyperParams(backbone=backbone, beta=beta, dropout=0.5, appnp_hops=3)
+    tape = nm.Tape()
+    with tape:
+        out = sogn_layer(h, w, at, cfg, RngState(45), training=True, activation=activation)
+    (node,) = tape.nodes
+    held = [cell.cell_contents for cell in node.vjp.__closure__]
+    held += [t.value for t in held if isinstance(t, nm.Tensor)]
+    float_nd = {id(v) for v in held
+                if isinstance(v, np.ndarray) and v.shape == (n, d) and v.dtype.kind == "f"}
+    kept = {id(h.value)} | ({id(out.value)} if activation else set())
+    assert kept <= float_nd and len(float_nd - kept) == (beta > 0)  # Z
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "appnp"])

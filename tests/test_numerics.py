@@ -5,8 +5,10 @@ import pytest
 
 import ncgc.numerics as nm
 from ncgc.errors import ContractError, NumericError, ParameterError, ShapeError
+from ncgc.model import sogn_layer
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
+from ncgc.trainer import HyperParams
 from gradcheck import OPS, check_gradients, trial_rng
 from oracles import (
     appnp_chain, appnp_propagate, loop_matmul, rel_error, soft_orth_chain, soft_orthogonal,
@@ -474,8 +476,8 @@ def test_backward_pops_each_node_and_frees_what_it_saved():
 def _small_layer(x, w, activation):
     rng = RngState(14)
     at = CsrMatrix.from_dense(rng.normal((5, 5)) * (rng.uniform((5, 5)) < 0.5))
-    return nm.sogn_layer(x, w, at.matmul_dense, at.transpose_matmul_dense, 0.3, 0.5,
-                         RngState(15), True, activation=activation)
+    return sogn_layer(x, w, at, HyperParams(beta=0.3, dropout=0.5), RngState(15), True,
+                      activation=activation)
 
 
 @pytest.mark.parametrize("make, reads_output", [
