@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,25 @@ def sbm_pairs_loop(block_sizes, p_in, p_out, feature_dim, rng, feature_shift=2.0
     means = rng.normal((len(block_sizes), feature_dim))
     means *= feature_shift / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
     return pairs, means[labels] + feature_noise * rng.normal((n, feature_dim))
+
+
+def int_rows_loop(data: bytes, width: int):
+    """The dataset line format checked one line at a time by a regular
+    expression: the (r, width) int64 rows of the non-blank lines and their
+    1-based numbers, or the number of the first non-blank line that is not
+    ``width`` tab-separated fields ``-?[0-9]{1,18}``."""
+    field = r"-?[0-9]{1,18}"
+    line_format = re.compile(field + (r"\t" + field) * (width - 1))
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    rows, lineno = [], []
+    for i, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(" \t\v\f"):  # ASCII whitespace only
+            continue
+        if not line_format.fullmatch(line):
+            return i
+        rows.append([int(x) for x in line.split("\t")])
+        lineno.append(i)
+    return np.array(rows, dtype=np.int64).reshape(-1, width), lineno
 
 
 def finite_difference_grads(f, arrays, step=1e-5):

@@ -69,10 +69,20 @@ def test_validate_truncated_features_exit_2(capsys, sbm_dir):
     assert "byte offset" in err
 
 
-def _bool_class_count(d):
-    meta = json.loads((d / "meta.json").read_text())
-    meta["k"] = True  # bool is a subclass of int in Python, but not a count
-    (d / "meta.json").write_text(json.dumps(meta))
+def _meta(**fields):
+    """Overwrite ``fields`` in the fixture's meta.json."""
+    def corrupt(d):
+        meta = json.loads((d / "meta.json").read_text())
+        meta.update(fields)
+        (d / "meta.json").write_text(json.dumps(meta))
+    return corrupt
+
+
+def _no_features(d):
+    # with d = 0 an empty features.bin matches any n, so n would bound nothing
+    _meta(n=10**12, d=0, m=0)(d)
+    for name in ("features.bin", "edges.tsv", "labels.tsv"):
+        (d / name).write_bytes(b"")
 
 
 def _idx_not_utf8(d):
@@ -109,7 +119,10 @@ def _train_idx(data):
 @pytest.mark.parametrize("name, corrupt", [
     pytest.param("meta.json", lambda d: (d / "meta.json").write_bytes(b'{"name": "\xff"}'),
                  id="meta-not-utf8"),
-    pytest.param("meta.json", _bool_class_count, id="meta-bool-count"),
+    # bool is a subclass of int in Python, but not a count
+    pytest.param("meta.json", _meta(k=True), id="meta-bool-count"),
+    pytest.param("meta.json: field 'd'", _no_features, id="meta-d-zero"),
+    pytest.param("meta.json: field 'k'", _meta(k=21), id="meta-k-above-n"),
     pytest.param("meta.json", lambda d: (d / "meta.json").write_text('["n", "m", "d", "k"]'),
                  id="meta-not-object"),
     pytest.param("edges.tsv", lambda d: (d / "edges.tsv").write_bytes(b"0\t1\n\xff\t2\n"),
@@ -127,9 +140,18 @@ def _train_idx(data):
     pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t1\t2\n"), id="edges-field-count"),
     pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\tx\n"), id="edges-non-integer"),
     pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t20\n"), id="edges-node-range"),
+    pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t1_0\n"), id="edges-underscore"),
+    pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t 1\n"), id="edges-leading-space"),
+    pytest.param("edges.tsv:2", _write("edges.tsv", b"0\t1\n0\t+1\n"), id="edges-plus-sign"),
+    pytest.param("edges.tsv:2: expected 2 tab-separated integers",
+                 _write("edges.tsv", b"0\t1\n0\t1000000000000000001\n"), id="edges-19-digits"),
     pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n1\n"), id="labels-field-count"),
     pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n1\t1.0\n"),
                  id="labels-non-integer"),
+    pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n1\t1 \n"),
+                 id="labels-trailing-space"),
+    pytest.param("labels.tsv:2", _write("labels.tsv", "0\t0\n1\t\u0661\n".encode()),
+                 id="labels-arabic-digit"),
     pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n-1\t0\n"), id="labels-node-range"),
     pytest.param("labels.tsv:2", _write("labels.tsv", b"0\t0\n1\t2\n"), id="labels-class-range"),
     pytest.param("labels.tsv:3", _write("labels.tsv", b"0\t0\n1\t1\n0\t1\n"),

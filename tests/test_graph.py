@@ -5,13 +5,13 @@ import pytest
 
 from ncgc.errors import IngestionError, ShapeError, SplitError
 from ncgc.graph import (
-    Graph, Split, load_dataset, load_split, make_split, normalized_adjacency,
+    Graph, Split, _read_int_rows, load_dataset, load_split, make_split, normalized_adjacency,
     normalized_laplacian, row_l1_normalize, write_dataset, write_split,
 )
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
-from oracles import sbm_pairs_loop, transition_matrix
+from oracles import int_rows_loop, sbm_pairs_loop, transition_matrix
 
 
 def write_triangle(path, n=3, m=3, d=2, k=2, edges="0\t1\n0\t2\n1\t2\n",
@@ -80,6 +80,51 @@ def test_whitespace_only_lines_are_skipped(tmp_path):
     assert np.array_equal(g.labels, ref.labels)
     split = load_split(d, g.n)
     assert [list(a) for a in (split.train_idx, split.val_idx, split.test_idx)] == [[0], [1], [2]]
+
+
+# fields that break the grammar, or sit at its edges, and blank-looking lines
+NEAR_MISSES = ["1_0", "+1", " 1", "1 ", "\u0661", "\u00a0", "-", "", "x", "--1", "1-",
+               "-0", "999999999999999999", "1000000000000000000", " \t\v\f"]
+
+
+def _random_rows_file(rng: RngState) -> bytes:
+    lines = []
+    for _ in range(int(rng.integers(0, 8))):
+        fields = []
+        for _ in range(int(rng.integers(1, 4))):
+            if rng.uniform() < 0.15:
+                fields.append(NEAR_MISSES[int(rng.integers(0, len(NEAR_MISSES)))])
+            else:
+                digits = int(rng.integers(1, 19))
+                fields.append("-" * int(rng.integers(0, 2)) + str(rng.integers(0, 10 ** digits)))
+        lines.append("\t".join(fields))
+    ending = ("\n", "\r\n", "\r")[int(rng.integers(0, 3))]
+    return (ending.join(lines) + ending * int(rng.integers(0, 2))).encode()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_int_rows_reader_matches_the_line_loop(tmp_path, seed):
+    rng, f = RngState(seed), tmp_path / "rows.tsv"
+    for _ in range(300):
+        f.write_bytes(_random_rows_file(rng))
+        for width in (1, 2):
+            expected = int_rows_loop(f.read_bytes(), width)
+            if isinstance(expected, int):
+                with pytest.raises(IngestionError,
+                                   match=f"rows.tsv:{expected}: expected {width} tab-sep"):
+                    _read_int_rows(f, width)
+            else:
+                rows, lineno = _read_int_rows(f, width)
+                assert rows.dtype == np.int64 and rows.shape == expected[0].shape
+                assert np.array_equal(rows, expected[0]) and list(lineno) == expected[1]
+
+
+def test_first_non_finite_feature_is_named(tmp_path):
+    feats = np.zeros((3, 2), dtype="<f4")
+    feats[1, 1], feats[2, 0] = np.inf, np.nan
+    d = write_triangle(tmp_path / "inf", feat_bytes=feats.tobytes())
+    with pytest.raises(IngestionError, match="non-finite value at node 1, column 1"):
+        load_dataset(d)
 
 
 def test_truncated_features_names_byte_offset(tmp_path):
