@@ -26,10 +26,10 @@ loads it into freshly built parameters and scores one ``trainer.predict``
 pass, whose normalized adjacency follows ``--self-loops`` as in training.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
-4 bad flags (including out-of-range or non-finite hyperparameter values, an
-unknown split policy, a run count below one, a negative count and a
-``spectral --k`` above the node count). A command reads and checks all its
-input files before it creates ``--out``.
+4 bad flags (including out-of-range or non-finite hyperparameter values, a
+``--patience`` below one, an unknown split policy, a run count below one, a
+negative ``--seed`` or count and a ``spectral --k`` above the node count). A
+command reads and checks all its input files before it creates ``--out``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .model import init_params, load_checkpoint, save_checkpoint
 from .rng import RngState
 from .spectral import clustering_accuracy, spectral_cluster
 from .trainer import (
-    VARIANTS, EpochRecord, HyperParams, accuracy, check_split, predict, run_seeds, seed_splits,
+    VARIANTS, EpochRecord, HyperParams, accuracy, predict, run_seeds, seed_splits,
 )
 
 EXIT_OK = 0
@@ -179,14 +179,15 @@ def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
 
 def _check_run_options(resolved: dict) -> None:
     """Reject an unknown split policy, a run count below one or a negative seed
-    or count as bad flags; options the command does not take are not checked."""
+    or count as bad flags; options the command does not take, or leaves unset,
+    are not checked."""
     if "split-policy" in resolved and resolved["split-policy"] not in SPLIT_POLICIES:
         raise _UsageError(f"unknown --split-policy {resolved['split-policy']!r}, "
                           f"expected one of {', '.join(SPLIT_POLICIES)}")
     if resolved.get("runs", 1) < 1:
         raise _UsageError(f"--runs must be at least 1, got {resolved['runs']}")
     for key in ("seed", "train-per-class", "val-per-class", "val-total", "test-total", "k"):
-        if resolved.get(key, 0) < 0:
+        if resolved.get(key) is not None and resolved[key] < 0:
             raise _UsageError(f"--{key} must be non-negative, got {resolved[key]}")
 
 
@@ -198,21 +199,20 @@ def _require(resolved: dict, keys, cmd: str) -> None:
 
 def _load_labeled(resolved: dict, split_dir: str, purpose: str):
     """The graph, which must have labels, and the split in ``split_dir`` (None
-    without split files), which must pass ``check_split``."""
+    without split files), which must pass ``Split.check``."""
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
     if g.labels is None:
         raise IngestionError(f"{resolved['dataset']}: no labels.tsv; {purpose} needs node labels")
     split = load_split(split_dir, g.n)
     if split is not None:
-        check_split(g, split)
+        split.check(g)
     return g, split
 
 
 def _prepare_runs(resolved: dict):
-    """Check the run options, load the dataset, build every run's split, then
-    create ``--out``: so a bad input exits before anything is written. Sampled
-    splits are valid by construction. Returns the graph, the splits and ``--out``."""
-    _check_run_options(resolved)
+    """Load the dataset, build every run's split, then create ``--out``: so a bad
+    input exits before anything is written. Sampled splits are valid by
+    construction. Returns the graph, the splits and ``--out``."""
     g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
     counts = dict(per_class_train=resolved["train-per-class"],
                   per_class_val=resolved["val-per-class"],
@@ -287,11 +287,10 @@ def cmd_train(resolved: dict) -> int:
         "per_run": [r.to_json_dict() for r in stats.reports],
     }, out / "report.json")
     _write_epochs_csv(out / "epochs.csv", stats.reports)
-    params, split0 = stats.artifacts[0]
-    save_checkpoint(out / "checkpoint.bin", params.named_values())
-    write_split(split0, out)
+    save_checkpoint(out / "checkpoint.bin", stats.params.named_values())
+    write_split(splits[0], out)
     if resolved["dump-cluster-signals"]:
-        _dump_cluster_signals(g, hp, params, out)
+        _dump_cluster_signals(g, hp, stats.params, out)
     wall = sum(r.wall_time for r in stats.reports)
     print(f"dataset={g.name} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
           f"runs={resolved['runs']}")
@@ -318,7 +317,6 @@ def cmd_evaluate(resolved: dict) -> int:
     _echo_config(resolved)
     if resolved["seed"] is None:
         resolved["seed"] = 0
-    _check_run_options(resolved)
     hp = hyperparams_from(resolved)
     split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
     g, split = _load_labeled(resolved, split_dir, "evaluation")
@@ -387,7 +385,6 @@ def cmd_sweep(resolved: dict) -> int:
 
 
 def cmd_spectral(resolved: dict) -> int:
-    _check_run_options(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=False)
     k = resolved["k"] or g.class_count
     if k > g.n:
@@ -447,6 +444,7 @@ def main(argv=None) -> int:
         fn, keys, required = COMMANDS[args.command]
         resolved = resolve_options(args, keys)
         _require(resolved, required, args.command)
+        _check_run_options(resolved)
         return fn(resolved)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)

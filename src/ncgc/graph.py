@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestionError, ShapeError, SplitError
+from .errors import ContractError, IngestionError, ShapeError, SplitError
 from .rng import RngState
 from .sparse import CsrMatrix
 
@@ -95,16 +95,19 @@ class Split:
         if len(np.unique(all_idx)) != all_idx.size:
             raise SplitError("split index sets are not pairwise disjoint")
 
-    def check_against(self, n: int) -> None:
+    def check(self, g: Graph) -> None:
+        """Reject a split that ``g`` cannot train on: a graph without labels (a
+        ``ContractError``), or a node outside the graph or an unlabeled one (a
+        ``SplitError``). The validation and test sets are non-empty, so the
+        clustering losses always have nodes outside training."""
+        if g.labels is None:
+            raise ContractError("training requires node labels")
         top = max(int(a.max(initial=-1)) for a in (self.train_idx, self.val_idx, self.test_idx))
-        if top >= n:
-            raise SplitError(f"split references node {top} but graph has {n} nodes")
-
-    def check_labeled(self, labels: np.ndarray) -> None:
-        """Every index must name a labeled node (label >= 0) of ``labels``."""
+        if top >= g.n:
+            raise SplitError(f"split references node {top} but graph has {g.n} nodes")
         for name, idx in (("train", self.train_idx), ("validation", self.val_idx),
                           ("test", self.test_idx)):
-            unlabeled = idx[labels[idx] < 0]
+            unlabeled = idx[g.labels[idx] < 0]
             if unlabeled.size:
                 raise SplitError(f"the {name} set names unlabeled node {unlabeled[0]}")
 
@@ -407,7 +410,8 @@ def make_split(
         test = np.concatenate(
             [pools[c][per_class_train + per_class_val:] for c in sorted(pools)])
     else:
-        rest = np.setdiff1d(g.labeled_nodes(), train)
+        # both are distinct and labeled_nodes() is sorted, so no np.unique pass is needed
+        rest = np.setdiff1d(g.labeled_nodes(), train, assume_unique=True)
         if len(rest) < val_total + test_total:
             raise SplitError(
                 f"need {val_total + test_total} labeled nodes beyond training, "

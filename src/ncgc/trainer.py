@@ -79,6 +79,8 @@ class HyperParams:
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
+        if self.patience < 1:
+            raise ParameterError("patience must be at least 1")
         if self.patience > self.epochs:
             raise ParameterError("patience must not exceed epochs")
         if self.lambda_kl < 0 or self.lambda_pl < 0:
@@ -195,17 +197,6 @@ def accuracy(y_values: np.ndarray, labels, idx) -> float:
     return float((preds == np.asarray(labels)[idx]).mean())
 
 
-def check_split(g: Graph, split: Split) -> None:
-    """Reject what ``train`` cannot run on: a graph without labels (a
-    ``ContractError``), or a split that names a node outside the graph or an
-    unlabeled one (a ``SplitError``). A ``Split`` has non-empty validation and
-    test sets, so the clustering losses always have nodes outside training."""
-    if g.labels is None:
-        raise ContractError("training requires node labels")
-    split.check_against(g.n)
-    split.check_labeled(g.labels)
-
-
 def train(g: Graph, split: Split,
           hp: HyperParams) -> tuple[ModelParams, nm.Parameter | None, TrainReport]:
     """Run one seeded training job and return the best-validation checkpoint.
@@ -214,9 +205,9 @@ def train(g: Graph, split: Split,
     validation epoch, their centroids (None when the KL loss never ran; when
     the best epoch comes before the centroids are seeded, they keep their last
     values) and the per-epoch report. A split that names a node outside the
-    graph or an unlabeled one is a ``SplitError``.
+    graph or an unlabeled one is a ``SplitError`` (``Split.check``).
     """
-    check_split(g, split)
+    split.check(g)
     t0 = time.perf_counter()
     rng = RngState(hp.seed)
     params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
@@ -225,7 +216,8 @@ def train(g: Graph, split: Split,
 
     adam = nm.AdamState()
     clustering_wanted = hp.lambda_kl > 0 or hp.lambda_pl > 0
-    u_idx = np.setdiff1d(np.arange(g.n), split.train_idx)
+    # both operands are distinct (a Split is disjoint), so no np.unique pass is needed
+    u_idx = np.setdiff1d(np.arange(g.n), split.train_idx, assume_unique=True)
     kl_scope_idx = np.arange(g.n) if hp.kl_scope == "all" else u_idx
 
     report = TrainReport()
@@ -323,12 +315,13 @@ def train(g: Graph, split: Split,
 
 @dataclass
 class SeedStats:
-    """Aggregate of repeated seeded runs."""
+    """Aggregate of repeated seeded runs; ``params`` are run 0's best-validation
+    parameters, which ``ncgc train`` writes as ``checkpoint.bin``."""
 
     mean: float
     std: float
     reports: list[TrainReport]
-    artifacts: list[tuple[ModelParams, Split]]
+    params: ModelParams
 
 
 def seed_splits(
@@ -352,14 +345,14 @@ def run_seeds(g: Graph, hp: HyperParams, splits: list[Split]) -> SeedStats:
     builds them); the sample std uses the n-1 denominator."""
     if not splits:
         raise ParameterError("need at least one run")
-    accs, reports, artifacts = [], [], []
+    reports = []
     for run, split_run in enumerate(splits):
-        hp_run = replace(hp, seed=hp.seed + run)
-        params, _, report = train(g, split_run, hp_run)
-        accs.append(report.test_at_best_val)
+        params, _, report = train(g, split_run, replace(hp, seed=hp.seed + run))
         reports.append(report)
-        artifacts.append((params, split_run))
+        if run == 0:
+            params0 = params
+    accs = [r.test_at_best_val for r in reports]
     mean = float(np.mean(accs))
     std = float(np.std(accs, ddof=1)) if len(splits) > 1 else 0.0
-    return SeedStats(mean=mean, std=std, reports=reports, artifacts=artifacts)
+    return SeedStats(mean=mean, std=std, reports=reports, params=params0)
 

@@ -612,6 +612,8 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     pytest.param("train", ["--dropout", "1.5"], "dropout", id="train-dropout"),
     pytest.param("train", ["--epochs", "5", "--patience", "10"], "patience",
                  id="train-patience-over-epochs"),
+    *[pytest.param("train", ["--patience", value], "patience must be at least 1",
+                   id=f"train-patience-{value}") for value in ("0", "-3")],
     pytest.param("train", ["--appnp-hops", "-1"], "appnp_hops", id="train-appnp-hops"),
     pytest.param("train", ["--lr", "-1"], "lr", id="train-lr"),
     pytest.param("sweep", ["--axis", "dropout", "--values", "0.5,1.5"], "dropout",

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ncgc.errors import IngestionError, ShapeError, SplitError
+from ncgc.errors import ContractError, IngestionError, ShapeError, SplitError
 from ncgc.graph import (
     Graph, Split, _read_int_rows, load_dataset, load_split, make_split, normalized_adjacency,
     normalized_laplacian, row_l1_normalize, write_dataset, write_split,
@@ -322,8 +323,15 @@ def test_split_validation():
     with pytest.raises(SplitError):
         Split(np.array([], dtype=np.int64), np.array([1]), np.array([2]))
     s = Split(np.array([0]), np.array([1]), np.array([2]))
-    with pytest.raises(SplitError):
-        s.check_against(2)
+    g = labeled_graph(1, 2)
+    with pytest.raises(SplitError, match="references node 2 but graph has 2 nodes"):
+        s.check(g)
+    g = labeled_graph(2, 2)
+    s.check(g)
+    with pytest.raises(ContractError, match="training requires node labels"):
+        s.check(replace(g, labels=None))
+    with pytest.raises(SplitError, match="the test set names unlabeled node 2"):
+        s.check(replace(g, labels=np.array([0, 0, -1, 1])))
 
 
 @pytest.mark.parametrize("empty", ["validation", "test"])

@@ -357,14 +357,19 @@ def test_run_seeds_mean_std_formula():
     accs = [r.test_at_best_val for r in stats.reports]
     assert stats.mean == pytest.approx(float(np.mean(accs)))
     assert stats.std == pytest.approx(float(np.std(accs, ddof=1)))
+    # the kept parameters are run 0's, the ones a multi-run `train` writes
+    run0 = train(g, split, hp)[0].named_values()
+    kept = stats.params.named_values()
+    assert kept.keys() == run0.keys()
+    assert all(np.array_equal(kept[name], run0[name]) for name in run0)
 
 
 def test_run_seeds_fresh_splits_per_run():
     g, _, _ = sbm_setup(seed=14)
     hp = HyperParams(seed=0, **{**FAST, "epochs": 15, "patience": 15})
-    stats = run_seeds(g, hp, seed_splits(g, hp.seed, "per_class", 2,
-                                         split_counts=dict(per_class_train=3, per_class_val=3)))
-    s0, s1 = stats.artifacts[0][1], stats.artifacts[1][1]
+    s0, s1 = splits = seed_splits(g, hp.seed, "per_class", 2,
+                                  split_counts=dict(per_class_train=3, per_class_val=3))
+    run_seeds(g, hp, splits)
     assert not np.array_equal(s0.val_idx, s1.val_idx) or not np.array_equal(
         s0.train_idx, s1.train_idx)
 
@@ -422,6 +427,9 @@ def test_no_skn_feeds_raw_predictions(monkeypatch):
 def test_hyperparams_validation():
     with pytest.raises(ParameterError):
         HyperParams(patience=11, epochs=10)
+    for patience in (0, -3):
+        with pytest.raises(ParameterError, match="patience must be at least 1"):
+            HyperParams(patience=patience)
     with pytest.raises(ParameterError):
         HyperParams(lambda_kl=-1.0)
     with pytest.raises(ParameterError):
