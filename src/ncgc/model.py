@@ -8,10 +8,13 @@ truncated personalized-propagation polynomial). A layer is one function,
 or correction. The correction uses ``Zn (Zn^T Z) = Z M`` with
 ``M = beta S^-2 Z^T Z`` and ``S^2`` the squared column norms, so it needs
 only the d x d Gram matrix, never the n x n outer product or a normalized
-copy of Z. The node keeps the layer input and a boolean dropout mask; Z, M
-and ``S^2`` only when beta > 0; and the output only when a ReLU follows.
-Its VJP builds the correction's gradient, then runs the backbone's adjoint,
-the same recurrence with products by the transpose of the adjacency, which
+copy of Z. The node keeps the layer input and a boolean dropout mask; M
+and ``S^2`` (d x d and d) when beta > 0; and the output only when a ReLU
+follows; never Z. When beta > 0 its VJP recomputes Z from the input and the
+mask (one n x d x d GEMM more per layer and step, with the forward's bits)
+and builds the correction's gradient: the term in Z, after which Z is
+freed, plus g M^T. It then runs the backbone's adjoint, the same
+recurrence with products by the transpose of the adjacency, which
 ``CsrMatrix.transpose_matmul_dense`` computes without building that
 transpose; the adjoint consumes the gradient. ``beta = 0`` skips the
 correction and reduces the layer to the plain backbone exactly.
@@ -166,30 +169,38 @@ def _soft_orthogonal(z: np.ndarray, beta: float):
     return gram * (beta / s), s, active
 
 
-def _soft_orthogonal_vjp(z, m, s, active, beta: float, g: np.ndarray) -> np.ndarray:
-    """The gradient in z of <g, Z M>, with M, S^2 and the mask from ``_soft_orthogonal``.
+def _soft_orthogonal_z_term(z, m, s, active, beta: float, g: np.ndarray) -> np.ndarray:
+    """Z (Gbar + Gbar^T), the term of ``_soft_orthogonal_vjp`` that reads Z.
 
-    With Mbar = Z^T g it is g M^T + Z (Gbar + Gbar^T), where Gbar_ij =
-    Mbar_ij beta / s_i, less sum_j Mbar_ij M_ij / s_i on the diagonal of
-    active columns.
+    With Mbar = Z^T g, Gbar_ij = Mbar_ij beta / s_i, less sum_j Mbar_ij M_ij
+    / s_i on the diagonal of active columns. Z is read only here, so a Z
+    passed as a temporary is freed when this returns, before g M^T is built.
     """
     mbar = z.T @ g
     gbar = mbar * (beta / s)
     gbar[np.diag_indices_from(gbar)] -= active * (mbar * m).sum(axis=1) / s[:, 0]
-    gz = g @ m.T
-    gz += z @ (gbar + gbar.T)
+    return z @ (gbar + gbar.T)
+
+
+def _soft_orthogonal_vjp(z, m, s, active, beta: float, g: np.ndarray) -> np.ndarray:
+    """The gradient in z of <g, Z M>, with M, S^2 and the mask from ``_soft_orthogonal``:
+    ``Z (Gbar + Gbar^T) + g M^T``, the Z term first (``_soft_orthogonal_z_term``)."""
+    gz = _soft_orthogonal_z_term(z, m, s, active, beta, g)
+    gz += g @ m.T
     return gz
 
 
-def _dropped(v: np.ndarray, mask: np.ndarray, scale: float, out=None) -> np.ndarray:
+def _dropped(v: np.ndarray, mask: np.ndarray | None, scale: float, out=None) -> np.ndarray:
     """Inverted dropout of v by the boolean keep mask: the mask first, then the scale.
 
     In that order every entry has the bits of ``v * (mask / (1 - p))``, signed
     zeros, infinities, NaN and values near the float64 maximum included,
     without an n x d float copy of the mask; scaling first would turn a
     dropped entry whose scaled value overflows into NaN instead of a zero.
-    ``out=v`` runs it in place.
+    ``out=v`` runs it in place. Without a mask (no dropout) it returns v.
     """
+    if mask is None:
+        return v
     x = np.multiply(v, mask, out=out)
     x *= scale
     return x
@@ -217,15 +228,19 @@ def sogn_layer(
     dropout, matmul, propagation, correction, sub and relu chain, bit for
     bit, and so does every gradient up to the sign of a NaN.
 
-    The node keeps h and the boolean keep mask; Z, M and S^2 only when
+    The node keeps h and the boolean keep mask; M and S^2 only when
     beta > 0, since only the correction's gradient reads them; and the
     output only with the ReLU, whose mask the VJP recomputes from it; no
-    other n x d array. Without the ReLU, ``backward`` has freed the output
-    before the VJP runs. The VJP masks its gradient with the ReLU in place,
-    builds the correction's gradient, then runs the backbone's adjoint,
-    which consumes the gradient, and subtracts the first from the second in
-    place; it ends with the matmul and dropout rules, recomputing the
-    dropped-out input from h and the mask.
+    other n x d array, and never Z. Without the ReLU, ``backward`` has freed
+    the output before the VJP runs. The VJP masks its gradient with the ReLU
+    in place. When beta > 0 it recomputes Z by the forward's expression on
+    the same operands, so with the same bits, at the cost of one n x d x d
+    GEMM; takes Mbar = Z^T g; builds Z (Gbar + Gbar^T); frees Z; and adds
+    g M^T in place, which is the correction's gradient (the sum in the other
+    order, bit for bit, since IEEE addition commutes). It then runs the
+    backbone's adjoint, which consumes the gradient, subtracts the
+    correction's gradient in place, and ends with the matmul and dropout
+    rules, recomputing the dropped-out input from h and the mask.
     """
     vh, vw = nm._as_value(h), nm._as_value(w)
     if vh.shape[1] != vw.shape[0]:
@@ -233,38 +248,46 @@ def sogn_layer(
     p, beta = config.dropout, float(config.beta)
     mask = rng.uniform(vh.shape) >= p if training and p > 0.0 else None
     scale = 1.0 / (1.0 - p)
-    z = (vh if mask is None else _dropped(vh, mask, scale)) @ vw
+    z = _dropped(vh, mask, scale) @ vw
     y = backbone_propagate(a_tilde, z, config)
     m = s = active = None
     if beta != 0.0:
         m, s, active = _soft_orthogonal(z, beta)
         y -= z @ m
-    else:
-        z = None  # only the correction's gradient reads Z
     if activation:
         np.maximum(y, 0.0, out=y)
     relu_out = y if activation else None
     out = nm.Tensor(y)
 
+    # The VJP must not close over a name the forward deletes: that leaves an
+    # empty closure cell, which tape sizing that reads the cells
+    # (perfbench/layertrace.py) cannot read. Every name it closes over keeps
+    # its array on the tape until the VJP runs, so it recomputes Z instead.
     def vjp(g):
         if relu_out is not None:
             np.multiply(g, relu_out > 0.0, out=g)
+        corr = None
+        if m is not None:
+            # Z again, from the same operands by the same expression as the
+            # forward, so with the same bits; as a call argument it is freed
+            # before g M^T is built and never meets the adjoint's arrays
+            corr = _soft_orthogonal_z_term(_dropped(vh, mask, scale) @ vw,
+                                           m, s, active, beta, g)
+            corr += g @ m.T
         # the correction enters with a minus sign; negation is exact (a NaN's
         # sign aside), so gz equals the chain's sum of the propagation's
         # gradient and the correction's gradient of -g, bit for bit, with one
         # n x d array fewer
-        corr = None if m is None else _soft_orthogonal_vjp(z, m, s, active, beta, g)
         gz = backbone_propagate(a_tilde, g, config, adjoint=True)
         if corr is not None:
             gz -= corr
         del g, corr  # free them before the input-side temporaries
         gw = gh = None
         if isinstance(w, nm.Tensor):
-            gw = (vh if mask is None else _dropped(vh, mask, scale)).T @ gz
+            gw = _dropped(vh, mask, scale).T @ gz
         if isinstance(h, nm.Tensor):
             gh = gz @ vw.T
-            if mask is not None:
-                _dropped(gh, mask, scale, out=gh)
+            _dropped(gh, mask, scale, out=gh)
         return gh, gw
 
     return nm._record(out, (h, w), vjp)

@@ -46,7 +46,10 @@ from .graph import Graph, Split, make_split, normalized_adjacency
 from .model import BACKBONES, ModelParams, forward, init_params, soc_penalty
 from .rng import RngState
 
-# ablation variant -> the HyperParams fields it overrides
+# ablation variant -> the HyperParams fields it overrides. no_skn trains like
+# no_pl up to rounding: its targets are the live softmax of the same forward,
+# so the pseudo-label gradient (softmax minus target) vanishes and only the
+# logged l_pl differs (demo 04: both 0.6889 +/- 0.0852)
 VARIANTS = {"full": {}, "no_soc": {"beta": 0.0}, "no_kl": {"lambda_kl": 0.0},
             "no_pl": {"lambda_pl": 0.0}, "no_skn": {"sinkhorn": False}}
 
