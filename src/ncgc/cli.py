@@ -23,10 +23,13 @@ reproduced from its own artifacts.
 ``train`` writes ``checkpoint.bin``, the ``named_values()`` of the first run's
 best-validation ``ModelParams`` (centroids included once seeded); ``evaluate``
 loads it into freshly built parameters and scores one ``trainer.predict``
-pass, whose normalized adjacency follows ``--self-loops`` as in training.
+pass, whose normalized adjacency follows ``--self-loops`` as in training. It
+takes only the hyperparameter flags that pass reads, so no ``--seed`` and no
+training flag; a config file's other keys are ignored.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
-4 bad flags (including out-of-range or non-finite hyperparameter values, a
+4 bad flags (including a flag the command does not take, such as
+``evaluate --seed``, out-of-range or non-finite hyperparameter values, a
 ``--patience`` below one, an unknown split policy, a run count below one, a
 negative ``--seed`` or count and a ``spectral --k`` above the node count). A
 command reads and checks all its input files before it creates ``--out``.
@@ -88,6 +91,9 @@ _HP_FIELDS = {_FLAG_RENAMES.get(f.name, f.name.replace("_", "-")): f
               for f in fields(HyperParams) if f.name not in ("seed", "sinkhorn")}
 _HP_TYPES = get_type_hints(HyperParams)
 _HP_KEYS = (*_HP_FIELDS, "determinism")
+# the flags of the fields that model.init_params and evaluate's forward pass read
+_FORWARD_KEYS = ("backbone", "layers", "hidden", "beta", "self-loops", "appnp-alpha",
+                 "appnp-hops", "input-transform")
 
 # name -> (parser of a flag or config-file value, default)
 OPTION_SPEC = {
@@ -166,28 +172,30 @@ def resolve_options(args: argparse.Namespace, keys) -> dict:
 
 
 def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
-    """The run's ``HyperParams`` from resolved options, with field ``overrides``."""
+    """The run's ``HyperParams`` from resolved options, with field ``overrides``;
+    a field the command takes no option for keeps its default."""
     # every run is deterministic; the key stays so existing configs still load
     if resolved.get("determinism") is False:
         raise _UsageError("--determinism off is not supported: runs are always deterministic")
-    values = {f.name: resolved[flag] for flag, f in _HP_FIELDS.items()}
+    values = {f.name: resolved[flag] for flag, f in _HP_FIELDS.items() if flag in resolved}
+    if "seed" in resolved:
+        values["seed"] = resolved["seed"]
     try:
-        return HyperParams(seed=resolved["seed"], **{**values, **overrides})
+        return HyperParams(**{**values, **overrides})
     except ParameterError as e:
         raise _UsageError(str(e)) from e
 
 
 def _check_run_options(resolved: dict) -> None:
     """Reject an unknown split policy, a run count below one or a negative seed
-    or count as bad flags; options the command does not take, or leaves unset,
-    are not checked."""
+    or count as bad flags; options the command does not take are not checked."""
     if "split-policy" in resolved and resolved["split-policy"] not in SPLIT_POLICIES:
         raise _UsageError(f"unknown --split-policy {resolved['split-policy']!r}, "
                           f"expected one of {', '.join(SPLIT_POLICIES)}")
     if resolved.get("runs", 1) < 1:
         raise _UsageError(f"--runs must be at least 1, got {resolved['runs']}")
     for key in ("seed", "train-per-class", "val-per-class", "val-total", "test-total", "k"):
-        if resolved.get(key) is not None and resolved[key] < 0:
+        if key in resolved and resolved[key] < 0:
             raise _UsageError(f"--{key} must be non-negative, got {resolved[key]}")
 
 
@@ -315,14 +323,13 @@ def _dump_cluster_signals(g, hp: HyperParams, params, out: Path) -> None:
 
 def cmd_evaluate(resolved: dict) -> int:
     _echo_config(resolved)
-    if resolved["seed"] is None:
-        resolved["seed"] = 0
     hp = hyperparams_from(resolved)
     split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
     g, split = _load_labeled(resolved, split_dir, "evaluation")
     if split is None:
         raise IngestionError(f"{split_dir}: no split files found for evaluation")
-    params = init_params(hp, g.feature_dim, g.class_count, RngState(hp.seed).derive("init"))
+    # the checkpoint overwrites every value init_params draws
+    params = init_params(hp, g.feature_dim, g.class_count, RngState(0))
     params.load_values(load_checkpoint(resolved["checkpoint"]))
     _, y = _eval_forward(g, params, hp)
     accs = {name: accuracy(y, g.labels, idx)
@@ -417,7 +424,7 @@ COMMANDS = {
     "train": (cmd_train, _RUN_OPTIONS + ("dump-cluster-signals",) + _HP_KEYS,
               ("dataset", "out", "seed")),
     "evaluate": (cmd_evaluate,
-                 ("dataset", "checkpoint", "split-dir", "row-normalize") + _HP_KEYS + ("seed",),
+                 ("dataset", "checkpoint", "split-dir", "row-normalize") + _FORWARD_KEYS,
                  ("dataset", "checkpoint")),
     "ablate": (cmd_ablate, _RUN_OPTIONS + _HP_KEYS, ("dataset", "out", "seed")),
     "sweep": (cmd_sweep, _RUN_OPTIONS + _HP_KEYS + ("axis", "values"),

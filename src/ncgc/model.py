@@ -170,7 +170,8 @@ def _soft_orthogonal(z: np.ndarray, beta: float):
 
 
 def _soft_orthogonal_z_term(z, m, s, active, beta: float, g: np.ndarray) -> np.ndarray:
-    """Z (Gbar + Gbar^T), the term of ``_soft_orthogonal_vjp`` that reads Z.
+    """Z (Gbar + Gbar^T), the term that reads Z of the correction's gradient in
+    z, Z (Gbar + Gbar^T) + g M^T, with M, S^2 and the mask from ``_soft_orthogonal``.
 
     With Mbar = Z^T g, Gbar_ij = Mbar_ij beta / s_i, less sum_j Mbar_ij M_ij
     / s_i on the diagonal of active columns. Z is read only here, so a Z
@@ -180,14 +181,6 @@ def _soft_orthogonal_z_term(z, m, s, active, beta: float, g: np.ndarray) -> np.n
     gbar = mbar * (beta / s)
     gbar[np.diag_indices_from(gbar)] -= active * (mbar * m).sum(axis=1) / s[:, 0]
     return z @ (gbar + gbar.T)
-
-
-def _soft_orthogonal_vjp(z, m, s, active, beta: float, g: np.ndarray) -> np.ndarray:
-    """The gradient in z of <g, Z M>, with M, S^2 and the mask from ``_soft_orthogonal``:
-    ``Z (Gbar + Gbar^T) + g M^T``, the Z term first (``_soft_orthogonal_z_term``)."""
-    gz = _soft_orthogonal_z_term(z, m, s, active, beta, g)
-    gz += g @ m.T
-    return gz
 
 
 def _dropped(v: np.ndarray, mask: np.ndarray | None, scale: float, out=None) -> np.ndarray:

@@ -461,6 +461,8 @@ def sum_all(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 class AdamState:
     """First/second moment buffers, keyed by the Parameter object, and the step counter.
@@ -470,10 +472,7 @@ class AdamState:
     bias-corrected with the shared step count.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.step = 0
         self.m: dict[Parameter, Array] = {}
         self.v: dict[Parameter, Array] = {}
@@ -489,7 +488,7 @@ def adam_step(params, grads: dict[Parameter, Array], state: AdamState, lr: float
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p in params:
         g = grads.get(p, 0.0)
         if not np.all(np.isfinite(g)):
@@ -506,4 +505,4 @@ def adam_step(params, grads: dict[Parameter, Array], state: AdamState, lr: float
         v += (1.0 - b2) * (g * g)
         mhat = m / (1.0 - b1 ** t)
         vhat = v / (1.0 - b2 ** t)
-        p.value -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.value -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

@@ -17,6 +17,8 @@ from .errors import ContractError, RankError, ShapeError
 from .rng import RngState
 from .sparse import CsrMatrix
 
+KMEANS_RESTARTS = 10  # seeded Lloyd runs per k-means rounding
+
 
 @dataclass(frozen=True)
 class EigenBasis:
@@ -74,11 +76,12 @@ def _projector_distance(q_new: np.ndarray, q_old: np.ndarray) -> float:
 def subspace_iteration(
     a_tilde: CsrMatrix,
     k: int,
+    rng: RngState,
     tol: float = 1e-8,
     max_iter: int = 1000,
-    rng: RngState | None = None,
 ) -> EigenBasis:
-    """Block power iteration toward the dominant invariant subspace.
+    """Block power iteration from a Gaussian start drawn from ``rng`` toward
+    the dominant invariant subspace.
 
     Convergence is declared when the Frobenius distance between successive
     column-space projectors drops below ``tol``; hitting ``max_iter`` returns
@@ -93,7 +96,6 @@ def subspace_iteration(
         raise ContractError("operator must be symmetric")
     if not 1 <= k <= n:
         raise ContractError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = rng or RngState(0)
     q = qr_orthonormalize(rng.normal((n, k)))
     converged = False
     iterations = 0
@@ -176,10 +178,11 @@ def lloyd(
     return centroids, assignments, wcss
 
 
-def kmeans(x: np.ndarray, k: int, rng: RngState, restarts: int = 10):
-    """Best of several seeded Lloyd runs by WCSS; ties keep the earliest restart."""
+def kmeans(x: np.ndarray, k: int, rng: RngState):
+    """Best of ``KMEANS_RESTARTS`` seeded Lloyd runs by WCSS; ties keep the
+    earliest restart."""
     best = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         init = kmeans_pp_init(x, k, rng)
         centroids, assign, wcss = lloyd(x, init)
         if best is None or wcss < best[2]:
@@ -199,10 +202,10 @@ def indicator_matrix(assignments: np.ndarray, k: int) -> np.ndarray:
     return c
 
 
-def kmeans_round(q: np.ndarray, k: int, rng: RngState, restarts: int = 10) -> ClusterIndicator:
+def kmeans_round(q: np.ndarray, k: int, rng: RngState) -> ClusterIndicator:
     """Round an embedding to a hard partition and its normalized indicator."""
     q = np.asarray(q, dtype=np.float64)
-    _, assignments, _ = kmeans(q, k, rng, restarts=restarts)
+    _, assignments, _ = kmeans(q, k, rng)
     return ClusterIndicator(assignments=assignments, c=indicator_matrix(assignments, k))
 
 
@@ -224,14 +227,10 @@ def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray, k: int) -> 
 
 
 def spectral_cluster(
-    a_tilde: CsrMatrix,
-    k: int,
-    rng: RngState,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    restarts: int = 10,
+    a_tilde: CsrMatrix, k: int, rng: RngState,
 ) -> tuple[ClusterIndicator, EigenBasis]:
-    """Full baseline: dominant eigenbasis of the operator, then k-means rounding."""
-    basis = subspace_iteration(a_tilde, k, tol=tol, max_iter=max_iter, rng=rng.derive("eigs"))
-    indicator = kmeans_round(basis.q, k, rng.derive("round"), restarts=restarts)
+    """Full baseline: dominant eigenbasis of the operator at ``subspace_iteration``'s
+    default tolerance and iteration cap, then k-means rounding."""
+    basis = subspace_iteration(a_tilde, k, rng.derive("eigs"))
+    indicator = kmeans_round(basis.q, k, rng.derive("round"))
     return indicator, basis

@@ -171,14 +171,13 @@ def class_loss(logits, labels, train_idx) -> "nm.Tensor":
     return mean_cross_entropy(nm.take_rows(nm.log_softmax_rows(logits), train_idx), one_hot)
 
 
-def total_loss(l_class, l_kl, l_pl, hp: HyperParams, in_warmup: bool) -> "nm.Tensor":
-    """Weighted sum of the loss components; clustering terms vanish in warmup."""
+def total_loss(l_class, l_kl, l_pl, hp: HyperParams) -> "nm.Tensor":
+    """Weighted sum of the loss components; a clustering term that is off (None:
+    in warmup, or at a zero weight) adds nothing."""
     total = l_class
-    if in_warmup:
-        return total
-    if l_kl is not None and hp.lambda_kl > 0:
+    if l_kl is not None:
         total = nm.add(total, nm.scale(l_kl, hp.lambda_kl))
-    if l_pl is not None and hp.lambda_pl > 0:
+    if l_pl is not None:
         total = nm.add(total, nm.scale(l_pl, hp.lambda_pl))
     return total
 
@@ -231,7 +230,7 @@ def train(g: Graph, split: Split,
     # The two passes of an epoch are functions so that their n x d arrays
     # (the embedding and logits, then the eval-mode ones) die when they
     # return: before backward, and before the next epoch's step.
-    def losses(in_warmup: bool, clustering_on: bool):
+    def losses(clustering_on: bool):
         """The training forward on the active tape: the total and its components."""
         l_kl = l_pl = None
         h, logits = forward(g.features, a_tilde, params, hp, drop_rng, training=True)
@@ -246,7 +245,7 @@ def train(g: Graph, split: Split,
                 psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
                        if hp.sinkhorn else psi_detached)
                 l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
-        return total_loss(l_class, l_kl, l_pl, hp, in_warmup), l_class, l_kl, l_pl
+        return total_loss(l_class, l_kl, l_pl, hp), l_class, l_kl, l_pl
 
     def evaluation(keep_embedding: bool):
         """Validation and test accuracy, and the soc penalty, of the eval-mode pass,
@@ -264,8 +263,7 @@ def train(g: Graph, split: Split,
     seed_epoch = hp.warmup_epochs if hp.lambda_kl > 0 else None
     h_seed = None
     for epoch in range(hp.epochs):
-        in_warmup = epoch < hp.warmup_epochs
-        clustering_on = clustering_wanted and not in_warmup
+        clustering_on = clustering_wanted and epoch >= hp.warmup_epochs
 
         if epoch == seed_epoch:
             if h_seed is None:
@@ -275,7 +273,7 @@ def train(g: Graph, split: Split,
 
         tape = nm.Tape()
         with tape:
-            total, l_class, l_kl, l_pl = losses(in_warmup, clustering_on)
+            total, l_class, l_kl, l_pl = losses(clustering_on)
 
         if not np.isfinite(total.value).all():
             raise NumericError(

@@ -5,11 +5,14 @@ Usage, from the root of a checkout:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Writes the CI SBM (``make_sbm([10, 10], 0.6, 0.05, feature_dim=6,
-rng=RngState(0))``), trains it under the two ``ncgc train`` lines of the CI
-workflow (gcn, and APPNP with 3 hops) and copies each run's ``report.json``,
-``checkpoint.bin`` and ``epochs.csv`` to ``tests/golden/<line>/``. The build
-that wrote them goes to ``tests/golden/build.json``. Regenerate only with a
-change that is meant to move the outputs, and say why in its description.
+rng=RngState(0))``) and runs the CI workflow's lines on it from the directory
+that holds it, so every path they record is relative. Each of the two
+``ncgc train`` lines (gcn, and APPNP with 3 hops) has its ``report.json``,
+``checkpoint.bin`` and ``epochs.csv`` copied to ``tests/golden/<line>/``; each
+``ablate``, ``sweep`` and ``spectral`` line has every file it writes copied to
+``tests/golden/<line>/``. The build that wrote them goes to
+``tests/golden/build.json``. Regenerate only with a change that is meant to
+move the outputs, and say why in its description.
 """
 
 from __future__ import annotations
@@ -28,7 +31,18 @@ GOLDEN = Path(__file__).resolve().parent
 ARTIFACTS = ("report.json", "checkpoint.bin", "epochs.csv")
 CI_FLAGS = ["--seed", "1", "--epochs", "4", "--patience", "4", "--warmup", "1", "--hidden", "8",
             "--split-policy", "per_class", "--train-per-class", "3", "--val-per-class", "3"]
-LINES = {"gcn": CI_FLAGS, "appnp": CI_FLAGS + ["--backbone", "appnp", "--appnp-hops", "3"]}
+APPNP_FLAGS = ["--backbone", "appnp", "--appnp-hops", "3"]
+# line -> its ncgc command and flags; run_lines adds --dataset and --out
+# the train lines: their ARTIFACTS are golden
+TRAIN_LINES = {"gcn": ["train", *CI_FLAGS], "appnp": ["train", *CI_FLAGS, *APPNP_FLAGS]}
+# lines that write no checkpoint: every file they write is golden
+OUTPUT_LINES = {
+    "ablate": ["ablate", *CI_FLAGS, *APPNP_FLAGS, "--runs", "2"],
+    "sweep": ["sweep", "--axis", "sinkhorn-iters", "--values", "1,2", *CI_FLAGS, *APPNP_FLAGS,
+              "--runs", "2"],
+    "spectral": ["spectral", "--seed", "1"],
+    "spectral_k1": ["spectral", "--seed", "1", "--k", "1"],
+}
 
 
 def _cpu_model() -> str:
@@ -55,27 +69,36 @@ def build_record() -> dict:
     }
 
 
-def train_lines(base: Path) -> None:
-    """Write the CI SBM to ``base/sbm`` and train each line into ``base/<line>``."""
+def run_lines(base: Path, lines: dict) -> None:
+    """Write the CI SBM to ``base/sbm`` and run each line from ``base`` into
+    ``base/<line>``."""
     from ncgc.cli import main
     from ncgc.graph import write_dataset
     from ncgc.rng import RngState
     from ncgc.synth import make_sbm
 
     write_dataset(make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0)), base / "sbm")
-    for name, flags in LINES.items():
-        args = ["train", "--dataset", str(base / "sbm"), "--out", str(base / name), *flags]
-        if main(args) != 0:
-            raise RuntimeError(f"ncgc {' '.join(args)} failed")
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        for name, (command, *flags) in lines.items():
+            args = [command, "--dataset", "sbm", "--out", name, *flags]
+            if main(args) != 0:
+                raise RuntimeError(f"ncgc {' '.join(args)} failed")
+    finally:
+        os.chdir(cwd)
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        train_lines(Path(tmp))
-        for name in LINES:
+        run_lines(Path(tmp), {**TRAIN_LINES, **OUTPUT_LINES})
+        for name in TRAIN_LINES:
             (GOLDEN / name).mkdir(exist_ok=True)
             for artifact in ARTIFACTS:
                 shutil.copyfile(Path(tmp) / name / artifact, GOLDEN / name / artifact)
+        for name in OUTPUT_LINES:
+            shutil.rmtree(GOLDEN / name, ignore_errors=True)
+            shutil.copytree(Path(tmp) / name, GOLDEN / name)
     (GOLDEN / "build.json").write_text(
         json.dumps(build_record(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -16,7 +16,7 @@ import numpy as np
 import ncgc.numerics as nm
 from ncgc.errors import ContractError
 from ncgc.model import (
-    _soft_orthogonal, _soft_orthogonal_vjp, backbone_propagate, load_checkpoint,
+    _soft_orthogonal, _soft_orthogonal_z_term, backbone_propagate, load_checkpoint,
 )
 from ncgc.sparse import CsrMatrix
 from ncgc.trainer import HyperParams
@@ -53,12 +53,13 @@ def appnp_chain(s, z, alpha, hops):
 
 def soft_orthogonal(z, beta):
     """The correction beta * Zn (Zn^T Z) as one tape node, from the layer's
-    Gram-form helpers ``model._soft_orthogonal`` and ``model._soft_orthogonal_vjp``."""
+    Gram-form helpers ``model._soft_orthogonal`` and ``model._soft_orthogonal_z_term``:
+    the gradient in z of <g, Z M> is ``Z (Gbar + Gbar^T) + g M^T``."""
     v, beta = nm._as_value(z), float(beta)
     m, s, active = _soft_orthogonal(v, beta)
     out = nm.Tensor(v @ m)
     return nm._record(out, (z,),
-                      lambda g: (_soft_orthogonal_vjp(v, m, s, active, beta, g),))
+                      lambda g: (_soft_orthogonal_z_term(v, m, s, active, beta, g) + g @ m.T,))
 
 
 def soft_orth_chain(z, beta):

@@ -244,7 +244,7 @@ def test_criterion_8_gradient_suite():
             lc = class_loss(logits, g.labels, train_idx)
             lk = kl_loss(p_target, soft_assign(h, cstate_), np.arange(g.n))
             lp = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
-            return total_loss(lc, lk, lp, hp, in_warmup=False)
+            return total_loss(lc, lk, lp, hp)
 
         trainable = params.all_parameters() + [cstate]
         tape = nm.Tape()

@@ -1,7 +1,7 @@
 import json
 import shutil
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -579,8 +579,9 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
     assert flags == {
         "validate": {"--config", "--dataset"},
         "train": _TRAIN_FLAGS,
-        "evaluate": _HP_FLAGS | {"--config", "--dataset", "--checkpoint", "--split-dir",
-                                 "--row-normalize", "--seed"},
+        "evaluate": {"--config", "--dataset", "--checkpoint", "--split-dir", "--row-normalize",
+                     "--backbone", "--layers", "--hidden", "--beta", "--self-loops",
+                     "--appnp-alpha", "--appnp-hops", "--input-transform"},
         "ablate": _TRAIN_FLAGS - {"--dump-cluster-signals"},
         "sweep": _TRAIN_FLAGS - {"--dump-cluster-signals"} | {"--axis", "--values"},
         "spectral": {"--config", "--dataset", "--out", "--seed", "--k", "--self-loops"},
@@ -635,7 +636,9 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     *[pytest.param(command, ["--seed", "-1", *extra], "--seed must be non-negative",
                    id=f"{command}-seed-negative")
       for command, extra in (("train", []), ("ablate", []), ("sweep", ["--values", "0.01"]),
-                             ("spectral", []), ("evaluate", []))],
+                             ("spectral", []))],
+    pytest.param("evaluate", ["--seed", "1"], "unrecognized arguments: --seed 1",
+                 id="evaluate-seed-unknown"),
 ])
 def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
                                                       command, extra, field):
@@ -803,6 +806,47 @@ def test_out_naming_a_file_exit_2(capsys, sbm_dir, tmp_path, command):
                 + split) == 2
     assert str(out) in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
+
+
+# a value of each HyperParams field other than the base's of the test below, valid
+# with the rest of that base
+_PERTURBED = {
+    "seed": 7, "backbone": "gcn", "layers": 3, "hidden_dim": 6, "beta": 0.5, "epsilon": 0.5,
+    "sinkhorn_t": 9, "lr": 0.5, "weight_decay": 0.1, "dropout": 0.9, "epochs": 20,
+    "patience": 2, "warmup_epochs": 0, "lambda_kl": 3.0, "lambda_pl": 0.0,
+    "kl_scope": "unlabeled", "self_loops": False, "appnp_alpha": 0.5, "appnp_hops": 2,
+    "input_transform": "mlp", "sinkhorn": False,
+}
+
+
+def test_evaluate_takes_exactly_the_fields_its_forward_reads():
+    """A field whose flag evaluate drops cannot move its outputs; one it keeps can."""
+    from ncgc.errors import NcgcError
+    from ncgc.model import init_params
+    g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0))
+    base = trainer.HyperParams(backbone="appnp", hidden_dim=8, appnp_hops=3, epochs=10,
+                               patience=5, warmup_epochs=2)
+    checkpoint = init_params(base, g.feature_dim, g.class_count, RngState(1)).named_values()
+
+    def outputs(hp):
+        """evaluate's forward of the checkpoint under hp, or None if the checkpoint
+        does not fit hp's parameters (evaluate exits 3)."""
+        params = init_params(hp, g.feature_dim, g.class_count, RngState(0))
+        try:
+            params.load_values(checkpoint)
+        except NcgcError:
+            return None
+        return cli._eval_forward(g, params, hp)
+
+    assert set(_PERTURBED) == {f.name for f in fields(trainer.HyperParams)}
+    kept = {f.name for flag, f in cli._HP_FIELDS.items() if flag in cli.COMMANDS["evaluate"][1]}
+    assert kept == {"backbone", "layers", "hidden_dim", "beta", "self_loops", "appnp_alpha",
+                    "appnp_hops", "input_transform"}
+    h0, y0 = outputs(base)
+    for name, value in _PERTURBED.items():
+        got = outputs(replace(base, **{name: value}))
+        same = got is not None and np.array_equal(got[0], h0) and np.array_equal(got[1], y0)
+        assert same == (name not in kept), name
 
 
 def test_evaluate_runs_one_forward(capsys, sbm_dir, tmp_path, monkeypatch):

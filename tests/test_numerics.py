@@ -370,8 +370,8 @@ def test_adam_parameter_missing_from_grads_decays_only():
         runs.append((p.value, state.m[p], state.v[p]))
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
-    m1 = (1 - 0.9) * grads[0]
-    assert np.array_equal(runs[1][1], m1 * 0.9 * 0.9)
+    m1 = (1 - nm.ADAM_BETA1) * grads[0]
+    assert np.array_equal(runs[1][1], m1 * nm.ADAM_BETA1 * nm.ADAM_BETA1)
 
 
 def test_adam_keys_moments_by_parameter_not_name():
@@ -382,8 +382,8 @@ def test_adam_keys_moments_by_parameter_not_name():
                  lr=0.1)
     assert set(state.m) == {a, b} and set(state.v) == {a, b}
     assert state.m[a] is not state.m[b]
-    assert np.array_equal(state.m[a], (1 - state.beta1) * np.array([[1.0, 2.0]]))
-    assert np.array_equal(state.m[b], (1 - state.beta1) * np.array([[-3.0, 0.5]]))
+    assert np.array_equal(state.m[a], (1 - nm.ADAM_BETA1) * np.array([[1.0, 2.0]]))
+    assert np.array_equal(state.m[b], (1 - nm.ADAM_BETA1) * np.array([[-3.0, 0.5]]))
     # each moved against its own gradient
     assert np.array_equal(np.sign(a.value), [[-1.0, -1.0]])
     assert np.array_equal(np.sign(b.value), [[1.0, -1.0]])
@@ -398,13 +398,13 @@ def test_adam_late_parameter_gets_zero_moments_and_shared_step():
     nm.adam_step([w, late], {late: np.array([[2.0, -4.0]])}, state, lr=0.1)
     # zero moments, then one update: m = (1-b1) g, v = (1-b2) g^2, bias-corrected
     # with the shared step count t = 3, not with the late parameter's first step
-    b1, b2, t = state.beta1, state.beta2, 3
+    b1, b2, t = nm.ADAM_BETA1, nm.ADAM_BETA2, 3
     g = np.array([[2.0, -4.0]])
     mhat = (1 - b1) * g / (1 - b1 ** t)
     vhat = (1 - b2) * g * g / (1 - b2 ** t)
     assert np.allclose(state.m[late], (1 - b1) * g, rtol=0, atol=1e-15)
     assert np.allclose(state.v[late], (1 - b2) * g * g, rtol=0, atol=1e-15)
-    assert np.allclose(late.value, -0.1 * mhat / (np.sqrt(vhat) + state.eps),
+    assert np.allclose(late.value, -0.1 * mhat / (np.sqrt(vhat) + nm.ADAM_EPS),
                        rtol=1e-14, atol=0)
 
 

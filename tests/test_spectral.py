@@ -11,7 +11,7 @@ from ncgc.graph import Graph, normalized_adjacency, normalized_laplacian
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.spectral import (
-    clustering_accuracy, indicator_matrix, kmeans,
+    KMEANS_RESTARTS, clustering_accuracy, indicator_matrix, kmeans,
     kmeans_round, lloyd, qr_orthonormalize, ratiocut_trace, spectral_cluster,
     subspace_iteration,
 )
@@ -248,7 +248,8 @@ def test_kmeans_identical_rows_degenerate():
 def test_kmeans_matches_brute_force_on_8_points():
     rng = RngState(8)
     x = rng.normal((8, 2))
-    _, _, wcss = kmeans(x, 3, rng, restarts=10)
+    assert KMEANS_RESTARTS == 10  # the restarts this bound is known to hold with
+    _, _, wcss = kmeans(x, 3, rng)
     assert wcss <= best_partition_wcss(x, 3) + 1e-9
 
 
