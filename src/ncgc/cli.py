@@ -21,18 +21,18 @@ echoed into the output directory as ``config.resolved`` so any run can be
 reproduced from its own artifacts.
 
 ``train`` writes ``checkpoint.bin``, the ``named_values()`` of the first run's
-best-validation ``ModelParams`` (centroids included once seeded); ``evaluate``
-loads it into freshly built parameters and scores one ``trainer.predict``
-pass, whose normalized adjacency follows ``--self-loops`` as in training. It
-takes only the hyperparameter flags that pass reads, so no ``--seed`` and no
-training flag; a config file's other keys are ignored.
+best-validation ``ModelParams`` (centroids included once seeded). ``evaluate``
+scores it under the ``config.resolved`` and split files beside it, so it takes
+only ``--checkpoint`` and ``--dataset`` (default: the run's): one
+``trainer.predict`` pass of freshly built parameters loaded from it.
 
 Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
 4 bad flags (including a flag the command does not take, such as
-``evaluate --seed``, out-of-range or non-finite hyperparameter values, a
-``--patience`` below one, an unknown split policy, a run count below one, a
-negative ``--seed`` or count and a ``spectral --k`` above the node count). A
-command reads and checks all its input files before it creates ``--out``.
+``evaluate --seed``, a config value that does not parse, out-of-range or
+non-finite hyperparameter values, a ``--patience`` below one, an unknown split
+policy, a run count below one, a negative ``--seed`` or count and a
+``spectral --k`` outside 1 to the node count). A command reads and checks all
+its input files before it creates ``--out``.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ _HP_FIELDS = {_FLAG_RENAMES.get(f.name, f.name.replace("_", "-")): f
               for f in fields(HyperParams) if f.name not in ("seed", "sinkhorn")}
 _HP_TYPES = get_type_hints(HyperParams)
 _HP_KEYS = (*_HP_FIELDS, "determinism")
-# the flags of the fields that model.init_params and evaluate's forward pass read
-_FORWARD_KEYS = ("backbone", "layers", "hidden", "beta", "self-loops", "appnp-alpha",
-                 "appnp-hops", "input-transform")
 
 # name -> (parser of a flag or config-file value, default)
 OPTION_SPEC = {
@@ -114,23 +111,18 @@ OPTION_SPEC = {
     "values": (str, ""),
     "k": (int, 0),
     "checkpoint": (str, ""),
-    "split-dir": (str, ""),
     "dump-cluster-signals": (_onoff, False),
 }
 
 
-def _parse_typed(key: str, raw: str):
-    try:
-        return OPTION_SPEC[key][0](raw)
-    except (ValueError, argparse.ArgumentTypeError) as e:
-        raise _UsageError(f"bad value for {key!r}: {raw!r} ({e})") from e
-
-
 def read_config_file(path) -> dict:
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+    """Flat ``key = value`` lines; blank lines and # comments ignored. Errors
+    name ``path:line``; a value that does not parse is a bad flag."""
     out = {}
     path = Path(path)
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if "\0" in line:
+            raise IngestionError(f"{path}:{lineno}: NUL byte")
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -140,15 +132,16 @@ def read_config_file(path) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in OPTION_SPEC:
             raise IngestionError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _parse_typed(key, raw)
+        try:
+            out[key] = OPTION_SPEC[key][0](raw)
+        except (ValueError, argparse.ArgumentTypeError) as e:
+            raise _UsageError(f"{path}:{lineno}: bad value for {key!r}: {raw!r} ({e})") from e
     return out
 
 
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "on" if v else "off"
-    if v is None:
-        return ""
     return repr(v) if isinstance(v, float) else str(v)
 
 
@@ -161,7 +154,7 @@ def write_resolved_config(resolved: dict, path: Path) -> None:
 def resolve_options(args: argparse.Namespace, keys) -> dict:
     """Defaults, then config-file values, then explicit flags."""
     resolved = {k: OPTION_SPEC[k][1] for k in keys}
-    if args.config:
+    if getattr(args, "config", None):
         for k, v in read_config_file(args.config).items():
             if k in resolved:
                 resolved[k] = v
@@ -322,12 +315,17 @@ def _dump_cluster_signals(g, hp: HyperParams, params, out: Path) -> None:
 
 
 def cmd_evaluate(resolved: dict) -> int:
-    _echo_config(resolved)
-    hp = hyperparams_from(resolved)
-    split_dir = resolved["split-dir"] or str(Path(resolved["checkpoint"]).parent)
-    g, split = _load_labeled(resolved, split_dir, "evaluation")
+    run_dir = Path(resolved["checkpoint"]).parent
+    # the run's own settings, with its dataset unless --dataset names another
+    run = {"row-normalize": OPTION_SPEC["row-normalize"][1],
+           **read_config_file(run_dir / "config.resolved"),
+           **{k: v for k, v in resolved.items() if v is not None}}
+    _require(run, ("dataset",), "evaluate")
+    _echo_config({k: run[k] for k in resolved})
+    hp = hyperparams_from(run)
+    g, split = _load_labeled(run, run_dir, "evaluation")
     if split is None:
-        raise IngestionError(f"{split_dir}: no split files found for evaluation")
+        raise IngestionError(f"{run_dir}: no split files found for evaluation")
     # the checkpoint overwrites every value init_params draws
     params = init_params(hp, g.feature_dim, g.class_count, RngState(0))
     params.load_values(load_checkpoint(resolved["checkpoint"]))
@@ -394,6 +392,8 @@ def cmd_sweep(resolved: dict) -> int:
 def cmd_spectral(resolved: dict) -> int:
     g = load_dataset(resolved["dataset"], row_normalize=False)
     k = resolved["k"] or g.class_count
+    if k < 1:
+        raise _UsageError(f"{g.name} has no classes (k = 0 in meta.json); pass --k")
     if k > g.n:
         raise _UsageError(f"--k must be at most the node count {g.n}, got {k}")
     out = _prepare_out(resolved)
@@ -423,9 +423,7 @@ COMMANDS = {
     "validate": (cmd_validate, ("dataset",), ("dataset",)),
     "train": (cmd_train, _RUN_OPTIONS + ("dump-cluster-signals",) + _HP_KEYS,
               ("dataset", "out", "seed")),
-    "evaluate": (cmd_evaluate,
-                 ("dataset", "checkpoint", "split-dir", "row-normalize") + _FORWARD_KEYS,
-                 ("dataset", "checkpoint")),
+    "evaluate": (cmd_evaluate, ("dataset", "checkpoint"), ("checkpoint",)),
     "ablate": (cmd_ablate, _RUN_OPTIONS + _HP_KEYS, ("dataset", "out", "seed")),
     "sweep": (cmd_sweep, _RUN_OPTIONS + _HP_KEYS + ("axis", "values"),
               ("dataset", "out", "seed", "values")),
@@ -439,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys, _) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config")
+        if name != "evaluate":  # evaluate reads the config.resolved beside its checkpoint
+            p.add_argument("--config")
         for key in keys:
             p.add_argument(f"--{key}", type=OPTION_SPEC[key][0], dest=key)
     return parser

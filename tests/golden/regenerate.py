@@ -4,19 +4,25 @@ Usage, from the root of a checkout:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Writes the CI SBM (``make_sbm([10, 10], 0.6, 0.05, feature_dim=6,
-rng=RngState(0))``) and runs the CI workflow's lines on it from the directory
-that holds it, so every path they record is relative. Each of the two
-``ncgc train`` lines (gcn, and APPNP with 3 hops) has its ``report.json``,
-``checkpoint.bin`` and ``epochs.csv`` copied to ``tests/golden/<line>/``; each
-``ablate``, ``sweep`` and ``spectral`` line has every file it writes copied to
-``tests/golden/<line>/``. The build that wrote them goes to
-``tests/golden/build.json``. Regenerate only with a change that is meant to
-move the outputs, and say why in its description.
+Writes two datasets and runs each line from the directory that holds them, so
+every path a line records is relative: the CI SBM (``make_sbm([10, 10], 0.6,
+0.05, feature_dim=6, rng=RngState(0))``) in ``sbm``, which the CI workflow's
+lines run on, and the criterion-9 fixture of ``tests/test_acceptance.py`` (the
+same SBM with ``feature_shift=2.5, feature_noise=0.6``) in ``sbm_separable``,
+whose classes training can tell apart. Each ``ncgc train`` line (the CI gcn
+line, the CI APPNP line with 3 hops, and the criterion-9 line) has its
+``report.json``, ``checkpoint.bin`` and ``epochs.csv`` copied to
+``tests/golden/<line>/``, with the stdout of ``ncgc evaluate`` on its
+checkpoint as ``evaluate.txt``; each ``ablate``, ``sweep`` and ``spectral``
+line has every file it writes copied to ``tests/golden/<line>/``. The build
+that wrote them goes to ``tests/golden/build.json``. Regenerate only with a
+change that is meant to move the outputs, and say why in its description.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import platform
@@ -28,20 +34,29 @@ import numpy as np
 import scipy
 
 GOLDEN = Path(__file__).resolve().parent
-ARTIFACTS = ("report.json", "checkpoint.bin", "epochs.csv")
-CI_FLAGS = ["--seed", "1", "--epochs", "4", "--patience", "4", "--warmup", "1", "--hidden", "8",
-            "--split-policy", "per_class", "--train-per-class", "3", "--val-per-class", "3"]
+ARTIFACTS = ("report.json", "checkpoint.bin", "epochs.csv", "evaluate.txt")
+CI_FLAGS = ["--dataset", "sbm", "--seed", "1", "--epochs", "4", "--patience", "4",
+            "--warmup", "1", "--hidden", "8", "--split-policy", "per_class",
+            "--train-per-class", "3", "--val-per-class", "3"]
 APPNP_FLAGS = ["--backbone", "appnp", "--appnp-hops", "3"]
-# line -> its ncgc command and flags; run_lines adds --dataset and --out
+# line -> its ncgc command and flags; run_lines adds --out
 # the train lines: their ARTIFACTS are golden
-TRAIN_LINES = {"gcn": ["train", *CI_FLAGS], "appnp": ["train", *CI_FLAGS, *APPNP_FLAGS]}
+TRAIN_LINES = {
+    "gcn": ["train", *CI_FLAGS],
+    "appnp": ["train", *CI_FLAGS, *APPNP_FLAGS],
+    "criterion9": ["train", "--dataset", "sbm_separable", "--seed", "3", "--runs", "2",
+                   "--hidden", "16", "--layers", "2", "--dropout", "0.2", "--lr", "0.01",
+                   "--epochs", "50", "--patience", "50", "--warmup", "10",
+                   "--split-policy", "per_class", "--train-per-class", "3",
+                   "--val-per-class", "3", "--row-normalize", "off", "--determinism", "on"],
+}
 # lines that write no checkpoint: every file they write is golden
 OUTPUT_LINES = {
     "ablate": ["ablate", *CI_FLAGS, *APPNP_FLAGS, "--runs", "2"],
     "sweep": ["sweep", "--axis", "sinkhorn-iters", "--values", "1,2", *CI_FLAGS, *APPNP_FLAGS,
               "--runs", "2"],
-    "spectral": ["spectral", "--seed", "1"],
-    "spectral_k1": ["spectral", "--seed", "1", "--k", "1"],
+    "spectral": ["spectral", "--dataset", "sbm", "--seed", "1"],
+    "spectral_k1": ["spectral", "--dataset", "sbm", "--seed", "1", "--k", "1"],
 }
 
 
@@ -69,22 +84,37 @@ def build_record() -> dict:
     }
 
 
-def run_lines(base: Path, lines: dict) -> None:
-    """Write the CI SBM to ``base/sbm`` and run each line from ``base`` into
-    ``base/<line>``."""
+def _stdout_of(args: list[str]) -> str:
+    """What ``ncgc <args>`` prints to stdout; raises unless it exits 0."""
     from ncgc.cli import main
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(args)
+    if rc != 0:
+        raise RuntimeError(f"ncgc {' '.join(args)} failed")
+    return stdout.getvalue()
+
+
+def run_lines(base: Path, lines: dict) -> None:
+    """Write the two datasets to ``base/sbm`` and ``base/sbm_separable`` and run
+    each line from ``base`` into ``base/<line>``; a train line's checkpoint is
+    then scored by ``ncgc evaluate``, whose stdout goes to ``evaluate.txt``."""
     from ncgc.graph import write_dataset
     from ncgc.rng import RngState
     from ncgc.synth import make_sbm
 
     write_dataset(make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0)), base / "sbm")
+    write_dataset(make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
+                           feature_shift=2.5, feature_noise=0.6), base / "sbm_separable")
     cwd = os.getcwd()
     os.chdir(base)
     try:
         for name, (command, *flags) in lines.items():
-            args = [command, "--dataset", "sbm", "--out", name, *flags]
-            if main(args) != 0:
-                raise RuntimeError(f"ncgc {' '.join(args)} failed")
+            _stdout_of([command, "--out", name, *flags])
+            if command == "train":
+                scores = _stdout_of(["evaluate", "--checkpoint", f"{name}/checkpoint.bin"])
+                Path(name, "evaluate.txt").write_text(scores, encoding="utf-8")
     finally:
         os.chdir(cwd)
 

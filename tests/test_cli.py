@@ -1,7 +1,7 @@
 import json
 import shutil
 import struct
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +174,44 @@ def test_non_utf8_config_exit_2(capsys, sbm_dir, tmp_path):
     assert "bad.conf" in capsys.readouterr().err
 
 
+def test_config_value_that_does_not_parse_names_file_and_line_exit_4(capsys, sbm_dir,
+                                                                     tmp_path):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("# comment\nlr = abc\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--dataset", str(sbm_dir), "--out", str(out),
+                 "--seed", "1"]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and f"{cfg}:2: bad value for 'lr': 'abc'" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "validate", "evaluate"])
+def test_nul_byte_in_config_line_exit_2(capsys, sbm_dir, tmp_path, command):
+    out = tmp_path / "o"
+    if command == "evaluate":
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1",
+                     "--epochs", "2", "--patience", "2", "--warmup", "1"]
+                    + FAST_FLAGS[14:]) == 0
+        cfg = run / "config.resolved"
+        cfg.write_text(cfg.read_text().replace(f"dataset = {sbm_dir}\n", "dataset = sb\0m\n"))
+        args = ["evaluate", "--checkpoint", str(run / "checkpoint.bin")]
+    else:
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("dataset = sb\0m\n")
+        args = [command, "--config", str(cfg)]
+        if command == "train":
+            args += ["--out", str(out), "--seed", "1"]
+    capsys.readouterr()
+    assert main(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and f"{cfg}:1: NUL byte" in errors[0]
+    assert not out.exists()
+
+
 def _nan_weight(path):
     from ncgc.model import load_checkpoint, save_checkpoint
     named = load_checkpoint(path)
@@ -207,9 +245,7 @@ def test_evaluate_malformed_checkpoint_exit_2(capsys, sbm_dir, tmp_path, corrupt
                  "--seed", "1"] + FAST_FLAGS) == 0
     corrupt(out / "checkpoint.bin")
     capsys.readouterr()
-    assert main(["evaluate", "--dataset", str(sbm_dir),
-                 "--checkpoint", str(out / "checkpoint.bin"),
-                 "--config", str(out / "config.resolved")]) == 2
+    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")]) == 2
     err = capsys.readouterr().err
     assert "checkpoint.bin" in err and reason in err
 
@@ -289,9 +325,7 @@ def test_evaluate_from_checkpoint(capsys, sbm_dir, tmp_path):
                                      "--row-normalize", "off"]) == 0
     train_out = capsys.readouterr().out
     acc_mean = float(train_out.split("acc_mean=")[1].split()[0])
-    rc = main(["evaluate", "--dataset", str(sbm_dir),
-               "--checkpoint", str(out / "checkpoint.bin"),
-               "--config", str(out / "config.resolved")])
+    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")])
     assert rc == 0
     eval_out = capsys.readouterr().out
     test_acc = float(eval_out.split("test_acc=")[1].split()[0])
@@ -305,8 +339,10 @@ def test_evaluate_checkpoint_with_extra_layer_exit_3(capsys, sbm_dir, tmp_path):
                  "--warmup", "1", "--train-per-class", "3", "--val-per-class", "3",
                  "--split-policy", "per_class"]) == 0
     capsys.readouterr()
-    rc = main(["evaluate", "--config", str(out / "config.resolved"), "--layers", "2",
-               "--checkpoint", str(out / "checkpoint.bin")])
+    cfg = out / "config.resolved"
+    assert "layers = 3\n" in cfg.read_text()
+    cfg.write_text(cfg.read_text().replace("layers = 3\n", "layers = 2\n"))
+    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")])
     assert rc == 3
     assert "layer2.w" in capsys.readouterr().err
 
@@ -324,8 +360,8 @@ def test_evaluate_on_dataset_without_labels_exit_2(capsys, sbm_dir, tmp_path, mo
 
     monkeypatch.setattr(cli, "load_checkpoint", never)
     capsys.readouterr()
-    rc = main(["evaluate", "--config", str(out / "config.resolved"),
-               "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(unlabeled)])
+    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+               "--dataset", str(unlabeled)])
     assert rc == 2
     assert "evaluation needs node labels" in capsys.readouterr().err
 
@@ -338,8 +374,8 @@ def test_evaluate_with_empty_labels_file_exit_2(capsys, sbm_dir, tmp_path):
     shutil.copytree(sbm_dir, unlabeled)
     (unlabeled / "labels.tsv").write_bytes(b"")
     capsys.readouterr()
-    rc = main(["evaluate", "--config", str(out / "config.resolved"),
-               "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(unlabeled)])
+    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+               "--dataset", str(unlabeled)])
     assert rc == 2
     assert "the train set names unlabeled node" in capsys.readouterr().err
 
@@ -351,8 +387,7 @@ def test_evaluate_split_with_empty_set_exit_2(capsys, sbm_dir, tmp_path, empty, 
                  "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
     (out / f"{empty}.idx").write_bytes(b"")
     capsys.readouterr()
-    rc = main(["evaluate", "--config", str(out / "config.resolved"),
-               "--checkpoint", str(out / "checkpoint.bin")])
+    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")])
     assert rc == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
@@ -579,9 +614,7 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
     assert flags == {
         "validate": {"--config", "--dataset"},
         "train": _TRAIN_FLAGS,
-        "evaluate": {"--config", "--dataset", "--checkpoint", "--split-dir", "--row-normalize",
-                     "--backbone", "--layers", "--hidden", "--beta", "--self-loops",
-                     "--appnp-alpha", "--appnp-hops", "--input-transform"},
+        "evaluate": {"--checkpoint", "--dataset"},
         "ablate": _TRAIN_FLAGS - {"--dump-cluster-signals"},
         "sweep": _TRAIN_FLAGS - {"--dump-cluster-signals"} | {"--axis", "--values"},
         "spectral": {"--config", "--dataset", "--out", "--seed", "--k", "--self-loops"},
@@ -639,6 +672,8 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
                              ("spectral", []))],
     pytest.param("evaluate", ["--seed", "1"], "unrecognized arguments: --seed 1",
                  id="evaluate-seed-unknown"),
+    pytest.param("evaluate", ["--config", "run/config.resolved"],
+                 "unrecognized arguments: --config", id="evaluate-config-unknown"),
 ])
 def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
                                                       command, extra, field):
@@ -743,6 +778,23 @@ def test_spectral_k_above_node_count_exit_4_writes_nothing(capsys, sbm_dir, tmp_
     assert not out.exists()
 
 
+def test_spectral_dataset_with_no_classes_needs_k_exit_4_writes_nothing(capsys, sbm_dir,
+                                                                        tmp_path):
+    data = tmp_path / "no_classes"
+    shutil.copytree(sbm_dir, data)
+    (data / "labels.tsv").unlink()
+    meta = json.loads((data / "meta.json").read_text())
+    (data / "meta.json").write_text(json.dumps({**meta, "k": 0}))
+    out = tmp_path / "o"
+    assert main(["spectral", "--dataset", str(data), "--out", str(out), "--seed", "1"]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "--k" in errors[0]
+    assert not out.exists()
+    assert main(["spectral", "--dataset", str(data), "--out", str(out), "--seed", "1",
+                 "--k", "2"]) == 0
+
+
 def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):
     # 10 training nodes per class on a 2 x 10 SBM leave no node for the
     # validation set
@@ -808,45 +860,98 @@ def test_out_naming_a_file_exit_2(capsys, sbm_dir, tmp_path, command):
     assert out.read_text() == "not a directory\n"
 
 
-# a value of each HyperParams field other than the base's of the test below, valid
-# with the rest of that base
-_PERTURBED = {
-    "seed": 7, "backbone": "gcn", "layers": 3, "hidden_dim": 6, "beta": 0.5, "epsilon": 0.5,
-    "sinkhorn_t": 9, "lr": 0.5, "weight_decay": 0.1, "dropout": 0.9, "epochs": 20,
-    "patience": 2, "warmup_epochs": 0, "lambda_kl": 3.0, "lambda_pl": 0.0,
-    "kl_scope": "unlabeled", "self_loops": False, "appnp_alpha": 0.5, "appnp_hops": 2,
-    "input_transform": "mlp", "sinkhorn": False,
-}
+# a run whose accuracies move when a forward setting changes: APPNP at beta 0.3
+# after 5 epochs leaves the fixture's classes only partly separated
+_EVAL_FLAGS = ["--backbone", "appnp", "--appnp-hops", "3", "--hidden", "8", "--beta", "0.3",
+               "--lr", "0.01", "--dropout", "0.2", "--epochs", "5", "--patience", "5",
+               "--warmup", "1"] + FAST_FLAGS[14:]
 
 
-def test_evaluate_takes_exactly_the_fields_its_forward_reads():
-    """A field whose flag evaluate drops cannot move its outputs; one it keeps can."""
-    from ncgc.errors import NcgcError
-    from ncgc.model import init_params
-    g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0))
-    base = trainer.HyperParams(backbone="appnp", hidden_dim=8, appnp_hops=3, epochs=10,
-                               patience=5, warmup_epochs=2)
-    checkpoint = init_params(base, g.feature_dim, g.class_count, RngState(1)).named_values()
+def _predict_line(dataset, run, hp) -> str:
+    """The line ``evaluate`` must print for ``run``: ``trainer.predict`` of its
+    checkpoint under ``hp`` on the raw features, scored on its split files."""
+    from ncgc.graph import load_dataset, load_split, normalized_adjacency
+    from ncgc.model import init_params, load_checkpoint
+    g = load_dataset(dataset, row_normalize=False)
+    split = load_split(run, g.n)
+    params = init_params(hp, g.feature_dim, g.class_count, RngState(0))
+    params.load_values(load_checkpoint(run / "checkpoint.bin"))
+    _, y = trainer.predict(g.features, normalized_adjacency(g, add_self_loops=hp.self_loops),
+                           params, hp)
+    train, val, test = (trainer.accuracy(y, g.labels, idx)
+                        for idx in (split.train_idx, split.val_idx, split.test_idx))
+    return f"dataset={g.name} train_acc={train:.4f} val_acc={val:.4f} test_acc={test:.4f}\n"
 
-    def outputs(hp):
-        """evaluate's forward of the checkpoint under hp, or None if the checkpoint
-        does not fit hp's parameters (evaluate exits 3)."""
-        params = init_params(hp, g.feature_dim, g.class_count, RngState(0))
-        try:
-            params.load_values(checkpoint)
-        except NcgcError:
-            return None
-        return cli._eval_forward(g, params, hp)
 
-    assert set(_PERTURBED) == {f.name for f in fields(trainer.HyperParams)}
-    kept = {f.name for flag, f in cli._HP_FIELDS.items() if flag in cli.COMMANDS["evaluate"][1]}
-    assert kept == {"backbone", "layers", "hidden_dim", "beta", "self_loops", "appnp_alpha",
-                    "appnp_hops", "input_transform"}
-    h0, y0 = outputs(base)
-    for name, value in _PERTURBED.items():
-        got = outputs(replace(base, **{name: value}))
-        same = got is not None and np.array_equal(got[0], h0) and np.array_equal(got[1], y0)
-        assert same == (name not in kept), name
+def test_evaluate_takes_exactly_the_fields_its_forward_reads(capsys, sbm_dir, tmp_path):
+    """evaluate scores a checkpoint under its run's own settings: a forward key
+    edited in config.resolved moves the line, a training-only key does not."""
+    for backbone in ("gcn", "appnp"):
+        run = tmp_path / backbone
+        assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1"]
+                    + _EVAL_FLAGS + ["--backbone", backbone]) == 0
+        hp = trainer.HyperParams(backbone=backbone, appnp_hops=3, hidden_dim=8, beta=0.3)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == 0
+        assert capsys.readouterr().out == _predict_line(sbm_dir, run, hp)
+    # run is the APPNP run
+    cfg, base = run / "config.resolved", (run / "config.resolved").read_text()
+    scored = {}
+    for key, value in (("appnp-hops", "1"), ("lr", "0.5")):
+        line = next(line for line in base.splitlines() if line.startswith(f"{key} = "))
+        cfg.write_text(base.replace(f"{line}\n", f"{key} = {value}\n"))
+        assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == 0
+        scored[key] = capsys.readouterr().out
+    assert scored["appnp-hops"] == _predict_line(sbm_dir, run, replace(hp, appnp_hops=1))
+    assert scored["appnp-hops"] != _predict_line(sbm_dir, run, hp)
+    assert scored["lr"] == _predict_line(sbm_dir, run, hp)
+
+
+def test_evaluate_needs_only_the_checkpoint(capsys, sbm_dir, tmp_path):
+    # an APPNP run at hidden 8: no flag but --checkpoint says so
+    run = tmp_path / "appnp"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "2"]
+                + _EVAL_FLAGS) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == 0
+    test_acc = float(capsys.readouterr().out.split("test_acc=")[1])
+    report = json.loads((run / "report.json").read_text())
+    assert test_acc == round(report["per_run"][0]["summary"]["test_at_best_val"], 4)
+
+
+def _edit_line(key, value):
+    def edit(cfg):
+        text = cfg.read_text()
+        line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        cfg.write_text(text.replace(f"{line}\n", f"{key} = {value}\n"))
+    return edit
+
+
+@pytest.mark.parametrize("corrupt, code, reason", [
+    pytest.param(lambda cfg: cfg.unlink(), 2, "config.resolved: file missing", id="missing"),
+    pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "hidden 8\n"), 2,
+                 ":32: expected 'key = value'", id="malformed"),
+    pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "split-dir = x\n"), 2,
+                 ":32: unknown key 'split-dir'", id="unknown-key"),
+    pytest.param(_edit_line("hidden", "x"), 4, ":14: bad value for 'hidden'",
+                 id="bad-value"),
+    pytest.param(_edit_line("hidden", "1"), 4, "hidden_dim must be at least 2",
+                 id="hidden-rejected"),
+    pytest.param(_edit_line("patience", "9"), 4, "patience must not exceed epochs",
+                 id="training-value-rejected"),
+])
+def test_evaluate_run_config_errors(capsys, sbm_dir, tmp_path, corrupt, code, reason):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    corrupt(run / "config.resolved")
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and reason in errors[0], errors
+    if code == 2:
+        assert str(run / "config.resolved") in errors[0]
 
 
 def test_evaluate_runs_one_forward(capsys, sbm_dir, tmp_path, monkeypatch):
@@ -859,8 +964,6 @@ def test_evaluate_runs_one_forward(capsys, sbm_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(trainer, "forward",
                         lambda *a, **kw: calls.append(1) or real_forward(*a, **kw))
     capsys.readouterr()
-    assert main(["evaluate", "--dataset", str(sbm_dir),
-                 "--checkpoint", str(out / "checkpoint.bin"),
-                 "--config", str(out / "config.resolved")]) == 0
+    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.startswith("dataset=sbm train_acc=")

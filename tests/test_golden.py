@@ -1,16 +1,16 @@
 """Golden runs: the CI ``train``, ``ablate``, ``sweep`` and ``spectral`` lines
-against their committed outputs.
+and the criterion-9 ``train`` line against their committed outputs.
 
 ``tests/golden/<line>/`` holds ``report.json``, ``checkpoint.bin`` and
-``epochs.csv`` of each ``ncgc train`` line of the CI workflow on the CI SBM,
-and every file that each ``ablate``, ``sweep`` and ``spectral`` line writes;
-``tests/golden/build.json`` records the build that wrote them
-(``tests/golden/regenerate.py`` writes all of it). On that build a rerun must
-match byte for byte. On another build the bytes may differ by rounding, so a
-train line must agree through ``oracles.run_differences`` (``report.json`` and
-``checkpoint.bin``) and any other line through its ``report.json`` alone
-(``oracles._json_differences``), and a warning says the comparison was the
-weaker one.
+``epochs.csv`` of each ``ncgc train`` line, with the stdout of ``ncgc
+evaluate`` on its checkpoint as ``evaluate.txt``, and every file that each
+``ablate``, ``sweep`` and ``spectral`` line writes; ``tests/golden/build.json``
+records the build that wrote them (``tests/golden/regenerate.py`` writes all
+of it). On that build a rerun must match byte for byte. On another build the
+bytes may differ by rounding, so a train line must agree through
+``oracles.run_differences`` (``report.json`` and ``checkpoint.bin``) and any
+other line through its ``report.json`` alone (``oracles._json_differences``),
+and a warning says the comparison was the weaker one.
 """
 
 import json

@@ -1,9 +1,13 @@
-"""Seeded mutation test of the dataset readers.
+"""Seeded mutation test of the dataset and run-directory readers.
 
-Each mutant is the 20-node SBM fixture, with its split files, after one
+Each dataset mutant is the 20-node SBM fixture, with its split files, after one
 mutation of one file: truncation, a byte flip, an inserted invalid UTF-8 byte,
 or a directory in place of the file. ``ncgc validate`` must accept it (exit 0)
 or reject it with exit 2 and one ``error:`` line naming the file at fault,
+and never raise. Each run mutant is a trained run directory after one of the
+first three mutations of its ``config.resolved`` or ``checkpoint.bin``:
+``ncgc evaluate --checkpoint`` must exit 0, 2, 3 or 4, print one ``error:``
+line when it fails (naming the checkpoint when that exits 2), write nothing
 and never raise. Every mutant is drawn from a ``zlib.crc32`` seed, so a
 failing case replays from its test id.
 """
@@ -20,6 +24,7 @@ from ncgc.synth import make_sbm
 
 FILES = ("meta.json", "features.bin", "edges.tsv", "labels.tsv",
          "train.idx", "val.idx", "test.idx")
+RUN_FILES = ("config.resolved", "checkpoint.bin")
 TRIALS = 6
 
 
@@ -39,6 +44,8 @@ def _invalid_utf8(data: bytes, rng: RngState) -> bytes:
 
 MUTATIONS = {"truncate": _truncate, "flip": _flip, "invalid-utf8": _invalid_utf8}
 CASES = [(name, kind, trial) for name in FILES for kind in MUTATIONS for trial in range(TRIALS)]
+RUN_CASES = [(name, kind, trial)
+             for name in RUN_FILES for kind in MUTATIONS for trial in range(TRIALS)]
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +55,15 @@ def pristine(tmp_path_factory):
     d = tmp_path_factory.mktemp("pristine") / "sbm"
     write_dataset(g, d, split)
     return d
+
+
+@pytest.fixture(scope="module")
+def trained(pristine, tmp_path_factory):
+    """A run directory of the pristine dataset: checkpoint, config and split."""
+    run = tmp_path_factory.mktemp("trained") / "run"
+    assert main(["train", "--dataset", str(pristine), "--out", str(run), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1", "--hidden", "8"]) == 0
+    return run
 
 
 def _validate(capsys, d, name) -> int:
@@ -80,3 +96,26 @@ def test_directory_in_place_of_file_exit_2(capsys, tmp_path, pristine, name):
     (d / name).unlink()
     (d / name).mkdir()
     assert _validate(capsys, d, name) == 2
+
+
+@pytest.mark.parametrize("name, kind, trial", RUN_CASES,
+                         ids=[f"{name}-{kind}-{trial}" for name, kind, trial in RUN_CASES])
+def test_mutated_run_file_exits_0_2_3_or_4(capsys, tmp_path, trained, name, kind, trial):
+    run = tmp_path / "run"
+    shutil.copytree(trained, run)
+    rng = RngState(zlib.crc32(f"{name}:{kind}:{trial}".encode()))
+    f = run / name
+    f.write_bytes(MUTATIONS[kind](f.read_bytes(), rng))
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    rc = main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    errors = [line for line in err.splitlines() if not line.startswith("config:")]
+    if rc == 0:
+        assert errors == [], err
+    else:
+        assert len(errors) == 1 and errors[0].startswith("error:"), err
+    if rc == 2 and name == "checkpoint.bin":
+        assert str(f) in errors[0], errors[0]
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
