@@ -20,7 +20,7 @@ print(f"benchmark: n={g.n} m={g.m} classes={g.class_count}, 2 labels/class\n")
 hp = HyperParams(seed=0, beta=0.005, hidden_dim=32, layers=2, dropout=0.3,
                  lr=0.01, weight_decay=5e-4, epochs=150, patience=50,
                  warmup_epochs=20, epsilon=0.05, sinkhorn_t=3)
-counts = dict(per_class_train=2, per_class_val=5, val_total=0, test_total=0)
+counts = dict(per_class_train=2, per_class_val=5)
 
 # one run, with the loss trajectory
 split = make_split(g, "per_class", RngState(0).derive("split"), per_class_train=2,

@@ -29,7 +29,7 @@ ROWS = {
     "pubmed": dict(beta=0.008, sinkhorn_t=4, layers=2, lr=0.001, hidden_dim=256,
                    weight_decay=5e-4, dropout=0.7, eps_grid=(0.004, 0.04)),
 }
-SPLIT = dict(per_class_train=20, per_class_val=30, val_total=500, test_total=1000)
+SPLIT = dict(per_class_train=20, per_class_val=30)
 
 available = [name for name in ROWS if (DATA / name / "meta.json").exists()]
 if not available:

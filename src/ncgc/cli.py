@@ -24,9 +24,17 @@ reproduced from its own artifacts.
 best-validation ``ModelParams`` (centroids included once seeded). ``evaluate``
 scores it under the ``config.resolved`` and split files beside it, so it takes
 only ``--checkpoint`` and ``--dataset`` (default: the run's): one
-``trainer.predict`` pass of freshly built parameters loaded from it.
+``trainer.predict`` pass of freshly built parameters loaded from it. That
+``config.resolved`` must hold every hyperparameter key and ``row-normalize``,
+as ``train`` writes them.
 
-Exit codes: 0 success, 2 input/format error, 3 runtime/numeric error,
+Self-loops (GCN's renormalisation), the input transform (one affine map up to
+3 layers, two beyond) and the 500/1000 validation/test sizes of
+``planetoid_style`` are constants, not options.
+
+Exit codes: 0 success, 2 input/format error (including a config file key
+this version does not know, and a run ``config.resolved`` that lacks a key
+``evaluate`` reads), 3 runtime/numeric error,
 4 bad flags (including a flag the command does not take, such as
 ``evaluate --seed``, a config value that does not parse, out-of-range or
 non-finite hyperparameter values, a ``--patience`` below one, an unknown split
@@ -90,7 +98,7 @@ _FLAG_RENAMES = {"hidden_dim": "hidden", "sinkhorn_t": "sinkhorn-iters",
 _HP_FIELDS = {_FLAG_RENAMES.get(f.name, f.name.replace("_", "-")): f
               for f in fields(HyperParams) if f.name not in ("seed", "sinkhorn")}
 _HP_TYPES = get_type_hints(HyperParams)
-_HP_KEYS = (*_HP_FIELDS, "determinism")
+_HP_KEYS = tuple(_HP_FIELDS)
 
 # name -> (parser of a flag or config-file value, default)
 OPTION_SPEC = {
@@ -98,15 +106,11 @@ OPTION_SPEC = {
     "out": (str, None),
     "seed": (int, None),
     "runs": (int, 1),
-    "determinism": (_onoff, True),
     "row-normalize": (_onoff, True),
     "split-policy": (str, "planetoid_style"),
     "train-per-class": (int, 20),
     "val-per-class": (int, 30),
-    "val-total": (int, 500),
-    "test-total": (int, 1000),
-    **{flag: (_onoff if _HP_TYPES[f.name] is bool else _HP_TYPES[f.name], f.default)
-       for flag, f in _HP_FIELDS.items()},
+    **{flag: (_HP_TYPES[f.name], f.default) for flag, f in _HP_FIELDS.items()},
     "axis": (str, "epsilon"),
     "values": (str, ""),
     "k": (int, 0),
@@ -167,9 +171,6 @@ def resolve_options(args: argparse.Namespace, keys) -> dict:
 def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
     """The run's ``HyperParams`` from resolved options, with field ``overrides``;
     a field the command takes no option for keeps its default."""
-    # every run is deterministic; the key stays so existing configs still load
-    if resolved.get("determinism") is False:
-        raise _UsageError("--determinism off is not supported: runs are always deterministic")
     values = {f.name: resolved[flag] for flag, f in _HP_FIELDS.items() if flag in resolved}
     if "seed" in resolved:
         values["seed"] = resolved["seed"]
@@ -187,7 +188,7 @@ def _check_run_options(resolved: dict) -> None:
                           f"expected one of {', '.join(SPLIT_POLICIES)}")
     if resolved.get("runs", 1) < 1:
         raise _UsageError(f"--runs must be at least 1, got {resolved['runs']}")
-    for key in ("seed", "train-per-class", "val-per-class", "val-total", "test-total", "k"):
+    for key in ("seed", "train-per-class", "val-per-class", "k"):
         if key in resolved and resolved[key] < 0:
             raise _UsageError(f"--{key} must be non-negative, got {resolved[key]}")
 
@@ -216,8 +217,7 @@ def _prepare_runs(resolved: dict):
     construction. Returns the graph, the splits and ``--out``."""
     g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
     counts = dict(per_class_train=resolved["train-per-class"],
-                  per_class_val=resolved["val-per-class"],
-                  val_total=resolved["val-total"], test_total=resolved["test-total"])
+                  per_class_val=resolved["val-per-class"])
     splits = seed_splits(g, resolved["seed"], resolved["split-policy"], resolved["runs"],
                          fixed_split, counts)
     return g, splits, _prepare_out(resolved)
@@ -301,8 +301,7 @@ def cmd_train(resolved: dict) -> int:
 
 def _eval_forward(g, params, hp: HyperParams):
     """``trainer.predict`` over the whole graph, as built for training from ``hp``."""
-    a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
-    return predict(g.features, a_tilde, params, hp)
+    return predict(g.features, normalized_adjacency(g), params, hp)
 
 
 def _dump_cluster_signals(g, hp: HyperParams, params, out: Path) -> None:
@@ -316,10 +315,13 @@ def _dump_cluster_signals(g, hp: HyperParams, params, out: Path) -> None:
 
 def cmd_evaluate(resolved: dict) -> int:
     run_dir = Path(resolved["checkpoint"]).parent
+    config = run_dir / "config.resolved"
+    run = read_config_file(config)
+    missing = [k for k in (*_HP_KEYS, "row-normalize") if k not in run]
+    if missing:
+        raise IngestionError(f"{config}: missing {', '.join(map(repr, missing))}")
     # the run's own settings, with its dataset unless --dataset names another
-    run = {"row-normalize": OPTION_SPEC["row-normalize"][1],
-           **read_config_file(run_dir / "config.resolved"),
-           **{k: v for k, v in resolved.items() if v is not None}}
+    run.update({k: v for k, v in resolved.items() if v is not None})
     _require(run, ("dataset",), "evaluate")
     _echo_config({k: run[k] for k in resolved})
     hp = hyperparams_from(run)
@@ -397,8 +399,7 @@ def cmd_spectral(resolved: dict) -> int:
     if k > g.n:
         raise _UsageError(f"--k must be at most the node count {g.n}, got {k}")
     out = _prepare_out(resolved)
-    a_tilde = normalized_adjacency(g, add_self_loops=resolved["self-loops"])
-    indicator, basis = spectral_cluster(a_tilde, k, RngState(resolved["seed"]))
+    indicator, basis = spectral_cluster(normalized_adjacency(g), k, RngState(resolved["seed"]))
     with (out / "assignments.tsv").open("w", encoding="utf-8") as f:
         for i, c in enumerate(indicator.assignments):
             f.write(f"{i}\t{c}\n")
@@ -416,7 +417,7 @@ def cmd_spectral(resolved: dict) -> int:
 
 
 _RUN_OPTIONS = ("dataset", "out", "seed", "runs", "row-normalize", "split-policy",
-                "train-per-class", "val-per-class", "val-total", "test-total")
+                "train-per-class", "val-per-class")
 
 # name -> (function, options in config.resolved order, required options)
 COMMANDS = {
@@ -427,8 +428,7 @@ COMMANDS = {
     "ablate": (cmd_ablate, _RUN_OPTIONS + _HP_KEYS, ("dataset", "out", "seed")),
     "sweep": (cmd_sweep, _RUN_OPTIONS + _HP_KEYS + ("axis", "values"),
               ("dataset", "out", "seed", "values")),
-    "spectral": (cmd_spectral, ("dataset", "out", "seed", "k", "self-loops"),
-                 ("dataset", "out", "seed")),
+    "spectral": (cmd_spectral, ("dataset", "out", "seed", "k"), ("dataset", "out", "seed")),
 }
 
 

@@ -30,6 +30,8 @@ from .rng import RngState
 from .sparse import CsrMatrix
 
 SPLIT_POLICIES = ("planetoid_style", "per_class")
+# validation and test sizes of the Planetoid protocol (Yang et al. 2016)
+PLANETOID_VAL, PLANETOID_TEST = 500, 1000
 
 
 @dataclass(frozen=True)
@@ -384,14 +386,13 @@ def make_split(
     rng: RngState,
     per_class_train: int = 20,
     per_class_val: int = 30,
-    val_total: int = 500,
-    test_total: int = 1000,
 ) -> Split:
     """Sample a train/val/test split.
 
     ``planetoid_style`` takes ``per_class_train`` labeled nodes per class for
-    training, then ``val_total`` validation and ``test_total`` test nodes
-    sampled without replacement from the remaining labeled nodes.
+    training, then ``PLANETOID_VAL`` (500) validation and ``PLANETOID_TEST``
+    (1000) test nodes sampled without replacement from the remaining labeled
+    nodes.
     ``per_class`` takes ``per_class_train`` and ``per_class_val`` nodes per
     class, everything else labeled becomes test.
     """
@@ -412,11 +413,11 @@ def make_split(
     else:
         # both are distinct and labeled_nodes() is sorted, so no np.unique pass is needed
         rest = np.setdiff1d(g.labeled_nodes(), train, assume_unique=True)
-        if len(rest) < val_total + test_total:
+        if len(rest) < PLANETOID_VAL + PLANETOID_TEST:
             raise SplitError(
-                f"need {val_total + test_total} labeled nodes beyond training, "
+                f"need {PLANETOID_VAL + PLANETOID_TEST} labeled nodes beyond training, "
                 f"have {len(rest)}")
         rest = rng.permutation(rest)
-        val = rest[:val_total]
-        test = rest[val_total:val_total + test_total]
+        val = rest[:PLANETOID_VAL]
+        test = rest[PLANETOID_VAL:PLANETOID_VAL + PLANETOID_TEST]
     return Split(np.sort(train), np.sort(val), np.sort(test))

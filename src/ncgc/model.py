@@ -19,17 +19,18 @@ recurrence with products by the transpose of the adjacency, which
 transpose; the adjoint consumes the gradient. ``beta = 0`` skips the
 correction and reduces the layer to the plain backbone exactly.
 
-The input transform maps the features to the hidden width with one or two
-ReLU affine maps (``linear`` or ``mlp``), the first from the sparse features.
-Each map is one tape node, ``nm.affine_relu``, which keeps only its output.
+The input transform maps the features to the hidden width with ReLU affine
+maps, the first from the sparse features: one map up to 3 layers, two
+beyond. Each map is one tape node, ``nm.affine_relu``, which keeps only its
+output.
 
 A shared bias-free prototype head maps the final embedding to class/cluster
 logits, the model's one prediction output: losses take their row-wise
 log-softmax, and detached probabilities are their row-wise softmax.
 
 The model's settings (backbone, depth, width, beta, dropout, the APPNP
-knobs, the input transform) are read from a ``trainer.HyperParams``, which
-validates them; every function here that takes a ``config`` takes one.
+knobs) are read from a ``trainer.HyperParams``, which validates them; every
+function here that takes a ``config`` takes one.
 
 ``ModelParams`` holds every trainable parameter of a run, the clustering
 centroids included once they are seeded; a checkpoint is its
@@ -106,10 +107,11 @@ def glorot(shape, rng: RngState) -> np.ndarray:
 
 def init_params(config: HyperParams, input_dim: int, class_count: int,
                 rng: RngState) -> ModelParams:
-    """Glorot-uniform weights and zero biases, deterministic given the seed."""
+    """Glorot-uniform weights and zero biases, deterministic given the seed. The
+    input transform is one map up to 3 layers, else two."""
     d = config.hidden_dim
     input_weights = []
-    dims = [input_dim, d] if config.resolved_input_transform() == "linear" else [input_dim, d, d]
+    dims = [input_dim, d] if config.layers <= 3 else [input_dim, d, d]
     for i in range(len(dims) - 1):
         w = nm.Parameter(glorot((dims[i], dims[i + 1]), rng), name=f"input.w{i}")
         b = nm.Parameter(np.zeros((1, dims[i + 1])), name=f"input.b{i}")

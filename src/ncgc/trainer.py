@@ -9,10 +9,10 @@ validation accuracy; training stops early after ``patience`` epochs without
 improvement.
 
 A run is its graph, its split and its ``HyperParams``: ``train`` builds the
-normalized adjacency (with or without self-loops, as ``hp.self_loops`` says)
-itself; the model takes ``Graph.features`` as it is. Its ``ModelParams`` carry
-every trainable parameter, the centroids included once seeded, so one snapshot
-and one restore of ``named_values()`` select the best-validation checkpoint.
+normalized adjacency, with self-loops (GCN's renormalisation), itself; the
+model takes ``Graph.features`` as it is. Its ``ModelParams`` carry every
+trainable parameter, the centroids included once seeded, so one snapshot and
+one restore of ``named_values()`` select the best-validation checkpoint.
 ``predict`` is the one evaluation-mode pass.
 
 ``HyperParams`` is the one configuration of a run, model settings and
@@ -72,10 +72,8 @@ class HyperParams:
     lambda_kl: float = 1.0
     lambda_pl: float = 1.0
     kl_scope: str = "all"  # all | unlabeled
-    self_loops: bool = True
     appnp_alpha: float = 0.1
     appnp_hops: int = 10
-    input_transform: str = "auto"  # auto | linear | mlp
     sinkhorn: bool = True  # False: the detached predictions are the pseudo-labels
 
     def __post_init__(self):
@@ -114,13 +112,6 @@ class HyperParams:
             raise ParameterError("appnp_alpha must lie in (0, 1]")
         if self.appnp_hops < 1:
             raise ParameterError("appnp_hops must be at least 1")
-        if self.input_transform not in ("auto", "linear", "mlp"):
-            raise ParameterError(f"unknown input transform {self.input_transform!r}")
-
-    def resolved_input_transform(self) -> str:
-        if self.input_transform != "auto":
-            return self.input_transform
-        return "linear" if self.layers <= 3 else "mlp"
 
 
 @dataclass(frozen=True)
@@ -224,8 +215,7 @@ def train(g: Graph, split: Split,
 
     report = TrainReport()
     best_values: dict[str, np.ndarray] = {}
-    since_improve = 0
-    a_tilde = normalized_adjacency(g, add_self_loops=hp.self_loops)
+    a_tilde = normalized_adjacency(g)
 
     # The two passes of an epoch are functions so that their n x d arrays
     # (the embedding and logits, then the eval-mode ones) die when they
@@ -301,11 +291,8 @@ def train(g: Graph, split: Split,
             report.best_epoch = epoch
             report.test_at_best_val = test_acc
             best_values = params.named_values()
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= hp.patience:
-                break
+        elif epoch - report.best_epoch >= hp.patience:
+            break
 
     if params.centroids is not None:
         best_values.setdefault("centroids", params.centroids.value)

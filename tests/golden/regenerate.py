@@ -48,7 +48,7 @@ TRAIN_LINES = {
                    "--hidden", "16", "--layers", "2", "--dropout", "0.2", "--lr", "0.01",
                    "--epochs", "50", "--patience", "50", "--warmup", "10",
                    "--split-policy", "per_class", "--train-per-class", "3",
-                   "--val-per-class", "3", "--row-normalize", "off", "--determinism", "on"],
+                   "--val-per-class", "3", "--row-normalize", "off"],
 }
 # lines that write no checkpoint: every file they write is golden
 OUTPUT_LINES = {

@@ -6,6 +6,7 @@ separate from the library code paths it checks.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import re
@@ -351,7 +352,8 @@ def dense_eigh_oracle(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, 
 # Two runs that differ only by floating-point rounding (another BLAS thread
 # count, or a change that reorders sums) agree within
 #     |a - b| <= RUN_RTOL * max(|a|, |b|, RUN_FLOOR)
-# for every checkpoint weight and every float in report.json; the floor turns
+# for every checkpoint weight and every float in report.json and the CSV
+# tables (epochs.csv, ablate.csv, sweep.csv); the floor turns
 # the bound into an absolute one (3e-14) for values near zero. Measured
 # between 1 and 2 OpenBLAS threads on a 2-core x86 VM, with this floor: at
 # most 6.5e-12 on the 8-epoch Cora shape (hidden 512, 3 layers) and 7.9e-13
@@ -387,19 +389,43 @@ def _json_differences(a, b, where: str, out: list) -> None:
         out.append(f"{where}: {a!r} vs {b!r}")
 
 
+def _cell(text: str):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def csv_differences(path_a, path_b) -> list[str]:
+    """What two CSV tables differ in beyond rounding, by the ``report.json``
+    rule: a cell that parses as an integer (epoch and run numbers, a swept
+    count) must be equal, a float must agree within ``RUN_RTOL``, any other
+    cell (headers, variant names) must be equal; so must the row lengths."""
+    tables = [[[_cell(c) for c in row]
+               for row in csv.reader(Path(p).read_text(encoding="utf-8").splitlines())]
+              for p in (path_a, path_b)]
+    out: list[str] = []
+    _json_differences(*tables, Path(path_a).name, out)
+    return out
+
+
 def run_differences(dir_a, dir_b) -> list[str]:
     """What two ``ncgc train`` output directories differ in beyond rounding.
 
-    Integers in ``report.json`` (``best_epoch``, ``epochs_run``, the epoch
-    numbers) must be equal; its floats and the ``checkpoint.bin`` weights must
-    agree within ``RUN_RTOL``; keys, lengths, parameter names and shapes must
-    match. Returns one line per difference: an empty list means the runs agree.
+    Integers in ``report.json`` and ``epochs.csv`` (``best_epoch``,
+    ``epochs_run``, the run and epoch numbers) must be equal; their floats and
+    the ``checkpoint.bin`` weights must agree within ``RUN_RTOL``; keys,
+    lengths, parameter names and shapes must match. Returns one line per
+    difference: an empty list means the runs agree.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     out: list[str] = []
     reports = [json.loads((d / "report.json").read_text(encoding="utf-8"))
                for d in (dir_a, dir_b)]
     _json_differences(*reports, "report.json", out)
+    out += csv_differences(dir_a / "epochs.csv", dir_b / "epochs.csv")
     ca, cb = (load_checkpoint(d / "checkpoint.bin") for d in (dir_a, dir_b))
     if list(ca) != list(cb):
         return out + [f"checkpoint parameters {list(ca)} vs {list(cb)}"]

@@ -42,8 +42,7 @@ DATASET_ROWS = {
     "pubmed": dict(beta=0.008, epsilon=0.004, sinkhorn_t=4, layers=2, lr=0.001,
                    hidden_dim=256, weight_decay=5e-4, dropout=0.7),
 }
-CITATION_SPLIT = dict(per_class_train=20, per_class_val=30,
-                      val_total=500, test_total=1000)
+CITATION_SPLIT = dict(per_class_train=20, per_class_val=30)
 N_SEEDS = 5
 
 
@@ -283,8 +282,7 @@ def test_criterion_9_determinism_from_resolved_config(tmp_path, capsys):
             "--runs", "2", "--hidden", "16", "--layers", "2", "--dropout", "0.2",
             "--lr", "0.01", "--epochs", "50", "--patience", "50", "--warmup", "10",
             "--split-policy", "per_class", "--train-per-class", "3",
-            "--val-per-class", "3", "--row-normalize", "off",
-            "--determinism", "on"]
+            "--val-per-class", "3", "--row-normalize", "off"]
     assert cli_main(args) == 0
     assert cli_main(["train", "--config", str(out1 / "config.resolved"),
                      "--out", str(out2)]) == 0

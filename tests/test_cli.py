@@ -251,9 +251,12 @@ def test_evaluate_malformed_checkpoint_exit_2(capsys, sbm_dir, tmp_path, corrupt
 
 
 def test_determinism_off_exit_4(capsys, sbm_dir, tmp_path):
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(tmp_path / "o"),
+    # every run is deterministic, so there is no --determinism flag to turn off
+    out = tmp_path / "o"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out),
                  "--seed", "1", "--determinism", "off"] + FAST_FLAGS) == 4
-    assert "--determinism off" in capsys.readouterr().err
+    assert "unrecognized arguments: --determinism off" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numeric_blowup_exit_3(capsys, sbm_dir, tmp_path):
@@ -443,9 +446,6 @@ def _unchanged(d):
                  id="split-empty-test"),
     pytest.param(_unchanged, ["--val-per-class", "0"], "the validation set is empty",
                  id="split-empty-validation"),
-    pytest.param(_unchanged, ["--split-policy", "planetoid_style", "--train-per-class", "10",
-                              "--val-total", "0", "--test-total", "0"],
-                 "the validation set is empty", id="split-covers-every-node"),
 ])
 def test_input_error_exits_2_before_creating_out(capsys, sbm_dir, tmp_path, command, extra,
                                                  corrupt, split_flags, message):
@@ -565,9 +565,9 @@ def test_spectral_three_block_sbm_accuracy(capsys, tmp_path):
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "c.conf"
-    cfg.write_text("# comment\nbeta = 0.003\nlayers = 3\nself-loops = on\n\n")
+    cfg.write_text("# comment\nbeta = 0.003\nlayers = 3\nrow-normalize = off\n\n")
     parsed = read_config_file(cfg)
-    assert parsed == {"beta": 0.003, "layers": 3, "self-loops": True}
+    assert parsed == {"beta": 0.003, "layers": 3, "row-normalize": False}
     bad = tmp_path / "bad.conf"
     bad.write_text("nonsense_key = 1\n")
     from ncgc.errors import IngestionError
@@ -594,13 +594,11 @@ def test_dump_cluster_signals(capsys, sbm_dir, tmp_path):
 _HP_FLAGS = {
     "--backbone", "--layers", "--hidden", "--beta", "--epsilon", "--sinkhorn-iters", "--lr",
     "--weight-decay", "--dropout", "--epochs", "--patience", "--warmup", "--lambda-kl",
-    "--lambda-pl", "--kl-scope", "--self-loops", "--appnp-alpha", "--appnp-hops",
-    "--input-transform", "--determinism",
+    "--lambda-pl", "--kl-scope", "--appnp-alpha", "--appnp-hops",
 }
 _TRAIN_FLAGS = _HP_FLAGS | {
     "--config", "--dataset", "--out", "--seed", "--runs", "--row-normalize", "--split-policy",
-    "--train-per-class", "--val-per-class", "--val-total", "--test-total",
-    "--dump-cluster-signals",
+    "--train-per-class", "--val-per-class", "--dump-cluster-signals",
 }
 
 
@@ -617,7 +615,7 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
         "evaluate": {"--checkpoint", "--dataset"},
         "ablate": _TRAIN_FLAGS - {"--dump-cluster-signals"},
         "sweep": _TRAIN_FLAGS - {"--dump-cluster-signals"} | {"--axis", "--values"},
-        "spectral": {"--config", "--dataset", "--out", "--seed", "--k", "--self-loops"},
+        "spectral": {"--config", "--dataset", "--out", "--seed", "--k"},
     }
     out = tmp_path / "o"
     assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
@@ -626,10 +624,9 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
             for line in (out / "config.resolved").read_text().splitlines()]
     assert keys == [
         "dataset", "out", "seed", "runs", "row-normalize", "split-policy", "train-per-class",
-        "val-per-class", "val-total", "test-total", "dump-cluster-signals", "backbone",
-        "layers", "hidden", "beta", "epsilon", "sinkhorn-iters", "lr", "weight-decay",
-        "dropout", "epochs", "patience", "warmup", "lambda-kl", "lambda-pl", "kl-scope",
-        "self-loops", "appnp-alpha", "appnp-hops", "input-transform", "determinism",
+        "val-per-class", "dump-cluster-signals", "backbone", "layers", "hidden", "beta",
+        "epsilon", "sinkhorn-iters", "lr", "weight-decay", "dropout", "epochs", "patience",
+        "warmup", "lambda-kl", "lambda-pl", "kl-scope", "appnp-alpha", "appnp-hops",
     ]
 
 
@@ -659,12 +656,14 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     pytest.param("sweep", ["--axis", "lr", "--values", "0.01", "--split-policy", "bogus"],
                  "split-policy", id="sweep-split-policy"),
     *[pytest.param("train", [f"--{flag}", "-1"], f"--{flag} must be non-negative",
-                   id=f"train-{flag}-negative")
-      for flag in ("train-per-class", "val-per-class", "val-total", "test-total")],
+                   id=f"train-{flag}-negative") for flag in ("train-per-class", "val-per-class")],
+    # the Planetoid sizes are constants: their old flags are unknown, whatever the value
+    *[pytest.param("train", [f"--{flag}", "-1"], f"unrecognized arguments: --{flag} -1",
+                   id=f"train-{flag}-negative") for flag in ("val-total", "test-total")],
     pytest.param("ablate", ["--train-per-class", "-1"], "--train-per-class must be non-negative",
                  id="ablate-train-per-class-negative"),
     pytest.param("sweep", ["--values", "0.01", "--test-total", "-1"],
-                 "--test-total must be non-negative", id="sweep-test-total-negative"),
+                 "unrecognized arguments: --test-total -1", id="sweep-test-total-negative"),
     pytest.param("spectral", ["--k", "-1"], "--k must be non-negative", id="spectral-k-negative"),
     *[pytest.param(command, ["--seed", "-1", *extra], "--seed must be non-negative",
                    id=f"{command}-seed-negative")
@@ -876,8 +875,7 @@ def _predict_line(dataset, run, hp) -> str:
     split = load_split(run, g.n)
     params = init_params(hp, g.feature_dim, g.class_count, RngState(0))
     params.load_values(load_checkpoint(run / "checkpoint.bin"))
-    _, y = trainer.predict(g.features, normalized_adjacency(g, add_self_loops=hp.self_loops),
-                           params, hp)
+    _, y = trainer.predict(g.features, normalized_adjacency(g), params, hp)
     train, val, test = (trainer.accuracy(y, g.labels, idx)
                         for idx in (split.train_idx, split.val_idx, split.test_idx))
     return f"dataset={g.name} train_acc={train:.4f} val_acc={val:.4f} test_acc={test:.4f}\n"
@@ -927,13 +925,27 @@ def _edit_line(key, value):
     return edit
 
 
+def _drop_lines(*keys):
+    def drop(cfg):
+        lines = cfg.read_text().splitlines(keepends=True)
+        cfg.write_text("".join(line for line in lines if line.split(" = ")[0] not in keys))
+    return drop
+
+
 @pytest.mark.parametrize("corrupt, code, reason", [
     pytest.param(lambda cfg: cfg.unlink(), 2, "config.resolved: file missing", id="missing"),
     pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "hidden 8\n"), 2,
-                 ":32: expected 'key = value'", id="malformed"),
+                 ":27: expected 'key = value'", id="malformed"),
     pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "split-dir = x\n"), 2,
-                 ":32: unknown key 'split-dir'", id="unknown-key"),
-    pytest.param(_edit_line("hidden", "x"), 4, ":14: bad value for 'hidden'",
+                 ":27: unknown key 'split-dir'", id="unknown-key"),
+    # a run written before the five constant settings lost their keys
+    pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "determinism = on\n"), 2,
+                 ":27: unknown key 'determinism'", id="removed-key"),
+    # every key evaluate reads must be in the run's file: none falls back to a default
+    pytest.param(_drop_lines("appnp-hops", "row-normalize"), 2,
+                 "missing 'appnp-hops', 'row-normalize'", id="keys-missing"),
+    pytest.param(_drop_lines("hidden"), 2, "missing 'hidden'", id="hidden-missing"),
+    pytest.param(_edit_line("hidden", "x"), 4, ":12: bad value for 'hidden'",
                  id="bad-value"),
     pytest.param(_edit_line("hidden", "1"), 4, "hidden_dim must be at least 2",
                  id="hidden-rejected"),

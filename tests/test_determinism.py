@@ -32,7 +32,7 @@ CRITERION_9_FLAGS = [
     "--seed", "3", "--runs", "2", "--hidden", "16", "--layers", "2", "--dropout", "0.2",
     "--lr", "0.01", "--epochs", "50", "--patience", "50", "--warmup", "10",
     "--split-policy", "per_class", "--train-per-class", "3", "--val-per-class", "3",
-    "--row-normalize", "off", "--determinism", "on",
+    "--row-normalize", "off",
 ]
 
 

@@ -7,10 +7,13 @@ evaluate`` on its checkpoint as ``evaluate.txt``, and every file that each
 ``ablate``, ``sweep`` and ``spectral`` line writes; ``tests/golden/build.json``
 records the build that wrote them (``tests/golden/regenerate.py`` writes all
 of it). On that build a rerun must match byte for byte. On another build the
-bytes may differ by rounding, so a train line must agree through
-``oracles.run_differences`` (``report.json`` and ``checkpoint.bin``) and any
-other line through its ``report.json`` alone (``oracles._json_differences``),
-and a warning says the comparison was the weaker one.
+bytes may differ by rounding, and a warning says the comparison was the
+weaker one: a train line must agree through ``oracles.run_differences``
+(``report.json``, ``epochs.csv`` and ``checkpoint.bin``); any other line
+through ``rounding_differences``: its ``config.resolved``, which holds no
+computed float, byte for byte, and its ``report.json``, ``ablate.csv`` and
+``sweep.csv`` by the same float rule. ``assignments.tsv`` (``spectral``) is
+compared in byte mode only.
 """
 
 import json
@@ -23,12 +26,25 @@ from golden.regenerate import (
     ARTIFACTS, GOLDEN, OUTPUT_LINES, TRAIN_LINES, build_record, run_lines,
 )
 from ncgc.model import load_checkpoint, save_checkpoint
-from oracles import _json_differences, run_differences
+from oracles import _json_differences, csv_differences, run_differences
 
 
 def byte_differences(dir_a, dir_b, names=ARTIFACTS) -> list[str]:
     """The files among ``names`` whose bytes differ between two run directories."""
     return [name for name in names if (dir_a / name).read_bytes() != (dir_b / name).read_bytes()]
+
+
+def rounding_differences(dir_a, dir_b, names) -> list[str]:
+    """What the files ``names`` of two output-line directories differ in beyond
+    rounding; ``assignments.tsv`` is not compared."""
+    diffs = byte_differences(dir_a, dir_b, [n for n in names if n == "config.resolved"])
+    for name in names:
+        if name == "report.json":
+            _json_differences(*(json.loads((d / name).read_text()) for d in (dir_a, dir_b)),
+                              name, diffs)
+        elif name.endswith(".csv"):
+            diffs += csv_differences(dir_a / name, dir_b / name)
+    return diffs
 
 
 def _byte_mode() -> bool:
@@ -62,13 +78,8 @@ def test_ci_output_lines_reproduce_the_golden_files(tmp_path, capsys):
         golden, run = GOLDEN / name, tmp_path / name
         files = sorted(p.name for p in golden.iterdir())
         assert sorted(p.name for p in run.iterdir()) == files, name
-        if byte_mode:
-            diffs = byte_differences(golden, run, files)
-        else:
-            diffs = []
-            if "report.json" in files:
-                _json_differences(*(json.loads((d / "report.json").read_text())
-                                    for d in (golden, run)), "report.json", diffs)
+        compare = byte_differences if byte_mode else rounding_differences
+        diffs = compare(golden, run, files)
         assert diffs == [], f"{name} in {'byte' if byte_mode else 'rounding'} mode: {diffs}"
 
 
@@ -81,3 +92,32 @@ def test_byte_mode_fails_on_a_one_ulp_weight_flip(tmp_path):
     save_checkpoint(run / "checkpoint.bin", named)
     assert byte_differences(GOLDEN / "gcn", run) == ["checkpoint.bin"]
     assert run_differences(GOLDEN / "gcn", run) == []  # within rounding: only bytes see it
+
+
+def test_rounding_mode_reads_every_table_and_the_config(tmp_path):
+    # a 1-ulp change to a CSV float is rounding; 1e6 ulp, an integer or a
+    # config.resolved line is not
+    for name, table, col in (("gcn", "epochs.csv", 8), ("ablate", "ablate.csv", 1),
+                             ("sweep", "sweep.csv", 1)):
+        rows = (GOLDEN / name / table).read_text().splitlines()
+        cells = rows[1].split(",")
+        x = float(cells[col])
+        files = sorted(p.name for p in (GOLDEN / name).iterdir())
+        for moved, expected in ((np.nextafter(x, np.inf), 0), (x + 1e6 * np.spacing(x), 1)):
+            run = tmp_path / f"{name}-{expected}"
+            shutil.copytree(GOLDEN / name, run)
+            cells[col] = repr(float(moved))
+            (run / table).write_text("\n".join([rows[0], ",".join(cells), *rows[2:]]) + "\n")
+            diffs = (run_differences(GOLDEN / name, run) if name == "gcn"
+                     else rounding_differences(GOLDEN / name, run, files))
+            assert len(diffs) == expected, (table, diffs)
+            assert byte_differences(GOLDEN / name, run, [table]) == [table]
+    run = tmp_path / "gcn-epoch"
+    shutil.copytree(GOLDEN / "gcn", run)
+    text = (run / "epochs.csv").read_text()
+    (run / "epochs.csv").write_text(text.replace("\n0,1,", "\n0,2,", 1))
+    assert len(run_differences(GOLDEN / "gcn", run)) == 1
+    run = tmp_path / "sweep-config"
+    shutil.copytree(GOLDEN / "sweep", run)
+    (run / "config.resolved").write_text((run / "config.resolved").read_text() + "k = 0\n")
+    assert rounding_differences(GOLDEN / "sweep", run, ["config.resolved"]) == ["config.resolved"]

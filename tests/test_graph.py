@@ -283,13 +283,18 @@ def labeled_graph(n_per_class, k, seed=0):
     return make_sbm([n_per_class] * k, 0.5, 0.1, feature_dim=2, rng=RngState(seed))
 
 
+def planetoid_graph(seed):
+    """Seven classes of 250 nodes: 1610 labeled nodes beyond 20 per class,
+    enough for the Planetoid protocol's 500 validation and 1000 test nodes."""
+    return make_sbm([250] * 7, 0.02, 0.002, feature_dim=2, rng=RngState(seed))
+
+
 def test_planetoid_style_split_sizes():
-    g = labeled_graph(120, 7, seed=3)
-    split = make_split(g, "planetoid_style", RngState(4),
-                       per_class_train=20, val_total=200, test_total=400)
+    g = planetoid_graph(seed=3)
+    split = make_split(g, "planetoid_style", RngState(4), per_class_train=20)
     assert len(split.train_idx) == 140
-    assert len(split.val_idx) == 200
-    assert len(split.test_idx) == 400
+    assert len(split.val_idx) == 500
+    assert len(split.test_idx) == 1000
     for c in range(7):
         assert (g.labels[split.train_idx] == c).sum() == 20
 
@@ -303,9 +308,9 @@ def test_per_class_split_sizes():
 
 
 def test_two_seeds_differ_but_sizes_match():
-    g = labeled_graph(80, 4, seed=7)
-    a = make_split(g, "planetoid_style", RngState(1), val_total=60, test_total=100)
-    b = make_split(g, "planetoid_style", RngState(2), val_total=60, test_total=100)
+    g = planetoid_graph(seed=7)
+    a = make_split(g, "planetoid_style", RngState(1))
+    b = make_split(g, "planetoid_style", RngState(2))
     assert len(a.val_idx) == len(b.val_idx)
     assert len(a.test_idx) == len(b.test_idx)
     assert not (np.array_equal(a.val_idx, b.val_idx) and np.array_equal(a.test_idx, b.test_idx))

@@ -24,7 +24,7 @@ def hard_sbm():
 
 COMMON = dict(hidden_dim=32, layers=2, dropout=0.3, lr=0.01, weight_decay=5e-4,
               epochs=150, patience=50, warmup_epochs=20, epsilon=0.05, sinkhorn_t=3)
-COUNTS = dict(per_class_train=2, per_class_val=5, val_total=0, test_total=0)
+COUNTS = dict(per_class_train=2, per_class_val=5)
 
 
 def run(g, n_runs=5, **overrides):

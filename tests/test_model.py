@@ -61,12 +61,11 @@ def test_proto_head_shape():
 
 
 def test_input_transform_variants():
-    assert HyperParams(layers=2).resolved_input_transform() == "linear"
-    assert HyperParams(layers=3).resolved_input_transform() == "linear"
-    assert HyperParams(layers=4).resolved_input_transform() == "mlp"
-    cfg = HyperParams(layers=4, hidden_dim=6)
-    params = init_params(cfg, input_dim=5, class_count=2, rng=RngState(1))
-    assert len(params.input_weights) == 2
+    # one map (linear) up to 3 layers, two (mlp) beyond
+    for layers, maps in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2)):
+        cfg = HyperParams(layers=layers, hidden_dim=6)
+        params = init_params(cfg, input_dim=5, class_count=2, rng=RngState(1))
+        assert len(params.input_weights) == maps, layers
 
 
 def test_config_validation():
@@ -237,7 +236,6 @@ def test_input_transform_one_node_per_map_equals_chain(layers, transform):
     # linear: the sparse map alone; mlp: the sparse map, then the dense one
     g, _ = small_graph(seed=27, n_per=5, k=2, d=6)
     cfg = HyperParams(layers=layers, hidden_dim=5)
-    assert cfg.resolved_input_transform() == transform
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(28))
     maps = len(params.input_weights)
     assert maps == (1 if transform == "linear" else 2)

@@ -7,9 +7,10 @@ or reject it with exit 2 and one ``error:`` line naming the file at fault,
 and never raise. Each run mutant is a trained run directory after one of the
 first three mutations of its ``config.resolved`` or ``checkpoint.bin``:
 ``ncgc evaluate --checkpoint`` must exit 0, 2, 3 or 4, print one ``error:``
-line when it fails (naming the checkpoint when that exits 2), write nothing
-and never raise. Every mutant is drawn from a ``zlib.crc32`` seed, so a
-failing case replays from its test id.
+line when it fails (naming the mutated file when that exits 2), write
+nothing and never raise; a truncated ``config.resolved`` that lost a whole
+line exits 2 or 4, never 0 or 3. Every mutant is drawn from a ``zlib.crc32``
+seed, so a failing case replays from its test id.
 """
 
 import shutil
@@ -105,7 +106,9 @@ def test_mutated_run_file_exits_0_2_3_or_4(capsys, tmp_path, trained, name, kind
     shutil.copytree(trained, run)
     rng = RngState(zlib.crc32(f"{name}:{kind}:{trial}".encode()))
     f = run / name
-    f.write_bytes(MUTATIONS[kind](f.read_bytes(), rng))
+    data = f.read_bytes()
+    mutated = MUTATIONS[kind](data, rng)
+    f.write_bytes(mutated)
     files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     capsys.readouterr()
     rc = main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")])
@@ -116,6 +119,10 @@ def test_mutated_run_file_exits_0_2_3_or_4(capsys, tmp_path, trained, name, kind
         assert errors == [], err
     else:
         assert len(errors) == 1 and errors[0].startswith("error:"), err
-    if rc == 2 and name == "checkpoint.bin":
+    if rc == 2:
         assert str(f) in errors[0], errors[0]
+    if kind == "truncate" and name == "config.resolved" and data.count(b"\n", len(mutated)) > 1:
+        # a whole key line is gone, and evaluate fills in no default: the missing
+        # key exits 2, unless the cut leaves a `key =` line with no value (4)
+        assert rc in (2, 4), err
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files

@@ -180,11 +180,9 @@ def test_reduction_matches_plain_gcn_oracle():
     assert np.allclose(got, losses, atol=1e-10)
 
 
-@pytest.mark.parametrize("self_loops", [True, False])
-def test_train_builds_adjacency_as_hp_self_loops_says(monkeypatch, self_loops):
+def test_train_builds_adjacency_with_self_loops(monkeypatch):
     g, _, split = sbm_setup(seed=19)
-    hp = HyperParams(seed=0, **{**FAST, "epochs": 3, "patience": 3, "warmup_epochs": 1,
-                                "self_loops": self_loops})
+    hp = HyperParams(seed=0, **{**FAST, "epochs": 3, "patience": 3, "warmup_epochs": 1})
     seen = []
     real_forward = trainer.forward
 
@@ -194,8 +192,8 @@ def test_train_builds_adjacency_as_hp_self_loops_says(monkeypatch, self_loops):
 
     monkeypatch.setattr(trainer, "forward", spy)
     train(g, split, hp)
-    expected = normalized_adjacency(g, add_self_loops=self_loops).to_dense()
-    other = normalized_adjacency(g, add_self_loops=not self_loops).to_dense()
+    expected = normalized_adjacency(g, add_self_loops=True).to_dense()
+    other = normalized_adjacency(g, add_self_loops=False).to_dense()
     assert not np.array_equal(expected, other)
     assert seen and all(np.array_equal(a, expected) for a in seen)
 
