@@ -10,7 +10,7 @@ import numpy as np
 from ncgc.graph import normalized_adjacency, normalized_laplacian
 from ncgc.rng import RngState
 from ncgc.spectral import (
-    clustering_accuracy, kmeans_round, ratiocut_trace, subspace_iteration,
+    clustering_accuracy, kmeans, ratiocut_trace, subspace_iteration,
 )
 from ncgc.synth import make_sbm
 
@@ -38,8 +38,6 @@ print(f"Tr(Q^T L~ Q) = {ratiocut_trace(basis.q, l_tilde):.4f} (eigenbasis)")
 print(f"Tr(R^T L~ R) = {ratiocut_trace(np.linalg.qr(rng.normal((g.n, 3)))[0], l_tilde):.4f} (random)")
 
 # round to a hard partition and score it against the planted labels
-indicator = kmeans_round(basis.q, 3, rng.derive("round"))
-acc = clustering_accuracy(indicator.assignments, g.labels, 3)
+_, assignments, _ = kmeans(basis.q, 3, rng.derive("round"))
+acc = clustering_accuracy(assignments, g.labels, 3)
 print(f"clustering accuracy after k-means rounding: {acc:.4f}")
-print("indicator columns orthonormal:",
-      np.allclose(indicator.c.T @ indicator.c, np.eye(3), atol=1e-12))

@@ -38,9 +38,11 @@ this version does not know, and a run ``config.resolved`` that lacks a key
 4 bad flags (including a flag the command does not take, such as
 ``evaluate --seed``, a config value that does not parse, out-of-range or
 non-finite hyperparameter values, a ``--patience`` below one, an unknown split
-policy, a run count below one, a negative ``--seed`` or count and a
-``spectral --k`` outside 1 to the node count). A command reads and checks all
-its input files before it creates ``--out``.
+policy, a run count below one, a negative ``--seed`` or count, a text value
+with ``#``, a line break or edge whitespace in a command that writes
+``config.resolved``, which could not read it back, and a ``spectral --k``
+outside 1 to the node count). A command reads and checks all its input files
+before it creates ``--out``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .clustering import sinkhorn_pseudo_labels, soft_assign
 from .errors import IngestionError, NcgcError, ParameterError, SplitError
 from .graph import (
     SPLIT_POLICIES, load_dataset, load_split, normalized_adjacency, read_text, write_split,
@@ -115,7 +116,6 @@ OPTION_SPEC = {
     "values": (str, ""),
     "k": (int, 0),
     "checkpoint": (str, ""),
-    "dump-cluster-signals": (_onoff, False),
 }
 
 
@@ -181,8 +181,14 @@ def hyperparams_from(resolved: dict, **overrides) -> HyperParams:
 
 
 def _check_run_options(resolved: dict) -> None:
-    """Reject an unknown split policy, a run count below one or a negative seed
-    or count as bad flags; options the command does not take are not checked."""
+    """Reject, as bad flags, an unknown split policy, a run count below one, a
+    negative seed or count and a text value ``config.resolved`` cannot hold;
+    options the command does not take are not checked."""
+    if "out" in resolved:  # the command writes config.resolved, which must read back as is
+        for key, v in resolved.items():
+            if isinstance(v, str) and ("#" in v or v != v.strip() or len(v.splitlines()) > 1):
+                raise _UsageError(f"--{key} {v!r} cannot be written to config.resolved: "
+                                  "it holds '#', a line break or edge whitespace")
     if "split-policy" in resolved and resolved["split-policy"] not in SPLIT_POLICIES:
         raise _UsageError(f"unknown --split-policy {resolved['split-policy']!r}, "
                           f"expected one of {', '.join(SPLIT_POLICIES)}")
@@ -290,27 +296,11 @@ def cmd_train(resolved: dict) -> int:
     _write_epochs_csv(out / "epochs.csv", stats.reports)
     save_checkpoint(out / "checkpoint.bin", stats.params.named_values())
     write_split(splits[0], out)
-    if resolved["dump-cluster-signals"]:
-        _dump_cluster_signals(g, hp, stats.params, out)
     wall = sum(r.wall_time for r in stats.reports)
     print(f"dataset={g.name} acc_mean={stats.mean:.4f} acc_std={stats.std:.4f} "
           f"runs={resolved['runs']}")
     print(f"wall_time_s={wall:.1f}", file=sys.stderr)
     return EXIT_OK
-
-
-def _eval_forward(g, params, hp: HyperParams):
-    """``trainer.predict`` over the whole graph, as built for training from ``hp``."""
-    return predict(g.features, normalized_adjacency(g), params, hp)
-
-
-def _dump_cluster_signals(g, hp: HyperParams, params, out: Path) -> None:
-    h, y = _eval_forward(g, params, hp)
-    if params.centroids is not None:
-        q = soft_assign(h, params.centroids).value
-        np.savetxt(out / "q.tsv", q, delimiter="\t")
-    psi = sinkhorn_pseudo_labels(y, hp.epsilon, hp.sinkhorn_t)
-    np.savetxt(out / "psi.tsv", psi, delimiter="\t")
 
 
 def cmd_evaluate(resolved: dict) -> int:
@@ -331,7 +321,7 @@ def cmd_evaluate(resolved: dict) -> int:
     # the checkpoint overwrites every value init_params draws
     params = init_params(hp, g.feature_dim, g.class_count, RngState(0))
     params.load_values(load_checkpoint(resolved["checkpoint"]))
-    _, y = _eval_forward(g, params, hp)
+    _, y = predict(g.features, normalized_adjacency(g), params, hp)
     accs = {name: accuracy(y, g.labels, idx)
             for name, idx in (("train", split.train_idx), ("val", split.val_idx),
                               ("test", split.test_idx))}
@@ -399,14 +389,14 @@ def cmd_spectral(resolved: dict) -> int:
     if k > g.n:
         raise _UsageError(f"--k must be at most the node count {g.n}, got {k}")
     out = _prepare_out(resolved)
-    indicator, basis = spectral_cluster(normalized_adjacency(g), k, RngState(resolved["seed"]))
+    assignments, basis = spectral_cluster(normalized_adjacency(g), k, RngState(resolved["seed"]))
     with (out / "assignments.tsv").open("w", encoding="utf-8") as f:
-        for i, c in enumerate(indicator.assignments):
+        for i, c in enumerate(assignments):
             f.write(f"{i}\t{c}\n")
     msg = (f"dataset={g.name} k={k} converged={str(basis.converged).lower()} "
            f"iterations={basis.iterations_used}")
     if g.labeled_nodes().size:
-        acc = clustering_accuracy(indicator.assignments, g.labels, k)
+        acc = clustering_accuracy(assignments, g.labels, k)
         msg += f" clustering_acc={acc:.4f}"
     print(msg)
     return EXIT_OK
@@ -422,8 +412,7 @@ _RUN_OPTIONS = ("dataset", "out", "seed", "runs", "row-normalize", "split-policy
 # name -> (function, options in config.resolved order, required options)
 COMMANDS = {
     "validate": (cmd_validate, ("dataset",), ("dataset",)),
-    "train": (cmd_train, _RUN_OPTIONS + ("dump-cluster-signals",) + _HP_KEYS,
-              ("dataset", "out", "seed")),
+    "train": (cmd_train, _RUN_OPTIONS + _HP_KEYS, ("dataset", "out", "seed")),
     "evaluate": (cmd_evaluate, ("dataset", "checkpoint"), ("checkpoint",)),
     "ablate": (cmd_ablate, _RUN_OPTIONS + _HP_KEYS, ("dataset", "out", "seed")),
     "sweep": (cmd_sweep, _RUN_OPTIONS + _HP_KEYS + ("axis", "values"),

@@ -30,18 +30,6 @@ class EigenBasis:
     converged: bool
 
 
-@dataclass(frozen=True)
-class ClusterIndicator:
-    """Hard assignments plus the normalized cluster indicator matrix.
-
-    Row i holds a single nonzero 1/sqrt(|cluster|) in the column of its
-    cluster; with every cluster non-empty the columns are orthonormal.
-    """
-
-    assignments: np.ndarray
-    c: np.ndarray
-
-
 def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     """Orthonormalize columns by modified Gram-Schmidt with one reorthogonalization.
 
@@ -190,25 +178,6 @@ def kmeans(x: np.ndarray, k: int, rng: RngState):
     return best
 
 
-def indicator_matrix(assignments: np.ndarray, k: int) -> np.ndarray:
-    """Normalized cluster indicator: one entry 1/sqrt(|cluster|) per row."""
-    n = len(assignments)
-    c = np.zeros((n, k))
-    for cl in range(k):
-        members = assignments == cl
-        cnt = members.sum()
-        if cnt:
-            c[members, cl] = 1.0 / np.sqrt(cnt)
-    return c
-
-
-def kmeans_round(q: np.ndarray, k: int, rng: RngState) -> ClusterIndicator:
-    """Round an embedding to a hard partition and its normalized indicator."""
-    q = np.asarray(q, dtype=np.float64)
-    _, assignments, _ = kmeans(q, k, rng)
-    return ClusterIndicator(assignments=assignments, c=indicator_matrix(assignments, k))
-
-
 def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Agreement of cluster ids with labels under the best one-to-one matching
     (Hungarian); with k unequal to the class count, unmatched nodes are wrong.
@@ -228,9 +197,10 @@ def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray, k: int) -> 
 
 def spectral_cluster(
     a_tilde: CsrMatrix, k: int, rng: RngState,
-) -> tuple[ClusterIndicator, EigenBasis]:
+) -> tuple[np.ndarray, EigenBasis]:
     """Full baseline: dominant eigenbasis of the operator at ``subspace_iteration``'s
-    default tolerance and iteration cap, then k-means rounding."""
+    default tolerance and iteration cap, rounded to hard cluster assignments by
+    ``kmeans``. Returns the assignments and the basis."""
     basis = subspace_iteration(a_tilde, k, rng.derive("eigs"))
-    indicator = kmeans_round(basis.q, k, rng.derive("round"))
-    return indicator, basis
+    _, assignments, _ = kmeans(basis.q, k, rng.derive("round"))
+    return assignments, basis

@@ -251,6 +251,17 @@ def best_partition_wcss(points, k):
     return best
 
 
+def indicator_matrix(assignments, k):
+    """Normalized cluster indicator: row i holds 1/sqrt(|cluster|) in the
+    column of its cluster, so the columns of non-empty clusters are orthonormal."""
+    c = np.zeros((len(assignments), k))
+    for cl in range(k):
+        members = np.asarray(assignments) == cl
+        if members.any():
+            c[members, cl] = 1.0 / np.sqrt(members.sum())
+    return c
+
+
 def edge_sum_smoothness(h, edges, degrees):
     """Sum over undirected edges of ||h_i/sqrt(d_i) - h_j/sqrt(d_j)||^2.
 

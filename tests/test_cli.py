@@ -575,20 +575,31 @@ def test_config_file_parsing(tmp_path):
         read_config_file(bad)
 
 
-def test_dump_cluster_signals(capsys, sbm_dir, tmp_path):
+def test_train_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     out = tmp_path / "dump"
-    rc = main(["train", "--dataset", str(sbm_dir), "--out", str(out),
-               "--seed", "1", "--runs", "1", "--dump-cluster-signals", "on",
-               "--epochs", "30", "--patience", "30"] + FAST_FLAGS[:-4] + [
-               "--train-per-class", "3", "--val-per-class", "3",
-               "--split-policy", "per_class", "--row-normalize", "off"])
-    assert rc == 0
-    capsys.readouterr()
-    q = np.loadtxt(out / "q.tsv")
-    psi = np.loadtxt(out / "psi.tsv")
-    assert q.shape[1] == 2 and psi.shape[1] == 2
-    assert np.abs(q.sum(axis=1) - 1).max() < 1e-8
-    assert np.abs(psi.sum(axis=1) - 1).max() < 1e-8
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--dump-cluster-signals", "on"]) == 4
+    assert "--dump-cluster-signals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "spectral"])
+@pytest.mark.parametrize("option, value", [
+    ("dataset", "d#1"), ("out", "run#2"), ("out", "run\nx"), ("out", "run "), ("dataset", " sbm"),
+])
+def test_text_value_config_resolved_cannot_hold_exit_4(capsys, sbm_dir, tmp_path, monkeypatch,
+                                                       command, option, value):
+    """config.resolved reads '#' as a comment and strips each line, so a run
+    that wrote such a value could not be scored or rerun from its own file."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(sbm_dir, "d#1")
+    paths = {"dataset": "sbm", "out": "run", option: value}
+    before = sorted(tmp_path.rglob("*"))
+    extra = ["--axis", "lr", "--values", "0.01"] if command == "sweep" else []
+    assert main([command, "--dataset", paths["dataset"], "--out", paths["out"], "--seed", "1",
+                 *extra]) == 4
+    assert f"--{option} {value!r}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 _HP_FLAGS = {
@@ -598,7 +609,7 @@ _HP_FLAGS = {
 }
 _TRAIN_FLAGS = _HP_FLAGS | {
     "--config", "--dataset", "--out", "--seed", "--runs", "--row-normalize", "--split-policy",
-    "--train-per-class", "--val-per-class", "--dump-cluster-signals",
+    "--train-per-class", "--val-per-class",
 }
 
 
@@ -613,8 +624,8 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
         "validate": {"--config", "--dataset"},
         "train": _TRAIN_FLAGS,
         "evaluate": {"--checkpoint", "--dataset"},
-        "ablate": _TRAIN_FLAGS - {"--dump-cluster-signals"},
-        "sweep": _TRAIN_FLAGS - {"--dump-cluster-signals"} | {"--axis", "--values"},
+        "ablate": _TRAIN_FLAGS,
+        "sweep": _TRAIN_FLAGS | {"--axis", "--values"},
         "spectral": {"--config", "--dataset", "--out", "--seed", "--k"},
     }
     out = tmp_path / "o"
@@ -624,7 +635,7 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
             for line in (out / "config.resolved").read_text().splitlines()]
     assert keys == [
         "dataset", "out", "seed", "runs", "row-normalize", "split-policy", "train-per-class",
-        "val-per-class", "dump-cluster-signals", "backbone", "layers", "hidden", "beta",
+        "val-per-class", "backbone", "layers", "hidden", "beta",
         "epsilon", "sinkhorn-iters", "lr", "weight-decay", "dropout", "epochs", "patience",
         "warmup", "lambda-kl", "lambda-pl", "kl-scope", "appnp-alpha", "appnp-hops",
     ]
@@ -935,17 +946,20 @@ def _drop_lines(*keys):
 @pytest.mark.parametrize("corrupt, code, reason", [
     pytest.param(lambda cfg: cfg.unlink(), 2, "config.resolved: file missing", id="missing"),
     pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "hidden 8\n"), 2,
-                 ":27: expected 'key = value'", id="malformed"),
+                 ":26: expected 'key = value'", id="malformed"),
     pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "split-dir = x\n"), 2,
-                 ":27: unknown key 'split-dir'", id="unknown-key"),
+                 ":26: unknown key 'split-dir'", id="unknown-key"),
     # a run written before the five constant settings lost their keys
     pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "determinism = on\n"), 2,
-                 ":27: unknown key 'determinism'", id="removed-key"),
+                 ":26: unknown key 'determinism'", id="removed-key"),
+    # a run written before the cluster-signal dump was removed
+    pytest.param(lambda cfg: cfg.write_text(cfg.read_text() + "dump-cluster-signals = off\n"),
+                 2, ":26: unknown key 'dump-cluster-signals'", id="removed-dump-key"),
     # every key evaluate reads must be in the run's file: none falls back to a default
     pytest.param(_drop_lines("appnp-hops", "row-normalize"), 2,
                  "missing 'appnp-hops', 'row-normalize'", id="keys-missing"),
     pytest.param(_drop_lines("hidden"), 2, "missing 'hidden'", id="hidden-missing"),
-    pytest.param(_edit_line("hidden", "x"), 4, ":12: bad value for 'hidden'",
+    pytest.param(_edit_line("hidden", "x"), 4, ":11: bad value for 'hidden'",
                  id="bad-value"),
     pytest.param(_edit_line("hidden", "1"), 4, "hidden_dim must be at least 2",
                  id="hidden-rejected"),

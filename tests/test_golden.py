@@ -1,5 +1,6 @@
-"""Golden runs: the CI ``train``, ``ablate``, ``sweep`` and ``spectral`` lines
-and the criterion-9 ``train`` line against their committed outputs.
+"""Golden runs: the CI ``train``, ``ablate``, ``sweep`` and ``spectral`` lines,
+the criterion-9 ``train`` line and an ``ablate`` line at the criterion-9
+settings against their committed outputs.
 
 ``tests/golden/<line>/`` holds ``report.json``, ``checkpoint.bin`` and
 ``epochs.csv`` of each ``ncgc train`` line, with the stdout of ``ncgc

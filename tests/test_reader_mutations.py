@@ -10,11 +10,15 @@ first three mutations of its ``config.resolved`` or ``checkpoint.bin``:
 line when it fails (naming the mutated file when that exits 2), write
 nothing and never raise; a truncated ``config.resolved`` that lost a whole
 line exits 2 or 4, never 0 or 3. Every mutant is drawn from a ``zlib.crc32``
-seed, so a failing case replays from its test id.
+seed, so a failing case replays from its test id. The run is trained, and
+each run mutant scored, from the directory that holds the dataset as ``sbm``
+and the run as ``run``, so ``config.resolved`` holds no temporary path and a
+mutant's bytes and outcome are the same wherever the test runs.
 """
 
 import shutil
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -60,11 +64,15 @@ def pristine(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained(pristine, tmp_path_factory):
-    """A run directory of the pristine dataset: checkpoint, config and split."""
-    run = tmp_path_factory.mktemp("trained") / "run"
-    assert main(["train", "--dataset", str(pristine), "--out", str(run), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1", "--hidden", "8"]) == 0
-    return run
+    """A directory holding the pristine dataset as ``sbm`` and a run of it as
+    ``run`` (checkpoint, config and split), trained from that directory."""
+    base = tmp_path_factory.mktemp("trained")
+    shutil.copytree(pristine, base / "sbm")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        assert main(["train", "--dataset", "sbm", "--out", "run", "--seed", "1",
+                     "--epochs", "2", "--patience", "2", "--warmup", "1", "--hidden", "8"]) == 0
+    return base
 
 
 def _validate(capsys, d, name) -> int:
@@ -101,17 +109,18 @@ def test_directory_in_place_of_file_exit_2(capsys, tmp_path, pristine, name):
 
 @pytest.mark.parametrize("name, kind, trial", RUN_CASES,
                          ids=[f"{name}-{kind}-{trial}" for name, kind, trial in RUN_CASES])
-def test_mutated_run_file_exits_0_2_3_or_4(capsys, tmp_path, trained, name, kind, trial):
-    run = tmp_path / "run"
-    shutil.copytree(trained, run)
+def test_mutated_run_file_exits_0_2_3_or_4(capsys, tmp_path, monkeypatch, trained, name,
+                                           kind, trial):
+    shutil.copytree(trained, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
     rng = RngState(zlib.crc32(f"{name}:{kind}:{trial}".encode()))
-    f = run / name
+    f = Path("run", name)
     data = f.read_bytes()
     mutated = MUTATIONS[kind](data, rng)
     f.write_bytes(mutated)
     files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     capsys.readouterr()
-    rc = main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")])
+    rc = main(["evaluate", "--checkpoint", "run/checkpoint.bin"])
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
     errors = [line for line in err.splitlines() if not line.startswith("config:")]
