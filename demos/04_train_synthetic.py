@@ -17,14 +17,14 @@ g = make_sbm([40] * 6, 0.10, 0.004, feature_dim=32, rng=RngState(7),
              feature_shift=0.8, feature_noise=1.0, name="hard_sbm")
 print(f"benchmark: n={g.n} m={g.m} classes={g.class_count}, 2 labels/class\n")
 
-hp = HyperParams(seed=0, beta=0.005, hidden_dim=32, layers=2, dropout=0.3,
+hp = HyperParams(seed=0, beta=0.005, hidden=32, layers=2, dropout=0.3,
                  lr=0.01, weight_decay=5e-4, epochs=150, patience=50,
-                 warmup_epochs=20, epsilon=0.05, sinkhorn_t=3)
-counts = dict(per_class_train=2, per_class_val=5)
+                 warmup=20, epsilon=0.05, sinkhorn_iters=3)
+counts = dict(train_per_class=2, val_per_class=5)
 
 # one run, with the loss trajectory
-split = make_split(g, "per_class", RngState(0).derive("split"), per_class_train=2,
-                   per_class_val=5)
+split = make_split(g, "per_class", RngState(0).derive("split"), train_per_class=2,
+                   val_per_class=5)
 params, centroids, report = train(g, split, hp)
 print("epoch  l_class  l_kl    l_pl    val    test")
 for r in report.epochs[:: max(1, len(report.epochs) // 8)]:
@@ -34,7 +34,7 @@ print(f"best epoch {report.best_epoch}: val {report.best_val:.3f}, "
       f"test {report.test_at_best_val:.3f} ({report.wall_time:.1f}s)\n")
 
 # five seeds, against the ablations of `ncgc ablate` and the plain backbone
-splits = seed_splits(g, hp.seed, "per_class", 5, split_counts=counts)
+splits = seed_splits(g, hp.seed, "per_class", 5, **counts)
 plain = {"beta": 0.0, "lambda_kl": 0.0, "lambda_pl": 0.0}
 for label, overrides in {**VARIANTS, "plain backbone": plain}.items():
     stats = run_seeds(g, replace(hp, **overrides), splits)

@@ -22,14 +22,14 @@ from ncgc.trainer import HyperParams, run_seeds, seed_splits
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 ROWS = {
-    "cora": dict(beta=0.003, sinkhorn_t=3, layers=3, lr=0.001, hidden_dim=512,
+    "cora": dict(beta=0.003, sinkhorn_iters=3, layers=3, lr=0.001, hidden=512,
                  weight_decay=5e-4, dropout=0.8, eps_grid=(0.004, 0.04)),
-    "citeseer": dict(beta=0.008, sinkhorn_t=3, layers=2, lr=0.001, hidden_dim=512,
+    "citeseer": dict(beta=0.008, sinkhorn_iters=3, layers=2, lr=0.001, hidden=512,
                      weight_decay=1e-2, dropout=0.5, eps_grid=(0.003, 0.03)),
-    "pubmed": dict(beta=0.008, sinkhorn_t=4, layers=2, lr=0.001, hidden_dim=256,
+    "pubmed": dict(beta=0.008, sinkhorn_iters=4, layers=2, lr=0.001, hidden=256,
                    weight_decay=5e-4, dropout=0.7, eps_grid=(0.004, 0.04)),
 }
-SPLIT = dict(per_class_train=20, per_class_val=30)
+SPLIT = dict(train_per_class=20, val_per_class=30)
 
 available = [name for name in ROWS if (DATA / name / "meta.json").exists()]
 if not available:
@@ -44,7 +44,7 @@ for name in available:
     best = None
     for eps in eps_grid:
         hp = HyperParams(seed=0, epsilon=eps, **row)
-        stats = run_seeds(g, hp, seed_splits(g, hp.seed, "planetoid_style", 5, split_counts=SPLIT))
+        stats = run_seeds(g, hp, seed_splits(g, hp.seed, "planetoid_style", 5, **SPLIT))
         val = float(np.mean([r.best_val for r in stats.reports]))
         wall = sum(r.wall_time for r in stats.reports)
         print(f"  eps={eps}: test {stats.mean:.4f} +/- {stats.std:.4f} "

@@ -3,13 +3,12 @@
 Subcommands: ``validate``, ``train``, ``evaluate``, ``ablate``, ``sweep``,
 ``spectral``. Every randomized command requires an explicit ``--seed``.
 The hyperparameter flags, their types and defaults are the fields of
-``trainer.HyperParams``: ``hidden_dim``, ``sinkhorn_t`` and ``warmup_epochs``
-are spelled ``--hidden``, ``--sinkhorn-iters`` and ``--warmup``, every other
-field is its name with dashes, except ``seed``, a run option, and
-``sinkhorn``, which has no flag: it is an ablation switch, not a setting of the
-method, so only ``ablate``'s ``no_skn`` variant turns it off and no config key
-or ``config.resolved`` line carries it. ``sweep --axis`` takes any numeric
-hyperparameter, by flag or by field name. The resolved values build one
+``trainer.HyperParams``. Every setting has one name: its flag, config key
+and ``config.resolved`` line are its field's name with dashes, and the
+``sweep`` header and every rejection are the field's name. ``seed``, a run
+option, and ``sinkhorn`` have no flag: ``sinkhorn`` is an ablation switch, so
+only ``ablate``'s ``no_skn`` variant turns it off. ``sweep --axis`` takes any
+numeric hyperparameter, with dashes or underscores. The resolved values build one
 ``HyperParams``, the whole run's configuration; ``ablate`` and ``sweep`` build
 one per row, with the ``trainer.VARIANTS`` overrides or the swept value. A
 value ``HyperParams`` rejects is a bad flag, reported before any dataset is
@@ -84,19 +83,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _onoff(value: str) -> bool:
-    if value in ("on", "true", "1"):
-        return True
-    if value in ("off", "false", "0"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
+    if value not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
+    return value == "on"
 
 
-# HyperParams fields whose flag is not the field name with dashes
-_FLAG_RENAMES = {"hidden_dim": "hidden", "sinkhorn_t": "sinkhorn-iters",
-                 "warmup_epochs": "warmup"}
 # flag -> HyperParams field, in field order; the seed is a run option and
 # sinkhorn an ablation switch, so neither has a flag
-_HP_FIELDS = {_FLAG_RENAMES.get(f.name, f.name.replace("_", "-")): f
+_HP_FIELDS = {f.name.replace("_", "-"): f
               for f in fields(HyperParams) if f.name not in ("seed", "sinkhorn")}
 _HP_TYPES = get_type_hints(HyperParams)
 _HP_KEYS = tuple(_HP_FIELDS)
@@ -222,10 +216,9 @@ def _prepare_runs(resolved: dict):
     input exits before anything is written. Sampled splits are valid by
     construction. Returns the graph, the splits and ``--out``."""
     g, fixed_split = _load_labeled(resolved, resolved["dataset"], "training")
-    counts = dict(per_class_train=resolved["train-per-class"],
-                  per_class_val=resolved["val-per-class"])
     splits = seed_splits(g, resolved["seed"], resolved["split-policy"], resolved["runs"],
-                         fixed_split, counts)
+                         fixed_split, train_per_class=resolved["train-per-class"],
+                         val_per_class=resolved["val-per-class"])
     return g, splits, _prepare_out(resolved)
 
 
@@ -362,8 +355,7 @@ def cmd_ablate(resolved: dict) -> int:
 def cmd_sweep(resolved: dict) -> int:
     numeric = {f.name: OPTION_SPEC[flag][0] for flag, f in _HP_FIELDS.items()
                if OPTION_SPEC[flag][0] in (int, float)}
-    flag = resolved["axis"].replace("_", "-")
-    axis = _HP_FIELDS[flag].name if flag in _HP_FIELDS else resolved["axis"].replace("-", "_")
+    axis = resolved["axis"].replace("-", "_")
     if axis not in numeric:
         raise _UsageError(f"sweep axis must be a numeric hyperparameter, one of {sorted(numeric)}")
     cast = numeric[axis]

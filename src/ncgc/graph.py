@@ -14,7 +14,8 @@ fields ``-?[0-9]{1,18}`` separated by single tabs, node ids in [0, n). A line
 is blank when it is empty or holds only ASCII whitespace (space, tab, vertical
 tab, form feed); blank lines are skipped. A rejected line is reported as
 ``file:line``. ``meta.json`` must have ``d >= 1`` when ``n > 0`` (so the
-length of ``features.bin`` bounds n) and ``k <= n``.
+length of ``features.bin`` bounds n), ``d <= MAX_FEATURE_DIM`` (which bounds
+d when n = 0) and ``k <= n``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .sparse import CsrMatrix
 SPLIT_POLICIES = ("planetoid_style", "per_class")
 # validation and test sizes of the Planetoid protocol (Yang et al. 2016)
 PLANETOID_VAL, PLANETOID_TEST = 500, 1000
+MAX_FEATURE_DIM = np.iinfo(np.intp).max // 4  # numpy's widest float32 row
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,8 @@ def _read_meta(path: Path) -> dict:
             raise IngestionError(f"{f}: missing or invalid integer field {key!r}")
     if meta["d"] == 0 and meta["n"] > 0:
         raise IngestionError(f"{f}: field 'd' must be at least 1 when n > 0")
+    if meta["d"] > MAX_FEATURE_DIM:
+        raise IngestionError(f"{f}: field 'd' must be at most {MAX_FEATURE_DIM}")
     if meta["k"] > meta["n"]:
         raise IngestionError(f"{f}: field 'k' must be at most n ({meta['n']})")
     if not isinstance(meta.get("name"), str):
@@ -384,32 +388,32 @@ def make_split(
     g: Graph,
     policy: str,
     rng: RngState,
-    per_class_train: int = 20,
-    per_class_val: int = 30,
+    train_per_class: int,
+    val_per_class: int,
 ) -> Split:
     """Sample a train/val/test split.
 
-    ``planetoid_style`` takes ``per_class_train`` labeled nodes per class for
+    ``planetoid_style`` takes ``train_per_class`` labeled nodes per class for
     training, then ``PLANETOID_VAL`` (500) validation and ``PLANETOID_TEST``
     (1000) test nodes sampled without replacement from the remaining labeled
-    nodes.
-    ``per_class`` takes ``per_class_train`` and ``per_class_val`` nodes per
-    class, everything else labeled becomes test.
+    nodes; it ignores ``val_per_class``.
+    ``per_class`` takes ``train_per_class`` and ``val_per_class`` nodes per
+    class, everything else labeled becomes test. The CLI holds the defaults.
     """
     if policy not in SPLIT_POLICIES:
         raise SplitError(f"unknown split policy {policy!r}")
     pools = _class_pools(g, rng)
-    need_val = per_class_val if policy == "per_class" else 0
-    deficient = [c for c, pool in pools.items() if len(pool) < per_class_train + need_val]
+    need_val = val_per_class if policy == "per_class" else 0
+    deficient = [c for c, pool in pools.items() if len(pool) < train_per_class + need_val]
     if deficient:
         raise SplitError(f"classes with too few labeled nodes for the split: {deficient}")
 
-    train = np.concatenate([pools[c][:per_class_train] for c in sorted(pools)])
+    train = np.concatenate([pools[c][:train_per_class] for c in sorted(pools)])
     if policy == "per_class":
         val = np.concatenate(
-            [pools[c][per_class_train:per_class_train + per_class_val] for c in sorted(pools)])
+            [pools[c][train_per_class:train_per_class + val_per_class] for c in sorted(pools)])
         test = np.concatenate(
-            [pools[c][per_class_train + per_class_val:] for c in sorted(pools)])
+            [pools[c][train_per_class + val_per_class:] for c in sorted(pools)])
     else:
         # both are distinct and labeled_nodes() is sorted, so no np.unique pass is needed
         rest = np.setdiff1d(g.labeled_nodes(), train, assume_unique=True)

@@ -109,7 +109,7 @@ def init_params(config: HyperParams, input_dim: int, class_count: int,
                 rng: RngState) -> ModelParams:
     """Glorot-uniform weights and zero biases, deterministic given the seed. The
     input transform is one map up to 3 layers, else two."""
-    d = config.hidden_dim
+    d = config.hidden
     input_weights = []
     dims = [input_dim, d] if config.layers <= 3 else [input_dim, d, d]
     for i in range(len(dims) - 1):
@@ -376,6 +376,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 raise IngestionError(f"{path}: repeated parameter {name!r} at byte offset {pos}")
             pos += name_len
             rows, cols = struct.unpack_from("<QQ", data, pos)
+            if rows * cols == 0:  # no parameter is empty, and numpy cannot shape (0, 2**63)
+                raise IngestionError(f"{path}: parameter {name!r} has zero size {rows} x {cols}")
             pos += 16
             nbytes = rows * cols * 8
             if pos + nbytes > len(data):

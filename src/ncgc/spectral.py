@@ -139,8 +139,9 @@ def lloyd(
 ):
     """Lloyd iterations until the assignment is a fixed point.
 
-    An emptied cluster is reseeded at the point farthest from its currently
-    assigned centroid. Returns (centroids, assignments, wcss).
+    An emptied cluster is reseeded at the point farthest from its centroid in a
+    cluster with a member to spare, so no cluster stays empty when n >= k.
+    Returns (centroids, assignments, wcss).
     """
     centroids = np.array(centroids, dtype=np.float64)
     k = centroids.shape[0]
@@ -149,12 +150,14 @@ def lloyd(
         d = nm.sqdist(x, centroids)
         new_assign = d.argmin(axis=1)
         point_cost = d[np.arange(x.shape[0]), new_assign]
-        for c in range(k):
-            if not np.any(new_assign == c):
-                far = int(point_cost.argmax())
-                new_assign[far] = c
-                centroids[c] = x[far]
-                point_cost[far] = 0.0
+        sizes = np.bincount(new_assign, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            # costs are >= 0, so -1 rules out the last member of a cluster
+            far = int(np.where(sizes[new_assign] > 1, point_cost, -1.0).argmax())
+            sizes[new_assign[far]] -= 1
+            sizes[c] = 1
+            new_assign[far] = c
+            centroids[c] = x[far]
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign

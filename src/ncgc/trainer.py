@@ -56,19 +56,22 @@ VARIANTS = {"full": {}, "no_soc": {"beta": 0.0}, "no_kl": {"lambda_kl": 0.0},
 
 @dataclass(frozen=True)
 class HyperParams:
+    """A run's settings: each field but ``seed`` and ``sinkhorn`` is the CLI flag
+    of the same name with dashes, and each rejection names its field."""
+
     seed: int = 0
     backbone: str = "gcn"
     layers: int = 2
-    hidden_dim: int = 64
+    hidden: int = 64
     beta: float = 0.005
     epsilon: float = 0.04
-    sinkhorn_t: int = 3
+    sinkhorn_iters: int = 3
     lr: float = 0.001
     weight_decay: float = 5e-4
     dropout: float = 0.5
     epochs: int = 1000
     patience: int = 100
-    warmup_epochs: int = 20
+    warmup: int = 20
     lambda_kl: float = 1.0
     lambda_pl: float = 1.0
     kl_scope: str = "all"  # all | unlabeled
@@ -80,38 +83,29 @@ class HyperParams:
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        if self.patience < 1:
-            raise ParameterError("patience must be at least 1")
+        for name, least in (("patience", 1), ("layers", 1), ("hidden", 2),
+                            ("sinkhorn_iters", 1), ("appnp_hops", 1)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be at least {least}")
         if self.patience > self.epochs:
             raise ParameterError("patience must not exceed epochs")
-        if self.lambda_kl < 0 or self.lambda_pl < 0:
-            raise ParameterError("loss weights must be non-negative")
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ParameterError("warmup_epochs must lie in [0, epochs)")
+        for name in ("lambda_kl", "lambda_pl", "weight_decay", "beta"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative")
+        if not 0 <= self.warmup < self.epochs:
+            raise ParameterError("warmup must lie in [0, epochs)")
         if self.kl_scope not in ("all", "unlabeled"):
             raise ParameterError(f"unknown kl_scope {self.kl_scope!r}")
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be positive")
-        if self.sinkhorn_t < 1:
-            raise ParameterError("need at least one sinkhorn iteration")
         if self.lr <= 0:
             raise ParameterError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be non-negative")
         if self.backbone not in BACKBONES:
             raise ParameterError(f"unknown backbone {self.backbone!r}")
-        if self.layers < 1:
-            raise ParameterError("need at least one layer")
-        if self.hidden_dim < 2:
-            raise ParameterError("hidden_dim must be at least 2")
-        if self.beta < 0:
-            raise ParameterError("beta must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError("dropout must lie in [0, 1)")
         if not 0.0 < self.appnp_alpha <= 1.0:
             raise ParameterError("appnp_alpha must lie in (0, 1]")
-        if self.appnp_hops < 1:
-            raise ParameterError("appnp_hops must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,7 @@ def train(g: Graph, split: Split,
                 l_kl = kl_loss(p_target, q, kl_scope_idx)
             if hp.lambda_pl > 0:
                 psi_detached = nm.softmax_rows(logits.value).value[u_idx]
-                psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_t)
+                psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_iters)
                        if hp.sinkhorn else psi_detached)
                 l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
         return total_loss(l_class, l_kl, l_pl, hp), l_class, l_kl, l_pl
@@ -250,10 +244,10 @@ def train(g: Graph, split: Split,
     # epoch. The previous epoch's eval pass ran with exactly these parameters,
     # so its embedding is kept across that one epoch boundary and never through
     # a training step; with no warmup there is no previous pass.
-    seed_epoch = hp.warmup_epochs if hp.lambda_kl > 0 else None
+    seed_epoch = hp.warmup if hp.lambda_kl > 0 else None
     h_seed = None
     for epoch in range(hp.epochs):
-        clustering_on = clustering_wanted and epoch >= hp.warmup_epochs
+        clustering_on = clustering_wanted and epoch >= hp.warmup
 
         if epoch == seed_epoch:
             if h_seed is None:
@@ -318,14 +312,17 @@ def seed_splits(
     split_policy: str,
     n_runs: int,
     split: Split | None = None,
-    split_counts: dict | None = None,
+    *,
+    train_per_class: int,
+    val_per_class: int,
 ) -> list[Split]:
     """The splits of ``n_runs`` seeded runs for ``run_seeds``: ``split`` for
-    every run when given, else one ``make_split`` per run seed ``seed + i``."""
+    every run when given, else one ``make_split`` per run seed ``seed + i``
+    with the given counts."""
     if split is not None:
         return [split] * n_runs
     return [make_split(g, split_policy, RngState(seed + run).derive("split"),
-                       **(split_counts or {})) for run in range(n_runs)]
+                       train_per_class, val_per_class) for run in range(n_runs)]
 
 
 def run_seeds(g: Graph, hp: HyperParams, splits: list[Split]) -> SeedStats:

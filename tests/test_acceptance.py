@@ -35,14 +35,14 @@ from oracles import (
 
 # hyperparameter rows for the citation graphs (per-dataset tuned values)
 DATASET_ROWS = {
-    "cora": dict(beta=0.003, epsilon=0.004, sinkhorn_t=3, layers=3, lr=0.001,
-                 hidden_dim=512, weight_decay=5e-4, dropout=0.8),
-    "citeseer": dict(beta=0.008, epsilon=0.003, sinkhorn_t=3, layers=2, lr=0.001,
-                     hidden_dim=512, weight_decay=1e-2, dropout=0.5),
-    "pubmed": dict(beta=0.008, epsilon=0.004, sinkhorn_t=4, layers=2, lr=0.001,
-                   hidden_dim=256, weight_decay=5e-4, dropout=0.7),
+    "cora": dict(beta=0.003, epsilon=0.004, sinkhorn_iters=3, layers=3, lr=0.001,
+                 hidden=512, weight_decay=5e-4, dropout=0.8),
+    "citeseer": dict(beta=0.008, epsilon=0.003, sinkhorn_iters=3, layers=2, lr=0.001,
+                     hidden=512, weight_decay=1e-2, dropout=0.5),
+    "pubmed": dict(beta=0.008, epsilon=0.004, sinkhorn_iters=4, layers=2, lr=0.001,
+                   hidden=256, weight_decay=5e-4, dropout=0.7),
 }
-CITATION_SPLIT = dict(per_class_train=20, per_class_val=30)
+CITATION_SPLIT = dict(train_per_class=20, val_per_class=30)
 N_SEEDS = 5
 
 
@@ -64,7 +64,7 @@ def citation_hp(name: str, seed: int = 0, **overrides) -> HyperParams:
 
 def run_citation(name: str, hp: HyperParams, n_runs: int = N_SEEDS):
     g = load_dataset(dataset_dir(name))
-    splits = seed_splits(g, hp.seed, "planetoid_style", n_runs, split_counts=CITATION_SPLIT)
+    splits = seed_splits(g, hp.seed, "planetoid_style", n_runs, **CITATION_SPLIT)
     return run_seeds(g, hp, splits)
 
 
@@ -225,8 +225,8 @@ def test_criterion_8_gradient_suite():
         g = make_sbm([3, 3], 0.8, 0.3, feature_dim=3, rng=rng,
                      feature_shift=1.5, feature_noise=0.8)
         at = normalized_adjacency(g)
-        hp = HyperParams(seed=trial, hidden_dim=4, layers=2, beta=0.01,
-                         dropout=0.0, epsilon=0.1, sinkhorn_t=5)
+        hp = HyperParams(seed=trial, hidden=4, layers=2, beta=0.01,
+                         dropout=0.0, epsilon=0.1, sinkhorn_iters=5)
         params = init_params(hp, g.feature_dim, g.class_count, rng.derive("init"))
         train_idx = np.array([0, 3])
         u_idx = np.setdiff1d(np.arange(g.n), train_idx)
@@ -236,7 +236,7 @@ def test_criterion_8_gradient_suite():
         y0 = nm.softmax_rows(logits0)
         cstate = init_centroids(h0.value, g.class_count, rng.derive("centroids"))
         p_target = target_distribution(soft_assign(h0, cstate).value)
-        psi = sinkhorn_pseudo_labels(y0.value[u_idx], hp.epsilon, hp.sinkhorn_t)
+        psi = sinkhorn_pseudo_labels(y0.value[u_idx], hp.epsilon, hp.sinkhorn_iters)
 
         def loss_of(params_, cstate_):
             h, logits = forward(x, at, params_, hp, RngState(0), training=False)

@@ -1,7 +1,7 @@
 import json
 import shutil
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -78,11 +78,13 @@ def _meta(**fields):
     return corrupt
 
 
-def _no_features(d):
-    # with d = 0 an empty features.bin matches any n, so n would bound nothing
-    _meta(n=10**12, d=0, m=0)(d)
-    for name in ("features.bin", "edges.tsv", "labels.tsv"):
-        (d / name).write_bytes(b"")
+def _empty_files(**fields):
+    """``_meta(**fields)`` with empty features, edges and labels files."""
+    def corrupt(d):
+        _meta(**fields)(d)
+        for name in ("features.bin", "edges.tsv", "labels.tsv"):
+            (d / name).write_bytes(b"")
+    return corrupt
 
 
 def _idx_not_utf8(d):
@@ -121,7 +123,11 @@ def _train_idx(data):
                  id="meta-not-utf8"),
     # bool is a subclass of int in Python, but not a count
     pytest.param("meta.json", _meta(k=True), id="meta-bool-count"),
-    pytest.param("meta.json: field 'd'", _no_features, id="meta-d-zero"),
+    # with d = 0 an empty features.bin matches any n, so n would bound nothing
+    pytest.param("meta.json: field 'd'", _empty_files(n=10**12, d=0, m=0), id="meta-d-zero"),
+    # with n = 0 an empty features.bin matches any d, and numpy cannot shape (0, d)
+    *[pytest.param("meta.json: field 'd' must be at most", _empty_files(n=0, d=d, m=0, k=0),
+                   id=f"meta-d-{d}-without-nodes") for d in (10**20, 2**61)],
     pytest.param("meta.json: field 'k'", _meta(k=21), id="meta-k-above-n"),
     pytest.param("meta.json", lambda d: (d / "meta.json").write_text('["n", "m", "d", "k"]'),
                  id="meta-not-object"),
@@ -229,9 +235,25 @@ def _repeat_first_parameter(path):
     path.write_bytes(data[:8] + struct.pack("<I", count + 1) + data[12:] + data[12:end])
 
 
+def _reshape_first_parameter(rows, cols):
+    """Give the first entry the shape ``rows x cols`` and drop its values."""
+    def corrupt(path):
+        data = path.read_bytes()
+        (name_len,) = struct.unpack_from("<I", data, 12)
+        old_rows, old_cols = struct.unpack_from("<QQ", data, 16 + name_len)
+        values_end = 32 + name_len + old_rows * old_cols * 8
+        path.write_bytes(data[:16 + name_len] + struct.pack("<QQ", rows, cols)
+                         + data[values_end:])
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     pytest.param(lambda p: p.write_bytes(p.read_bytes()[:10]), "truncated",
                  id="short-header"),
+    # zero values, so no length check rejects a shape numpy cannot make
+    *[pytest.param(_reshape_first_parameter(rows, cols),
+                   f"parameter 'input.w0' has zero size {rows} x {cols}",
+                   id=f"zero-size-{rows}x{cols}") for rows, cols in ((0, 2**63), (2**62, 0))],
     pytest.param(lambda p: p.write_bytes(p.read_bytes().replace(b"input.w0", b"input.w\xff")),
                  "not UTF-8", id="name-not-utf8"),
     pytest.param(_nan_weight, "non-finite", id="nan-weight"),
@@ -613,6 +635,11 @@ _TRAIN_FLAGS = _HP_FLAGS | {
 }
 
 
+def test_every_hyperparameter_flag_is_its_field_name_with_dashes():
+    names = [f.name for f in fields(trainer.HyperParams) if f.name not in ("seed", "sinkhorn")]
+    assert {"--" + name.replace("_", "-") for name in names} == _HP_FLAGS
+
+
 def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
     import argparse
     from ncgc.cli import build_parser
@@ -657,6 +684,18 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     *[pytest.param("train", ["--patience", value], "patience must be at least 1",
                    id=f"train-patience-{value}") for value in ("0", "-3")],
     pytest.param("train", ["--appnp-hops", "-1"], "appnp_hops", id="train-appnp-hops"),
+    # each rejection names the setting by its one name
+    pytest.param("train", ["--hidden", "1"], "hidden must be at least 2", id="train-hidden"),
+    pytest.param("train", ["--layers", "0"], "layers must be at least 1", id="train-layers"),
+    pytest.param("train", ["--sinkhorn-iters", "0"], "sinkhorn_iters must be at least 1",
+                 id="train-sinkhorn-iters"),
+    pytest.param("train", ["--warmup", "5"], "warmup must lie in [0, epochs)",
+                 id="train-warmup"),
+    pytest.param("train", ["--lambda-kl", "-1"], "lambda_kl must be non-negative",
+                 id="train-lambda-kl"),
+    # on and off are the only spellings of a switch
+    *[pytest.param("train", ["--row-normalize", value], f"expected on/off, got {value!r}",
+                   id=f"train-row-normalize-{value}") for value in ("true", "1")],
     pytest.param("train", ["--lr", "-1"], "lr", id="train-lr"),
     pytest.param("sweep", ["--axis", "dropout", "--values", "0.5,1.5"], "dropout",
                  id="sweep-second-value"),
@@ -835,8 +874,9 @@ def test_train_empty_validation_or_test_set_exit_2(capsys, sbm_dir, tmp_path,
 
 @pytest.mark.parametrize("axis, values, header", [
     ("lr", "0.01,0.02", "lr"),
-    ("hidden", "8,16", "hidden_dim"),
-    ("sinkhorn-iters", "2", "sinkhorn_t"),
+    ("hidden", "8,16", "hidden"),
+    ("sinkhorn-iters", "2", "sinkhorn_iters"),
+    ("warmup", "0,3", "warmup"),
 ])
 def test_sweep_any_numeric_axis(capsys, sbm_dir, tmp_path, axis, values, header):
     out = tmp_path / "s"
@@ -849,7 +889,9 @@ def test_sweep_any_numeric_axis(capsys, sbm_dir, tmp_path, axis, values, header)
     assert [r.split(",")[0] for r in rows[1:]] == values.split(",")
 
 
-@pytest.mark.parametrize("axis", ["backbone", "seed"])
+# the last three are the field names before each field took its flag's name
+@pytest.mark.parametrize("axis", ["backbone", "seed", "hidden_dim", "sinkhorn_t",
+                                  "warmup_epochs"])
 def test_sweep_rejects_non_hyperparameter_axis_exit_4(capsys, sbm_dir, tmp_path, axis):
     out = tmp_path / "s"
     assert main(["sweep", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
@@ -899,7 +941,7 @@ def test_evaluate_takes_exactly_the_fields_its_forward_reads(capsys, sbm_dir, tm
         run = tmp_path / backbone
         assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1"]
                     + _EVAL_FLAGS + ["--backbone", backbone]) == 0
-        hp = trainer.HyperParams(backbone=backbone, appnp_hops=3, hidden_dim=8, beta=0.3)
+        hp = trainer.HyperParams(backbone=backbone, appnp_hops=3, hidden=8, beta=0.3)
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == 0
         assert capsys.readouterr().out == _predict_line(sbm_dir, run, hp)
@@ -961,7 +1003,7 @@ def _drop_lines(*keys):
     pytest.param(_drop_lines("hidden"), 2, "missing 'hidden'", id="hidden-missing"),
     pytest.param(_edit_line("hidden", "x"), 4, ":11: bad value for 'hidden'",
                  id="bad-value"),
-    pytest.param(_edit_line("hidden", "1"), 4, "hidden_dim must be at least 2",
+    pytest.param(_edit_line("hidden", "1"), 4, "hidden must be at least 2",
                  id="hidden-rejected"),
     pytest.param(_edit_line("patience", "9"), 4, "patience must not exceed epochs",
                  id="training-value-rejected"),

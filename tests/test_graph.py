@@ -154,7 +154,7 @@ def test_row_normalization_default_and_off(tmp_path):
 def test_round_trip_is_identical(tmp_path):
     rng = RngState(0)
     g = make_sbm([5, 4], 0.8, 0.1, feature_dim=3, rng=rng)
-    split = make_split(g, "per_class", RngState(1), per_class_train=2, per_class_val=1)
+    split = make_split(g, "per_class", RngState(1), train_per_class=2, val_per_class=1)
     write_dataset(g, tmp_path / "a", split)
     g1 = load_dataset(tmp_path / "a", row_normalize=False)
     s1 = load_split(tmp_path / "a", g1.n)
@@ -291,7 +291,7 @@ def planetoid_graph(seed):
 
 def test_planetoid_style_split_sizes():
     g = planetoid_graph(seed=3)
-    split = make_split(g, "planetoid_style", RngState(4), per_class_train=20)
+    split = make_split(g, "planetoid_style", RngState(4), train_per_class=20, val_per_class=30)
     assert len(split.train_idx) == 140
     assert len(split.val_idx) == 500
     assert len(split.test_idx) == 1000
@@ -301,7 +301,7 @@ def test_planetoid_style_split_sizes():
 
 def test_per_class_split_sizes():
     g = labeled_graph(60, 10, seed=5)
-    split = make_split(g, "per_class", RngState(6), per_class_train=20, per_class_val=30)
+    split = make_split(g, "per_class", RngState(6), train_per_class=20, val_per_class=30)
     assert len(split.train_idx) == 200
     assert len(split.val_idx) == 300
     assert len(split.test_idx) == g.n - 500
@@ -309,8 +309,8 @@ def test_per_class_split_sizes():
 
 def test_two_seeds_differ_but_sizes_match():
     g = planetoid_graph(seed=7)
-    a = make_split(g, "planetoid_style", RngState(1))
-    b = make_split(g, "planetoid_style", RngState(2))
+    a = make_split(g, "planetoid_style", RngState(1), 20, 30)
+    b = make_split(g, "planetoid_style", RngState(2), 20, 30)
     assert len(a.val_idx) == len(b.val_idx)
     assert len(a.test_idx) == len(b.test_idx)
     assert not (np.array_equal(a.val_idx, b.val_idx) and np.array_equal(a.test_idx, b.test_idx))
@@ -319,7 +319,7 @@ def test_two_seeds_differ_but_sizes_match():
 def test_infeasible_split_lists_deficient_classes():
     g = labeled_graph(10, 3, seed=8)
     with pytest.raises(SplitError, match=r"\[0, 1, 2\]"):
-        make_split(g, "per_class", RngState(9), per_class_train=20, per_class_val=30)
+        make_split(g, "per_class", RngState(9), train_per_class=20, val_per_class=30)
 
 
 def test_split_validation():

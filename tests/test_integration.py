@@ -22,14 +22,14 @@ def hard_sbm():
                     feature_shift=0.8, feature_noise=1.0, name="hard_sbm")
 
 
-COMMON = dict(hidden_dim=32, layers=2, dropout=0.3, lr=0.01, weight_decay=5e-4,
-              epochs=150, patience=50, warmup_epochs=20, epsilon=0.05, sinkhorn_t=3)
-COUNTS = dict(per_class_train=2, per_class_val=5)
+COMMON = dict(hidden=32, layers=2, dropout=0.3, lr=0.01, weight_decay=5e-4,
+              epochs=150, patience=50, warmup=20, epsilon=0.05, sinkhorn_iters=3)
+COUNTS = dict(train_per_class=2, val_per_class=5)
 
 
 def run(g, n_runs=5, **overrides):
     hp = HyperParams(seed=0, **{"beta": 0.005, **COMMON, **overrides})
-    return run_seeds(g, hp, seed_splits(g, hp.seed, "per_class", n_runs, split_counts=COUNTS))
+    return run_seeds(g, hp, seed_splits(g, hp.seed, "per_class", n_runs, **COUNTS))
 
 
 def test_clustering_signals_beat_plain_reduction(hard_sbm):

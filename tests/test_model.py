@@ -42,7 +42,7 @@ def dense_layer_oracle(h, w, at_dense, beta, activation=True):
 
 
 def test_init_params_deterministic_and_glorot_bounded():
-    cfg = HyperParams(layers=2, hidden_dim=8)
+    cfg = HyperParams(layers=2, hidden=8)
     a = init_params(cfg, input_dim=5, class_count=3, rng=RngState(42))
     b = init_params(cfg, input_dim=5, class_count=3, rng=RngState(42))
     for pa, pb in zip(a.all_parameters(), b.all_parameters()):
@@ -55,7 +55,7 @@ def test_init_params_deterministic_and_glorot_bounded():
 
 
 def test_proto_head_shape():
-    cfg = HyperParams(layers=3, hidden_dim=512)
+    cfg = HyperParams(layers=3, hidden=512)
     params = init_params(cfg, input_dim=1433, class_count=7, rng=RngState(0))
     assert params.w_proto.value.shape == (512, 7)
 
@@ -63,7 +63,7 @@ def test_proto_head_shape():
 def test_input_transform_variants():
     # one map (linear) up to 3 layers, two (mlp) beyond
     for layers, maps in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2)):
-        cfg = HyperParams(layers=layers, hidden_dim=6)
+        cfg = HyperParams(layers=layers, hidden=6)
         params = init_params(cfg, input_dim=5, class_count=2, rng=RngState(1))
         assert len(params.input_weights) == maps, layers
 
@@ -235,7 +235,7 @@ def test_fused_layer_gradcheck_and_chain_on_asymmetric_csr(backbone, beta, dropo
 def test_input_transform_one_node_per_map_equals_chain(layers, transform):
     # linear: the sparse map alone; mlp: the sparse map, then the dense one
     g, _ = small_graph(seed=27, n_per=5, k=2, d=6)
-    cfg = HyperParams(layers=layers, hidden_dim=5)
+    cfg = HyperParams(layers=layers, hidden=5)
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(28))
     maps = len(params.input_weights)
     assert maps == (1 if transform == "linear" else 2)
@@ -351,7 +351,7 @@ def _training_step_peak(n=4000, d=32, layers=3):
     cols = np.stack([ring, (ring + 1) % n, (ring + 7) % n], axis=1).reshape(-1)
     at = CsrMatrix.from_coo(n, n, rows, cols, rng.uniform((3 * n,), 0.1, 0.4))
     x = CsrMatrix.from_dense(rng.normal((n, 16)) * (rng.uniform((n, 16)) < 0.2))
-    cfg = HyperParams(layers=layers, hidden_dim=d, beta=0.3, dropout=0.5)
+    cfg = HyperParams(layers=layers, hidden=d, beta=0.3, dropout=0.5)
     params = init_params(cfg, 16, 3, RngState(52))
     c = rng.normal((n, 3))
     adam = nm.AdamState()
@@ -420,7 +420,7 @@ def test_fused_layer_dropout_keeps_the_chain_bits_on_special_values(backbone, ac
 
 def test_forward_rows_sum_to_one_and_shapes():
     for layers, backbone in [(1, "gcn"), (2, "gcn"), (4, "appnp")]:
-        cfg = HyperParams(layers=layers, hidden_dim=6, backbone=backbone,
+        cfg = HyperParams(layers=layers, hidden=6, backbone=backbone,
                          dropout=0.3, appnp_hops=3)
         g, at = small_graph(seed=13)
         params = init_params(cfg, g.feature_dim, g.class_count, RngState(14))
@@ -431,7 +431,7 @@ def test_forward_rows_sum_to_one_and_shapes():
 
 
 def test_forward_eval_mode_deterministic():
-    cfg = HyperParams(layers=2, hidden_dim=5, dropout=0.8)
+    cfg = HyperParams(layers=2, hidden=5, dropout=0.8)
     g, at = small_graph(seed=16)
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(17))
     h1, y1 = forward_probs(g, at, params, cfg, RngState(1), training=False)
@@ -446,7 +446,7 @@ def test_forward_one_layer_composition_oracle():
     feats = np.abs(g0.features.to_dense())
     g = Graph(n=g0.n, m=g0.m, adjacency=g0.adjacency, features=CsrMatrix.from_dense(feats),
               labels=g0.labels, class_count=g0.class_count)
-    cfg = HyperParams(layers=1, hidden_dim=5, beta=0.0, dropout=0.0)
+    cfg = HyperParams(layers=1, hidden=5, beta=0.0, dropout=0.0)
     params = init_params(cfg, 5, g.class_count, RngState(19))
     params.input_weights[0][0].value = np.eye(5)
     h, y = forward_probs(g, at, params, cfg, RngState(20), training=False)
@@ -461,7 +461,7 @@ def test_forward_one_layer_composition_oracle():
 def test_forward_beta_zero_equivalence_any_config():
     for seed in range(3):
         g, at = small_graph(seed=21 + seed)
-        cfg = HyperParams(layers=2, hidden_dim=4, beta=0.0, dropout=0.0)
+        cfg = HyperParams(layers=2, hidden=4, beta=0.0, dropout=0.0)
         params = init_params(cfg, g.feature_dim, g.class_count, RngState(seed))
         h, _ = forward_probs(g, at, params, cfg, RngState(0), training=False)
         # plain-backbone composition without any correction-term code path
@@ -476,7 +476,7 @@ def test_forward_beta_zero_equivalence_any_config():
 
 def test_forward_gradients_match_finite_differences():
     g, at = small_graph(seed=24, n_per=4, k=2, d=3)
-    cfg = HyperParams(layers=2, hidden_dim=4, beta=0.01, dropout=0.0)
+    cfg = HyperParams(layers=2, hidden=4, beta=0.01, dropout=0.0)
     params = init_params(cfg, g.feature_dim, g.class_count, RngState(25))
     rng = RngState(26)
     cy = rng.normal((g.n, g.class_count))
@@ -516,7 +516,7 @@ def test_sparse_feature_path_matches_dense_composition():
     g = Graph(n=n, m=g0.m, adjacency=g0.adjacency, features=x,
               labels=g0.labels, class_count=2)
     at = normalized_adjacency(g)
-    cfg = HyperParams(layers=1, hidden_dim=8, beta=0.0, dropout=0.0)
+    cfg = HyperParams(layers=1, hidden=8, beta=0.0, dropout=0.0)
     params = init_params(cfg, d, 2, RngState(72))
     h, _ = forward(x, at, params, cfg, RngState(0), training=False)
     w0, b0 = params.input_weights[0]
@@ -546,7 +546,7 @@ def test_soc_penalty_matches_loop_oracle():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    cfg = HyperParams(layers=2, hidden_dim=6)
+    cfg = HyperParams(layers=2, hidden=6)
     params = init_params(cfg, input_dim=4, class_count=3, rng=RngState(29))
     path = tmp_path / "ck.bin"
     save_checkpoint(path, params.named_values())
@@ -571,7 +571,7 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
 
 
 def test_load_values_shape_check(tmp_path):
-    cfg = HyperParams(layers=1, hidden_dim=4)
+    cfg = HyperParams(layers=1, hidden=4)
     params = init_params(cfg, input_dim=3, class_count=2, rng=RngState(30))
     bad = params.named_values()
     bad["proto.w"] = np.ones((4, 5))
@@ -580,7 +580,7 @@ def test_load_values_shape_check(tmp_path):
 
 
 def test_load_values_rejects_extra_parameter():
-    cfg = HyperParams(layers=1, hidden_dim=4)
+    cfg = HyperParams(layers=1, hidden=4)
     params = init_params(cfg, input_dim=3, class_count=2, rng=RngState(30))
     named = params.named_values()
     named["centroids"] = np.zeros((2, 4))  # seeded later; a model without them accepts it

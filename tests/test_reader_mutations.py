@@ -56,7 +56,7 @@ RUN_CASES = [(name, kind, trial)
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
     g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0))
-    split = make_split(g, "per_class", RngState(1), per_class_train=3, per_class_val=3)
+    split = make_split(g, "per_class", RngState(1), train_per_class=3, val_per_class=3)
     d = tmp_path_factory.mktemp("pristine") / "sbm"
     write_dataset(g, d, split)
     return d

@@ -25,12 +25,12 @@ def sbm_setup(seed=0, n_per=10, k=2, p_in=0.6, p_out=0.05, d=6,
     g = make_sbm([n_per] * k, p_in, p_out, feature_dim=d, rng=RngState(seed),
                  feature_shift=2.5, feature_noise=0.6)
     split = make_split(g, "per_class", RngState(seed + 1000),
-                       per_class_train=train_per_class, per_class_val=val_per_class)
+                       train_per_class=train_per_class, val_per_class=val_per_class)
     return g, normalized_adjacency(g), split
 
 
-FAST = dict(hidden_dim=16, layers=2, dropout=0.2, lr=0.01, weight_decay=5e-4,
-            epochs=120, patience=120, warmup_epochs=10, epsilon=0.05, sinkhorn_t=3)
+FAST = dict(hidden=16, layers=2, dropout=0.2, lr=0.01, weight_decay=5e-4,
+            epochs=120, patience=120, warmup=10, epsilon=0.05, sinkhorn_iters=3)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_total_loss_reductions_and_arithmetic():
 def test_evaluate_and_complement_identity():
     g, at, split = sbm_setup(seed=1)
     hp = HyperParams(seed=0, **{**FAST, "lambda_kl": 0.0, "lambda_pl": 0.0, "beta": 0.0,
-                                "epochs": 30, "patience": 30, "warmup_epochs": 0})
+                                "epochs": 30, "patience": 30, "warmup": 0})
     params, _, _ = train(g, split, hp)
     acc = accuracy(predict(g.features, at, params, hp)[1], g.labels,
                    split.test_idx)
@@ -133,7 +133,7 @@ def test_training_reaches_full_accuracy_on_separable_sbm():
 
 def test_clustering_losses_switch_on_after_warmup():
     g, at, split = sbm_setup(seed=5)
-    hp = HyperParams(seed=0, **{**FAST, "warmup_epochs": 8, "epochs": 12, "patience": 12})
+    hp = HyperParams(seed=0, **{**FAST, "warmup": 8, "epochs": 12, "patience": 12})
     _, _, report = train(g, split, hp)
     # in warmup the clustering terms are off: the total is the class loss itself
     for r in report.epochs[:8]:
@@ -145,8 +145,8 @@ def test_reduction_contract_clustering_machinery_off_vs_never_on():
     g, at, split = sbm_setup(seed=6)
     base = {**FAST, "lambda_kl": 0.0, "lambda_pl": 0.0, "beta": 0.0,
             "epochs": 25, "patience": 25}
-    hp_a = HyperParams(seed=3, **{**base, "warmup_epochs": 0})
-    hp_b = HyperParams(seed=3, **{**base, "warmup_epochs": 24})
+    hp_a = HyperParams(seed=3, **{**base, "warmup": 0})
+    hp_b = HyperParams(seed=3, **{**base, "warmup": 24})
     _, _, ra = train(g, split, hp_a)
     _, _, rb = train(g, split, hp_b)
     for a, b in zip(ra.epochs, rb.epochs):
@@ -158,7 +158,7 @@ def test_reduction_matches_plain_gcn_oracle():
     # flat reimplementation of the beta=0, lambdas=0 loop with the same streams
     g, at, split = sbm_setup(seed=7)
     hp = HyperParams(seed=11, **{**FAST, "lambda_kl": 0.0, "lambda_pl": 0.0, "beta": 0.0,
-                                 "epochs": 15, "patience": 15, "warmup_epochs": 0})
+                                 "epochs": 15, "patience": 15, "warmup": 0})
     _, _, report = train(g, split, hp)
 
     rng = RngState(hp.seed)
@@ -182,7 +182,7 @@ def test_reduction_matches_plain_gcn_oracle():
 
 def test_train_builds_adjacency_with_self_loops(monkeypatch):
     g, _, split = sbm_setup(seed=19)
-    hp = HyperParams(seed=0, **{**FAST, "epochs": 3, "patience": 3, "warmup_epochs": 1})
+    hp = HyperParams(seed=0, **{**FAST, "epochs": 3, "patience": 3, "warmup": 1})
     seen = []
     real_forward = trainer.forward
 
@@ -205,7 +205,7 @@ def test_centroids_seeded_on_the_previous_eval_embedding(monkeypatch, warmup):
     # the eval forward does not run again; with no warmup there is no such
     # pass. No eval embedding outlives its epoch into a training forward.
     g, _, split = sbm_setup(seed=20)
-    hp = HyperParams(seed=0, **{**FAST, "epochs": 4, "patience": 4, "warmup_epochs": warmup})
+    hp = HyperParams(seed=0, **{**FAST, "epochs": 4, "patience": 4, "warmup": warmup})
     evals, seeded_on = [], []
     real_predict, real_init, real_forward = (
         trainer.predict, trainer.init_centroids, trainer.forward)
@@ -262,7 +262,7 @@ def test_determinism_identical_reports():
 def test_non_finite_loss_aborts_with_diagnostic():
     g, at, split = sbm_setup(seed=11)
     hp = HyperParams(seed=0, **{**FAST, "lr": 1e18, "epochs": 30, "patience": 30,
-                                "warmup_epochs": 0})
+                                "warmup": 0})
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             train(g, split, hp)
@@ -303,7 +303,7 @@ def test_no_target_leakage_stored_vs_recomputed_targets():
     def fresh_targets():
         q0 = soft_assign(h0, cstate).value
         p_target = target_distribution(q0)
-        psi = sinkhorn_pseudo_labels(y0.value[u_idx], hp.epsilon, hp.sinkhorn_t)
+        psi = sinkhorn_pseudo_labels(y0.value[u_idx], hp.epsilon, hp.sinkhorn_iters)
         return p_target, psi
 
     stored_p, stored_psi = fresh_targets()
@@ -321,7 +321,7 @@ def test_soc_effect_reduces_column_correlation():
     def mean_offdiag(beta, seed):
         g, at, split = sbm_setup(seed=20 + seed)
         hp = HyperParams(seed=seed, **{**FAST, "beta": beta, "epochs": 60,
-                                       "patience": 60, "hidden_dim": 8})
+                                       "patience": 60, "hidden": 8})
         params, _, _ = train(g, split, hp)
         h, _ = forward(g.features, at, params, hp,
                        RngState(0), training=False)
@@ -368,7 +368,7 @@ def test_run_seeds_fresh_splits_per_run():
     g, _, _ = sbm_setup(seed=14)
     hp = HyperParams(seed=0, **{**FAST, "epochs": 15, "patience": 15})
     s0, s1 = splits = seed_splits(g, hp.seed, "per_class", 2,
-                                  split_counts=dict(per_class_train=3, per_class_val=3))
+                                  train_per_class=3, val_per_class=3)
     run_seeds(g, hp, splits)
     assert not np.array_equal(s0.val_idx, s1.val_idx) or not np.array_equal(
         s0.train_idx, s1.train_idx)
@@ -406,7 +406,7 @@ def test_ablate_variants_are_hyperparams_overrides():
 def test_no_skn_feeds_raw_predictions(monkeypatch):
     g, at, split = sbm_setup(seed=17)
     hp = HyperParams(seed=6, **{**FAST, "epochs": 14, "patience": 14,
-                                "warmup_epochs": 4})
+                                "warmup": 4})
     seen = []
 
     def spy(targets, live_logits):
@@ -433,6 +433,6 @@ def test_hyperparams_validation():
     with pytest.raises(ParameterError):
         HyperParams(lambda_kl=-1.0)
     with pytest.raises(ParameterError):
-        HyperParams(warmup_epochs=1000, epochs=1000)
+        HyperParams(warmup=1000, epochs=1000)
     with pytest.raises(ParameterError):
         HyperParams(kl_scope="train")
