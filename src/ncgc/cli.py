@@ -200,11 +200,12 @@ def _require(resolved: dict, keys, cmd: str) -> None:
 
 
 def _load_labeled(resolved: dict, split_dir: str, purpose: str):
-    """The graph, which must have labels, and the split in ``split_dir`` (None
+    """The graph, which must label at least one node (with no ``labels.tsv``, an
+    empty one or ``k = 0`` it labels none), and the split in ``split_dir`` (None
     without split files), which must pass ``Split.check``."""
     g = load_dataset(resolved["dataset"], row_normalize=resolved["row-normalize"])
-    if g.labels is None:
-        raise IngestionError(f"{resolved['dataset']}: no labels.tsv; {purpose} needs node labels")
+    if not g.labeled_nodes().size:
+        raise IngestionError(f"{resolved['dataset']}: no labeled node; {purpose} needs node labels")
     split = load_split(split_dir, g.n)
     if split is not None:
         split.check(g)
@@ -263,10 +264,11 @@ def cmd_validate(resolved: dict) -> int:
     _echo_config(resolved)
     g = load_dataset(resolved["dataset"], row_normalize=False)
     print(f"n={g.n} m={g.m} d={g.feature_dim} k={g.class_count} name={g.name}")
-    if g.labels is not None:
-        hist = np.bincount(g.labels[g.labels >= 0], minlength=g.class_count)
+    labeled = g.labels[g.labels >= 0]
+    if labeled.size:
+        hist = np.bincount(labeled, minlength=g.class_count)
         print("labels: " + " ".join(f"{c}:{hist[c]}" for c in range(g.class_count)))
-        print(f"unlabeled: {int((g.labels < 0).sum())}")
+        print(f"unlabeled: {g.n - labeled.size}")
     else:
         print("labels: none")
     split = load_split(resolved["dataset"], g.n)

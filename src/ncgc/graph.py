@@ -5,7 +5,8 @@ integer fields ``n``, ``m``, ``d``, ``k`` and a string field ``name``),
 ``features.bin`` (n*d finite little-endian float32 values, row-major,
 loaded as a float64 ``CsrMatrix``), ``edges.tsv`` (one undirected edge ``i j`` per
 line; duplicate lines are deduplicated), an optional ``labels.tsv`` (one
-``node class`` line per labeled node, class in [0, k)) and optional
+``node class`` line per labeled node, class in [0, k); a missing file and an
+empty one both label no node) and optional
 ``train.idx``, ``val.idx`` and ``test.idx`` (all three or none: one node id
 per line, defining the split instead of ``make_split``).
 
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, IngestionError, ShapeError, SplitError
+from .errors import IngestionError, ShapeError, SplitError
 from .rng import RngState
 from .sparse import CsrMatrix
 
@@ -38,8 +39,10 @@ MAX_FEATURE_DIM = np.iinfo(np.intp).max // 4  # numpy's widest float32 row
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected attributed graph with optional node labels.
+    """Undirected attributed graph with node labels.
 
+    ``labels`` is an int64 array of length n holding each node's class in
+    [0, k), or -1 for an unlabeled node; a graph may label no node at all.
     ``features`` is the one feature matrix, in CSR, that models take and
     serialization writes: row-L1-normalized when the loader was asked to, so a
     load/write/load round trip is exact for loads without normalization.
@@ -49,7 +52,7 @@ class Graph:
     m: int
     adjacency: CsrMatrix
     features: CsrMatrix
-    labels: np.ndarray | None
+    labels: np.ndarray
     class_count: int
     name: str = "graph"
 
@@ -58,21 +61,16 @@ class Graph:
             raise ShapeError("adjacency must be n x n")
         if self.features.rows != self.n:
             raise ShapeError("features must have one row per node")
-        if self.labels is not None:
-            lab = self.labels
-            if lab.shape != (self.n,):
-                raise ShapeError("labels must have length n")
-            present = lab[lab >= 0]
-            if present.size and present.max() >= self.class_count:
-                raise ShapeError("label out of range [0, K)")
+        if np.shape(self.labels) != (self.n,):
+            raise ShapeError("labels must be an array of length n")
+        if self.labels.max(initial=-1) >= self.class_count:
+            raise ShapeError("label out of range [0, K)")
 
     @property
     def feature_dim(self) -> int:
         return self.features.cols
 
     def labeled_nodes(self) -> np.ndarray:
-        if self.labels is None:
-            return np.zeros(0, dtype=np.int64)
         return np.nonzero(self.labels >= 0)[0]
 
 
@@ -100,12 +98,10 @@ class Split:
             raise SplitError("split index sets are not pairwise disjoint")
 
     def check(self, g: Graph) -> None:
-        """Reject a split that ``g`` cannot train on: a graph without labels (a
-        ``ContractError``), or a node outside the graph or an unlabeled one (a
-        ``SplitError``). The validation and test sets are non-empty, so the
-        clustering losses always have nodes outside training."""
-        if g.labels is None:
-            raise ContractError("training requires node labels")
+        """Reject, as a ``SplitError``, a split that ``g`` cannot train on: one
+        naming a node outside the graph or an unlabeled one. The validation and
+        test sets are non-empty, so the clustering losses always have nodes
+        outside training."""
         top = max(int(a.max(initial=-1)) for a in (self.train_idx, self.val_idx, self.test_idx))
         if top >= g.n:
             raise SplitError(f"split references node {top} but graph has {g.n} nodes")
@@ -254,10 +250,13 @@ def _read_edges(path: Path, n: int) -> np.ndarray:
     return np.column_stack(np.divmod(key, n))
 
 
-def _read_labels(path: Path, n: int, k: int) -> np.ndarray | None:
+def _read_labels(path: Path, n: int, k: int) -> np.ndarray:
+    """Each node's class, -1 for a node ``labels.tsv`` does not name; a missing
+    file names no node."""
+    labels = np.full(n, -1, dtype=np.int64)
     f = path / "labels.tsv"
     if not f.exists():
-        return None
+        return labels
     rows, lineno = _read_int_rows(f, 2)
     node, cls = rows[:, 0], rows[:, 1]
     _reject(f, lineno, rows, (node < 0) | (node >= n), "node id {0} out of range")
@@ -265,7 +264,6 @@ def _read_labels(path: Path, n: int, k: int) -> np.ndarray | None:
     repeated = np.ones(len(node), dtype=bool)
     repeated[np.unique(node, return_index=True)[1]] = False
     _reject(f, lineno, rows, repeated, "node {0} labeled twice")
-    labels = np.full(n, -1, dtype=np.int64)
     labels[node] = cls
     return labels
 
@@ -324,7 +322,8 @@ def load_split(path, n: int) -> Split | None:
 
 
 def write_dataset(g: Graph, path, split: Split | None = None) -> None:
-    """Serialize a Graph (and optionally a Split) into the canonical layout."""
+    """Serialize a Graph (and optionally a Split) into the canonical layout;
+    ``labels.tsv`` is empty when no node is labeled."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     meta = {"n": g.n, "m": g.m, "d": g.feature_dim, "k": g.class_count, "name": g.name}
@@ -335,10 +334,9 @@ def write_dataset(g: Graph, path, split: Split | None = None) -> None:
     upper = rows <= a.col_indices
     np.savetxt(path / "edges.tsv", np.column_stack((rows[upper], a.col_indices[upper])),
                fmt="%d", delimiter="\t")
-    if g.labels is not None:
-        labeled = g.labeled_nodes()
-        np.savetxt(path / "labels.tsv", np.column_stack((labeled, g.labels[labeled])),
-                   fmt="%d", delimiter="\t")
+    labeled = g.labeled_nodes()
+    np.savetxt(path / "labels.tsv", np.column_stack((labeled, g.labels[labeled])),
+               fmt="%d", delimiter="\t")
     if split is not None:
         write_split(split, path)
 
@@ -374,16 +372,6 @@ def normalized_laplacian(g: Graph) -> CsrMatrix:
     return CsrMatrix.identity(g.n).add(at.scale_rows(np.full(g.n, -1.0)))
 
 
-def _class_pools(g: Graph, rng: RngState) -> dict[int, np.ndarray]:
-    if g.labels is None:
-        raise SplitError("cannot split an unlabeled graph")
-    pools = {}
-    for c in range(g.class_count):
-        members = np.nonzero(g.labels == c)[0]
-        pools[c] = rng.permutation(members)
-    return pools
-
-
 def make_split(
     g: Graph,
     policy: str,
@@ -399,10 +387,13 @@ def make_split(
     nodes; it ignores ``val_per_class``.
     ``per_class`` takes ``train_per_class`` and ``val_per_class`` nodes per
     class, everything else labeled becomes test. The CLI holds the defaults.
+    A graph with no labeled node is a ``SplitError``.
     """
     if policy not in SPLIT_POLICIES:
         raise SplitError(f"unknown split policy {policy!r}")
-    pools = _class_pools(g, rng)
+    if not g.labeled_nodes().size:
+        raise SplitError(f"{g.name}: no labeled node to split")
+    pools = {c: rng.permutation(np.nonzero(g.labels == c)[0]) for c in range(g.class_count)}
     need_val = val_per_class if policy == "per_class" else 0
     deficient = [c for c, pool in pools.items() if len(pool) < train_per_class + need_val]
     if deficient:

@@ -250,6 +250,9 @@ def _reshape_first_parameter(rows, cols):
 @pytest.mark.parametrize("corrupt, reason", [
     pytest.param(lambda p: p.write_bytes(p.read_bytes()[:10]), "truncated",
                  id="short-header"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:4] + struct.pack("<I", 2)
+                                         + p.read_bytes()[8:]),
+                 "unsupported checkpoint version 2", id="version-2"),
     # zero values, so no length check rejects a shape numpy cannot make
     *[pytest.param(_reshape_first_parameter(rows, cols),
                    f"parameter 'input.w0' has zero size {rows} x {cols}",
@@ -391,18 +394,67 @@ def test_evaluate_on_dataset_without_labels_exit_2(capsys, sbm_dir, tmp_path, mo
     assert "evaluation needs node labels" in capsys.readouterr().err
 
 
+def _no_labeled_node(form):
+    """Make the dataset label no node: no labels.tsv, an empty one, or k = 0 and
+    an empty one."""
+    def corrupt(d):
+        if form == "missing":
+            (d / "labels.tsv").unlink()
+        else:
+            (d / "labels.tsv").write_bytes(b"")
+        if form == "no-classes":
+            _meta(k=0)(d)
+    return corrupt
+
+
+_UNLABELED_FORMS = ("missing", "empty", "no-classes")
+
+
 def test_evaluate_with_empty_labels_file_exit_2(capsys, sbm_dir, tmp_path):
     out = tmp_path / "run"
     assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
                  "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
     unlabeled = tmp_path / "unlabeled"
-    shutil.copytree(sbm_dir, unlabeled)
-    (unlabeled / "labels.tsv").write_bytes(b"")
-    capsys.readouterr()
-    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
-               "--dataset", str(unlabeled)])
-    assert rc == 2
-    assert "the train set names unlabeled node" in capsys.readouterr().err
+    errors = []
+    # an empty labels.tsv, with k = 0 or not, labels no node, as a missing one does
+    for form in _UNLABELED_FORMS:
+        shutil.rmtree(unlabeled, ignore_errors=True)
+        shutil.copytree(sbm_dir, unlabeled)
+        _no_labeled_node(form)(unlabeled)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--dataset", str(unlabeled)]) == 2
+        errors += [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("error:")]
+    assert errors == [f"error: {unlabeled}: no labeled node; evaluation needs node labels"] * 3
+
+
+@pytest.mark.parametrize("form", _UNLABELED_FORMS)
+@pytest.mark.parametrize("command, extra", [
+    pytest.param(command, extra + ["--split-policy", policy], id=f"{command}-{policy}")
+    for command, extra in (("train", []), ("ablate", []),
+                           ("sweep", ["--axis", "beta", "--values", "0,0.01"]))
+    for policy in ("planetoid_style", "per_class")
+])
+def test_no_labeled_node_exit_2_writes_nothing(capsys, sbm_dir, tmp_path, command, extra,
+                                               form):
+    _no_labeled_node(form)(sbm_dir)
+    out = tmp_path / "o"
+    assert main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"]
+                + FAST_FLAGS[14:] + extra) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {sbm_dir}: no labeled node; training needs node labels"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", _UNLABELED_FORMS)
+def test_validate_dataset_with_no_labeled_node(capsys, sbm_dir, form):
+    _no_labeled_node(form)(sbm_dir)
+    assert main(["validate", "--dataset", str(sbm_dir)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["labels: none"]
 
 
 @pytest.mark.parametrize("empty, name", [("val", "validation"), ("test", "test")])
@@ -418,6 +470,19 @@ def test_evaluate_split_with_empty_set_exit_2(capsys, sbm_dir, tmp_path, empty, 
               if line.startswith("error:")]
     assert len(errors) == 1 and f"the {name} set is empty" in errors[0]
     assert all(str(out / f) in errors[0] for f in ("train.idx", "val.idx", "test.idx"))
+
+
+def test_evaluate_run_without_split_files_exit_2(capsys, sbm_dir, tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1",
+                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+    for name in ("train.idx", "val.idx", "test.idx"):
+        (run / name).unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {run}: no split files found for evaluation"]
 
 
 @pytest.mark.parametrize("empty, name", [("val", "validation"), ("test", "test")])
@@ -460,10 +525,13 @@ def _unchanged(d):
 ])
 @pytest.mark.parametrize("corrupt, split_flags, message", [
     pytest.param(_append("edges.tsv", b"0\tx\n"), [], "edges.tsv:", id="edges-malformed"),
-    pytest.param(_fixed_split_without_labels, [], "no labels.tsv", id="fixed-split-no-labels"),
+    pytest.param(_fixed_split_without_labels, [], "no labeled node", id="fixed-split-no-labels"),
     # the 20-node SBM has 10 nodes per class
     pytest.param(_unchanged, ["--train-per-class", "9", "--val-per-class", "3"],
                  "classes with too few labeled nodes", id="split-too-few-labeled"),
+    pytest.param(_unchanged, ["--split-policy", "planetoid_style", "--train-per-class", "2"],
+                 "need 1500 labeled nodes beyond training, have 16",
+                 id="planetoid-too-few-labeled"),
     pytest.param(_unchanged, ["--train-per-class", "7"], "the test set is empty",
                  id="split-empty-test"),
     pytest.param(_unchanged, ["--val-per-class", "0"], "the validation set is empty",
@@ -697,6 +765,11 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     *[pytest.param("train", ["--row-normalize", value], f"expected on/off, got {value!r}",
                    id=f"train-row-normalize-{value}") for value in ("true", "1")],
     pytest.param("train", ["--lr", "-1"], "lr", id="train-lr"),
+    pytest.param("train", ["--epsilon", "0"], "epsilon must be positive", id="train-epsilon-0"),
+    pytest.param("sweep", ["--axis", "hidden", "--values", "8,x"], "bad --values list",
+                 id="sweep-value-not-a-number"),
+    pytest.param("sweep", ["--axis", "hidden", "--values", ","], "empty --values list",
+                 id="sweep-no-value"),
     pytest.param("sweep", ["--axis", "dropout", "--values", "0.5,1.5"], "dropout",
                  id="sweep-second-value"),
     pytest.param("evaluate", ["--backbone", "foo"], "backbone", id="evaluate-backbone"),

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ncgc.errors import ContractError, IngestionError, ShapeError, SplitError
+from ncgc.errors import IngestionError, ShapeError, SplitError
 from ncgc.graph import (
     Graph, Split, _read_int_rows, load_dataset, load_split, make_split, normalized_adjacency,
     normalized_laplacian, row_l1_normalize, write_dataset, write_split,
@@ -171,6 +171,35 @@ def test_round_trip_is_identical(tmp_path):
         assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
 
+def _unlabeled_forms(path):
+    """The triangle with no labeled node, written three ways: without
+    ``labels.tsv``, with an empty one, and with ``k = 0`` and an empty one."""
+    missing = write_triangle(path / "missing")
+    (missing / "labels.tsv").unlink()
+    return (missing, write_triangle(path / "empty", labels=""),
+            write_triangle(path / "no_classes", k=0, labels=""))
+
+
+def test_missing_and_empty_labels_file_load_one_graph(tmp_path):
+    missing, empty, no_classes = map(load_dataset, _unlabeled_forms(tmp_path))
+    for g in (missing, empty, no_classes):
+        assert g.labels.dtype == np.int64 and list(g.labels) == [-1, -1, -1]
+        assert g.labeled_nodes().size == 0
+        assert np.array_equal(g.features.to_dense(), missing.features.to_dense())
+        assert np.array_equal(g.adjacency.to_dense(), missing.adjacency.to_dense())
+    assert (missing.n, missing.m, missing.class_count) == (empty.n, empty.m, empty.class_count)
+    assert no_classes.class_count == 0
+
+
+def test_round_trip_of_an_unlabeled_graph(tmp_path):
+    g = replace(triangle_graph(), labels=np.full(3, -1))
+    write_dataset(g, tmp_path / "a")
+    assert (tmp_path / "a" / "labels.tsv").read_bytes() == b""
+    g1 = load_dataset(tmp_path / "a", row_normalize=False)
+    assert np.array_equal(g1.labels, g.labels) and g1.class_count == g.class_count
+    assert np.array_equal(g1.features.to_dense(), g.features.to_dense())
+
+
 @pytest.mark.parametrize("sizes, p_in, p_out, seed", [
     ([10, 10], 0.6, 0.05, 0), ([5, 4], 0.8, 0.1, 3), ([30, 20, 7], 0.3, 0.05, 11),
     ([6, 0, 3], 1.0, 0.0, 12), ([1], 0.5, 0.5, 4), ([40] * 6, 0.10, 0.004, 7),
@@ -219,7 +248,7 @@ def test_normalized_adjacency_isolated_node():
     adj = CsrMatrix.from_dense(np.zeros((1, 1)))
     feats = np.zeros((1, 1))
     g = Graph(n=1, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
-              labels=None, class_count=1)
+              labels=np.full(1, -1), class_count=1)
     assert normalized_adjacency(g, add_self_loops=False).to_dense() == pytest.approx(0.0)
     assert normalized_adjacency(g, add_self_loops=True).to_dense() == pytest.approx(1.0)
 
@@ -230,7 +259,7 @@ def test_normalized_laplacian_triangle_and_edgeless():
     adj = CsrMatrix.from_dense(np.zeros((4, 4)))
     feats = np.zeros((4, 1))
     g = Graph(n=4, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
-              labels=None, class_count=1)
+              labels=np.full(4, -1), class_count=1)
     assert np.allclose(normalized_laplacian(g).to_dense(), np.eye(4))
 
 
@@ -322,6 +351,14 @@ def test_infeasible_split_lists_deficient_classes():
         make_split(g, "per_class", RngState(9), train_per_class=20, val_per_class=30)
 
 
+@pytest.mark.parametrize("policy", ["planetoid_style", "per_class"])
+def test_split_of_a_graph_with_no_labeled_node(tmp_path, policy):
+    for path in _unlabeled_forms(tmp_path / policy):
+        with pytest.raises(SplitError, match="triangle: no labeled node to split"):
+            make_split(load_dataset(path), policy, RngState(0), train_per_class=0,
+                       val_per_class=0)
+
+
 def test_split_validation():
     with pytest.raises(SplitError):
         Split(np.array([0, 1]), np.array([1]), np.array([2]))
@@ -333,8 +370,8 @@ def test_split_validation():
         s.check(g)
     g = labeled_graph(2, 2)
     s.check(g)
-    with pytest.raises(ContractError, match="training requires node labels"):
-        s.check(replace(g, labels=None))
+    with pytest.raises(SplitError, match="the train set names unlabeled node 0"):
+        s.check(replace(g, labels=np.full(4, -1)))
     with pytest.raises(SplitError, match="the test set names unlabeled node 2"):
         s.check(replace(g, labels=np.array([0, 0, -1, 1])))
 
@@ -349,6 +386,8 @@ def test_split_rejects_empty_validation_or_test_set(empty):
 def test_graph_invariant_checks():
     adj = CsrMatrix.from_dense(np.zeros((2, 2)))
     feats = np.zeros((2, 2))
-    with pytest.raises(ShapeError):
-        Graph(n=2, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
-              labels=np.array([0, 3]), class_count=2)
+    # "no label" is a -1 entry, never a missing array
+    for labels in (np.array([0, 3]), np.array([0]), None):
+        with pytest.raises(ShapeError):
+            Graph(n=2, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
+                  labels=labels, class_count=2)

@@ -102,7 +102,7 @@ def test_appnp_two_hops_matches_polynomial():
     adj = CsrMatrix.from_coo(3, 3, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], np.ones(6))
     feats = np.zeros((3, 1))
     g = Graph(n=3, m=3, adjacency=adj, features=CsrMatrix.from_dense(feats),
-              labels=None, class_count=2)
+              labels=np.full(3, -1), class_count=2)
     at = normalized_adjacency(g, add_self_loops=False)
     a_dense = at.to_dense()
     z = RngState(4).normal((3, 2))

@@ -25,7 +25,7 @@ def triangle_graph():
     adj = CsrMatrix.from_coo(3, 3, [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1], np.ones(6))
     feats = np.zeros((3, 1))
     return Graph(n=3, m=3, adjacency=adj, features=CsrMatrix.from_dense(feats),
-                 labels=None, class_count=2)
+                 labels=np.full(3, -1), class_count=2)
 
 
 def two_triangles():

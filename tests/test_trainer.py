@@ -268,6 +268,17 @@ def test_non_finite_loss_aborts_with_diagnostic():
             train(g, split, hp)
 
 
+def test_non_finite_loss_names_the_epoch_and_the_three_components(monkeypatch):
+    g, at, split = sbm_setup(seed=11)
+    real_class_loss = trainer.class_loss
+    monkeypatch.setattr(trainer, "class_loss",
+                        lambda *args: nm.add_scalar(real_class_loss(*args), np.nan))
+    hp = HyperParams(seed=0, **{**FAST, "epochs": 3, "patience": 3, "warmup": 0})
+    with pytest.raises(NumericError,
+                       match=r"^non-finite loss at epoch 0: class=nan kl=\d\S* pl=\d\S*$"):
+        train(g, split, hp)
+
+
 def test_no_target_leakage_stored_vs_recomputed_targets():
     # the loss sees P and psi only as fixed arrays: recomputing them (or
     # copying them) must leave every parameter gradient bitwise unchanged
