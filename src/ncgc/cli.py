@@ -5,14 +5,14 @@ Subcommands: ``validate``, ``train``, ``evaluate``, ``ablate``, ``sweep``,
 The hyperparameter flags, their types and defaults are the fields of
 ``trainer.HyperParams``. Every setting has one name: its flag, config key
 and ``config.resolved`` line are its field's name with dashes, and the
-``sweep`` header and every rejection are the field's name. ``seed``, a run
-option, and ``sinkhorn`` have no flag: ``sinkhorn`` is an ablation switch, so
-only ``ablate``'s ``no_skn`` variant turns it off. ``sweep --axis`` takes any
-numeric hyperparameter, with dashes or underscores. The resolved values build one
-``HyperParams``, the whole run's configuration; ``ablate`` and ``sweep`` build
-one per row, with the ``trainer.VARIANTS`` overrides or the swept value. A
-value ``HyperParams`` rejects is a bad flag, reported before any dataset is
-read or any output is written.
+``sweep`` header and every rejection are the field's name; ``seed`` is a run
+option. ``--sinkhorn-iters 0`` is ``ablate``'s ``no_skn`` variant, Sinkhorn with
+no balancing. ``sweep --axis`` takes any numeric hyperparameter, with dashes or
+underscores. The resolved values build one ``HyperParams``, the whole run's
+configuration; ``ablate`` and ``sweep`` build one per row, with the
+``trainer.VARIANTS`` overrides or the swept value. A value ``HyperParams``
+rejects is a bad flag, reported before any dataset is read or any output is
+written.
 
 Options can come from a flat ``key = value`` config file (``#`` comments);
 explicit flags win over file values, and the fully resolved configuration is
@@ -88,10 +88,8 @@ def _onoff(value: str) -> bool:
     return value == "on"
 
 
-# flag -> HyperParams field, in field order; the seed is a run option and
-# sinkhorn an ablation switch, so neither has a flag
-_HP_FIELDS = {f.name.replace("_", "-"): f
-              for f in fields(HyperParams) if f.name not in ("seed", "sinkhorn")}
+# flag -> HyperParams field, in field order; the seed is a run option
+_HP_FIELDS = {f.name.replace("_", "-"): f for f in fields(HyperParams) if f.name != "seed"}
 _HP_TYPES = get_type_hints(HyperParams)
 _HP_KEYS = tuple(_HP_FIELDS)
 

@@ -6,7 +6,8 @@ distribution and the balanced ``(n, K)`` pseudo-labels are plain numpy
 arrays, never tape tensors, so no gradient can reach the target branch by
 construction, and ``pseudo_label_loss`` rejects a ``Tensor`` target. The
 Sinkhorn normalization runs in the log domain, since small epsilon with
-confident predictions overflows the direct exponential.
+confident predictions overflows the direct exponential; with zero iterations
+it is a row softmax of psi/epsilon, sharpened but not balanced.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def _check_sinkhorn_args(psi_prime, epsilon: float, iterations: int) -> np.ndarr
         raise ContractError("sinkhorn input must be detached (a plain array)")
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if iterations < 1:
-        raise ParameterError(f"need at least one iteration, got {iterations}")
+    if iterations < 0:
+        raise ParameterError(f"iterations must be non-negative, got {iterations}")
     psi = np.asarray(psi_prime, dtype=np.float64)
     if psi.ndim != 2:
         raise ShapeError("predictions must be a 2-D matrix")
@@ -89,14 +90,15 @@ def sinkhorn_transport_plan(
 
     Runs ``iterations`` alternating rescale passes toward uniform marginals,
     a row pass (row sums 1/n) followed by a column pass (column sums 1/K)
-    each time. Returns the plan itself, before any per-row rescaling.
+    each time; zero iterations is one row pass alone, with no balancing.
+    Returns the plan itself, before any per-row rescaling.
     """
     psi = _check_sinkhorn_args(psi_prime, epsilon, iterations)
     n, k = psi.shape
     log_k = psi / epsilon
-    u = np.zeros(n)
-    v = np.zeros(k)
     la, lb = -np.log(n), -np.log(k)
+    u = la - _logsumexp(log_k, axis=1) if iterations == 0 else np.zeros(n)
+    v = np.zeros(k)
     for _ in range(iterations):
         u = la - _logsumexp(log_k + v[None, :], axis=1)
         v = lb - _logsumexp(log_k + u[:, None], axis=0)
@@ -111,7 +113,8 @@ def sinkhorn_pseudo_labels(
     """Balanced pseudo-labels: Sinkhorn plan rescaled so every row is a distribution.
 
     The final row rescale makes each row an exact probability vector (at
-    convergence this coincides with multiplying the plan by n).
+    convergence this coincides with multiplying the plan by n). Zero
+    iterations gives each row softmax(psi_prime/eps): sharpened, not balanced.
     """
     plan = sinkhorn_transport_plan(psi_prime, epsilon, iterations)
     return plan / plan.sum(axis=1, keepdims=True)
@@ -146,7 +149,8 @@ def init_centroids(h: np.ndarray, k: int, rng: RngState) -> nm.Parameter:
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] < k:
         raise ContractError(f"need at least k={k} rows, got {h.shape[0]}")
-    distinct = np.unique(h, axis=0)
+    # k distinct leading rows settle it without sorting the whole embedding
+    distinct = h[:k] if len(np.unique(h[:k], axis=0)) == k else np.unique(h, axis=0)
     if len(distinct) < k:
         pads = [distinct[i % len(distinct)] + 1e-3 * rng.normal((h.shape[1],))
                 for i in range(k - len(distinct))]

@@ -20,8 +20,9 @@ ablation switches included: its constructor rejects every out-of-range value,
 and the same object is passed whole from the CLI down to each model layer.
 Each ablation variant is a set of field overrides (``VARIANTS``), so
 ``ablate`` and ``sweep`` both run one ``HyperParams`` per row.
-``sinkhorn=False``, the paper's "w/o SKN", feeds the detached predictions
-back as the pseudo-label targets in place of their Sinkhorn balancing.
+The paper's "w/o SKN" is ``sinkhorn_iters = 0``: the pseudo-label targets
+are softmax(psi/epsilon) of the detached predictions, sharpened by the same
+kernel but not balanced across clusters.
 
 Independent random streams are derived per consumer (init, dropout,
 centroids), so switching a clustering component on or off never perturbs the
@@ -46,18 +47,15 @@ from .graph import Graph, Split, make_split, normalized_adjacency
 from .model import BACKBONES, ModelParams, forward, init_params, soc_penalty
 from .rng import RngState
 
-# ablation variant -> the HyperParams fields it overrides. no_skn trains like
-# no_pl up to rounding: its targets are the live softmax of the same forward,
-# so the pseudo-label gradient (softmax minus target) vanishes and only the
-# logged l_pl differs (demo 04: both 0.6889 +/- 0.0852)
+# ablation variant -> the HyperParams fields it overrides
 VARIANTS = {"full": {}, "no_soc": {"beta": 0.0}, "no_kl": {"lambda_kl": 0.0},
-            "no_pl": {"lambda_pl": 0.0}, "no_skn": {"sinkhorn": False}}
+            "no_pl": {"lambda_pl": 0.0}, "no_skn": {"sinkhorn_iters": 0}}
 
 
 @dataclass(frozen=True)
 class HyperParams:
-    """A run's settings: each field but ``seed`` and ``sinkhorn`` is the CLI flag
-    of the same name with dashes, and each rejection names its field."""
+    """A run's settings: each field but ``seed`` is the CLI flag of the same
+    name with dashes, and each rejection names its field."""
 
     seed: int = 0
     backbone: str = "gcn"
@@ -77,14 +75,13 @@ class HyperParams:
     kl_scope: str = "all"  # all | unlabeled
     appnp_alpha: float = 0.1
     appnp_hops: int = 10
-    sinkhorn: bool = True  # False: the detached predictions are the pseudo-labels
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
         for name, least in (("patience", 1), ("layers", 1), ("hidden", 2),
-                            ("sinkhorn_iters", 1), ("appnp_hops", 1)):
+                            ("sinkhorn_iters", 0), ("appnp_hops", 1)):
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be at least {least}")
         if self.patience > self.epochs:
@@ -226,8 +223,7 @@ def train(g: Graph, split: Split,
                 l_kl = kl_loss(p_target, q, kl_scope_idx)
             if hp.lambda_pl > 0:
                 psi_detached = nm.softmax_rows(logits.value).value[u_idx]
-                psi = (sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_iters)
-                       if hp.sinkhorn else psi_detached)
+                psi = sinkhorn_pseudo_labels(psi_detached, hp.epsilon, hp.sinkhorn_iters)
                 l_pl = pseudo_label_loss(psi, nm.take_rows(logits, u_idx))
         return total_loss(l_class, l_kl, l_pl, hp), l_class, l_kl, l_pl
 

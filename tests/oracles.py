@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -231,6 +232,17 @@ def sinkhorn_loop(psi_prime, eps, iters):
     for i in range(n):
         psi[i] /= psi[i].sum()
     return psi
+
+
+def loop_row_softmax(a):
+    """Row-by-row softmax with math.exp, each row shifted by its own maximum."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty_like(a)
+    for i in range(a.shape[0]):
+        top = max(a[i])
+        e = [math.exp(x - top) for x in a[i]]
+        out[i] = [x / sum(e) for x in e]
+    return out
 
 
 def best_partition_wcss(points, k):

@@ -576,13 +576,29 @@ def test_ablate_no_skn_row_is_a_sinkhorn_off_run(sbm_dir, tmp_path, monkeypatch)
     monkeypatch.setattr(trainer, "train",
                         lambda g, split, hp: hps.append(hp) or real_train(g, split, hp))
     assert main(argv) == 0
-    # two runs per variant, in VARIANTS order; only no_skn switches Sinkhorn off
-    assert [hp.sinkhorn for hp in hps] == [True] * 8 + [False] * 2
+    # two runs per variant, in VARIANTS order; only no_skn runs no Sinkhorn iteration
+    assert [hp.sinkhorn_iters for hp in hps] == [3] * 8 + [0] * 2
     table = json.loads((tmp_path / "ab" / "report.json").read_text())["variants"]
     resolved = cli.resolve_options(cli.build_parser().parse_args(argv), cli.COMMANDS["ablate"][1])
     g, splits, _ = cli._prepare_runs(resolved)
     hp = cli.hyperparams_from(resolved)
-    assert table["no_skn"]["acc_mean"] == run_seeds(g, replace(hp, sinkhorn=False), splits).mean
+    assert table["no_skn"]["acc_mean"] == run_seeds(g, replace(hp, sinkhorn_iters=0), splits).mean
+
+
+@pytest.mark.usefixtures("tape_guard")
+def test_sweep_zero_sinkhorn_iters_row_is_the_ablate_no_skn_row(capsys, sbm_dir, tmp_path):
+    # a one-epoch warmup, so that the pseudo-labels move these rows' accuracy
+    common = ["--dataset", str(sbm_dir), "--seed", "3", "--runs", "2", *FAST_FLAGS,
+              "--warmup", "1"]
+    assert main(["ablate", "--out", str(tmp_path / "ab")] + common) == 0
+    assert main(["sweep", "--out", str(tmp_path / "sw"), "--axis", "sinkhorn-iters",
+                 "--values", "0,1"] + common) == 0
+    capsys.readouterr()
+    variants = json.loads((tmp_path / "ab" / "report.json").read_text())["variants"]
+    rows = json.loads((tmp_path / "sw" / "report.json").read_text())["rows"]
+    assert [row["value"] for row in rows] == [0, 1]
+    assert rows[0]["acc_mean"] == variants["no_skn"]["acc_mean"]
+    assert rows[0]["acc_mean"] not in (rows[1]["acc_mean"], variants["no_pl"]["acc_mean"])
 
 
 def test_sweep_csv_row_count_and_single_value_matches_train(capsys, sbm_dir, tmp_path):
@@ -704,7 +720,7 @@ _TRAIN_FLAGS = _HP_FLAGS | {
 
 
 def test_every_hyperparameter_flag_is_its_field_name_with_dashes():
-    names = [f.name for f in fields(trainer.HyperParams) if f.name not in ("seed", "sinkhorn")]
+    names = [f.name for f in fields(trainer.HyperParams) if f.name != "seed"]
     assert {"--" + name.replace("_", "-") for name in names} == _HP_FLAGS
 
 
@@ -755,7 +771,7 @@ def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
     # each rejection names the setting by its one name
     pytest.param("train", ["--hidden", "1"], "hidden must be at least 2", id="train-hidden"),
     pytest.param("train", ["--layers", "0"], "layers must be at least 1", id="train-layers"),
-    pytest.param("train", ["--sinkhorn-iters", "0"], "sinkhorn_iters must be at least 1",
+    pytest.param("train", ["--sinkhorn-iters", "-1"], "sinkhorn_iters must be at least 0",
                  id="train-sinkhorn-iters"),
     pytest.param("train", ["--warmup", "5"], "warmup must lie in [0, epochs)",
                  id="train-warmup"),

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import ncgc.clustering as clustering
 import ncgc.numerics as nm
 from ncgc.clustering import (
     init_centroids, kl_loss, pseudo_label_loss, sinkhorn_pseudo_labels,
@@ -10,7 +13,7 @@ from ncgc.errors import ContractError, ParameterError
 from ncgc.rng import RngState
 from oracles import (
     best_partition_wcss, finite_difference_grads, loop_cross_entropy, loop_kl,
-    loop_target_distribution, rel_error, sinkhorn_loop,
+    loop_row_softmax, loop_target_distribution, rel_error, sinkhorn_loop,
 )
 
 
@@ -219,12 +222,25 @@ def test_sinkhorn_entropy_grows_with_epsilon():
     assert all(a < b + 1e-12 for a, b in zip(entropies, entropies[1:]))
 
 
+@pytest.mark.parametrize("eps", [0.04, 0.001])
+def test_sinkhorn_zero_iterations_is_the_row_softmax_oracle(eps):
+    # zero iterations: the Sinkhorn kernel exp(psi/eps) normalized per row and
+    # never balanced; at eps = 0.001, exp(1/eps) overflows float64
+    preds = softmax(RngState(47).normal((12, 4)) * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        psi = sinkhorn_pseudo_labels(preds, eps, 0)
+    assert np.isfinite(psi).all()
+    assert np.abs(psi - loop_row_softmax(preds / eps)).max() < 1e-12
+    assert np.abs(psi.sum(axis=0) - 3.0).max() > 0.1  # no column pass
+
+
 def test_sinkhorn_rejects_bad_arguments():
     preds = np.full((2, 2), 0.5)
     with pytest.raises(ParameterError):
         sinkhorn_pseudo_labels(preds, 0.0, 3)
     with pytest.raises(ParameterError):
-        sinkhorn_pseudo_labels(preds, 0.05, 0)
+        sinkhorn_pseudo_labels(preds, 0.05, -1)
     with pytest.raises(ContractError):
         sinkhorn_pseudo_labels(nm.Tensor(preds), 0.05, 3)
 
@@ -339,11 +355,21 @@ def test_init_centroids_wcss_matches_brute_force_on_separable():
     assert wcss <= best_partition_wcss(h, 3) + 1e-9
 
 
-def test_init_centroids_pads_when_fewer_distinct_rows():
+def test_init_centroids_pads_when_fewer_distinct_rows(monkeypatch):
     h = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
+    seeds = []
+    real_lloyd = clustering.lloyd
+    monkeypatch.setattr(clustering, "lloyd",
+                        lambda x, s, max_iter: seeds.append(s) or real_lloyd(x, s, max_iter))
     state = init_centroids(h, 4, RngState(64))
     assert state.value.shape == (4, 2)
     assert np.isfinite(state.value).all()
+    # Lloyd reseeds every pad's empty cluster at a data point, so the 1e-3
+    # pad perturbation shows only in the seeds it is handed
+    replay = RngState(64)
+    distinct = np.array([[0.0, 0.0], [1.0, 1.0]])
+    pads = [distinct[i] + 1e-3 * replay.normal((2,)) for i in range(2)]
+    assert np.array_equal(seeds[0], np.vstack([distinct, pads]))
 
 
 def test_init_centroids_requires_enough_rows():

@@ -42,7 +42,7 @@ def test_clustering_signals_beat_plain_reduction(hard_sbm):
 def test_ablation_directionality_on_synthetic(hard_sbm):
     full = run(hard_sbm)
     no_pl = run(hard_sbm, lambda_pl=0.0)
-    no_skn = run(hard_sbm, sinkhorn=False)
+    no_skn = run(hard_sbm, sinkhorn_iters=0)
     assert full.mean >= no_pl.mean + 0.02, (
         f"full {full.mean:.4f} vs no_pl {no_pl.mean:.4f}")
     assert full.mean >= no_skn.mean + 0.02, (

@@ -161,6 +161,9 @@ def test_column_l2_normalize_orthonormal_zero_and_idempotent():
     out = nm.column_l2_normalize(nm.Tensor(x)).value
     assert np.allclose(out[:, 0], [np.sqrt(0.5), np.sqrt(0.5)])
     assert np.array_equal(out[:, 1], [0.0, 0.0])
+    # norm 5e-12 lies between NORM_GUARD (1e-12) and ten times it: scaled
+    tiny = nm.column_l2_normalize(nm.Tensor(np.array([[3e-12], [4e-12]]))).value
+    assert np.allclose(tiny[:, 0], [0.6, 0.8], rtol=0, atol=1e-12)
     y = nm.column_l2_normalize(nm.Tensor(RngState(7).normal((4, 4)))).value
     assert np.allclose(nm.column_l2_normalize(nm.Tensor(y)).value, y, atol=1e-14)
 

@@ -15,7 +15,7 @@ from ncgc.synth import make_sbm
 from ncgc.trainer import (
     VARIANTS, HyperParams, accuracy, class_loss, predict, run_seeds, seed_splits, total_loss, train,
 )
-from oracles import loop_label_cross_entropy
+from oracles import loop_label_cross_entropy, loop_row_softmax
 
 pytestmark = pytest.mark.usefixtures("tape_guard")
 
@@ -405,16 +405,16 @@ def test_ablate_no_soc_equals_beta_zero_run():
 def test_ablate_variants_are_hyperparams_overrides():
     # the paper's ablation: the full method, then each component switched off
     assert VARIANTS == {"full": {}, "no_soc": {"beta": 0.0}, "no_kl": {"lambda_kl": 0.0},
-                        "no_pl": {"lambda_pl": 0.0}, "no_skn": {"sinkhorn": False}}
+                        "no_pl": {"lambda_pl": 0.0}, "no_skn": {"sinkhorn_iters": 0}}
     hp = HyperParams()
-    assert hp.sinkhorn
+    assert hp.sinkhorn_iters > 0
     for overrides in VARIANTS.values():
         hp_v = replace(hp, **overrides)
         changed = {k for k, v in vars(hp_v).items() if v != getattr(hp, k)}
         assert changed == set(overrides)
 
 
-def test_no_skn_feeds_raw_predictions(monkeypatch):
+def test_no_skn_feeds_sharpened_unbalanced_predictions(monkeypatch):
     g, at, split = sbm_setup(seed=17)
     hp = HyperParams(seed=6, **{**FAST, "epochs": 14, "patience": 14,
                                 "warmup": 4})
@@ -425,14 +425,32 @@ def test_no_skn_feeds_raw_predictions(monkeypatch):
         return pseudo_label_loss(targets, live_logits)
 
     monkeypatch.setattr(trainer, "pseudo_label_loss", spy)
-    train(g, split, replace(hp, sinkhorn=False))
-    # raw targets are the detached predictions themselves, free of sinkhorn balancing
+    train(g, split, replace(hp, **VARIANTS["no_skn"]))
+    # the targets are softmax(predictions / epsilon): sharpened by the Sinkhorn
+    # kernel but never balanced, and never the predictions themselves
     assert seen
     for targets, predictions in seen:
-        assert np.array_equal(targets, predictions)
-    seen.clear()
-    train(g, split, hp)
-    assert not any(np.array_equal(targets, predictions) for targets, predictions in seen)
+        assert np.abs(targets - loop_row_softmax(predictions / hp.epsilon)).max() < 1e-12
+        assert not np.allclose(targets, predictions)
+
+
+def test_no_skn_and_no_pl_reach_different_parameters():
+    # the criterion-9 fixture and settings. Feeding the live predictions back
+    # as targets left no pseudo-label gradient, so no_skn matched no_pl up to
+    # rounding (1e-16); zero Sinkhorn iterations sharpen the targets, so the
+    # runs part after warmup. The best epoch here precedes warmup, so the
+    # centroids, which keep their last values, carry the difference.
+    g, _, _ = sbm_setup(seed=0)
+    hp = HyperParams(seed=3, hidden=16, layers=2, dropout=0.2, lr=0.01, epochs=50,
+                     patience=50, warmup=10)
+    split = seed_splits(g, hp.seed, "per_class", 1, train_per_class=3, val_per_class=3)[0]
+    no_skn, _, skn_report = train(g, split, replace(hp, **VARIANTS["no_skn"]))
+    no_pl, _, pl_report = train(g, split, replace(hp, **VARIANTS["no_pl"]))
+    a, b = no_skn.named_values(), no_pl.named_values()
+    assert a.keys() == b.keys()
+    assert max(np.abs(a[name] - b[name]).max() for name in b) > 1e-6
+    epoch = hp.warmup + 1
+    assert abs(skn_report.epochs[epoch].l_class - pl_report.epochs[epoch].l_class) > 1e-6
 
 
 def test_hyperparams_validation():
