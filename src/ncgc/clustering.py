@@ -142,20 +142,12 @@ def pseudo_label_loss(targets: np.ndarray, live_logits) -> "nm.Tensor":
 def init_centroids(h: np.ndarray, k: int, rng: RngState) -> nm.Parameter:
     """The ``(k, d)`` parameter named ``"centroids"``, seeded on the embeddings.
 
-    Seeding is k-means++ followed by ``LLOYD_ITERS`` Lloyd refinements.
-    Fewer than k distinct rows are padded with duplicates perturbed by 1e-3
-    Gaussian noise so seeding always has k distinct candidates.
+    Seeding is k-means++ followed by ``LLOYD_ITERS`` Lloyd refinements. With
+    fewer than k distinct rows, k-means++ draws uniformly once no row is away
+    from a seed, and Lloyd reseeds each cluster left empty at a data point.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] < k:
         raise ContractError(f"need at least k={k} rows, got {h.shape[0]}")
-    # k distinct leading rows settle it without sorting the whole embedding
-    distinct = h[:k] if len(np.unique(h[:k], axis=0)) == k else np.unique(h, axis=0)
-    if len(distinct) < k:
-        pads = [distinct[i % len(distinct)] + 1e-3 * rng.normal((h.shape[1],))
-                for i in range(k - len(distinct))]
-        seeds = np.vstack([distinct, np.array(pads)])
-    else:
-        seeds = kmeans_pp_init(h, k, rng)
-    centroids, _, _ = lloyd(h, seeds, max_iter=LLOYD_ITERS)
+    centroids, _, _ = lloyd(h, kmeans_pp_init(h, k, rng), max_iter=LLOYD_ITERS)
     return nm.Parameter(centroids, name="centroids")

@@ -1,12 +1,32 @@
+"""The ``ncgc`` command line, run in process through ``cli.main``.
+
+``CONTRACTS`` is the pinned list of single exit-code contracts. Each row runs
+one argv from a fresh working directory that holds the CI SBM as ``sbm`` and
+a run of the CI gcn line as ``run``, after at most one mutation of one of
+them, and pins the exit code. A nonzero exit must print exactly one
+``error:`` line, holding the row's substring, and no traceback, and must
+leave no ``--out`` behind; an exit 0 prints no ``error:`` line.
+``test_contract`` runs every row. CI runs it once more, with the golden runs,
+from outside the checkout after ``pip install .``, so the same table checks
+the installed package.
+
+The parametrized tests below pin whole families of rejections case by case
+(malformed dataset bytes, checkpoints and run configs, out-of-range and
+non-finite hyperparameters, unlabeled datasets); the other tests pin what a
+row cannot hold: outputs, accuracies, and scenarios of more than one command.
+"""
+
 import json
 import shutil
 import struct
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ncgc.cli as cli
+from golden.regenerate import CI_FLAGS, TRAIN_LINES, run_lines
 from ncgc import trainer
 from ncgc.cli import main, read_config_file
 from ncgc.graph import write_dataset
@@ -15,21 +35,34 @@ from ncgc.synth import make_sbm
 from ncgc.trainer import run_seeds
 
 
-@pytest.fixture()
-def sbm_dir(tmp_path):
-    g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
-                 feature_shift=2.5, feature_noise=0.6)
-    d = tmp_path / "sbm"
-    write_dataset(g, d)
-    return d
+@pytest.fixture(scope="module")
+def ci_base(tmp_path_factory):
+    """The CI SBM in ``sbm``, the separable SBM in ``sbm_separable`` and the
+    CI gcn line's run in ``run``, trained once per module."""
+    base = tmp_path_factory.mktemp("ci")
+    run_lines(base, {"run": TRAIN_LINES["gcn"]})
+    return base
 
 
 @pytest.fixture()
-def triangle_dir(tmp_path):
-    g = make_sbm([2, 2], 1.0, 1.0, feature_dim=2, rng=RngState(1))
-    d = tmp_path / "tri"
-    write_dataset(g, d)
-    return d
+def ci_dir(ci_base, tmp_path, monkeypatch):
+    """A copy of ``ci_base`` in ``tmp_path``, made the working directory, so
+    that the run's ``dataset = sbm`` names the copied SBM."""
+    shutil.copytree(ci_base, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.fixture()
+def sbm_dir(ci_dir):
+    """The CI SBM with shifted, less noisy features, whose classes training
+    can tell apart."""
+    return ci_dir / "sbm_separable"
+
+
+@pytest.fixture()
+def run_dir(ci_dir):
+    return ci_dir / "run"
 
 
 FAST_FLAGS = [
@@ -38,13 +71,21 @@ FAST_FLAGS = [
     "--train-per-class", "3", "--val-per-class", "3", "--split-policy", "per_class",
     "--row-normalize", "off",
 ]
+SHORT_FLAGS = ["--epochs", "2", "--patience", "2", "--warmup", "1", *FAST_FLAGS[14:]]
+
+
+def _error_line(capsys) -> str:
+    """The one ``error:`` line on stderr."""
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, errors
+    return errors[0]
 
 
 def test_validate_triangle(capsys, tmp_path):
-    import json as _json
     d = tmp_path / "triangle"
     d.mkdir()
-    (d / "meta.json").write_text(_json.dumps(
+    (d / "meta.json").write_text(json.dumps(
         {"n": 3, "m": 3, "d": 2, "k": 2, "name": "triangle"}))
     (d / "features.bin").write_bytes(np.zeros(6, dtype="<f4").tobytes())
     (d / "edges.tsv").write_text("0\t1\n0\t2\n1\t2\n")
@@ -65,8 +106,7 @@ def test_validate_truncated_features_exit_2(capsys, sbm_dir):
     blob = (sbm_dir / "features.bin").read_bytes()
     (sbm_dir / "features.bin").write_bytes(blob[:-5])
     assert main(["validate", "--dataset", str(sbm_dir)]) == 2
-    err = capsys.readouterr().err
-    assert "byte offset" in err
+    assert "byte offset" in _error_line(capsys)
 
 
 def _meta(**fields):
@@ -116,6 +156,85 @@ def _train_idx(data):
         (d / "val.idx").write_bytes(b"18\n")
         (d / "test.idx").write_bytes(b"19\n")
     return corrupt
+
+
+def _edit_line(key, value):
+    def edit(cfg):
+        text = cfg.read_text()
+        line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        cfg.write_text(text.replace(f"{line}\n", f"{key} = {value}\n"))
+    return edit
+
+
+def _no_labeled_node(form):
+    """Make the dataset label no node: no labels.tsv, an empty one, or k = 0 and
+    an empty one."""
+    def corrupt(d):
+        if form == "missing":
+            (d / "labels.tsv").unlink()
+        else:
+            (d / "labels.tsv").write_bytes(b"")
+        if form == "no-classes":
+            _meta(k=0)(d)
+    return corrupt
+
+
+_UNLABELED_FORMS = ("missing", "empty", "no-classes")
+
+
+_RUN = ["--dataset", "sbm", "--out", "o", "--seed", "1"]
+# id: (setup, argv, exit code, the one error: substring); a setup is a path in
+# the working directory, under ``sbm`` or ``run``, and the mutation applied to it
+CONTRACTS = {
+    # a setting that is a constant, or a deleted feature, has no flag whatever its value
+    "train-determinism": (None, ["train", *_RUN, "--determinism", "off"], 4,
+                          "unrecognized arguments: --determinism off"),
+    "spectral-self-loops": (None, ["spectral", *_RUN, "--self-loops", "off"], 4,
+                            "unrecognized arguments: --self-loops off"),
+    "train-dump-cluster-signals": (None, ["train", *_RUN, "--dump-cluster-signals", "on"], 4,
+                                   "unrecognized arguments: --dump-cluster-signals on"),
+    "ablate-dump-cluster-signals": (None, ["ablate", *_RUN, "--dump-cluster-signals", "on"], 4,
+                                    "unrecognized arguments: --dump-cluster-signals on"),
+    "train-without-seed": (None, ["train", "--dataset", "sbm", "--out", "o"], 4,
+                           "train requires --seed"),
+    "unknown-command": (None, ["nonsense"], 4, "invalid choice: 'nonsense'"),
+    "sweep-unknown-axis": (None, ["sweep", *_RUN, "--axis", "bogus", "--values", "0.1"], 4,
+                           "sweep axis must be a numeric hyperparameter"),
+    "spectral-k-above-node-count": (None, ["spectral", *_RUN, "--k", "25"], 4,
+                                    "--k must be at most the node count 20"),
+    "spectral-no-classes-needs-k": (("sbm", _no_labeled_node("no-classes")),
+                                    ["spectral", *_RUN], 4,
+                                    "sbm has no classes (k = 0 in meta.json); pass --k"),
+    "spectral-no-classes-with-k": (("sbm", _no_labeled_node("no-classes")),
+                                   ["spectral", *_RUN, "--k", "2"], 0, None),
+    "train-edges-digit-separator": (("sbm", _append("edges.tsv", b"0\t1_0\n")),
+                                    ["train", *_RUN], 2,
+                                    "sbm/edges.tsv:54: expected 2 tab-separated integers"),
+    # the 2-layer run's checkpoint holds a layer that a 1-layer model lacks
+    "evaluate-checkpoint-with-extra-layer": (("run/config.resolved", _edit_line("layers", "1")),
+                                             ["evaluate", "--checkpoint", "run/checkpoint.bin"],
+                                             3, "checkpoint has unexpected parameter 'layer1.w'"),
+    # no balancing at an epsilon where exp(1/epsilon) overflows float64
+    "sweep-no-balancing-at-small-epsilon": (
+        None, ["sweep", "--out", "o", "--axis", "sinkhorn-iters", "--values", "0,1",
+               "--epsilon", "0.001", *CI_FLAGS, "--runs", "2"], 0, None),
+}
+
+
+@pytest.mark.parametrize("setup, argv, code, error", CONTRACTS.values(), ids=list(CONTRACTS))
+def test_contract(capsys, ci_dir, setup, argv, code, error):
+    if setup is not None:
+        path, mutate = setup
+        mutate(ci_dir / path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "Traceback" not in err
+    if code == 0:
+        assert errors == []
+    else:
+        assert len(errors) == 1 and error in errors[0], errors
+        assert "--out" not in argv or not Path(argv[argv.index("--out") + 1]).exists()
 
 
 @pytest.mark.parametrize("name, corrupt", [
@@ -169,7 +288,7 @@ def _train_idx(data):
 def test_validate_malformed_dataset_bytes_exit_2(capsys, sbm_dir, name, corrupt):
     corrupt(sbm_dir)
     assert main(["validate", "--dataset", str(sbm_dir)]) == 2
-    assert name in capsys.readouterr().err
+    assert name in _error_line(capsys)
 
 
 def test_non_utf8_config_exit_2(capsys, sbm_dir, tmp_path):
@@ -177,7 +296,7 @@ def test_non_utf8_config_exit_2(capsys, sbm_dir, tmp_path):
     cfg.write_bytes(b"beta = 0.1 # \xff\n")
     assert main(["train", "--config", str(cfg), "--dataset", str(sbm_dir),
                  "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
-    assert "bad.conf" in capsys.readouterr().err
+    assert "bad.conf" in _error_line(capsys)
 
 
 def test_config_value_that_does_not_parse_names_file_and_line_exit_4(capsys, sbm_dir,
@@ -187,34 +306,25 @@ def test_config_value_that_does_not_parse_names_file_and_line_exit_4(capsys, sbm
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg), "--dataset", str(sbm_dir), "--out", str(out),
                  "--seed", "1"]) == 4
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and f"{cfg}:2: bad value for 'lr': 'abc'" in errors[0]
+    assert f"{cfg}:2: bad value for 'lr': 'abc'" in _error_line(capsys)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "validate", "evaluate"])
-def test_nul_byte_in_config_line_exit_2(capsys, sbm_dir, tmp_path, command):
+def test_nul_byte_in_config_line_exit_2(capsys, run_dir, tmp_path, command):
     out = tmp_path / "o"
     if command == "evaluate":
-        run = tmp_path / "run"
-        assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1",
-                     "--epochs", "2", "--patience", "2", "--warmup", "1"]
-                    + FAST_FLAGS[14:]) == 0
-        cfg = run / "config.resolved"
-        cfg.write_text(cfg.read_text().replace(f"dataset = {sbm_dir}\n", "dataset = sb\0m\n"))
-        args = ["evaluate", "--checkpoint", str(run / "checkpoint.bin")]
+        cfg = run_dir / "config.resolved"
+        cfg.write_text(cfg.read_text().replace("dataset = sbm\n", "dataset = sb\0m\n"))
+        args = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin")]
     else:
         cfg = tmp_path / "run.conf"
         cfg.write_text("dataset = sb\0m\n")
         args = [command, "--config", str(cfg)]
         if command == "train":
             args += ["--out", str(out), "--seed", "1"]
-    capsys.readouterr()
     assert main(args) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and f"{cfg}:1: NUL byte" in errors[0]
+    assert f"{cfg}:1: NUL byte" in _error_line(capsys)
     assert not out.exists()
 
 
@@ -264,24 +374,11 @@ def _reshape_first_parameter(rows, cols):
                  id="trailing-bytes"),
     pytest.param(_repeat_first_parameter, "repeated parameter 'input.w0'", id="repeated-name"),
 ])
-def test_evaluate_malformed_checkpoint_exit_2(capsys, sbm_dir, tmp_path, corrupt, reason):
-    out = tmp_path / "ck"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out),
-                 "--seed", "1"] + FAST_FLAGS) == 0
-    corrupt(out / "checkpoint.bin")
-    capsys.readouterr()
-    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")]) == 2
-    err = capsys.readouterr().err
-    assert "checkpoint.bin" in err and reason in err
-
-
-def test_determinism_off_exit_4(capsys, sbm_dir, tmp_path):
-    # every run is deterministic, so there is no --determinism flag to turn off
-    out = tmp_path / "o"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out),
-                 "--seed", "1", "--determinism", "off"] + FAST_FLAGS) == 4
-    assert "unrecognized arguments: --determinism off" in capsys.readouterr().err
-    assert not out.exists()
+def test_evaluate_malformed_checkpoint_exit_2(capsys, run_dir, corrupt, reason):
+    corrupt(run_dir / "checkpoint.bin")
+    assert main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin")]) == 2
+    line = _error_line(capsys)
+    assert "checkpoint.bin" in line and reason in line
 
 
 def test_numeric_blowup_exit_3(capsys, sbm_dir, tmp_path):
@@ -291,13 +388,6 @@ def test_numeric_blowup_exit_3(capsys, sbm_dir, tmp_path):
                    "--warmup", "10", "--hidden", "16"] + FAST_FLAGS[14:])
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
-
-
-def test_missing_required_flags_exit_4(capsys, sbm_dir, tmp_path):
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(tmp_path / "o")]) == 4
-    assert main(["nonsense"]) == 4
-    assert main(["sweep", "--dataset", str(sbm_dir), "--out", str(tmp_path / "o"),
-                 "--seed", "1", "--values", "0.1", "--axis", "bogus"]) == 4
 
 
 def test_train_writes_artifacts_and_summary(capsys, sbm_dir, tmp_path):
@@ -318,10 +408,7 @@ def test_train_writes_artifacts_and_summary(capsys, sbm_dir, tmp_path):
 
 def test_train_reaches_full_accuracy_on_separable_fixture(capsys, sbm_dir, tmp_path):
     rc = main(["train", "--dataset", str(sbm_dir), "--out", str(tmp_path / "acc"),
-               "--seed", "0", "--runs", "1", "--epochs", "200", "--patience", "200"]
-              + FAST_FLAGS[:-4] + ["--train-per-class", "3", "--val-per-class", "3",
-                                   "--split-policy", "per_class",
-                                   "--row-normalize", "off"])
+               "--seed", "0", "--runs", "1"] + FAST_FLAGS)
     assert rc == 0
     assert "acc_mean=1.0000" in capsys.readouterr().out
 
@@ -347,10 +434,7 @@ def test_rerun_from_resolved_config_is_byte_identical(capsys, sbm_dir, tmp_path)
 def test_evaluate_from_checkpoint(capsys, sbm_dir, tmp_path):
     out = tmp_path / "ev"
     assert main(["train", "--dataset", str(sbm_dir), "--out", str(out),
-                 "--seed", "5", "--runs", "1", "--epochs", "120", "--patience", "120"]
-                + FAST_FLAGS[:-4] + ["--train-per-class", "3", "--val-per-class", "3",
-                                     "--split-policy", "per_class",
-                                     "--row-normalize", "off"]) == 0
+                 "--seed", "5", "--runs", "1"] + FAST_FLAGS) == 0
     train_out = capsys.readouterr().out
     acc_mean = float(train_out.split("acc_mean=")[1].split()[0])
     rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")])
@@ -360,73 +444,32 @@ def test_evaluate_from_checkpoint(capsys, sbm_dir, tmp_path):
     assert test_acc == pytest.approx(acc_mean, abs=1e-9)
 
 
-def test_evaluate_checkpoint_with_extra_layer_exit_3(capsys, sbm_dir, tmp_path):
-    out = tmp_path / "deep"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--layers", "3", "--hidden", "8", "--epochs", "2", "--patience", "2",
-                 "--warmup", "1", "--train-per-class", "3", "--val-per-class", "3",
-                 "--split-policy", "per_class"]) == 0
-    capsys.readouterr()
-    cfg = out / "config.resolved"
-    assert "layers = 3\n" in cfg.read_text()
-    cfg.write_text(cfg.read_text().replace("layers = 3\n", "layers = 2\n"))
-    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")])
-    assert rc == 3
-    assert "layer2.w" in capsys.readouterr().err
-
-
-def test_evaluate_on_dataset_without_labels_exit_2(capsys, sbm_dir, tmp_path, monkeypatch):
-    out = tmp_path / "run"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
-    unlabeled = tmp_path / "unlabeled"
-    shutil.copytree(sbm_dir, unlabeled)
+def test_evaluate_on_dataset_without_labels_exit_2(capsys, ci_dir, run_dir, monkeypatch):
+    unlabeled = ci_dir / "unlabeled"
+    shutil.copytree(ci_dir / "sbm", unlabeled)
     (unlabeled / "labels.tsv").unlink()
 
     def never(path):
         raise AssertionError("the checkpoint was read")
 
     monkeypatch.setattr(cli, "load_checkpoint", never)
-    capsys.readouterr()
-    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+    rc = main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                "--dataset", str(unlabeled)])
     assert rc == 2
-    assert "evaluation needs node labels" in capsys.readouterr().err
+    assert "evaluation needs node labels" in _error_line(capsys)
 
 
-def _no_labeled_node(form):
-    """Make the dataset label no node: no labels.tsv, an empty one, or k = 0 and
-    an empty one."""
-    def corrupt(d):
-        if form == "missing":
-            (d / "labels.tsv").unlink()
-        else:
-            (d / "labels.tsv").write_bytes(b"")
-        if form == "no-classes":
-            _meta(k=0)(d)
-    return corrupt
-
-
-_UNLABELED_FORMS = ("missing", "empty", "no-classes")
-
-
-def test_evaluate_with_empty_labels_file_exit_2(capsys, sbm_dir, tmp_path):
-    out = tmp_path / "run"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
-    unlabeled = tmp_path / "unlabeled"
-    errors = []
+def test_evaluate_with_empty_labels_file_exit_2(capsys, ci_dir, run_dir):
+    unlabeled = ci_dir / "unlabeled"
     # an empty labels.tsv, with k = 0 or not, labels no node, as a missing one does
     for form in _UNLABELED_FORMS:
         shutil.rmtree(unlabeled, ignore_errors=True)
-        shutil.copytree(sbm_dir, unlabeled)
+        shutil.copytree(ci_dir / "sbm", unlabeled)
         _no_labeled_node(form)(unlabeled)
-        capsys.readouterr()
-        assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+        assert main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                      "--dataset", str(unlabeled)]) == 2
-        errors += [line for line in capsys.readouterr().err.splitlines()
-                   if line.startswith("error:")]
-    assert errors == [f"error: {unlabeled}: no labeled node; evaluation needs node labels"] * 3
+        assert _error_line(capsys) == (f"error: {unlabeled}: no labeled node; "
+                                       "evaluation needs node labels")
 
 
 @pytest.mark.parametrize("form", _UNLABELED_FORMS)
@@ -441,11 +484,8 @@ def test_no_labeled_node_exit_2_writes_nothing(capsys, sbm_dir, tmp_path, comman
     _no_labeled_node(form)(sbm_dir)
     out = tmp_path / "o"
     assert main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"]
-                + FAST_FLAGS[14:] + extra) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert errors == [f"error: {sbm_dir}: no labeled node; training needs node labels"]
+                 *SHORT_FLAGS, *extra]) == 2
+    assert _error_line(capsys) == f"error: {sbm_dir}: no labeled node; training needs node labels"
     assert not out.exists()
 
 
@@ -458,31 +498,19 @@ def test_validate_dataset_with_no_labeled_node(capsys, sbm_dir, form):
 
 
 @pytest.mark.parametrize("empty, name", [("val", "validation"), ("test", "test")])
-def test_evaluate_split_with_empty_set_exit_2(capsys, sbm_dir, tmp_path, empty, name):
-    out = tmp_path / "run"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
-    (out / f"{empty}.idx").write_bytes(b"")
-    capsys.readouterr()
-    rc = main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")])
-    assert rc == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and f"the {name} set is empty" in errors[0]
-    assert all(str(out / f) in errors[0] for f in ("train.idx", "val.idx", "test.idx"))
+def test_evaluate_split_with_empty_set_exit_2(capsys, run_dir, empty, name):
+    (run_dir / f"{empty}.idx").write_bytes(b"")
+    assert main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin")]) == 2
+    line = _error_line(capsys)
+    assert f"the {name} set is empty" in line
+    assert all(str(run_dir / f) in line for f in ("train.idx", "val.idx", "test.idx"))
 
 
-def test_evaluate_run_without_split_files_exit_2(capsys, sbm_dir, tmp_path):
-    run = tmp_path / "run"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+def test_evaluate_run_without_split_files_exit_2(capsys, run_dir):
     for name in ("train.idx", "val.idx", "test.idx"):
-        (run / name).unlink()
-    capsys.readouterr()
-    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert errors == [f"error: {run}: no split files found for evaluation"]
+        (run_dir / name).unlink()
+    assert main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin")]) == 2
+    assert _error_line(capsys) == f"error: {run_dir}: no split files found for evaluation"
 
 
 @pytest.mark.parametrize("empty, name", [("val", "validation"), ("test", "test")])
@@ -490,7 +518,7 @@ def test_validate_split_with_empty_set_exit_2(capsys, sbm_dir, empty, name):
     for f, ids in (("train", "0\n10\n"), ("val", "1\n11\n"), ("test", "2\n12\n")):
         (sbm_dir / f"{f}.idx").write_text("" if f == empty else ids)
     assert main(["validate", "--dataset", str(sbm_dir)]) == 2
-    assert f"the {name} set is empty" in capsys.readouterr().err
+    assert f"the {name} set is empty" in _error_line(capsys)
 
 
 def test_train_fixed_split_naming_unlabeled_node_exit_2(capsys, sbm_dir, tmp_path):
@@ -502,11 +530,9 @@ def test_train_fixed_split_naming_unlabeled_node_exit_2(capsys, sbm_dir, tmp_pat
     (sbm_dir / "test.idx").write_text("4\n5\n14\n15\n")
     out = tmp_path / "o"
     rc = main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-               "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:])
+               *SHORT_FLAGS])
     assert rc == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert errors == ["error: the validation set names unlabeled node 19"]
+    assert _error_line(capsys) == "error: the validation set names unlabeled node 19"
     assert not out.exists()
 
 
@@ -542,10 +568,9 @@ def test_input_error_exits_2_before_creating_out(capsys, sbm_dir, tmp_path, comm
     corrupt(sbm_dir)
     out = tmp_path / "o"
     rc = main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-               "--epochs", "2", "--patience", "2", "--warmup", "1"] + extra + FAST_FLAGS[14:]
-              + split_flags)
+               *SHORT_FLAGS, *extra, *split_flags])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert message in _error_line(capsys)
     assert not out.exists()
 
 
@@ -553,10 +578,7 @@ def test_input_error_exits_2_before_creating_out(capsys, sbm_dir, tmp_path, comm
 def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):
     out = tmp_path / "ab"
     rc = main(["ablate", "--dataset", str(sbm_dir), "--out", str(out),
-               "--seed", "2", "--runs", "1", "--epochs", "40", "--patience", "40"]
-              + FAST_FLAGS[:-4] + ["--train-per-class", "3", "--val-per-class", "3",
-                                   "--split-policy", "per_class",
-                                   "--row-normalize", "off"])
+               "--seed", "2", "--runs", "1"] + FAST_FLAGS)
     assert rc == 0
     stdout = capsys.readouterr().out
     for variant in ("full", "no_soc", "no_kl", "no_pl", "no_skn"):
@@ -602,10 +624,7 @@ def test_sweep_zero_sinkhorn_iters_row_is_the_ablate_no_skn_row(capsys, sbm_dir,
 
 
 def test_sweep_csv_row_count_and_single_value_matches_train(capsys, sbm_dir, tmp_path):
-    common = ["--dataset", str(sbm_dir), "--seed", "4", "--runs", "1",
-              "--epochs", "40", "--patience", "40"] + FAST_FLAGS[:-4] + [
-              "--train-per-class", "3", "--val-per-class", "3",
-              "--split-policy", "per_class", "--row-normalize", "off"]
+    common = ["--dataset", str(sbm_dir), "--seed", "4", "--runs", "1", *FAST_FLAGS]
     out_t = tmp_path / "t"
     assert main(["train", "--out", str(out_t)] + common) == 0
     train_mean = float(capsys.readouterr().out.split("acc_mean=")[1].split()[0])
@@ -681,14 +700,6 @@ def test_config_file_parsing(tmp_path):
         read_config_file(bad)
 
 
-def test_train_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
-    out = tmp_path / "dump"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--dump-cluster-signals", "on"]) == 4
-    assert "--dump-cluster-signals" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["train", "ablate", "sweep", "spectral"])
 @pytest.mark.parametrize("option, value", [
     ("dataset", "d#1"), ("out", "run#2"), ("out", "run\nx"), ("out", "run "), ("dataset", " sbm"),
@@ -704,7 +715,7 @@ def test_text_value_config_resolved_cannot_hold_exit_4(capsys, sbm_dir, tmp_path
     extra = ["--axis", "lr", "--values", "0.01"] if command == "sweep" else []
     assert main([command, "--dataset", paths["dataset"], "--out", paths["out"], "--seed", "1",
                  *extra]) == 4
-    assert f"--{option} {value!r}" in capsys.readouterr().err
+    assert f"--{option} {value!r}" in _error_line(capsys)
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -724,7 +735,7 @@ def test_every_hyperparameter_flag_is_its_field_name_with_dashes():
     assert {"--" + name.replace("_", "-") for name in names} == _HP_FLAGS
 
 
-def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
+def test_cli_surface_is_pinned(run_dir):
     import argparse
     from ncgc.cli import build_parser
     sub = next(a for a in build_parser()._actions
@@ -739,25 +750,14 @@ def test_cli_surface_is_pinned(capsys, sbm_dir, tmp_path):
         "sweep": _TRAIN_FLAGS | {"--axis", "--values"},
         "spectral": {"--config", "--dataset", "--out", "--seed", "--k"},
     }
-    out = tmp_path / "o"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
     keys = [line.split(" = ")[0]
-            for line in (out / "config.resolved").read_text().splitlines()]
+            for line in (run_dir / "config.resolved").read_text().splitlines()]
     assert keys == [
         "dataset", "out", "seed", "runs", "row-normalize", "split-policy", "train-per-class",
         "val-per-class", "backbone", "layers", "hidden", "beta",
         "epsilon", "sinkhorn-iters", "lr", "weight-decay", "dropout", "epochs", "patience",
         "warmup", "lambda-kl", "lambda-pl", "kl-scope", "appnp-alpha", "appnp-hops",
     ]
-
-
-def test_ablate_rejects_dump_cluster_signals_exit_4(capsys, sbm_dir, tmp_path):
-    out = tmp_path / "ab"
-    assert main(["ablate", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--dump-cluster-signals", "on"]) == 4
-    assert "--dump-cluster-signals" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, extra, field", [
@@ -825,9 +825,7 @@ def test_invalid_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_path,
         args = [command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
                 "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
     assert main(args + extra) == 4
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and field in errors[0]
+    assert field in _error_line(capsys)
     assert not out.exists()
 
 
@@ -849,9 +847,7 @@ def test_non_finite_hyperparameter_exit_4_writes_nothing(capsys, sbm_dir, tmp_pa
         cfg.write_text(f"{flag} = {value}\n")
         args += ["--config", str(cfg)]
     assert main(args) == 4
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and f"{flag.replace('-', '_')} must be finite" in errors[0]
+    assert f"{flag.replace('-', '_')} must be finite" in _error_line(capsys)
     assert not out.exists()
 
 
@@ -863,19 +859,15 @@ def test_row_normalize_is_not_a_flag_of_validate_or_spectral_exit_4(capsys, sbm_
     if command == "spectral":
         args += ["--out", str(out), "--seed", "1"]
     assert main(args) == 4
-    assert "--row-normalize" in capsys.readouterr().err
+    assert "--row-normalize" in _error_line(capsys)
     assert not out.exists()
 
 
-def test_validate_from_train_config_resolved(capsys, sbm_dir, tmp_path):
+def test_validate_from_train_config_resolved(capsys, run_dir):
     # a train run's config.resolved carries row-normalize and other keys that
     # validate does not take; they are skipped
-    out = tmp_path / "run"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
-    assert "row-normalize = off" in (out / "config.resolved").read_text()
-    capsys.readouterr()
-    assert main(["validate", "--config", str(out / "config.resolved")]) == 0
+    assert "row-normalize = on" in (run_dir / "config.resolved").read_text()
+    assert main(["validate", "--config", str(run_dir / "config.resolved")]) == 0
     assert "n=20" in capsys.readouterr().out
 
 
@@ -906,33 +898,6 @@ def test_spectral_with_no_labeled_node_omits_accuracy(capsys, sbm_dir, tmp_path)
     assert (out / "assignments.tsv").exists()
 
 
-def test_spectral_k_above_node_count_exit_4_writes_nothing(capsys, sbm_dir, tmp_path):
-    out = tmp_path / "o"
-    assert main(["spectral", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--k", "25"]) == 4
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and "--k must be at most the node count 20" in errors[0]
-    assert not out.exists()
-
-
-def test_spectral_dataset_with_no_classes_needs_k_exit_4_writes_nothing(capsys, sbm_dir,
-                                                                        tmp_path):
-    data = tmp_path / "no_classes"
-    shutil.copytree(sbm_dir, data)
-    (data / "labels.tsv").unlink()
-    meta = json.loads((data / "meta.json").read_text())
-    (data / "meta.json").write_text(json.dumps({**meta, "k": 0}))
-    out = tmp_path / "o"
-    assert main(["spectral", "--dataset", str(data), "--out", str(out), "--seed", "1"]) == 4
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and "--k" in errors[0]
-    assert not out.exists()
-    assert main(["spectral", "--dataset", str(data), "--out", str(out), "--seed", "1",
-                 "--k", "2"]) == 0
-
-
 def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):
     # 10 training nodes per class on a 2 x 10 SBM leave no node for the
     # validation set
@@ -940,9 +905,7 @@ def test_train_split_covering_every_node_exit_2(capsys, sbm_dir, tmp_path):
     args = ["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
             "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
     assert main(args + ["--train-per-class", "10", "--val-per-class", "0"]) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and "the validation set is empty" in errors[0]
+    assert "the validation set is empty" in _error_line(capsys)
     assert not (out / "report.json").exists()
 
 
@@ -955,9 +918,7 @@ def test_train_empty_validation_or_test_set_exit_2(capsys, sbm_dir, tmp_path,
     args = ["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
             "--epochs", "5", "--patience", "5", "--warmup", "1"] + FAST_FLAGS[14:]
     assert main(args + ["--train-per-class", "3", "--val-per-class", val_per_class]) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and f"{empty} set is empty" in errors[0]
+    assert f"{empty} set is empty" in _error_line(capsys)
     assert not (out / "report.json").exists()
 
 
@@ -985,7 +946,7 @@ def test_sweep_rejects_non_hyperparameter_axis_exit_4(capsys, sbm_dir, tmp_path,
     out = tmp_path / "s"
     assert main(["sweep", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
                  "--axis", axis, "--values", "1"]) == 4
-    assert "sweep axis" in capsys.readouterr().err
+    assert "sweep axis" in _error_line(capsys)
     assert not out.exists()
 
 
@@ -997,7 +958,7 @@ def test_out_naming_a_file_exit_2(capsys, sbm_dir, tmp_path, command):
     split = FAST_FLAGS[14:-2] if command == "train" else []
     assert main([command, "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1"]
                 + split) == 2
-    assert str(out) in capsys.readouterr().err
+    assert str(out) in _error_line(capsys)
     assert out.read_text() == "not a directory\n"
 
 
@@ -1059,14 +1020,6 @@ def test_evaluate_needs_only_the_checkpoint(capsys, sbm_dir, tmp_path):
     assert test_acc == round(report["per_run"][0]["summary"]["test_at_best_val"], 4)
 
 
-def _edit_line(key, value):
-    def edit(cfg):
-        text = cfg.read_text()
-        line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
-        cfg.write_text(text.replace(f"{line}\n", f"{key} = {value}\n"))
-    return edit
-
-
 def _drop_lines(*keys):
     def drop(cfg):
         lines = cfg.read_text().splitlines(keepends=True)
@@ -1097,30 +1050,20 @@ def _drop_lines(*keys):
     pytest.param(_edit_line("patience", "9"), 4, "patience must not exceed epochs",
                  id="training-value-rejected"),
 ])
-def test_evaluate_run_config_errors(capsys, sbm_dir, tmp_path, corrupt, code, reason):
-    run = tmp_path / "run"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(run), "--seed", "1",
-                 "--epochs", "2", "--patience", "2", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
-    corrupt(run / "config.resolved")
-    capsys.readouterr()
-    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin")]) == code
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and reason in errors[0], errors
+def test_evaluate_run_config_errors(capsys, run_dir, corrupt, code, reason):
+    corrupt(run_dir / "config.resolved")
+    assert main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin")]) == code
+    line = _error_line(capsys)
+    assert reason in line
     if code == 2:
-        assert str(run / "config.resolved") in errors[0]
+        assert str(run_dir / "config.resolved") in line
 
 
-def test_evaluate_runs_one_forward(capsys, sbm_dir, tmp_path, monkeypatch):
-    import ncgc.trainer as trainer
-    out = tmp_path / "ev"
-    assert main(["train", "--dataset", str(sbm_dir), "--out", str(out), "--seed", "1",
-                 "--epochs", "3", "--patience", "3", "--warmup", "1"] + FAST_FLAGS[14:]) == 0
+def test_evaluate_runs_one_forward(capsys, run_dir, monkeypatch):
     calls = []
     real_forward = trainer.forward
     monkeypatch.setattr(trainer, "forward",
                         lambda *a, **kw: calls.append(1) or real_forward(*a, **kw))
-    capsys.readouterr()
-    assert main(["evaluate", "--checkpoint", str(out / "checkpoint.bin")]) == 0
+    assert main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin")]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.startswith("dataset=sbm train_acc=")

@@ -11,6 +11,7 @@ from ncgc.clustering import (
 )
 from ncgc.errors import ContractError, ParameterError
 from ncgc.rng import RngState
+from ncgc.spectral import kmeans_pp_init
 from oracles import (
     best_partition_wcss, finite_difference_grads, loop_cross_entropy, loop_kl,
     loop_row_softmax, loop_target_distribution, rel_error, sinkhorn_loop,
@@ -355,21 +356,19 @@ def test_init_centroids_wcss_matches_brute_force_on_separable():
     assert wcss <= best_partition_wcss(h, 3) + 1e-9
 
 
-def test_init_centroids_pads_when_fewer_distinct_rows(monkeypatch):
+def test_init_centroids_with_fewer_distinct_rows_than_k(monkeypatch):
     h = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
     seeds = []
     real_lloyd = clustering.lloyd
     monkeypatch.setattr(clustering, "lloyd",
                         lambda x, s, max_iter: seeds.append(s) or real_lloyd(x, s, max_iter))
     state = init_centroids(h, 4, RngState(64))
+    # k-means++ seeds Lloyd even with two distinct rows for four clusters
+    assert np.array_equal(seeds[0], kmeans_pp_init(h, 4, RngState(64)))
     assert state.value.shape == (4, 2)
     assert np.isfinite(state.value).all()
-    # Lloyd reseeds every pad's empty cluster at a data point, so the 1e-3
-    # pad perturbation shows only in the seeds it is handed
-    replay = RngState(64)
-    distinct = np.array([[0.0, 0.0], [1.0, 1.0]])
-    pads = [distinct[i] + 1e-3 * replay.normal((2,)) for i in range(2)]
-    assert np.array_equal(seeds[0], np.vstack([distinct, pads]))
+    # Lloyd reseeds each empty cluster at a data point, so every centroid is a row
+    assert all((h == c).all(axis=1).any() for c in state.value)
 
 
 def test_init_centroids_requires_enough_rows():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncgc
 from ncgc.errors import ContractError, RankError
 from ncgc.graph import Graph, normalized_adjacency, normalized_laplacian
 from ncgc.rng import RngState
@@ -285,9 +286,10 @@ def test_clustering_accuracy_rejects_no_labeled_node():
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
     # only clustering_accuracy needs linear_sum_assignment; training must not
-    # pay for scipy.optimize and what it pulls in
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    # pay for scipy.optimize and what it pulls in; the child imports the same
+    # ncgc as this process, from the checkout or from an installed package
+    home = str(Path(ncgc.__file__).resolve().parent.parent)
+    path = os.pathsep.join([home] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ncgc, ncgc.cli; sys.exit('scipy.optimize' in sys.modules)"],
