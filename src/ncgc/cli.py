@@ -40,8 +40,9 @@ non-finite hyperparameter values, a ``--patience`` below one, an unknown split
 policy, a run count below one, a negative ``--seed`` or count, a text value
 with ``#``, a line break or edge whitespace in a command that writes
 ``config.resolved``, which could not read it back, and a ``spectral --k``
-outside 1 to the node count). A command reads and checks all its input files
-before it creates ``--out``.
+above the node count; ``--k 0``, the default, takes the dataset's class
+count). A command reads and checks all its input files before it creates
+``--out``.
 """
 
 from __future__ import annotations
