@@ -1,4 +1,4 @@
-"""Graph data model, dataset ingestion, normalized operators, and splits.
+"""Graph data model, dataset ingestion, the normalized adjacency, and splits.
 
 A dataset is a directory holding ``meta.json`` (UTF-8 JSON object with
 integer fields ``n``, ``m``, ``d``, ``k`` and a string field ``name``),
@@ -351,25 +351,18 @@ def write_split(split: Split, path) -> None:
         np.savetxt(path / name, arr, fmt="%d")
 
 
-def normalized_adjacency(g: Graph, add_self_loops: bool = True) -> CsrMatrix:
-    """Symmetrically degree-normalized adjacency D^-1/2 A D^-1/2.
+def normalized_adjacency(g: Graph) -> CsrMatrix:
+    """A~ = D^-1/2 (A + I) D^-1/2, the degrees D taken with the self-loops.
 
-    With ``add_self_loops`` the identity is added first and degrees are
-    recomputed. Zero-degree nodes produce zero rows (their inverse degree is
-    taken as 0).
+    Every degree is at least 1. A is 0/1, so an off-diagonal value is
+    dinv_i * dinv_j, the same product as its mirror's: A~ is symmetric bit
+    for bit, its own adjoint, which ``model.sogn_layer``'s gradient relies
+    on. The graph Laplacian is L~ = I - A~ (``spectral.ratiocut_trace``),
+    never built.
     """
-    a = g.adjacency
-    if add_self_loops:
-        a = a.add(CsrMatrix.identity(g.n))
-    deg = a.matmul_dense(np.ones((g.n, 1)))[:, 0]
-    dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    a = g.adjacency.add(CsrMatrix.identity(g.n))
+    dinv = 1.0 / np.sqrt(a.matmul_dense(np.ones((g.n, 1)))[:, 0])
     return a.scale_rows(dinv).scale_cols(dinv)
-
-
-def normalized_laplacian(g: Graph) -> CsrMatrix:
-    """I minus the (self-loop-free) normalized adjacency; symmetric PSD."""
-    at = normalized_adjacency(g, add_self_loops=False)
-    return CsrMatrix.identity(g.n).add(at.scale_rows(np.full(g.n, -1.0)))
 
 
 def make_split(

@@ -13,11 +13,11 @@ and ``S^2`` (d x d and d) when beta > 0; and the output only when a ReLU
 follows; never Z. When beta > 0 its VJP recomputes Z from the input and the
 mask (one n x d x d GEMM more per layer and step, with the forward's bits)
 and builds the correction's gradient: the term in Z, after which Z is
-freed, plus g M^T. It then runs the backbone's adjoint, the same
-recurrence with products by the transpose of the adjacency, which
-``CsrMatrix.transpose_matmul_dense`` computes without building that
-transpose; the adjoint consumes the gradient. ``beta = 0`` skips the
-correction and reduces the layer to the plain backbone exactly.
+freed, plus g M^T. It then propagates the gradient with the forward's own
+map: the normalized adjacency A~ of ``graph.normalized_adjacency`` is
+exactly symmetric, so each backbone is its own adjoint and the VJP
+multiplies by A~, never by a transpose. ``beta = 0`` skips the correction
+and reduces the layer to the plain backbone exactly.
 
 The input transform maps the features to the hidden width with ReLU affine
 maps, the first from the sparse features: one map up to 3 layers, two
@@ -123,32 +123,30 @@ def init_params(config: HyperParams, input_dim: int, class_count: int,
     return ModelParams(input_weights, layer_weights, w_proto)
 
 
-def backbone_propagate(a_tilde: CsrMatrix, z: np.ndarray, config: HyperParams,
-                       adjoint: bool = False) -> np.ndarray:
-    """Apply ``config.backbone`` to the n x d array z and return a new array.
+def backbone_propagate(a_tilde: CsrMatrix, z: np.ndarray, config: HyperParams) -> np.ndarray:
+    """Apply ``config.backbone`` to the n x d array z, which it consumes, and
+    return a new array.
 
     ``gcn`` is a single normalized-adjacency hop. ``appnp`` runs the
     personalized-propagation recurrence x <- (1-a) A x + a z from x = z with
     a = ``config.appnp_alpha`` for ``config.appnp_hops`` hops; each step
     computes ``A x``, scales it by 1-a and adds ``z * a`` in place, and the
-    hop coefficients sum to one. Both are linear in z, and the adjoint of
-    each is the same map with the transpose of A: ``adjoint=True`` runs it
-    with ``a_tilde.transpose_matmul_dense``, which is how ``sogn_layer``'s
-    VJP runs without keeping any hop or building the transpose. The forward
-    map leaves z alone. The adjoint consumes z, a gradient the VJP owns: the
-    APPNP adjoint scales it in place into its ``z * a`` term after the first
-    product.
+    hop coefficients sum to one. Both maps are linear in z, and with the
+    symmetric A~ of ``graph.normalized_adjacency`` each is its own adjoint, so
+    ``sogn_layer`` propagates its forward input and its VJP's gradient with
+    this same function. z is consumed: APPNP scales it in place into its
+    ``z * a`` term after the first product, so a caller that reads z again
+    passes a copy.
     """
-    product = a_tilde.transpose_matmul_dense if adjoint else a_tilde.matmul_dense
     if config.backbone == "gcn":
-        return product(z)
+        return a_tilde.matmul_dense(z)
     if config.backbone == "appnp":
         c, a = 1.0 - config.appnp_alpha, config.appnp_alpha
-        x = product(z)
-        az = np.multiply(z, a, out=z if adjoint else None)
+        x = a_tilde.matmul_dense(z)
+        az = np.multiply(z, a, out=z)
         for hop in range(config.appnp_hops):
             if hop:
-                x = product(x)
+                x = a_tilde.matmul_dense(x)
             x *= c
             x += az
         return x
@@ -232,10 +230,11 @@ def sogn_layer(
     the same operands, so with the same bits, at the cost of one n x d x d
     GEMM; takes Mbar = Z^T g; builds Z (Gbar + Gbar^T); frees Z; and adds
     g M^T in place, which is the correction's gradient (the sum in the other
-    order, bit for bit, since IEEE addition commutes). It then runs the
-    backbone's adjoint, which consumes the gradient, subtracts the
-    correction's gradient in place, and ends with the matmul and dropout
-    rules, recomputing the dropped-out input from h and the mask.
+    order, bit for bit, since IEEE addition commutes). It then propagates the
+    gradient, which that consumes, with ``backbone_propagate`` itself, the
+    backbone's adjoint since A~ is symmetric; subtracts the correction's
+    gradient in place; and ends with the matmul and dropout rules,
+    recomputing the dropped-out input from h and the mask.
     """
     vh, vw = nm._as_value(h), nm._as_value(w)
     if vh.shape[1] != vw.shape[0]:
@@ -244,11 +243,13 @@ def sogn_layer(
     mask = rng.uniform(vh.shape) >= p if training and p > 0.0 else None
     scale = 1.0 / (1.0 - p)
     z = _dropped(vh, mask, scale) @ vw
-    y = backbone_propagate(a_tilde, z, config)
-    m = s = active = None
+    m = s = active = zm = None  # taken before backbone_propagate consumes z
     if beta != 0.0:
         m, s, active = _soft_orthogonal(z, beta)
-        y -= z @ m
+        zm = z @ m
+    y = backbone_propagate(a_tilde, z, config)
+    if zm is not None:
+        y -= zm
     if activation:
         np.maximum(y, 0.0, out=y)
     relu_out = y if activation else None
@@ -265,7 +266,7 @@ def sogn_layer(
         if m is not None:
             # Z again, from the same operands by the same expression as the
             # forward, so with the same bits; as a call argument it is freed
-            # before g M^T is built and never meets the adjoint's arrays
+            # before g M^T is built and never meets the propagation's arrays
             corr = _soft_orthogonal_z_term(_dropped(vh, mask, scale) @ vw,
                                            m, s, active, beta, g)
             corr += g @ m.T
@@ -273,7 +274,7 @@ def sogn_layer(
         # sign aside), so gz equals the chain's sum of the propagation's
         # gradient and the correction's gradient of -g, bit for bit, with one
         # n x d array fewer
-        gz = backbone_propagate(a_tilde, g, config, adjoint=True)
+        gz = backbone_propagate(a_tilde, g, config)
         if corr is not None:
             gz -= corr
         del g, corr  # free them before the input-side temporaries
@@ -352,6 +353,13 @@ def save_checkpoint(path, named_values: dict[str, np.ndarray]) -> None:
             f.write(v.tobytes())
 
 
+def _take(path: Path, data: bytes, pos: int, size: int) -> bytes:
+    """``data[pos:pos + size]``; a file that ends first is an IngestionError."""
+    if pos + size > len(data):
+        raise IngestionError(f"{path}: truncated at byte offset {len(data)}")
+    return data[pos:pos + size]
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a ``save_checkpoint`` file; malformed bytes, a repeated parameter name,
     bytes after the last parameter or non-finite weights are rejected."""
@@ -364,31 +372,27 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise IngestionError(f"{path}: bad magic bytes, not a checkpoint")
     out: dict[str, np.ndarray] = {}
     try:
-        version, count = struct.unpack_from("<II", data, 4)
+        version, count = struct.unpack("<II", _take(path, data, 4, 8))
         if version != _VERSION:
             raise IngestionError(f"{path}: unsupported checkpoint version {version}")
         pos = 12
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", data, pos)
+            (name_len,) = struct.unpack("<I", _take(path, data, pos, 4))
             pos += 4
             name = data[pos:pos + name_len].decode("utf-8")
             if name in out:
                 raise IngestionError(f"{path}: repeated parameter {name!r} at byte offset {pos}")
             pos += name_len
-            rows, cols = struct.unpack_from("<QQ", data, pos)
+            rows, cols = struct.unpack("<QQ", _take(path, data, pos, 16))
             if rows * cols == 0:  # no parameter is empty, and numpy cannot shape (0, 2**63)
                 raise IngestionError(f"{path}: parameter {name!r} has zero size {rows} x {cols}")
             pos += 16
             nbytes = rows * cols * 8
-            if pos + nbytes > len(data):
-                raise IngestionError(f"{path}: truncated at byte offset {len(data)}")
-            value = np.frombuffer(data[pos:pos + nbytes], dtype="<f8").reshape(rows, cols).copy()
+            value = np.frombuffer(_take(path, data, pos, nbytes), dtype="<f8")
             if not np.all(np.isfinite(value)):
                 raise IngestionError(f"{path}: non-finite values in parameter {name!r}")
-            out[name] = value
+            out[name] = value.reshape(rows, cols).copy()
             pos += nbytes
-    except struct.error as e:
-        raise IngestionError(f"{path}: truncated checkpoint ({e})") from e
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: parameter name at byte offset {pos} is not UTF-8") from e
     if pos != len(data):

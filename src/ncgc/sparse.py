@@ -1,18 +1,18 @@
 """Immutable real matrices in compressed-sparse-row layout.
 
-``CsrMatrix`` carries the graph operators (normalized adjacency and
-Laplacian) and the node feature matrix. It holds one ``scipy.sparse``
-CSR matrix in canonical form: within each row the column indices are
-strictly increasing. Every constructor and operation here returns that form,
-so there is no separate layout check. ``rows``, ``cols``, ``nnz``,
-``row_offsets``, ``col_indices`` and ``values`` are read-only views of it.
-Instances are treated as read-only and may be shared freely across threads.
-The adjoint product ``transpose_matmul_dense`` reads the same arrays as a
-compressed-sparse-column view of the transpose, so the backward passes that
-apply the adjoint of an operator build no transposed copy of it; where a
-transposed matrix itself is wanted, ``transpose`` builds a new one on each
-call. Products with dense matrices are delegated to scipy, which keeps a
-fixed summation order.
+``CsrMatrix`` carries the graph operator (the normalized adjacency, which
+is symmetric and so its own adjoint) and the node feature matrix. It holds
+one ``scipy.sparse`` CSR matrix in canonical form: within each row the
+column indices are strictly increasing. Every constructor and operation here
+returns that form, so there is no separate layout check. ``rows``, ``cols``,
+``nnz``, ``row_offsets``, ``col_indices`` and ``values`` are read-only views
+of it. Instances are treated as read-only and may be shared freely across
+threads. ``transpose_matmul_dense`` multiplies by the transpose through a
+compressed-sparse-column view of the same arrays, so the gradient of a
+product with the (not square) sparse features builds no transposed copy of
+them; where a transposed matrix itself is wanted, ``transpose`` builds a
+new one on each call. Products with dense matrices are delegated to scipy,
+which keeps a fixed summation order.
 """
 
 from __future__ import annotations

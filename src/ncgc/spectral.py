@@ -103,12 +103,13 @@ def subspace_iteration(
                       iterations_used=iterations, converged=converged)
 
 
-def ratiocut_trace(h: np.ndarray, l_tilde: CsrMatrix) -> float:
-    """Tr(H^T L~ H), the graph smoothness of the columns of H."""
+def ratiocut_trace(h: np.ndarray, a_tilde: CsrMatrix) -> float:
+    """Tr(H^T L~ H) with L~ = I - A~, the graph smoothness of the columns of H,
+    summed as Tr(H^T (H - A~ H)) so that L~ is never built."""
     h = np.asarray(h, dtype=np.float64)
-    if h.shape[0] != l_tilde.rows:
-        raise ShapeError(f"H has {h.shape[0]} rows but the operator has {l_tilde.rows}")
-    return float((h * l_tilde.matmul_dense(h)).sum())
+    if h.shape[0] != a_tilde.rows:
+        raise ShapeError(f"H has {h.shape[0]} rows but the operator has {a_tilde.rows}")
+    return float((h * (h - a_tilde.matmul_dense(h))).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,20 @@ def loop_matmul(a, b):
 
 def appnp_propagate(s, z, alpha, hops):
     """APPNP propagation as one tape node: ``model.backbone_propagate`` forward,
-    and the same recurrence with the transpose of s as its VJP."""
+    on a copy of z, which it consumes, and the same recurrence with the
+    transpose of s as its VJP, so s need not be symmetric."""
     cfg = HyperParams(backbone="appnp", appnp_alpha=alpha, appnp_hops=hops)
-    out = nm.Tensor(backbone_propagate(s, nm._as_value(z), cfg))
+    out = nm.Tensor(backbone_propagate(s, nm._as_value(z).copy(), cfg))
     return nm._record(out, (z,), lambda g: (backbone_propagate(s.transpose(), g, cfg),))
+
+
+def appnp_fixed_point(a_tilde, z, alpha):
+    """X_inf = alpha (I - (1 - alpha) A~)^-1 Z, the limit of APPNP's hops, by a
+    dense solve. It minimises ||H - Z||_F^2 + (1/alpha - 1) Tr(H^T L~ H) with
+    L~ = I - A~ (Zhu et al. 2021, *Interpreting and Unifying Graph Neural
+    Networks with An Optimization Framework*)."""
+    a = a_tilde.to_dense()
+    return np.linalg.solve(np.eye(a.shape[0]) - (1.0 - alpha) * a, alpha * np.asarray(z))
 
 
 def appnp_chain(s, z, alpha, hops):
@@ -314,6 +324,15 @@ def subspace_angle(q, v):
     """Sine of the largest principal angle between the column spans of q and v."""
     su = np.linalg.svd(np.asarray(q).T @ np.asarray(v), compute_uv=False)
     return float(np.sqrt(max(0.0, 1.0 - min(su) ** 2)))
+
+
+def loop_free_adjacency(g):
+    """D^-1/2 A D^-1/2 without self-loops, as a CsrMatrix: a row and column
+    of zeros for an isolated node. ``ratiocut_trace`` against it is the
+    trace against the loop-free Laplacian I - D^-1/2 A D^-1/2."""
+    deg = g.adjacency.to_dense().sum(axis=1)
+    dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    return g.adjacency.scale_rows(dinv).scale_cols(dinv)
 
 
 def transition_matrix(g, add_self_loops: bool = False):

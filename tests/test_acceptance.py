@@ -21,7 +21,7 @@ from ncgc.clustering import (
     sinkhorn_transport_plan, soft_assign, target_distribution,
 )
 from ncgc.cli import main as cli_main
-from ncgc.graph import load_dataset, normalized_adjacency, normalized_laplacian, write_dataset
+from ncgc.graph import load_dataset, normalized_adjacency, write_dataset
 from ncgc.model import forward, init_params
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
@@ -30,7 +30,8 @@ from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams, class_loss, run_seeds, seed_splits, total_loss
 from gradcheck import OPS, check_gradients, trial_rng
 from oracles import (
-    dense_eigh_oracle, edge_sum_smoothness, random_symmetric_with_gap, rel_error, sinkhorn_loop, subspace_angle,
+    dense_eigh_oracle, edge_sum_smoothness, loop_free_adjacency, random_symmetric_with_gap,
+    rel_error, sinkhorn_loop, subspace_angle,
 )
 
 # hyperparameter rows for the citation graphs (per-dataset tuned values)
@@ -155,7 +156,7 @@ def test_criterion_6_oracle_equivalence():
         rng = RngState(7000 + trial)
         sizes = [int(rng.integers(2, 5)), int(rng.integers(2, 5))]
         g = make_sbm(sizes, 0.8, 0.5, feature_dim=2, rng=rng)
-        lt = normalized_laplacian(g)
+        at = loop_free_adjacency(g)
         h = rng.normal((g.n, int(rng.integers(1, 4))))
         deg = g.adjacency.to_dense().sum(axis=1)
         edges = [(i, j) for i in range(g.n)
@@ -164,7 +165,7 @@ def test_criterion_6_oracle_equivalence():
                  if i < j]
         expected = edge_sum_smoothness(h, edges, deg)
         expected += sum(float(h[i] @ h[i]) for i in range(g.n) if deg[i] == 0)
-        assert abs(ratiocut_trace(h, lt) - expected) < 1e-10
+        assert abs(ratiocut_trace(h, at) - expected) < 1e-10
     print("ACCEPTANCE 6 (oracle equivalence): PASS 50 eigen instances "
           "(ritz 1e-6, angle 1e-5) + 100 ratiocut instances (1e-10)")
 

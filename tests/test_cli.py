@@ -126,6 +126,12 @@ def _write(name, data):
     return lambda d: (d / name).write_bytes(data)
 
 
+def _to_directory(path):
+    """Put an empty directory in place of the file ``path``."""
+    path.unlink()
+    path.mkdir()
+
+
 def _append(name, data):
     def corrupt(d):
         with (d / name).open("ab") as f:
@@ -258,8 +264,9 @@ _MALFORMED_DATASETS = {
     "meta-k-above-n": (_meta(k=21), "meta.json: field 'k'"),
     "meta-not-object": (_write("meta.json", b'["n", "m", "d", "k"]'), "sbm/meta.json"),
     "edges-not-utf8": (_write("edges.tsv", b"0\t1\n\xff\t2\n"), "sbm/edges.tsv"),
-    "edges-is-directory": (lambda d: ((d / "edges.tsv").unlink(), (d / "edges.tsv").mkdir()),
-                           "sbm/edges.tsv"),
+    **{f"{name.split('.')[0]}-is-directory": (lambda d, name=name: _to_directory(d / name),
+                                              f"error: sbm/{name}: cannot read (Is a directory)")
+       for name in ("edges.tsv", "features.bin")},
     "labels-not-utf8": (_write("labels.tsv", b"0\t\xc3\n"), "sbm/labels.tsv"),
     "idx-not-utf8": (_idx_not_utf8, "sbm/train.idx"),
     "features-non-finite": (_nan_feature, "sbm/features.bin"),
@@ -293,7 +300,12 @@ _MALFORMED_DATASETS = {
 }
 # id: (mutation of run/checkpoint.bin, what its evaluate error says after the path)
 _MALFORMED_CHECKPOINTS = {
-    "short-header": (lambda p: p.write_bytes(p.read_bytes()[:10]), "truncated checkpoint"),
+    "is-directory": (_to_directory, "cannot read (Is a directory)"),
+    # cut inside the 12-byte header, the first record's name length (bytes
+    # 12-16) and its shape (bytes 24-40, after the 8-byte name 'input.w0')
+    **{f"short-{field}": (lambda p, at=at: p.write_bytes(p.read_bytes()[:at]),
+                          f"truncated at byte offset {at}")
+       for field, at in (("header", 10), ("first-name-length", 14), ("first-shape", 30))},
     "version-2": (lambda p: p.write_bytes(p.read_bytes()[:4] + struct.pack("<I", 2)
                                           + p.read_bytes()[8:]),
                   "unsupported checkpoint version 2"),
@@ -306,8 +318,9 @@ _MALFORMED_CHECKPOINTS = {
                       "parameter name at byte offset 16 is not UTF-8"),
     "nan-weight": (_nan_weight, "non-finite values in parameter 'proto.w'"),
     "trailing-bytes": (lambda p: p.write_bytes(p.read_bytes() + b"\0"),
-                       "1 extra bytes from byte offset"),
-    "repeated-name": (_repeat_first_parameter, "repeated parameter 'input.w0'"),
+                       "1 extra bytes from byte offset 1908"),
+    "repeated-name": (_repeat_first_parameter,
+                      "repeated parameter 'input.w0' at byte offset 1912"),
 }
 # id: (mutation of run/config.resolved, evaluate's exit code, its error substring)
 _RUN_CONFIG_ERRORS = {
@@ -517,7 +530,7 @@ CONTRACTS = {
        # a split the graph can hold, so that --out is the only bad input
        for command, split in (("train", FAST_FLAGS[14:-2]), ("spectral", []))},
     **{f"evaluate-checkpoint-{name}": (("run/checkpoint.bin", corrupt), _EVALUATE, 2,
-                                       f"run/checkpoint.bin: {reason}")
+                                       f"error: run/checkpoint.bin: {reason}")
        for name, (corrupt, reason) in _MALFORMED_CHECKPOINTS.items()},
     # the 2-layer run's checkpoint holds a layer that a 1-layer model lacks
     "evaluate-checkpoint-with-extra-layer": (("run/config.resolved", _edit_line("layers", "1")),

@@ -7,12 +7,13 @@ import pytest
 from ncgc.errors import IngestionError, ShapeError, SplitError
 from ncgc.graph import (
     Graph, Split, _read_int_rows, load_dataset, load_split, make_split, normalized_adjacency,
-    normalized_laplacian, row_l1_normalize, write_dataset, write_split,
+    row_l1_normalize, write_dataset, write_split,
 )
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
+from ncgc.spectral import ratiocut_trace
 from ncgc.synth import make_sbm
-from oracles import int_rows_loop, sbm_pairs_loop, transition_matrix
+from oracles import int_rows_loop, loop_free_adjacency, sbm_pairs_loop, transition_matrix
 
 
 def write_triangle(path, n=3, m=3, d=2, k=2, edges="0\t1\n0\t2\n1\t2\n",
@@ -236,12 +237,12 @@ def test_partial_split_files_error(tmp_path):
 
 
 def test_normalized_adjacency_triangle():
+    # every degree is 3 with the self-loop, so every entry is 1/3; the
+    # loop-free oracle that the triangle eigen tests use has 1/2 off the diagonal
     g = triangle_graph()
-    at = normalized_adjacency(g, add_self_loops=False).to_dense()
+    assert np.allclose(normalized_adjacency(g).to_dense(), np.ones((3, 3)) / 3.0, atol=1e-15)
     expected = (np.ones((3, 3)) - np.eye(3)) / 2.0
-    assert np.allclose(at, expected, atol=1e-15)
-    at_loops = normalized_adjacency(g, add_self_loops=True).to_dense()
-    assert np.allclose(at_loops, np.ones((3, 3)) / 3.0, atol=1e-15)
+    assert np.allclose(loop_free_adjacency(g).to_dense(), expected, atol=1e-15)
 
 
 def test_normalized_adjacency_isolated_node():
@@ -249,36 +250,48 @@ def test_normalized_adjacency_isolated_node():
     feats = np.zeros((1, 1))
     g = Graph(n=1, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
               labels=np.full(1, -1), class_count=1)
-    assert normalized_adjacency(g, add_self_loops=False).to_dense() == pytest.approx(0.0)
-    assert normalized_adjacency(g, add_self_loops=True).to_dense() == pytest.approx(1.0)
+    assert normalized_adjacency(g).to_dense() == pytest.approx(1.0)
 
 
 def test_normalized_laplacian_triangle_and_edgeless():
-    lt = normalized_laplacian(triangle_graph()).to_dense()
-    assert np.allclose(lt, np.eye(3) * 1.5 - 0.5, atol=1e-15)
+    # L~ = I - A~, read through ratiocut_trace: on the triangle L~ = I - 1/3,
+    # so its trace is 2 and the constant vector is in its kernel; with no
+    # edge A~ = I, so L~ = 0
+    at = normalized_adjacency(triangle_graph())
+    assert ratiocut_trace(np.eye(3), at) == pytest.approx(2.0, abs=1e-15)
+    assert ratiocut_trace(np.ones((3, 1)), at) == pytest.approx(0.0, abs=1e-15)
     adj = CsrMatrix.from_dense(np.zeros((4, 4)))
     feats = np.zeros((4, 1))
     g = Graph(n=4, m=0, adjacency=adj, features=CsrMatrix.from_dense(feats),
               labels=np.full(4, -1), class_count=1)
-    assert np.allclose(normalized_laplacian(g).to_dense(), np.eye(4))
+    assert np.array_equal(normalized_adjacency(g).to_dense(), np.eye(4))
+    assert ratiocut_trace(RngState(7).normal((4, 2)), normalized_adjacency(g)) == 0.0
 
 
 def test_laplacian_eigenvalues_in_0_2():
+    # the spectrum of L~ = I - A~ lies in [0, 2] exactly when that of A~ lies
+    # in [-1, 1], the bound under which APPNP's hops contract; 1 is the top
+    # eigenvalue of A~ (eigenvector D^1/2 1)
     for seed in range(6):
         sizes = [4, 4] if seed % 2 else [8, 8]
         g = make_sbm(sizes, 0.7, 0.3, feature_dim=2, rng=RngState(seed))
-        w = np.linalg.eigvalsh(normalized_laplacian(g).to_dense())
-        assert w.min() >= -1e-10
-        assert w.max() <= 2.0 + 1e-10
+        w = np.linalg.eigvalsh(normalized_adjacency(g).to_dense())
+        assert w.min() >= -1.0 - 1e-10
+        assert w.max() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_operators_are_symmetric_and_transition_rows_sum_to_one():
-    for seed in range(5):
-        g = make_sbm([6, 5], 0.6, 0.2, feature_dim=2, rng=RngState(100 + seed))
+def test_operators_are_symmetric_and_transition_rows_sum_to_one(tmp_path):
+    # A~ equals its transpose bit for bit: sogn_layer's gradient propagates
+    # with A~ itself. The file-built graph has a self-loop edge (2 2), an edge
+    # given three times (0 1, 0 1, 1 0) and an isolated node (4)
+    graphs = [make_sbm([6, 5], 0.6, 0.2, feature_dim=2, rng=RngState(100 + seed))
+              for seed in range(5)]
+    edges = "0\t1\n0\t1\n1\t0\n2\t2\n1\t2\n3\t1\n"
+    graphs.append(load_dataset(write_triangle(tmp_path / "loops", n=5, m=4, edges=edges)))
+    assert np.array_equal(graphs[-1].adjacency.to_dense().sum(axis=1), [1, 3, 2, 1, 0])
+    for g in graphs:
         at = normalized_adjacency(g).to_dense()
-        lt = normalized_laplacian(g).to_dense()
-        assert np.allclose(at, at.T, atol=1e-14)
-        assert np.allclose(lt, lt.T, atol=1e-14)
+        assert np.array_equal(at, at.T)
         p = transition_matrix(g).to_dense()
         deg = g.adjacency.to_dense().sum(axis=1)
         sums = p.sum(axis=1)

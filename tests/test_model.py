@@ -15,7 +15,7 @@ from ncgc.sparse import CsrMatrix
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams
 from gradcheck import check_gradients, tape_value_and_grads, trial_rng
-from oracles import input_chain, loop_soc_penalty, rel_error, sogn_chain
+from oracles import input_chain, loop_free_adjacency, loop_soc_penalty, rel_error, sogn_chain
 
 
 def small_graph(seed=0, n_per=3, k=2, d=4):
@@ -92,8 +92,8 @@ def test_gcn_on_identity_adjacency_is_identity():
 def test_appnp_alpha_one_is_identity():
     g, at = small_graph()
     z = RngState(3).normal((g.n, 3))
-    out = backbone_propagate(at, z, HyperParams(backbone="appnp", appnp_alpha=1.0,
-                                                appnp_hops=5))
+    out = backbone_propagate(at, z.copy(), HyperParams(backbone="appnp", appnp_alpha=1.0,
+                                                       appnp_hops=5))
     assert np.allclose(out, z, atol=1e-15)
 
 
@@ -103,7 +103,7 @@ def test_appnp_two_hops_matches_polynomial():
     feats = np.zeros((3, 1))
     g = Graph(n=3, m=3, adjacency=adj, features=CsrMatrix.from_dense(feats),
               labels=np.full(3, -1), class_count=2)
-    at = normalized_adjacency(g, add_self_loops=False)
+    at = loop_free_adjacency(g)
     a_dense = at.to_dense()
     z = RngState(4).normal((3, 2))
     alpha = 0.2
@@ -202,16 +202,15 @@ def test_correction_term_associativity():
 @pytest.mark.parametrize("dropout", [0.0, 0.4])
 @pytest.mark.parametrize("activation", [False, True])
 @pytest.mark.usefixtures("tape_guard")
-def test_fused_layer_gradcheck_and_chain_on_asymmetric_csr(backbone, beta, dropout,
-                                                           activation):
-    # the adjoint must use the transpose of the operator, so it is asymmetric
+def test_fused_layer_gradcheck_and_chain_on_normalized_adjacency(backbone, beta, dropout,
+                                                                 activation):
+    # the layer's VJP propagates with A~ itself, the adjoint only because
+    # normalized_adjacency builds A~ symmetric; the chain's VJPs use the transpose
     cfg = HyperParams(backbone=backbone, beta=beta, dropout=dropout,
                       appnp_alpha=0.3, appnp_hops=3)
     for trial in range(5):
         rng = trial_rng(f"sogn_layer-{backbone}-{beta}-{dropout}-{activation}", trial)
-        dense = rng.normal((6, 6)) * (rng.uniform((6, 6)) < 0.5)
-        dense[0, 1], dense[1, 0] = 0.8, 0.0
-        at = CsrMatrix.from_dense(dense)
+        at = normalized_adjacency(make_sbm([3, 3], 0.6, 0.3, feature_dim=1, rng=rng))
         c = rng.normal((6, 3))
         seed = int(rng.integers(0, 2 ** 31))
         arrays = [rng.normal((6, 4)), rng.normal((4, 3))]
@@ -563,11 +562,14 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     with pytest.raises(IngestionError, match="magic"):
         load_checkpoint(p)
     ck = tmp_path / "ok.bin"
-    save_checkpoint(ck, {"w": np.ones((2, 2))})
+    save_checkpoint(ck, {"w": np.ones((2, 2)), "v": np.ones((1, 3))})
     data = ck.read_bytes()
-    ck.write_bytes(data[:-8])
-    with pytest.raises(IngestionError, match="truncated"):
-        load_checkpoint(ck)
+    # a cut anywhere after the magic, inside the header, a name length, a
+    # name, a shape or the values, names the end of the file
+    for cut in range(4, len(data)):
+        ck.write_bytes(data[:cut])
+        with pytest.raises(IngestionError, match=f": truncated at byte offset {cut}$"):
+            load_checkpoint(ck)
 
 
 def test_load_values_shape_check(tmp_path):

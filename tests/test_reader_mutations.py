@@ -4,8 +4,10 @@ Each dataset mutant is the 20-node SBM fixture, with its split files, after one
 mutation of one file: truncation, a byte flip, an inserted invalid UTF-8 byte,
 or a directory in place of the file. ``ncgc validate`` must accept it (exit 0)
 or reject it with exit 2 and one ``error:`` line naming the file at fault,
-and never raise. Each run mutant is a trained run directory after one of the
-first three mutations of its ``config.resolved`` or ``checkpoint.bin``:
+and never raise; the normalized adjacency of a mutant it accepts must equal
+its transpose bit for bit, as training's gradient assumes. Each run mutant
+is a trained run directory after one of the first three mutations of its
+``config.resolved`` or ``checkpoint.bin``:
 ``ncgc evaluate --checkpoint`` must exit 0, 2, 3 or 4, print one ``error:``
 line when it fails (naming the mutated file when that exits 2), write
 nothing and never raise; a truncated ``config.resolved`` that lost a whole
@@ -20,10 +22,11 @@ import shutil
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncgc.cli import main
-from ncgc.graph import make_split, write_dataset
+from ncgc.graph import load_dataset, make_split, normalized_adjacency, write_dataset
 from ncgc.rng import RngState
 from ncgc.synth import make_sbm
 
@@ -76,10 +79,14 @@ def trained(pristine, tmp_path_factory):
 
 
 def _validate(capsys, d, name) -> int:
-    """Exit code of ``ncgc validate`` on ``d``, checking the error line of an exit 2."""
+    """Exit code of ``ncgc validate`` on ``d``, checking the error line of an exit 2
+    and the symmetry of the normalized adjacency of an accepted dataset."""
     rc = main(["validate", "--dataset", str(d)])
     err = capsys.readouterr().err
     assert rc in (0, 2)
+    if rc == 0:
+        at = normalized_adjacency(load_dataset(d)).to_dense()
+        assert np.array_equal(at, at.T)
     if rc == 2:
         errors = [line for line in err.splitlines() if not line.startswith("config:")]
         assert len(errors) == 1 and errors[0].startswith("error:"), err

@@ -8,7 +8,7 @@ import pytest
 
 import ncgc
 from ncgc.errors import ContractError, RankError
-from ncgc.graph import Graph, normalized_adjacency, normalized_laplacian
+from ncgc.graph import Graph, normalized_adjacency
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.spectral import (
@@ -18,7 +18,7 @@ from ncgc.spectral import (
 from ncgc.synth import make_sbm
 from oracles import (
     best_partition_wcss, dense_eigh_oracle, dense_top_k_by_magnitude, edge_sum_smoothness,
-    indicator_matrix, random_symmetric_with_gap, subspace_angle,
+    indicator_matrix, loop_free_adjacency, random_symmetric_with_gap, subspace_angle,
 )
 
 
@@ -48,9 +48,10 @@ def random_symmetric_csr(n, k, rng, gap=1.2):
 
 
 def test_qr_idempotent_up_to_sign():
-    q0 = qr_orthonormalize(RngState(0).normal((6, 3)))
-    q1 = qr_orthonormalize(q0)
-    assert np.allclose(np.abs(q1.T @ q0), np.eye(3), atol=1e-12)
+    for n, k in ((6, 3), (4, 4)):  # a square matrix is tall enough
+        q0 = qr_orthonormalize(RngState(0).normal((n, k)))
+        q1 = qr_orthonormalize(q0)
+        assert np.allclose(np.abs(q1.T @ q0), np.eye(k), atol=1e-12)
 
 
 def test_qr_hand_case():
@@ -86,7 +87,7 @@ def test_jacobi_identity_and_diagonal():
 
 
 def test_jacobi_triangle_spectrum():
-    at = normalized_adjacency(triangle_graph(), add_self_loops=False).to_dense()
+    at = loop_free_adjacency(triangle_graph()).to_dense()
     w, _ = dense_eigh_oracle(at)
     assert np.allclose(w, [-0.5, -0.5, 1.0], atol=1e-12)
 
@@ -113,7 +114,7 @@ def test_jacobi_contract_errors():
 
 
 def test_subspace_triangle_dominant_eigenvector():
-    at = normalized_adjacency(triangle_graph(), add_self_loops=False)
+    at = loop_free_adjacency(triangle_graph())
     basis = subspace_iteration(at, 1, rng=RngState(2))
     assert basis.converged
     assert basis.ritz_values[0] == pytest.approx(1.0, abs=1e-9)
@@ -122,7 +123,7 @@ def test_subspace_triangle_dominant_eigenvector():
 
 
 def test_subspace_two_components():
-    at = normalized_adjacency(two_triangles(), add_self_loops=False)
+    at = loop_free_adjacency(two_triangles())
     basis = subspace_iteration(at, 2, rng=RngState(3))
     assert np.allclose(basis.ritz_values, [1.0, 1.0], atol=1e-8)
     ind = np.zeros((6, 2))
@@ -162,8 +163,6 @@ def test_top_adjacency_subspace_equals_bottom_laplacian():
         top_alg = np.sort(w_a)[::-1][:2]
         top_mag = w_a[np.argsort(-np.abs(w_a))[:2]]
         assert np.allclose(np.sort(top_alg), np.sort(top_mag), atol=1e-12)
-        lt = normalized_laplacian(g).to_dense()
-        # with self-loop normalization L~ here is I - A~(loops); use that operator
         lt = np.eye(g.n) - at.to_dense()
         w_l, v_l = np.linalg.eigh(lt)
         assert subspace_angle(basis.q, v_l[:, :2]) < 1e-6
@@ -184,19 +183,20 @@ def test_subspace_contract_checks():
 
 def test_ratiocut_disconnected_indicator_is_zero():
     g = two_triangles()
-    lt = normalized_laplacian(g)
+    at = loop_free_adjacency(g)
     ind = indicator_matrix(np.array([0, 0, 0, 1, 1, 1]), 2)
-    assert abs(ratiocut_trace(ind, lt)) < 1e-12
+    assert abs(ratiocut_trace(ind, at)) < 1e-12
+    assert abs(ratiocut_trace(ind, normalized_adjacency(g))) < 1e-12
 
 
 def test_ratiocut_constant_scaled_by_degree_root():
     g = triangle_graph()
-    lt = normalized_laplacian(g)
+    at = loop_free_adjacency(g)
     # sqrt-degree-scaled constant vector is the zero-smoothness direction
     h = np.full((3, 1), np.sqrt(2.0))
-    assert abs(ratiocut_trace(h, lt)) < 1e-12
+    assert abs(ratiocut_trace(h, at)) < 1e-12
     ones = np.ones((3, 1))
-    assert ratiocut_trace(ones, lt) >= -1e-12
+    assert ratiocut_trace(ones, at) >= -1e-12
 
 
 def test_ratiocut_shape_mismatch():
@@ -209,7 +209,7 @@ def test_ratiocut_matches_edge_sum_oracle():
     for seed in range(10):
         rng = RngState(400 + seed)
         g = make_sbm([3, 3], 0.9, 0.4, feature_dim=2, rng=rng)
-        lt = normalized_laplacian(g)
+        at = loop_free_adjacency(g)
         h = rng.normal((g.n, 3))
         deg = g.adjacency.to_dense().sum(axis=1)
         edges = [(i, j) for i in range(g.n)
@@ -218,7 +218,7 @@ def test_ratiocut_matches_edge_sum_oracle():
                  if i < j]
         expected = edge_sum_smoothness(h, edges, deg)
         expected += sum(float(h[i] @ h[i]) for i in range(g.n) if deg[i] == 0)
-        assert abs(ratiocut_trace(h, lt) - expected) < 1e-10
+        assert abs(ratiocut_trace(h, at) - expected) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from ncgc.synth import make_sbm
 from ncgc.trainer import (
     VARIANTS, HyperParams, accuracy, class_loss, predict, run_seeds, seed_splits, total_loss, train,
 )
-from oracles import loop_label_cross_entropy, loop_row_softmax
+from oracles import loop_free_adjacency, loop_label_cross_entropy, loop_row_softmax
 
 pytestmark = pytest.mark.usefixtures("tape_guard")
 
@@ -192,8 +192,8 @@ def test_train_builds_adjacency_with_self_loops(monkeypatch):
 
     monkeypatch.setattr(trainer, "forward", spy)
     train(g, split, hp)
-    expected = normalized_adjacency(g, add_self_loops=True).to_dense()
-    other = normalized_adjacency(g, add_self_loops=False).to_dense()
+    expected = normalized_adjacency(g).to_dense()
+    other = loop_free_adjacency(g).to_dense()
     assert not np.array_equal(expected, other)
     assert seen and all(np.array_equal(a, expected) for a in seen)
 
