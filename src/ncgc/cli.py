@@ -382,12 +382,12 @@ def cmd_spectral(resolved: dict) -> int:
     if k > g.n:
         raise _UsageError(f"--k must be at most the node count {g.n}, got {k}")
     out = _prepare_out(resolved)
-    assignments, basis = spectral_cluster(normalized_adjacency(g), k, RngState(resolved["seed"]))
+    assignments = spectral_cluster(normalized_adjacency(g), g.features, k,
+                                   RngState(resolved["seed"]))
     with (out / "assignments.tsv").open("w", encoding="utf-8") as f:
         for i, c in enumerate(assignments):
             f.write(f"{i}\t{c}\n")
-    msg = (f"dataset={g.name} k={k} converged={str(basis.converged).lower()} "
-           f"iterations={basis.iterations_used}")
+    msg = f"dataset={g.name} k={k}"
     if g.labeled_nodes().size:
         acc = clustering_accuracy(assignments, g.labels, k)
         msg += f" clustering_acc={acc:.4f}"

@@ -25,10 +25,6 @@ class ContractError(NcgcError):
     """A caller violated an operation's precondition."""
 
 
-class RankError(NcgcError):
-    """Numerically rank-deficient input where full rank is required."""
-
-
 class IngestionError(NcgcError):
     """A dataset file is missing or malformed; message names file and position."""
 

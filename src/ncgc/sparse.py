@@ -1,7 +1,9 @@
 """Immutable real matrices in compressed-sparse-row layout.
 
 ``CsrMatrix`` carries the graph operator (the normalized adjacency, which
-is symmetric and so its own adjoint) and the node feature matrix. It holds
+``graph.normalized_adjacency`` builds symmetric bit for bit, so its own
+adjoint) and the node feature matrix, which the spectral baseline densifies
+and filters with the operator. It holds
 one ``scipy.sparse`` CSR matrix in canonical form: within each row the
 column indices are strictly increasing. Every constructor and operation here
 returns that form, so there is no separate layout check. ``rows``, ``cols``,
@@ -135,10 +137,6 @@ class CsrMatrix:
         s = self._scipy + other._scipy
         s.sum_duplicates()
         return CsrMatrix(s)
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        d = self._scipy - self._scipy.T
-        return bool(np.all(np.abs(d.data) <= tol)) if d.nnz else True
 
     def __repr__(self):
         return f"CsrMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

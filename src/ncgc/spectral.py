@@ -1,106 +1,39 @@
 """Spectral clustering baseline and verification targets.
 
-Subspace iteration with QR orthonormalization approximates the invariant
-subspace of the k largest-magnitude eigenvalues of a symmetric operator;
-Lloyd's algorithm with k-means++ seeding rounds the basis to a hard
-partition.
+The baseline is AGC's low-pass filter (Zhang et al. 2019, *Attributed Graph
+Clustering via Adaptive Graph Convolution*) at a fixed power: the features are
+filtered ``FILTER_POWER`` times with (I + A~)/2, the principal basis of the
+filtered features comes from one LAPACK ``eigh`` of their d x d Gram matrix,
+and Lloyd's algorithm with k-means++ seeding rounds it to a hard partition.
+The graph alone would not do: eigenvalue 1 of A~ has one eigenvector per
+connected component, so on a graph with more components than k its dominant
+eigenvectors say nothing about the classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, RankError, ShapeError
+from .errors import ContractError, ShapeError
 from .rng import RngState
 from .sparse import CsrMatrix
 
 KMEANS_RESTARTS = 10  # seeded Lloyd runs per k-means rounding
+# Hops of the low-pass filter (I + A~)/2. Fixed at 4, the smallest power after
+# which accuracy stopped rising on the Cora- and PubMed-shaped benchmark
+# graphs (p = 0, 1, 2, 4, 8), the only graphs it was chosen on.
+FILTER_POWER = 4
 
 
-@dataclass(frozen=True)
-class EigenBasis:
-    """Orthonormal basis q (n x k) with Ritz values sorted descending."""
-
-    q: np.ndarray
-    ritz_values: np.ndarray
-    iterations_used: int
-    converged: bool
-
-
-def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
-    """Orthonormalize columns by modified Gram-Schmidt with one reorthogonalization.
-
-    Preserves the column span. Raises RankError when a column's residual norm
-    falls below 1e-12 during elimination.
-    """
-    m = np.array(m, dtype=np.float64)
-    n, k = m.shape
-    if n < k:
-        raise ContractError(f"need rows >= cols, got {n} x {k}")
-    q = np.zeros_like(m)
-    for j in range(k):
-        v = m[:, j].copy()
-        for _ in range(2):
-            if j:
-                v -= q[:, :j] @ (q[:, :j].T @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            raise RankError(f"column {j} is numerically dependent on earlier columns")
-        q[:, j] = v / norm
-    return q
-
-
-def _projector_distance(q_new: np.ndarray, q_old: np.ndarray) -> float:
-    # ||QQ^T - PP^T||_F with orthonormal Q, P equals sqrt(2k - 2||Q^T P||_F^2);
-    # never forms the n x n projectors.
-    k = q_new.shape[1]
-    cross = q_new.T @ q_old
-    return float(np.sqrt(max(0.0, 2.0 * k - 2.0 * (cross * cross).sum())))
-
-
-def subspace_iteration(
-    a_tilde: CsrMatrix,
-    k: int,
-    rng: RngState,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-) -> EigenBasis:
-    """Block power iteration from a Gaussian start drawn from ``rng`` toward
-    the dominant invariant subspace.
-
-    Convergence is declared when the Frobenius distance between successive
-    column-space projectors drops below ``tol``; hitting ``max_iter`` returns
-    the best iterate with ``converged=False``. On return the basis is rotated
-    to Ritz vectors and ``ritz_values`` holds the Rayleigh-Ritz eigenvalue
-    estimates in descending order.
-    """
-    n = a_tilde.rows
-    if a_tilde.cols != n:
-        raise ContractError("operator must be square")
-    if not a_tilde.is_symmetric(1e-10):
-        raise ContractError("operator must be symmetric")
-    if not 1 <= k <= n:
-        raise ContractError(f"need 1 <= k <= n, got k={k}, n={n}")
-    q = qr_orthonormalize(rng.normal((n, k)))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        z = a_tilde.matmul_dense(q)
-        q_new = qr_orthonormalize(z)
-        delta = _projector_distance(q_new, q)
-        q = q_new
-        if delta < tol:
-            converged = True
-            break
-    m = q.T @ a_tilde.matmul_dense(q)
-    m = 0.5 * (m + m.T)
-    w, u = np.linalg.eigh(m)
-    order = np.argsort(-w)
-    return EigenBasis(q=q @ u[:, order], ritz_values=w[order],
-                      iterations_used=iterations, converged=converged)
+def principal_basis(x: np.ndarray, k: int) -> np.ndarray:
+    """Column-normalized X V, with V the top-k eigenvectors of the d x d Gram
+    matrix X^T X: the top-k left singular vectors of X, each column's sign as
+    LAPACK returns it. With k above d all d columns are returned; a column
+    that X maps to zero stays zero."""
+    x = np.asarray(x, dtype=np.float64)
+    _, v = np.linalg.eigh(x.T @ x)  # ascending eigenvalues
+    return nm.column_l2_normalize(x @ v[:, ::-1][:, :k]).value
 
 
 def ratiocut_trace(h: np.ndarray, a_tilde: CsrMatrix) -> float:
@@ -200,11 +133,14 @@ def clustering_accuracy(assignments: np.ndarray, labels: np.ndarray, k: int) -> 
 
 
 def spectral_cluster(
-    a_tilde: CsrMatrix, k: int, rng: RngState,
-) -> tuple[np.ndarray, EigenBasis]:
-    """Full baseline: dominant eigenbasis of the operator at ``subspace_iteration``'s
-    default tolerance and iteration cap, rounded to hard cluster assignments by
-    ``kmeans``. Returns the assignments and the basis."""
-    basis = subspace_iteration(a_tilde, k, rng.derive("eigs"))
-    _, assignments, _ = kmeans(basis.q, k, rng.derive("round"))
-    return assignments, basis
+    a_tilde: CsrMatrix, features: CsrMatrix, k: int, rng: RngState,
+) -> np.ndarray:
+    """Full baseline: the n x d ``features``, densified and filtered
+    ``FILTER_POWER`` times with (I + A~)/2, their ``principal_basis`` rounded to
+    hard cluster assignments by ``kmeans``. Returns the assignments."""
+    x = features.to_dense()
+    for _ in range(FILTER_POWER):
+        x += a_tilde.matmul_dense(x)
+        x *= 0.5
+    _, assignments, _ = kmeans(principal_basis(x, k), k, rng.derive("round"))
+    return assignments

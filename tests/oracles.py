@@ -302,8 +302,8 @@ def random_symmetric_with_gap(n, k, rng, gap=1.2):
     """Random symmetric matrix whose top-k magnitude eigenvalues are separated.
 
     The spectrum (magnitudes and signs) is random but a relative gap of at
-    least ``gap`` is enforced at and above position k, so block power
-    iterations can meet tight tolerances within a bounded iteration budget.
+    least ``gap`` is enforced at and above position k, so the top-k invariant
+    subspace is well conditioned and can be checked at tight tolerances.
     """
     mags = np.sort(rng.uniform((n,), 0.1, 1.0))[::-1]
     for i in range(1, n):
@@ -311,13 +311,6 @@ def random_symmetric_with_gap(n, k, rng, gap=1.2):
     signs = np.where(rng.uniform((n,)) < 0.5, -1.0, 1.0)
     q = np.linalg.qr(rng.normal((n, n)))[0]
     return q @ np.diag(mags * signs) @ q.T
-
-
-def dense_top_k_by_magnitude(a, k):
-    """Top-k eigenpairs of a symmetric matrix by |eigenvalue| via numpy."""
-    w, v = np.linalg.eigh(np.asarray(a))
-    order = np.argsort(-np.abs(w))[:k]
-    return w[order], v[:, order]
 
 
 def subspace_angle(q, v):

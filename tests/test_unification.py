@@ -20,7 +20,7 @@ import pytest
 from ncgc.graph import normalized_adjacency
 from ncgc.model import backbone_propagate
 from ncgc.rng import RngState
-from ncgc.spectral import qr_orthonormalize, ratiocut_trace
+from ncgc.spectral import ratiocut_trace
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams
 from oracles import appnp_fixed_point, dense_eigh_oracle, finite_difference_grads
@@ -97,5 +97,5 @@ def test_ky_fan_bound_on_the_run_operator(k):
         assert abs(ratiocut_trace(v[:, :k], at) - floor) < 1e-10
         rng = RngState(seed)
         for _ in range(10):
-            h = qr_orthonormalize(rng.normal((g.n, k)))
+            h = np.linalg.qr(rng.normal((g.n, k)))[0]
             assert ratiocut_trace(h, at) >= floor - 1e-10
