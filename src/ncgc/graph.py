@@ -120,7 +120,7 @@ def _symmetrize(n: int, edges: np.ndarray) -> CsrMatrix:
     return CsrMatrix.from_coo(n, n, rows, cols, np.ones(rows.size))
 
 
-def _read_bytes(f: Path) -> bytes:
+def read_bytes(f: Path) -> bytes:
     """Contents of an input file; a missing or unreadable file is an IngestionError."""
     try:
         return f.read_bytes()
@@ -133,7 +133,7 @@ def _read_bytes(f: Path) -> bytes:
 def _read_utf8(f: Path) -> bytes:
     """Bytes of an input file with CRLF and CR line ends made LF; bytes that are
     not UTF-8 are an IngestionError naming the file and the byte offset."""
-    raw = _read_bytes(f)
+    raw = read_bytes(f)
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -174,7 +174,7 @@ def _read_meta(path: Path) -> dict:
 def _read_features(path: Path, n: int, d: int) -> CsrMatrix:
     """The nonzeros of ``features.bin``, read from its float32 bytes in place."""
     f = path / "features.bin"
-    raw = _read_bytes(f)
+    raw = read_bytes(f)
     expected = n * d * 4
     if len(raw) != expected:
         where = "truncated at" if len(raw) < expected else "extra bytes from"

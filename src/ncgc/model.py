@@ -47,6 +47,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, IngestionError, ParameterError, ShapeError
+from .graph import read_bytes
 from .rng import RngState
 from .sparse import CsrMatrix
 
@@ -364,10 +365,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a ``save_checkpoint`` file; malformed bytes, a repeated parameter name,
     bytes after the last parameter or non-finite weights are rejected."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise IngestionError(f"{path}: cannot read ({e.strerror or e})") from e
+    data = read_bytes(path)
     if data[:4] != _MAGIC:
         raise IngestionError(f"{path}: bad magic bytes, not a checkpoint")
     out: dict[str, np.ndarray] = {}

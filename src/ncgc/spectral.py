@@ -3,8 +3,9 @@
 The baseline is AGC's low-pass filter (Zhang et al. 2019, *Attributed Graph
 Clustering via Adaptive Graph Convolution*) at a fixed power: the features are
 filtered ``FILTER_POWER`` times with (I + A~)/2, the principal basis of the
-filtered features comes from one LAPACK ``eigh`` of their d x d Gram matrix,
-and Lloyd's algorithm with k-means++ seeding rounds it to a hard partition.
+filtered features comes from one LAPACK ``eigh`` of their d x d or n x n Gram
+matrix, whichever is smaller, and Lloyd's algorithm with k-means++ seeding
+rounds it to a hard partition.
 The graph alone would not do: eigenvalue 1 of A~ has one eigenvector per
 connected component, so on a graph with more components than k its dominant
 eigenvectors say nothing about the classes.
@@ -27,12 +28,17 @@ FILTER_POWER = 4
 
 
 def principal_basis(x: np.ndarray, k: int) -> np.ndarray:
-    """Column-normalized X V, with V the top-k eigenvectors of the d x d Gram
-    matrix X^T X: the top-k left singular vectors of X, each column's sign as
-    LAPACK returns it. With k above d all d columns are returned; a column
-    that X maps to zero stays zero."""
+    """The top-k left singular vectors of the n x d matrix X, each column's sign
+    as LAPACK returns it, from one ``eigh`` of the smaller Gram matrix: with V
+    the top-k eigenvectors of X^T X (n >= d), column-normalized X V; with U
+    those of X X^T (n < d), column-normalized X (X^T U), which is U. With k
+    above min(n, d), min(n, d) columns are returned; a column that X maps to
+    zero stays zero."""
     x = np.asarray(x, dtype=np.float64)
-    _, v = np.linalg.eigh(x.T @ x)  # ascending eigenvalues
+    if x.shape[0] < x.shape[1]:
+        _, u = np.linalg.eigh(x @ x.T)  # ascending eigenvalues
+        return nm.column_l2_normalize(x @ (x.T @ u[:, ::-1][:, :k])).value
+    _, v = np.linalg.eigh(x.T @ x)
     return nm.column_l2_normalize(x @ v[:, ::-1][:, :k]).value
 
 

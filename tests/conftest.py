@@ -1,4 +1,5 @@
-"""The tape-safety guard, a fixture for tests that train or differentiate.
+"""The tape-safety guard, a fixture for tests that train or differentiate, and
+``child_pythonpath``, the ``PYTHONPATH`` of every test's Python child process.
 
 ``backward`` stores the first gradient a VJP returns for a tensor as it is
 and adds later ones into it in place, and the VJPs and Adam write some of
@@ -16,12 +17,24 @@ array that a node saved, or one that another gradient also holds. The
   already pending in ``backward``'s mapping (the Parameters' included).
 """
 
+import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncgc
 import ncgc.numerics as nm
+
+
+def child_pythonpath() -> str:
+    """``PYTHONPATH`` for a Python child process: the directory that holds the
+    ``ncgc`` this process imported (a checkout's ``src`` or an installed
+    package's site directory), then the inherited ``PYTHONPATH``, so the child
+    runs the package under test wherever pytest runs from."""
+    home = str(Path(ncgc.__file__).resolve().parent.parent)
+    return os.pathsep.join([home] + [p for p in [os.environ.get("PYTHONPATH")] if p])
 
 
 def _closure_arrays(fn):

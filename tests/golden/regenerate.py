@@ -4,13 +4,14 @@ Usage, from the root of a checkout:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Writes two datasets and runs each line from the directory that holds them, so
+Writes two datasets (``write_datasets``, which the tests build their SBM
+fixtures with too) and runs each line from the directory that holds them, so
 every path a line records is relative: the CI SBM (``make_sbm([10, 10], 0.6,
 0.05, feature_dim=6, rng=RngState(0))``) in ``sbm``, which the CI workflow's
-lines run on, and the criterion-9 fixture of ``tests/test_acceptance.py`` (the
-same SBM with ``feature_shift=2.5, feature_noise=0.6``) in ``sbm_separable``,
-whose classes training can tell apart. Each ``ncgc train`` line (the CI gcn
-line, the CI APPNP line with 3 hops, and the criterion-9 line) has its
+lines run on, and the separable SBM (the same SBM with ``feature_shift=2.5,
+feature_noise=0.6``) in ``sbm_separable``, whose classes training can tell
+apart and which the criterion-9 line trains on. Each ``ncgc train`` line (the
+CI gcn line, the CI APPNP line with 3 hops, and the criterion-9 line) has its
 ``report.json``, ``checkpoint.bin`` and ``epochs.csv`` copied to
 ``tests/golden/<line>/``, with the stdout of ``ncgc evaluate`` on its
 checkpoint as ``evaluate.txt``; each ``ablate``, ``sweep`` and ``spectral``
@@ -104,10 +105,9 @@ def _stdout_of(args: list[str]) -> str:
     return stdout.getvalue()
 
 
-def run_lines(base: Path, lines: dict) -> None:
-    """Write the two datasets to ``base/sbm`` and ``base/sbm_separable`` and run
-    each line from ``base`` into ``base/<line>``; a train line's checkpoint is
-    then scored by ``ncgc evaluate``, whose stdout goes to ``evaluate.txt``."""
+def write_datasets(base: Path) -> None:
+    """Write the CI SBM to ``base/sbm`` and the separable SBM to
+    ``base/sbm_separable``."""
     from ncgc.graph import write_dataset
     from ncgc.rng import RngState
     from ncgc.synth import make_sbm
@@ -115,6 +115,13 @@ def run_lines(base: Path, lines: dict) -> None:
     write_dataset(make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0)), base / "sbm")
     write_dataset(make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
                            feature_shift=2.5, feature_noise=0.6), base / "sbm_separable")
+
+
+def run_lines(base: Path, lines: dict) -> None:
+    """``write_datasets(base)``, then run each line from ``base`` into
+    ``base/<line>``; a train line's checkpoint is then scored by ``ncgc
+    evaluate``, whose stdout goes to ``evaluate.txt``."""
+    write_datasets(base)
     cwd = os.getcwd()
     os.chdir(base)
     try:

@@ -21,12 +21,13 @@ from ncgc.clustering import (
     sinkhorn_transport_plan, soft_assign, target_distribution,
 )
 from ncgc.cli import main as cli_main
-from ncgc.graph import load_dataset, normalized_adjacency, write_dataset
+from ncgc.graph import load_dataset, normalized_adjacency
 from ncgc.model import forward, init_params
 from ncgc.rng import RngState
 from ncgc.spectral import principal_basis, ratiocut_trace
 from ncgc.synth import make_sbm
 from ncgc.trainer import HyperParams, class_loss, run_seeds, seed_splits, total_loss
+from golden.regenerate import TRAIN_LINES, write_datasets
 from gradcheck import OPS, check_gradients, trial_rng
 from oracles import (
     dense_eigh_oracle, edge_sum_smoothness, loop_free_adjacency, random_symmetric_with_gap,
@@ -274,25 +275,19 @@ def test_criterion_8_gradient_suite():
 
 
 @pytest.mark.usefixtures("tape_guard")
-def test_criterion_9_determinism_from_resolved_config(tmp_path, capsys):
-    g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
-                 feature_shift=2.5, feature_noise=0.6)
-    data = tmp_path / "sbm"
-    write_dataset(g, data)
+def test_criterion_9_determinism_from_resolved_config(tmp_path, monkeypatch, capsys):
+    # the criterion-9 line, run from the directory that holds its dataset
+    write_datasets(tmp_path)
+    monkeypatch.chdir(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    args = ["train", "--dataset", str(data), "--out", str(out1), "--seed", "3",
-            "--runs", "2", "--hidden", "16", "--layers", "2", "--dropout", "0.2",
-            "--lr", "0.01", "--epochs", "50", "--patience", "50", "--warmup", "10",
-            "--split-policy", "per_class", "--train-per-class", "3",
-            "--val-per-class", "3", "--row-normalize", "off"]
-    assert cli_main(args) == 0
+    assert cli_main([*TRAIN_LINES["criterion9"], "--out", str(out1)]) == 0
     assert cli_main(["train", "--config", str(out1 / "config.resolved"),
                      "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "checkpoint.bin").read_bytes() == (out2 / "checkpoint.bin").read_bytes()
 
     sp1, sp2 = tmp_path / "sp1", tmp_path / "sp2"
-    assert cli_main(["spectral", "--dataset", str(data), "--out", str(sp1),
+    assert cli_main(["spectral", "--dataset", "sbm_separable", "--out", str(sp1),
                      "--seed", "5"]) == 0
     assert cli_main(["spectral", "--config", str(sp1 / "config.resolved"),
                      "--out", str(sp2)]) == 0

@@ -11,8 +11,7 @@ and no traceback, and must leave every path and byte of the working
 directory as the setup left them; an exit 0 prints no ``error:`` line, and
 its row's substring, if any, on stdout. ``_check`` runs one row; five families
 run theirs under the test names and ids they had before they were rows, and
-``test_contract`` runs every other row. CI runs these six tests and
-``test_numeric_blowup_exit_3`` once more, with the golden runs, from outside
+``test_contract`` runs every other row. CI runs all of tier-1 from outside
 the checkout after ``pip install .``, so the same table checks the installed
 package.
 
@@ -301,6 +300,7 @@ _MALFORMED_DATASETS = {
 }
 # id: (mutation of run/checkpoint.bin, what its evaluate error says after the path)
 _MALFORMED_CHECKPOINTS = {
+    "missing": (Path.unlink, "file missing"),
     "is-directory": (_to_directory, "cannot read (Is a directory)"),
     # cut inside the 12-byte header, the first record's name length (bytes
     # 12-16) and its shape (bytes 24-40, after the 8-byte name 'input.w0')
@@ -728,8 +728,10 @@ def test_ablate_emits_five_rows(capsys, sbm_dir, tmp_path):
 
 @pytest.mark.usefixtures("tape_guard")
 def test_ablate_no_skn_row_is_a_sinkhorn_off_run(sbm_dir, tmp_path, monkeypatch):
+    # a one-epoch warmup: at 10 the best epoch comes before clustering starts,
+    # and every variant but no_soc reads full's accuracy
     argv = ["ablate", "--dataset", str(sbm_dir), "--out", str(tmp_path / "ab"), "--seed", "3",
-            "--runs", "2"] + FAST_FLAGS
+            "--runs", "2", *FAST_FLAGS, "--warmup", "1"]
     hps = []
     real_train = trainer.train
     monkeypatch.setattr(trainer, "train",
@@ -742,6 +744,7 @@ def test_ablate_no_skn_row_is_a_sinkhorn_off_run(sbm_dir, tmp_path, monkeypatch)
     g, splits, _ = cli._prepare_runs(resolved)
     hp = cli.hyperparams_from(resolved)
     assert table["no_skn"]["acc_mean"] == run_seeds(g, replace(hp, sinkhorn_iters=0), splits).mean
+    assert table["no_skn"]["acc_mean"] != table["full"]["acc_mean"]
 
 
 @pytest.mark.usefixtures("tape_guard")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_pythonpath
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
@@ -18,9 +20,7 @@ FAST_DEMOS = ["01_autodiff_core.py", "02_graph_operators_and_spectral.py",
 def test_demo_runs(demo):
     if demo.startswith("05") and any((ROOT / "data").glob("*/meta.json")):
         pytest.skip("citation datasets present: the demo runs the full benchmark")
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    proc = subprocess.run([sys.executable, str(DEMOS / demo)], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)],
+                          env={**os.environ, "PYTHONPATH": child_pythonpath()}, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

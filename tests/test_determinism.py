@@ -18,48 +18,37 @@ import numpy as np
 import pytest
 
 import ncgc.model as model
+from conftest import child_pythonpath
+from golden.regenerate import TRAIN_LINES, write_datasets
 from ncgc.cli import main
-from ncgc.graph import write_dataset
 from ncgc.model import load_checkpoint, save_checkpoint
-from ncgc.rng import RngState
-from ncgc.synth import make_sbm
 from oracles import run_differences, sogn_chain
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the criterion-9 fixture and its training flags
-CRITERION_9_FLAGS = [
-    "--seed", "3", "--runs", "2", "--hidden", "16", "--layers", "2", "--dropout", "0.2",
-    "--lr", "0.01", "--epochs", "50", "--patience", "50", "--warmup", "10",
-    "--split-policy", "per_class", "--train-per-class", "3", "--val-per-class", "3",
-    "--row-normalize", "off",
-]
-
-
-def train_with_blas_threads(data: Path, out: Path, threads: int) -> None:
-    path = os.environ.get("PYTHONPATH")
+def train_with_blas_threads(datasets: Path, out: Path, threads: int) -> None:
+    """The criterion-9 line, run from ``datasets`` into ``out`` by a child process."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "PYTHONPATH": str(SRC) if not path else str(SRC) + os.pathsep + path}
+           "PYTHONPATH": child_pythonpath()}
     proc = subprocess.run(
-        [sys.executable, "-m", "ncgc", "train", "--dataset", str(data), "--out", str(out),
-         *CRITERION_9_FLAGS], env=env, capture_output=True, text=True, timeout=120)
+        [sys.executable, "-m", "ncgc", *TRAIN_LINES["criterion9"], "--out", str(out)],
+        env=env, cwd=datasets, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.fixture(scope="module")
-def sbm(tmp_path_factory):
-    d = tmp_path_factory.mktemp("data") / "sbm"
-    g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
-                 feature_shift=2.5, feature_noise=0.6)
-    write_dataset(g, d)
-    return d
+def datasets(tmp_path_factory):
+    """A directory holding the CI SBM as ``sbm`` and the separable SBM, which
+    the criterion-9 line trains on, as ``sbm_separable``."""
+    base = tmp_path_factory.mktemp("data")
+    write_datasets(base)
+    return base
 
 
 @pytest.fixture(scope="module")
-def thread_runs(sbm, tmp_path_factory):
+def thread_runs(datasets, tmp_path_factory):
     base = tmp_path_factory.mktemp("threads")
     for threads in (1, 2):
-        train_with_blas_threads(sbm, base / f"t{threads}", threads)
+        train_with_blas_threads(datasets, base / f"t{threads}", threads)
     return base / "t1", base / "t2"
 
 
@@ -92,9 +81,10 @@ def test_comparator_requires_equal_epoch_numbers(thread_runs, tmp_path):
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "appnp"])
-def test_fused_layer_run_agrees_with_the_unrolled_layer(sbm, tmp_path, monkeypatch, capsys,
-                                                        backbone):
-    args = ["train", "--dataset", str(sbm), "--backbone", backbone, *CRITERION_9_FLAGS]
+def test_fused_layer_run_agrees_with_the_unrolled_layer(datasets, tmp_path, monkeypatch,
+                                                        capsys, backbone):
+    monkeypatch.chdir(datasets)
+    args = [*TRAIN_LINES["criterion9"], "--backbone", backbone]
     assert main(args + ["--out", str(tmp_path / "fused")]) == 0
     configs = []
 

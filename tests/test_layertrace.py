@@ -8,6 +8,10 @@ VJP that closes over a name one branch of its op leaves unbound crashes it:
 the run goes through each backbone with and without the correction, and
 through the ``mlp`` input transform, whose second map is the dense branch of
 ``nm.affine_relu``. The tracer is only imported, never modified.
+
+The child process imports ``ncgc`` from the checkout's ``src``, not the package
+the test process imported: ``perfbench/invoke.py`` imports ``src/`` of its
+working directory, so the checkout is what the benchmark traces.
 """
 
 import json
@@ -17,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from golden.regenerate import write_datasets
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,13 +34,8 @@ tracer = Tracer()
 tracer.install()
 
 from ncgc import cli
-from ncgc.graph import write_dataset
-from ncgc.rng import RngState
-from ncgc.synth import make_sbm
 
 data, out, backbone, beta, *extra = sys.argv[1:]
-write_dataset(make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0),
-                       feature_shift=2.5, feature_noise=0.6), data)
 code = cli.main(["train", "--dataset", data, "--out", out, "--seed", "1",
                  "--epochs", "4", "--patience", "4", "--warmup", "1", "--hidden", "16",
                  "--train-per-class", "3", "--val-per-class", "3",
@@ -45,10 +46,11 @@ print(json.dumps({"exit": code, "calls": tracer.summary()["calls"]}))
 
 
 def _traced_train(tmp_path, backbone, beta, *extra):
+    write_datasets(tmp_path)
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]
                            + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "sbm"), str(tmp_path / "run"),
+        [sys.executable, "-c", SCRIPT, str(tmp_path / "sbm_separable"), str(tmp_path / "run"),
          backbone, beta, *extra],
         env={**os.environ, "PYTHONPATH": path}, cwd=ROOT,
         capture_output=True, text=True, timeout=120)

@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden.regenerate import write_datasets
 from ncgc.cli import main
-from ncgc.graph import load_dataset, make_split, normalized_adjacency, write_dataset
+from ncgc.graph import load_dataset, make_split, normalized_adjacency, write_split
 from ncgc.rng import RngState
-from ncgc.synth import make_sbm
 
 FILES = ("meta.json", "features.bin", "edges.tsv", "labels.tsv",
          "train.idx", "val.idx", "test.idx")
@@ -58,10 +58,12 @@ RUN_CASES = [(name, kind, trial)
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    g = make_sbm([10, 10], 0.6, 0.05, feature_dim=6, rng=RngState(0))
-    split = make_split(g, "per_class", RngState(1), train_per_class=3, val_per_class=3)
-    d = tmp_path_factory.mktemp("pristine") / "sbm"
-    write_dataset(g, d, split)
+    """The CI SBM as ``sbm``, with a per-class split of 3 + 3 nodes per class."""
+    base = tmp_path_factory.mktemp("pristine")
+    write_datasets(base)
+    d = base / "sbm"
+    write_split(make_split(load_dataset(d), "per_class", RngState(1), train_per_class=3,
+                           val_per_class=3), d)
     return d
 
 

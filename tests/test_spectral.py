@@ -1,13 +1,12 @@
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-import ncgc
+from conftest import child_pythonpath
 from ncgc.errors import ContractError
 from ncgc.graph import Graph, normalized_adjacency
 from ncgc.rng import RngState
@@ -138,6 +137,21 @@ def test_principal_basis_of_zero_features_and_k_above_d():
     assert np.allclose(u.T @ u, np.eye(2), atol=1e-12)
 
 
+def test_principal_basis_of_a_wide_matrix_decomposes_its_n_x_n_gram(monkeypatch):
+    # with n < d the one eigh is of X X^T, so d never sizes a Gram matrix, and
+    # the basis is its top-k eigenvectors up to column sign
+    x = RngState(12).normal((5, 40))
+    shapes = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or real_eigh(m))
+    u = principal_basis(x, 3)
+    assert shapes == [(5, 5)]
+    _, v = dense_eigh_oracle(x @ x.T)  # ascending eigenvalues
+    expected = v[:, ::-1][:, :3]
+    assert np.allclose(u * np.sign((u * expected).sum(axis=0)), expected, atol=1e-10)
+    assert np.array_equal(principal_basis(np.zeros((3, 5)), 2), np.zeros((3, 2)))
+
+
 # ---------------------------------------------------------------------------
 # ratiocut
 
@@ -247,14 +261,12 @@ def test_clustering_accuracy_rejects_no_labeled_node():
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
     # only clustering_accuracy needs linear_sum_assignment; training must not
-    # pay for scipy.optimize and what it pulls in; the child imports the same
-    # ncgc as this process, from the checkout or from an installed package
-    home = str(Path(ncgc.__file__).resolve().parent.parent)
-    path = os.pathsep.join([home] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    # pay for scipy.optimize and what it pulls in
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ncgc, ncgc.cli; sys.exit('scipy.optimize' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+        env={**os.environ, "PYTHONPATH": child_pythonpath()},
+        capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:] or "scipy.optimize was imported"
 
 
