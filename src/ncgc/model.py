@@ -129,27 +129,36 @@ def backbone_propagate(a_tilde: CsrMatrix, z: np.ndarray, config: HyperParams) -
     return a new array.
 
     ``gcn`` is a single normalized-adjacency hop. ``appnp`` runs the
-    personalized-propagation recurrence x <- (1-a) A x + a z from x = z with
-    a = ``config.appnp_alpha`` for ``config.appnp_hops`` hops; each step
-    computes ``A x``, scales it by 1-a and adds ``z * a`` in place, and the
-    hop coefficients sum to one. Both maps are linear in z, and with the
-    symmetric A~ of ``graph.normalized_adjacency`` each is its own adjoint, so
+    personalized-propagation recurrence x <- a z + (c A) x from x = z with
+    a = ``config.appnp_alpha``, c = 1 - a, for ``config.appnp_hops`` hops,
+    and the hop coefficients sum to one. The step operator c A (A's pattern,
+    values scaled by c) is built once per call, and each hop is one sparse
+    accumulate into a buffer that already holds a z: row i is a z_i plus
+    (c a_ij) x_j for each stored j in ascending order
+    (``CsrMatrix.matmul_dense_into``). The first hop writes a new array, and
+    from the second on the hops alternate between it and one more buffer, so
+    the call allocates two n x d arrays (one at a single hop) and c A's
+    values, none per hop. Both maps are linear in z, and with the symmetric
+    A~ of ``graph.normalized_adjacency`` each is its own adjoint, c A~
+    included, since scaling keeps a_ij and a_ji equal bit for bit; so
     ``sogn_layer`` propagates its forward input and its VJP's gradient with
     this same function. z is consumed: APPNP scales it in place into its
-    ``z * a`` term after the first product, so a caller that reads z again
-    passes a copy.
+    ``a z`` term after the first hop, so a caller that reads z again passes
+    a copy.
     """
     if config.backbone == "gcn":
         return a_tilde.matmul_dense(z)
     if config.backbone == "appnp":
         c, a = 1.0 - config.appnp_alpha, config.appnp_alpha
-        x = a_tilde.matmul_dense(z)
+        step = a_tilde.with_values(a_tilde.values * c)
+        z = np.ascontiguousarray(z, dtype=np.float64)
+        x = step.matmul_dense_into(z, np.multiply(z, a))
         az = np.multiply(z, a, out=z)
-        for hop in range(config.appnp_hops):
-            if hop:
-                x = a_tilde.matmul_dense(x)
-            x *= c
-            x += az
+        y = np.empty_like(x) if config.appnp_hops > 1 else None
+        for _ in range(config.appnp_hops - 1):
+            np.copyto(y, az)
+            step.matmul_dense_into(x, y)
+            x, y = y, x
         return x
     raise ParameterError(f"unknown backbone {config.backbone!r}")
 

@@ -13,14 +13,28 @@ threads. ``transpose_matmul_dense`` multiplies by the transpose through a
 compressed-sparse-column view of the same arrays, so the gradient of a
 product with the (not square) sparse features builds no transposed copy of
 them; where a transposed matrix itself is wanted, ``transpose`` builds a
-new one on each call. Products with dense matrices are delegated to scipy,
-which keeps a fixed summation order.
+new one on each call.
+
+Products with dense matrices run scipy's own kernels, which keep a fixed
+summation order. ``matmul_dense_into`` accumulates ``out += self @ b`` by
+calling ``scipy.sparse._sparsetools.csr_matvecs``, the kernel that scipy's
+own CSR @ dense product calls (``_cs_matrix._matmul_multivector``),
+directly: the public product always returns a new zeroed array, and the
+private entry point is the one way to add a sparse product into a buffer the
+caller already holds, with no temporary and no second pass. Row i adds its
+terms ``a_ij b_j`` to ``out_i`` one at a time in ascending column order, so
+``matmul_dense``, which is ``np.zeros`` plus that call, equals scipy's
+``self @ b`` bit for bit. ``tests/test_sparse.py`` pins both: the product
+against ``@`` and the accumulate against a plain loop of that order, so a
+scipy that renames the kernel or changes its order fails there, loudly.
+The transpose product goes through scipy's public CSC product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ShapeError
 
@@ -94,10 +108,40 @@ class CsrMatrix:
 
     def matmul_dense(self, b: np.ndarray) -> np.ndarray:
         """Sparse @ dense with shape checking; returns a new dense array."""
-        b = np.asarray(b, dtype=np.float64)
+        b = self._right_operand(b)
+        return self.matmul_dense_into(b, np.zeros((self.rows, b.shape[1])))
+
+    def matmul_dense_into(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out += self @ b`` in place; returns out.
+
+        Row i of out adds ``a_ij * b_j`` for each stored j in ascending order,
+        one term at a time, so from zeros it holds ``self @ b`` bit for bit.
+        out must be a writeable C-contiguous float64 array of the product's
+        shape that shares no memory with b: the kernel writes through a flat
+        view of it, so a copy would silently drop the sum. b is copied when it
+        is not C-contiguous float64.
+        """
+        b = self._right_operand(b)
+        if (not isinstance(out, np.ndarray) or out.shape != (self.rows, b.shape[1])
+                or out.dtype != np.float64 or not out.flags.c_contiguous
+                or not out.flags.writeable):
+            raise ShapeError(f"cannot accumulate the {self.rows}x{b.shape[1]} product into "
+                             f"{getattr(out, 'shape', None)} "
+                             f"{getattr(out, 'dtype', type(out).__name__)}: it needs a "
+                             f"writeable C-contiguous float64 array of that shape")
+        if np.may_share_memory(out, b):
+            raise ShapeError("the product's output overlaps its dense operand")
+        s = self._scipy
+        _sparsetools.csr_matvecs(self.rows, self.cols, b.shape[1], s.indptr, s.indices,
+                                 s.data, b.ravel(), out.ravel())
+        return out
+
+    def _right_operand(self, b) -> np.ndarray:
+        """b as a C-contiguous float64 matrix with this matrix's column count."""
+        b = np.ascontiguousarray(b, dtype=np.float64)
         if b.ndim != 2 or self.cols != b.shape[0]:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} CSR by {b.shape}")
-        return np.asarray(self._scipy @ b)
+        return b
 
     def transpose_matmul_dense(self, b: np.ndarray) -> np.ndarray:
         """``self^T @ b`` through the CSC view of this matrix's arrays, no transpose built.

@@ -45,6 +45,30 @@ def appnp_propagate(s, z, alpha, hops):
     return nm._record(out, (z,), lambda g: (backbone_propagate(s.transpose(), g, cfg),))
 
 
+def loop_csr_accumulate(s, b, out, scale=1.0):
+    """``out + (scale * s) @ b`` in the order of ``CsrMatrix.matmul_dense_into``,
+    as plain loops over the CSR arrays of s: row i adds (scale * s_ij) b_j for
+    each stored j in ascending order, one term at a time. out is not changed."""
+    out = np.array(out, dtype=np.float64)
+    for i in range(s.rows):
+        for jj in range(s.row_offsets[i], s.row_offsets[i + 1]):
+            w, j = scale * s.values[jj], s.col_indices[jj]
+            for k in range(out.shape[1]):
+                out[i, k] = out[i, k] + w * b[j, k]
+    return out
+
+
+def loop_appnp(s, z, alpha, hops):
+    """APPNP's hops in the summation order of ``model.backbone_propagate``:
+    from x = z, each hop is alpha z accumulated with ((1 - alpha) s) x by
+    ``loop_csr_accumulate``."""
+    z = np.asarray(z, dtype=np.float64)
+    x = z
+    for _ in range(hops):
+        x = loop_csr_accumulate(s, x, alpha * z, scale=1.0 - alpha)
+    return x
+
+
 def appnp_fixed_point(a_tilde, z, alpha):
     """X_inf = alpha (I - (1 - alpha) A~)^-1 Z, the limit of APPNP's hops, by a
     dense solve. It minimises ||H - Z||_F^2 + (1/alpha - 1) Tr(H^T L~ H) with

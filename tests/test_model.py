@@ -266,14 +266,19 @@ def test_input_transform_one_node_per_map_equals_chain(layers, transform):
     assert all(np.any(g != 0.0) for g in fused[2])
 
 
+def _ring_operator(n: int, rng: RngState) -> CsrMatrix:
+    """An n x n operator with three stored entries a row, at offsets 0, 1 and 7."""
+    ring = np.arange(n)
+    rows = np.repeat(ring, 3)
+    cols = np.stack([ring, (ring + 1) % n, (ring + 7) % n], axis=1).reshape(-1)
+    return CsrMatrix.from_coo(n, n, rows, cols, rng.uniform((3 * n,), 0.1, 0.4))
+
+
 def _layer_vjp_high_water(backbone, beta, activation=True, n=4000, d=32):
     """Peak bytes the VJP of one training-mode layer with dropout 0.5 allocates
     above its entry, in n x d float64 arrays, the returned gradients included."""
     rng = RngState(21)
-    ring = np.arange(n)
-    rows = np.repeat(ring, 3)
-    cols = np.stack([ring, (ring + 1) % n, (ring + 7) % n], axis=1).reshape(-1)
-    at = CsrMatrix.from_coo(n, n, rows, cols, rng.uniform((3 * n,), 0.1, 0.4))
+    at = _ring_operator(n, rng)
     cfg = HyperParams(backbone=backbone, beta=beta, dropout=0.5, appnp_hops=10)
     h = nm.Tensor(rng.normal((n, d)))
     w = nm.Parameter(rng.normal((d, d)) * 0.2, name="w")
@@ -292,6 +297,27 @@ def _layer_vjp_high_water(backbone, beta, activation=True, n=4000, d=32):
         tracemalloc.stop()
     assert grads[0].shape == (n, d) and grads[1].shape == (d, d)
     return (peak - entry) / (n * d * 8)
+
+
+@pytest.mark.parametrize("hops, arrays", [(1, 1), (10, 2)])
+def test_appnp_propagate_allocates_no_array_per_hop(hops, arrays):
+    # the first hop writes one new n x d array and later hops alternate
+    # between it and one more; the step operator's values, nnz floats, are
+    # the only other allocation, whatever the hop count
+    n, d = 4000, 32
+    rng = RngState(23)
+    at = _ring_operator(n, rng)
+    z = rng.normal((n, d))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = backbone_propagate(at, z, HyperParams(backbone="appnp", appnp_hops=hops))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, d)
+    assert peak - entry <= arrays * n * d * 8 + at.nnz * 8 + 16 * 1024
 
 
 @pytest.mark.parametrize("beta, bound", [(0.0, 2.5), (0.3, 3.5)], ids=["0.0", "0.3"])

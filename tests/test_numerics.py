@@ -5,13 +5,14 @@ import pytest
 
 import ncgc.numerics as nm
 from ncgc.errors import ContractError, NumericError, ParameterError, ShapeError
-from ncgc.model import sogn_layer
+from ncgc.model import backbone_propagate, sogn_layer
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
 from ncgc.trainer import HyperParams
 from gradcheck import OPS, check_gradients, trial_rng
 from oracles import (
-    appnp_chain, appnp_propagate, loop_matmul, rel_error, soft_orth_chain, soft_orthogonal,
+    appnp_chain, appnp_propagate, loop_appnp, loop_matmul, rel_error, soft_orth_chain,
+    soft_orthogonal,
 )
 
 E = np.e
@@ -59,14 +60,20 @@ def test_sparse_dense_matmul_identity_empty_and_oracle():
 
 
 @pytest.mark.parametrize("alpha, hops", [(0.1, 1), (0.1, 10), (0.37, 3), (1.0, 2)])
-def test_appnp_propagate_forward_bitwise_equals_chain(alpha, hops):
+def test_appnp_propagate_forward_bitwise_equals_the_loop_order(alpha, hops):
+    # each hop is alpha z plus the terms of ((1 - alpha) s) x, one at a time,
+    # so the forward equals the chain's hop, ((1 - alpha) (s x)) + alpha z,
+    # up to rounding only
     rng = RngState(3)
     dense = rng.normal((30, 30)) * (rng.uniform((30, 30)) < 0.2)
     s = CsrMatrix.from_dense(dense)
     assert not np.array_equal(s.to_dense(), s.to_dense().T)
     z = nm.Tensor(rng.normal((30, 6)))
     fused = appnp_propagate(s, z, alpha, hops)
-    assert np.array_equal(fused.value, appnp_chain(s, z, alpha, hops).value)
+    assert np.array_equal(fused.value, loop_appnp(s, z.value, alpha, hops))
+    assert rel_error(fused.value, appnp_chain(s, z, alpha, hops).value) < 1e-13
+    if alpha == 1.0:
+        assert np.array_equal(fused.value, z.value)
 
     # the fused adjoint matches the chain's backward up to summation order
     c = rng.normal((30, 6))
@@ -78,6 +85,20 @@ def test_appnp_propagate_forward_bitwise_equals_chain(alpha, hops):
             loss = nm.sum_all(nm.mul(prop(s, zp, alpha, hops), c))
         grads.append(nm.backward(tape, loss)[zp])
     assert rel_error(*grads) < 1e-13
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "appnp"])
+def test_backbone_propagate_reads_any_layout(backbone):
+    # the layer's forward input and its VJP's gradient take the same path, so
+    # a Fortran-ordered or column-sliced z or g gives the contiguous one's bits
+    rng = RngState(4)
+    s = CsrMatrix.from_dense(rng.normal((25, 25)) * (rng.uniform((25, 25)) < 0.2))
+    cfg = HyperParams(backbone=backbone, appnp_alpha=0.2, appnp_hops=4)
+    wide = rng.normal((25, 10))
+    want = backbone_propagate(s, wide[:, ::2].copy(), cfg)
+    for z in (wide.copy()[:, ::2], np.asfortranarray(wide[:, ::2])):
+        assert not z.flags.c_contiguous
+        assert np.array_equal(backbone_propagate(s, z, cfg), want)
 
 
 @pytest.mark.parametrize("n,d,zero_col", [(7, 3, None), (40, 8, 2), (200, 16, 0), (5, 4, 3)])

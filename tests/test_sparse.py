@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from ncgc.errors import ShapeError
 from ncgc.rng import RngState
 from ncgc.sparse import CsrMatrix
+from oracles import loop_csr_accumulate
 
 
 def random_sparse(rows, cols, seed, density=0.3):
@@ -112,3 +113,58 @@ def test_transpose_matmul_dense_checks_shape():
         s.transpose_matmul_dense(np.ones((3, 2)))  # the product wants 5 rows
     with pytest.raises(ShapeError):
         s.transpose_matmul_dense(np.ones(5))
+
+
+def with_index_dtype(a: np.ndarray, index_dtype) -> CsrMatrix:
+    """The CSR matrix of a with its index arrays in ``index_dtype``, which scipy's
+    constructor would narrow to int32 on a matrix this small."""
+    s = sp.csr_matrix(a)
+    s.indices, s.indptr = s.indices.astype(index_dtype), s.indptr.astype(index_dtype)
+    return CsrMatrix(s)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_matmul_dense_into_bit_equals_scipy_and_the_loop_order(index_dtype, width):
+    a = random_sparse(9, 7, seed=width, density=0.5)
+    a[4] = 0.0  # an empty row
+    s = with_index_dtype(a, index_dtype)
+    assert s.col_indices.dtype == s.row_offsets.dtype == index_dtype
+    b = RngState(width + 1).normal((7, width))
+    got = s.matmul_dense_into(b, np.zeros((9, width)))
+    assert np.array_equal(got, sp.csr_matrix(a) @ b)
+    assert np.array_equal(s.matmul_dense(b), got)
+
+    out = RngState(width + 2).normal((9, width))
+    want = loop_csr_accumulate(s, b, out)
+    assert s.matmul_dense_into(b, out) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((6, 3), order="F"),  # not C-contiguous: a flat copy would drop the sum
+    np.zeros((6, 6))[:, ::2],  # a column slice
+    np.zeros((6, 3), dtype=np.float32),
+    np.zeros((6, 3), dtype=np.int64),
+    np.zeros((5, 3)),
+    np.zeros((6, 2)),
+    np.zeros(18),
+    [[0.0] * 3] * 6,
+], ids=["fortran", "column-slice", "float32", "int64", "rows", "width", "flat", "list"])
+def test_matmul_dense_into_rejects_an_unfit_out(out):
+    s = CsrMatrix.from_dense(random_sparse(6, 5, seed=13, density=0.5))
+    with pytest.raises(ShapeError):
+        s.matmul_dense_into(np.ones((5, 3)), out)
+
+
+def test_matmul_dense_into_rejects_a_read_only_or_overlapping_out():
+    s = CsrMatrix.from_dense(random_sparse(4, 4, seed=14, density=0.5))
+    out = np.zeros((4, 2))
+    out.flags.writeable = False
+    with pytest.raises(ShapeError):
+        s.matmul_dense_into(np.ones((4, 2)), out)
+    b = np.ones((4, 2))
+    with pytest.raises(ShapeError, match="overlaps"):
+        s.matmul_dense_into(b, b)
+    with pytest.raises(ShapeError):
+        s.matmul_dense_into(np.ones((3, 2)), np.zeros((4, 2)))  # b has the wrong rows
