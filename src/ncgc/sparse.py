@@ -125,9 +125,7 @@ class CsrMatrix:
         if (not isinstance(out, np.ndarray) or out.shape != (self.rows, b.shape[1])
                 or out.dtype != np.float64 or not out.flags.c_contiguous
                 or not out.flags.writeable):
-            raise ShapeError(f"cannot accumulate the {self.rows}x{b.shape[1]} product into "
-                             f"{getattr(out, 'shape', None)} "
-                             f"{getattr(out, 'dtype', type(out).__name__)}: it needs a "
+            raise ShapeError(f"the {self.rows}x{b.shape[1]} product accumulates only into a "
                              f"writeable C-contiguous float64 array of that shape")
         if np.may_share_memory(out, b):
             raise ShapeError("the product's output overlaps its dense operand")
